@@ -42,6 +42,8 @@ __all__ = [
 
 DEFAULT_FIR_HALF_LEN = 64
 DEFAULT_MAX_DENSE_LEN = 4096
+# Sample rate (Hz) that converts delays in samples to and from seconds.
+SAMPLE_RATE_HZ = 1.92e6
 
 
 @dataclass(frozen=True)
@@ -358,7 +360,7 @@ _CDLC_TAPS = (
 
 
 def cdlc_channel_spec(
-    delay_spread_ns: float, sample_rate_hz: float = 1.92e6
+    delay_spread_ns: float, sample_rate_hz: float = SAMPLE_RATE_HZ
 ) -> ChannelSpec:
     """CDL-C style power-delay profile scaled to a delay spread, unit total power."""
     if delay_spread_ns <= 0:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    SAMPLE_RATE_HZ,
     ChannelSpec,
     builtin_channel_spec,
     load_channel_profile,
@@ -106,7 +107,22 @@ def _as_float_list(value) -> list[float]:
         value = parse_value(value)
     if isinstance(value, (int, float)):
         return [float(value)]
-    return [float(v) for v in value]
+    if isinstance(value, list):
+        try:
+            return [float(v) for v in value]
+        except ValueError:
+            pass
+    raise ParameterError(
+        f"bad numeric list {value!r}; use a number, [a, b] or start:step:stop"
+    )
+
+
+def _rms_delay_spread_ns(channel: ChannelSpec) -> float:
+    """Power-weighted RMS delay spread of a spec, in nanoseconds."""
+    weights = channel.powers / channel.powers.sum()
+    mean = weights @ channel.delays
+    rms = math.sqrt(weights @ (channel.delays - mean) ** 2)
+    return rms / SAMPLE_RATE_HZ * 1e9
 
 
 def _verify_basis(basis) -> None:
@@ -194,8 +210,6 @@ def cmd_ebct(args) -> int:
         _verify_tensor(tensor)
     values = ebct_all(tensor)
     bounds = ebct_bound_all(tensor)
-    if args.verify and np.any(values > bounds + 1e-12):
-        raise ParameterError("E_BCT exceeds its finite bound for some pair")
     rows = [
         (scheme.value, n, m, r, s, values[r, s], bounds[r, s])
         for r in range(m)
@@ -334,7 +348,7 @@ def cmd_ser(args) -> int:
     threads = int(_resolve(args, cfg, "threads", 1))
     out = _resolve(args, cfg, "out", "ser.csv")
 
-    spread_ns = channel.max_delay / 1.92e6 * 1e9
+    spread_ns = _rms_delay_spread_ns(channel)
     rows = []
     manifest_runs = []
     for scheme in schemes:

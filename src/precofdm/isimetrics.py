@@ -6,9 +6,12 @@ The chain implemented here:
   plus closed forms for the OFDM and DFT-precoded bases);
 * the band-limit-then-shift operator that fractional channel delays apply to
   each correlation sequence;
-* tail energies of the shifted sequences, the half-sample-shift figure of
-  merit per pair (band-limited correlation tail energy), and its certified
-  finite form through an energy identity on the 4N+1 half-grid window;
+* tail energies of the shifted sequences, and the half-sample-shift figure
+  of merit per pair (band-limited correlation tail energy, E_BCT).  Every
+  shifted tail is evaluated exactly, with no truncation: at half-bandwidth
+  1/2 a fractional shift preserves energy, so the tail beyond R equals
+  ||C||^2 minus the energy of the 2R + 1 shifted samples inside the window
+  (Laakso et al., "Splitting the unit delay", IEEE SP Mag. 1996);
 * exact ISI transfer matrices and energies for prefixed transmit/receive
   bases over realized channels, the matching analytical upper bound per
   channel, and signal-to-ISI sweeps across utilization.
@@ -18,7 +21,6 @@ operations; the transfer-matrix operation supports per-block Doppler.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -59,9 +61,6 @@ __all__ = [
     "half_shift_worst_case_scan",
 ]
 
-log = logging.getLogger(__name__)
-
-DEFAULT_TRUNCATION_FACTOR = 64
 DEFAULT_BLOCK_WINDOW = 12
 
 
@@ -272,110 +271,61 @@ def tail_energy(values: np.ndarray, l: int, origin: int | None = None) -> float:
     return float(np.sum(np.abs(values[np.abs(n) > l]) ** 2))
 
 
-def _shifted_tail_energy(
-    cmat: np.ndarray, n_len: int, shift: float, threshold: int, truncation: int
-) -> np.ndarray:
-    """Tail energy beyond ``threshold`` of the shifted band-limited sequences.
+def _parseval_tails(cmat: np.ndarray, shift: float, radii) -> np.ndarray:
+    """Exact tail energies of shifted band-limited lag sequences.
 
-    ``cmat`` holds lag sequences as rows (pairs x (2N-1)).
+    Each row of ``cmat`` is a lag sequence C on |q| <= N-1, and
+    y(n + shift) = sum_q C[q] sinc(n + shift - q) its band-limited
+    interpolant sampled at the shifted integers.  At half-bandwidth 1/2 the
+    shift is unitary, so sum_n |y(n + shift)|^2 = ||C||^2 and the tail beyond
+    radius R is ||C||^2 - sum_{|n| <= R} |y(n + shift)|^2 for any shift.  One
+    sinc product over the widest window serves every radius.  Returns shape
+    (len(radii), rows).
     """
+    n_len = (cmat.shape[1] + 1) // 2
     lags = np.arange(-(n_len - 1), n_len)
-    pts = np.concatenate(
-        [np.arange(-truncation, -threshold), np.arange(threshold + 1, truncation + 1)]
+    widest = max(radii)
+    pts = np.arange(-widest, widest + 1)
+    y = cmat @ _sinc(lags[:, None] - pts[None, :] - shift)
+    power = np.abs(y) ** 2
+    total = np.sum(np.abs(cmat) ** 2, axis=1)
+    window = np.array(
+        [np.sum(power[:, widest - r : widest + r + 1], axis=1) for r in radii]
     )
-    out = np.zeros(cmat.shape[0])
-    chunk = max(1, 2_000_000 // max(1, cmat.shape[0]))
-    for start in range(0, pts.size, chunk):
-        p = pts[start : start + chunk]
-        kernel = _sinc(lags[None, :] - p[:, None] - shift)
-        u = cmat @ kernel.T
-        out += np.sum(np.abs(u) ** 2, axis=1)
-    return out
+    return np.maximum(total - window, 0.0)
 
 
-def ebct(
-    tensor: CrossCorrTensor,
-    r: int,
-    s: int,
-    truncation_factor: int = DEFAULT_TRUNCATION_FACTOR,
-) -> float:
+def ebct(tensor: CrossCorrTensor, r: int, s: int) -> float:
     """Band-limited correlation tail energy of pair (r, s).
 
-    Tail energy beyond N-1 of the half-sample-shifted, half-band-limited
-    correlation sequence, truncated at |n| <= truncation_factor * N.  The
-    infinite-tail remainder is bounded and logged at debug level;
-    ``ebct_bound`` serves as the certified cap.
+    The exact, untruncated energy beyond N-1 of the half-sample-shifted,
+    half-band-limited correlation sequence.
     """
-    n = tensor.n_len
-    trunc = truncation_factor * n
     seq = tensor.pair_sequence(r, s)[None, :]
-    value = float(_shifted_tail_energy(seq, n, 0.5, n - 1, trunc)[0])
-    l1 = float(np.sum(np.abs(seq)))
-    residual = 2.0 * l1**2 / (np.pi**2 * max(1, trunc - n))
-    log.debug("ebct(%d,%d): value=%.6e, truncation residual <= %.2e", r, s, value, residual)
-    return value
+    return float(_parseval_tails(seq, 0.5, [tensor.n_len - 1])[0, 0])
 
 
-def ebct_all(
-    tensor: CrossCorrTensor, truncation_factor: int = DEFAULT_TRUNCATION_FACTOR
-) -> np.ndarray:
+def ebct_all(tensor: CrossCorrTensor) -> np.ndarray:
     """E_BCT for every pair, shape (M, M)."""
-    n = tensor.n_len
-    m = tensor.m
+    m, n = tensor.m, tensor.n_len
     cmat = tensor.values.reshape(m * m, 2 * n - 1)
-    vals = _shifted_tail_energy(cmat, n, 0.5, n - 1, truncation_factor * n)
-    return vals.reshape(m, m)
-
-
-def _halfshift_tail_exact(cmat: np.ndarray, n_len: int, n_param: int) -> np.ndarray:
-    """Exact tail energy beyond n_param - 1 of half-shifted lag sequences.
-
-    Each row of ``cmat`` is a lag sequence C on |q| <= N-1.  Its band-limited
-    interpolant y sampled on the half-integer grid t = k/2 carries total
-    energy exactly 2 ||C||^2 (two-fold oversampling Parseval), its even
-    samples reproduce C, and its odd samples are the half-sample-shifted
-    sequence.  The tail energy therefore reduces to window bookkeeping on
-    the 4 n_param + 1 samples with |k| <= 2 n_param: a finite, certified
-    replacement for the infinite tail sum.
-    """
-    lags = np.arange(-(n_len - 1), n_len)
-    k = np.arange(-2 * n_param, 2 * n_param + 1)
-    kernel = _sinc(k[:, None] / 2.0 - lags[None, :])
-    n_pairs = cmat.shape[0]
-    out = np.empty(n_pairs)
-    chunk = max(1, 8_000_000 // (len(k) + 1))
-    even_outside = np.abs(lags) >= n_param + 1
-    for start in range(0, n_pairs, chunk):
-        c = cmat[start : start + chunk]
-        y = c @ kernel.T
-        total = 2.0 * np.sum(np.abs(c) ** 2, axis=1)
-        window = np.sum(np.abs(y) ** 2, axis=1)
-        # odd sample k = -2 n_param + 1 (index n = -n_param) sits inside the
-        # window but belongs to the tail; even samples beyond the window are
-        # plain C values
-        boundary = np.abs(y[:, 1]) ** 2
-        even_tail = np.sum(np.abs(c[:, even_outside]) ** 2, axis=1)
-        out[start : start + chunk] = total - window - even_tail + boundary
-    return np.maximum(out, 0.0)
+    return _parseval_tails(cmat, 0.5, [n - 1])[0].reshape(m, m)
 
 
 def ebct_bound(tensor: CrossCorrTensor, r: int, s: int) -> float:
-    """Certified finite-form value of E_BCT(r, s): dominates any truncation.
+    """Alias of ``ebct``, kept for callers of the bound name.
 
-    Evaluates the infinite tail exactly through the half-grid window
-    identity, so it upper-bounds (and tightly matches) the truncated sum
-    computed by ``ebct``; the gap is the truncation deficit.
+    The tail is exact, so the value is its own bound.
     """
-    n = tensor.n_len
-    cmat = tensor.pair_sequence(r, s)[None, :]
-    return float(_halfshift_tail_exact(cmat, n, n)[0])
+    return ebct(tensor, r, s)
 
 
 def ebct_bound_all(tensor: CrossCorrTensor) -> np.ndarray:
-    """The E_BCT bound for every pair, shape (M, M)."""
-    m, n = tensor.m, tensor.n_len
-    cmat = tensor.values.reshape(m * m, 2 * n - 1)
-    return _halfshift_tail_exact(cmat, n, n).reshape(m, m)
+    """Alias of ``ebct_all``, kept for callers of the bound name.
+
+    The tail is exact, so the value is its own bound.
+    """
+    return ebct_all(tensor)
 
 
 def _check_pair(tx: PrefixedBasis, rx: PrefixedBasis):
@@ -519,15 +469,15 @@ def isi_bound(
 
     Each path acts like a half-sample shift at worst (verified empirically
     by the scan operation, never assumed silently), displaced by its integer
-    part, so its per-pair contribution is capped by the shifted-correlation
-    tail energy beyond N_p - 1 with N_p = N + g - floor(tau_p), evaluated
-    on the 4 N_p + 1 half-grid window.  Path powers weight the terms.
+    part, so its per-pair contribution is capped by the exact
+    shifted-correlation tail energy beyond N_p - 1 with
+    N_p = N + g - floor(tau_p).  Path powers weight the terms; paths that
+    share N_p share one tail, and one sinc product serves every N_p.
     """
     if np.any(channel.dopplers != 0.0):
         raise ParameterError("the ISI bound applies to quasi-static channels")
     m, n = tensor.m, tensor.n_len
     cmat = tensor.values.reshape(m * m, 2 * n - 1)
-    per_pair = np.zeros(m * m)
     groups: dict[int, float] = {}
     for path in channel.paths:
         n_p = n + prefix_len - math.floor(path.delay)
@@ -536,8 +486,10 @@ def isi_bound(
                 f"path delay {path.delay} too large for N={n}, g={prefix_len}"
             )
         groups[n_p] = groups.get(n_p, 0.0) + path.power
-    for n_p, power in sorted(groups.items()):
-        per_pair += power * _halfshift_tail_exact(cmat, n, n_p)
+    n_ps = sorted(groups)
+    tails = _parseval_tails(cmat, 0.5, [n_p - 1 for n_p in n_ps])
+    weights = np.array([groups[n_p] for n_p in n_ps])
+    per_pair = np.sum(weights[:, None] * tails, axis=0)
     total = float(per_pair.sum())
     s2i_db = None
     if empirical is not None and empirical > 0 and signal_energy is not None:
@@ -604,22 +556,17 @@ def half_shift_worst_case_scan(
     r: int,
     s: int,
     tau_grid: np.ndarray,
-    truncation_factor: int = DEFAULT_TRUNCATION_FACTOR,
 ) -> tuple[float, np.ndarray]:
-    """Tail energy beyond N-1 versus fractional shift; returns (argmax, curve).
+    """Exact tail energy beyond N-1 versus fractional shift; returns (argmax, curve).
 
-    Whether the half-sample shift maximizes the curve is reported by the
-    returned argmax, never assumed.
+    Each curve point is the untruncated tail of the shifted band-limited
+    correlation sequence.  Whether the half-sample shift maximizes the
+    curve is reported by the returned argmax, never assumed.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.any((tau_grid <= 0.0) | (tau_grid >= 1.0)):
         raise ParameterError("tau grid must lie strictly inside (0, 1)")
-    n = tensor.n_len
     seq = tensor.pair_sequence(r, s)[None, :]
-    curve = np.array(
-        [
-            _shifted_tail_energy(seq, n, tau, n - 1, truncation_factor * n)[0]
-            for tau in tau_grid
-        ]
-    )
+    radii = [tensor.n_len - 1]
+    curve = np.array([_parseval_tails(seq, tau, radii)[0, 0] for tau in tau_grid])
     return float(tau_grid[int(np.argmax(curve))]), curve

@@ -62,7 +62,6 @@ class FrameConfig:
     prefix_len: int = 0
     p_delta_db: float = 0.0
     modulation: str = "qpsk"
-    sample_rate_hz: float = 1.92e6
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:

@@ -47,7 +47,8 @@ class TestEbctCommand:
         assert len(lines) == 82
         fields = lines[1].split(",")
         assert fields[0] == "ofdm" and fields[1] == "9"
-        assert float(fields[6]) >= float(fields[5]) - 1e-12
+        # both columns hold the exact tail
+        assert all(line.split(",")[5] == line.split(",")[6] for line in lines[1:])
 
     def test_twelve_significant_digits(self, tmp_path):
         out = tmp_path / "ebct.csv"
@@ -147,7 +148,16 @@ class TestSerCommand:
         assert row[0] == "dpss"
         assert float(row[1]) == pytest.approx(121 / 128)
         assert float(row[2]) == 10.0
-        assert float(row[3]) == pytest.approx(8.6523 * 200.0, rel=1e-4)
+        assert float(row[3]) == pytest.approx(200.0, abs=0.01)
+
+    def test_preset_delay_spread_is_rms(self, tmp_path):
+        out = tmp_path / "ser.csv"
+        code = run([
+            "ser", "--preset", "table1", "--delay-spread", "1000ns",
+            "--schemes", "ofdm", "--snrs", "[20]", "--trials", 1, "--out", out,
+        ])
+        assert code == 0
+        assert float(read_lines(out)[1].split(",")[3]) == pytest.approx(1000.0, abs=0.01)
 
     def test_missing_channel_is_error(self, tmp_path):
         assert run(["ser", "--schemes", "ofdm", "--out", tmp_path / "x.csv"]) == 2
@@ -179,6 +189,18 @@ class TestConfigHandling:
 
     def test_missing_config_file(self, tmp_path):
         assert run(["dpss", "--config", tmp_path / "nope.cfg", "--n", 9]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["s2i", "--etas", "1.0,0.95"],
+        ["s2i", "--etas", "[1.0, x]"],
+        ["ser", "--channel", "cdlc200ns", "--snrs", "10,20"],
+        ["scan-halfshift", "--taus", "0.25,0.5"],
+    ])
+    def test_bad_numeric_list_is_parameter_error(self, tmp_path, capsys, args):
+        assert run(args + ["--n", 9, "--out", tmp_path / "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "[a, b]" in err and "start:step:stop" in err
 
     def test_unknown_channel_name(self, tmp_path):
         assert run([

@@ -1,7 +1,13 @@
 """Tests for correlation tensors, tail energies, ISI energies and bounds."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from precofdm import isimetrics
 
 from precofdm.channel import (
     ChannelSpec,
@@ -14,6 +20,7 @@ from precofdm.channel import (
 )
 from precofdm.errors import ParameterError
 from precofdm.isimetrics import (
+    _parseval_tails,
     bandlimit_shift,
     ebct,
     ebct_all,
@@ -125,6 +132,28 @@ class TestClosedForms:
             xcorr_scfdma_closed(0, 0, -9, 9, 9)
 
 
+def parseval_tail_reference(o, r, s, radius, shift=0.5):
+    """||C||^2 - sum_{|n| <= radius} |y(n + shift)|^2, summed in pure Python.
+
+    C_rs[q] = sum_n conj(o_r[n]) o_s[n - q] comes from ``np.correlate`` of
+    the basis columns, apart from the library's correlation path, and
+    y(t) = sum_q C[q] sinc(t - q) is its band-limited interpolant.  A
+    half-band fractional shift preserves energy, so this is the exact tail
+    beyond ``radius`` for a non-integer ``shift``.
+    """
+    n = o.shape[0]
+    c = np.conj(np.correlate(o[:, r], o[:, s], mode="full"))
+    total = sum(abs(v) ** 2 for v in c)
+    window = 0.0
+    for k in range(-radius, radius + 1):
+        acc = 0.0 + 0.0j
+        for qi, q in enumerate(range(-(n - 1), n)):
+            x = k + shift - q
+            acc += c[qi] * math.sin(math.pi * x) / (math.pi * x)
+        window += abs(acc) ** 2
+    return total - window
+
+
 def circ_shift_eval(c, tau, pts, size):
     """Fractional shift by zero-padded spectral phase ramp (circular)."""
     half = (len(c) - 1) // 2
@@ -192,7 +221,8 @@ class TestTailEnergy:
         assert tail_energy(seq, 1) == pytest.approx(9.0 + 4.0 + 4.0 + 9.0)
 
     def test_half_shift_edge_pair_matches_brute_force(self):
-        tensor = xcorr_tensor(default_basis(PrecodingScheme.OFDM, 9, 9))
+        basis = default_basis(PrecodingScheme.OFDM, 9, 9)
+        tensor = xcorr_tensor(basis)
         c = tensor.pair_sequence(0, 8)
         trunc = 64 * 9
         pts = np.arange(-trunc, trunc + 1)
@@ -208,7 +238,14 @@ class TestTailEnergy:
                 brute += abs(acc) ** 2
         assert value > 0.0
         assert value == pytest.approx(brute, abs=1e-10)
-        assert ebct(tensor, 0, 8) == pytest.approx(brute, abs=1e-10)
+        # ebct is the untruncated tail: it equals the Parseval form, and the
+        # 64 N-point sum falls short of it by at most the truncation remainder
+        exact = ebct(tensor, 0, 8)
+        assert exact == pytest.approx(
+            parseval_tail_reference(basis.o_matrix, 0, 8, 8), abs=1e-12
+        )
+        remainder = 2.0 * np.sum(np.abs(c)) ** 2 / (np.pi**2 * 63 * 9)
+        assert exact - remainder <= brute <= exact
 
     def test_window_beyond_samples_rejected(self):
         with pytest.raises(ParameterError):
@@ -237,10 +274,14 @@ class TestEbct:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n", [9, 17])
     def test_bound_dominates_truncated_value(self, scheme, n):
-        tensor = xcorr_tensor(default_basis(scheme, n, n))
-        values = ebct_all(tensor)
-        bounds = ebct_bound_all(tensor)
-        assert np.all(bounds - values >= -1e-12)
+        # ebct_all is the exact tail, which dominates every truncated sum;
+        # check it against the independent Parseval reference
+        basis = default_basis(scheme, n, n)
+        values = ebct_all(xcorr_tensor(basis))
+        for r in range(n):
+            for s in range(n):
+                ref = parseval_tail_reference(basis.o_matrix, r, s, n - 1)
+                assert values[r, s] == pytest.approx(ref, abs=1e-12)
 
     def test_bound_scalar_matches_matrix(self):
         tensor = xcorr_tensor(default_basis(PrecodingScheme.OFDM, 9, 9))
@@ -390,7 +431,80 @@ class TestIsiEnergy:
         assert direct == pytest.approx(float(np.real(g.conj() @ gram @ g)), rel=1e-12)
 
 
+class TestParsevalTailProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        rows=st.integers(min_value=1, max_value=3),
+        tau=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_tail_is_exact_for_random_sequences(self, n, rows, tau, data, seed):
+        rng = np.random.default_rng(seed)
+        cmat = rng.standard_normal((rows, 2 * n - 1)) + 1j * rng.standard_normal(
+            (rows, 2 * n - 1)
+        )
+        radii = data.draw(
+            st.lists(st.integers(n - 1, 2 * n), min_size=1, max_size=3)
+        )
+        tails = _parseval_tails(cmat, tau, radii)
+        energy = np.sum(np.abs(cmat) ** 2, axis=1)
+        l1 = np.sum(np.abs(cmat), axis=1)
+        assert tails.shape == (len(radii), rows)
+        assert np.all(tails >= 0.0)
+        # at zero shift the window holds every lag, so nothing is left over
+        assert np.all(_parseval_tails(cmat, 0.0, radii) <= 1e-12 * energy)
+        # direct tail sum truncated at T = 16 N, plus its remainder bound
+        t_max = 16 * n
+        lags = np.arange(-(n - 1), n)
+        pts = np.arange(-t_max, t_max + 1)
+        y = cmat @ np.sinc(pts[None, :] + tau - lags[:, None])
+        for radius, tail in zip(radii, tails):
+            outside = np.abs(pts) > radius
+            direct = np.sum(np.abs(y[:, outside]) ** 2, axis=1)
+            remainder = 2.0 * l1**2 / (np.pi**2 * (t_max - n))
+            slack = 1e-12 * energy
+            assert np.all(tail >= direct - slack)
+            assert np.all(tail <= direct + remainder + slack)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        n=st.integers(min_value=4, max_value=24),
+        prefix=st.integers(min_value=12, max_value=16),
+        data=st.data(),
+    )
+    def test_isi_bound_is_power_weighted_group_tails(self, scheme, n, prefix, data):
+        m = data.draw(st.integers(min_value=1, max_value=n))
+        tensor = xcorr_tensor(default_basis(scheme, n, m))
+        mild = mild_channel_spec()
+        cmat = tensor.values.reshape(m * m, 2 * n - 1)
+        expected = np.zeros(m * m)
+        for path in mild.paths:
+            n_p = n + prefix - math.floor(path.delay)
+            expected += path.power * _parseval_tails(cmat, 0.5, [n_p - 1])[0]
+        report = isi_bound(tensor, mild, prefix)
+        np.testing.assert_allclose(
+            report.per_pair, expected.reshape(m, m), rtol=1e-12, atol=1e-14
+        )
+
+
 class TestIsiBound:
+    def test_one_sinc_kernel_for_all_groups(self, monkeypatch):
+        calls = []
+        sinc = isimetrics._sinc
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return sinc(x)
+
+        monkeypatch.setattr(isimetrics, "_sinc", counted)
+        tensor = xcorr_tensor(default_basis(PrecodingScheme.OFDM, 17, 17))
+        isi_bound(tensor, mild_channel_spec(), 16)
+        # mild spans 16 distinct N_p; the widest window holds every one
+        assert calls == [(2 * 17 - 1, 2 * (17 + 16 - 1) + 1)]
+
     def test_bound_dominates_empirical_mild(self):
         mild = mild_channel_spec()
         basis, pref = make_pair(PrecodingScheme.OFDM, 33, 33, 16)
