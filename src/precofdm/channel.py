@@ -97,6 +97,14 @@ class ChannelSpec:
     def dopplers(self) -> np.ndarray:
         return np.array([p.doppler for p in self.paths])
 
+    @property
+    def rms_delay_spread_ns(self) -> float:
+        """Power-weighted RMS delay spread, in nanoseconds."""
+        weights = self.powers / self.powers.sum()
+        mean = weights @ self.delays
+        rms = float(np.sqrt(weights @ (self.delays - mean) ** 2))
+        return rms / SAMPLE_RATE_HZ * 1e9
+
 
 @dataclass(frozen=True)
 class ChannelRealization:
@@ -359,16 +367,14 @@ _CDLC_TAPS = (
 )
 
 
-def cdlc_channel_spec(
-    delay_spread_ns: float, sample_rate_hz: float = SAMPLE_RATE_HZ
-) -> ChannelSpec:
+def cdlc_channel_spec(delay_spread_ns: float) -> ChannelSpec:
     """CDL-C style power-delay profile scaled to a delay spread, unit total power."""
     if delay_spread_ns <= 0:
         raise ParameterError("delay_spread_ns must be > 0")
     powers = np.array([10.0 ** (p / 10.0) for _, p in _CDLC_TAPS])
     powers /= powers.sum()
     delays = np.array(
-        [d * delay_spread_ns * 1e-9 * sample_rate_hz for d, _ in _CDLC_TAPS]
+        [d * delay_spread_ns * 1e-9 * SAMPLE_RATE_HZ for d, _ in _CDLC_TAPS]
     )
     paths = tuple(
         PathSpec(delay=float(t), gain_power=float(p)) for t, p in zip(delays, powers)

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .channel import (
-    SAMPLE_RATE_HZ,
     ChannelSpec,
     builtin_channel_spec,
     load_channel_profile,
@@ -115,14 +114,6 @@ def _as_float_list(value) -> list[float]:
     raise ParameterError(
         f"bad numeric list {value!r}; use a number, [a, b] or start:step:stop"
     )
-
-
-def _rms_delay_spread_ns(channel: ChannelSpec) -> float:
-    """Power-weighted RMS delay spread of a spec, in nanoseconds."""
-    weights = channel.powers / channel.powers.sum()
-    mean = weights @ channel.delays
-    rms = math.sqrt(weights @ (channel.delays - mean) ** 2)
-    return rms / SAMPLE_RATE_HZ * 1e9
 
 
 def _verify_basis(basis) -> None:
@@ -348,7 +339,7 @@ def cmd_ser(args) -> int:
     threads = int(_resolve(args, cfg, "threads", 1))
     out = _resolve(args, cfg, "out", "ser.csv")
 
-    spread_ns = _rms_delay_spread_ns(channel)
+    spread_ns = channel.rms_delay_spread_ns
     rows = []
     manifest_runs = []
     for scheme in schemes:

@@ -138,26 +138,19 @@ class TestSerCommand:
 
     def test_preset_table1_defaults(self, tmp_path):
         out = tmp_path / "ser.csv"
-        code = run([
-            "ser", "--preset", "table1", "--delay-spread", "200ns", "--pdelta", 10,
-            "--schemes", "dpss", "--etas", "0.95", "--snrs", "[20]", "--trials", 2,
-            "--out", out,
-        ])
-        assert code == 0
-        row = read_lines(out)[1].split(",")
-        assert row[0] == "dpss"
-        assert float(row[1]) == pytest.approx(121 / 128)
-        assert float(row[2]) == 10.0
-        assert float(row[3]) == pytest.approx(200.0, abs=0.01)
-
-    def test_preset_delay_spread_is_rms(self, tmp_path):
-        out = tmp_path / "ser.csv"
-        code = run([
-            "ser", "--preset", "table1", "--delay-spread", "1000ns",
-            "--schemes", "ofdm", "--snrs", "[20]", "--trials", 1, "--out", out,
-        ])
-        assert code == 0
-        assert float(read_lines(out)[1].split(",")[3]) == pytest.approx(1000.0, abs=0.01)
+        # delay_spread_ns is the RMS spread of the scaled profile
+        for spread, rms_ns in (("200ns", 200.0), ("1000ns", 1000.0)):
+            code = run([
+                "ser", "--preset", "table1", "--delay-spread", spread, "--pdelta", 10,
+                "--schemes", "dpss", "--etas", "0.95", "--snrs", "[20]", "--trials", 2,
+                "--out", out,
+            ])
+            assert code == 0
+            row = read_lines(out)[1].split(",")
+            assert row[0] == "dpss"
+            assert float(row[1]) == pytest.approx(121 / 128)
+            assert float(row[2]) == 10.0
+            assert float(row[3]) == pytest.approx(rms_ns, abs=0.01)
 
     def test_missing_channel_is_error(self, tmp_path):
         assert run(["ser", "--schemes", "ofdm", "--out", tmp_path / "x.csv"]) == 2
