@@ -7,8 +7,6 @@ from .channel import (
     ChannelRealization,
     ChannelSpec,
     PathSpec,
-    assemble_channel,
-    block_submatrix,
     builtin_channel_spec,
     cdlc_channel_spec,
     doppler_matrix,

@@ -5,7 +5,8 @@ A channel is a sum over paths of (complex gain) x (Doppler modulation) x
 through the sinc kernel and therefore spread over all lags.  The operator is
 available both as a guarded dense matrix and as a streaming filter whose
 per-path kernels are truncated sinc interpolators (exact for integer
-delays); both forms sample the same kernels, so they agree to round-off.
+delays), summed into one composite filter per Doppler value; both forms
+sample the same kernels, so they agree to round-off.
 """
 from __future__ import annotations
 
@@ -26,8 +27,6 @@ __all__ = [
     "sinc_delay_matrix",
     "doppler_matrix",
     "ChannelOperator",
-    "assemble_channel",
-    "block_submatrix",
     "realize",
     "exp_profile_spec",
     "exp_profile_channel",
@@ -168,12 +167,35 @@ def _path_kernel(delay: float, half_len: int | None, stream_len: int):
     return lag0, np.sinc(lags - delay)
 
 
+def _composite_kernels(realization: ChannelRealization, half_len, stream_len):
+    """One FIR per distinct Doppler value: [(doppler, first lag, taps)].
+
+    Each group sums ``gain x kernel`` over its paths, in path order, on the
+    union of their lag grids; a quasi-static channel is a single group.
+    """
+    groups: dict[float, list] = {}
+    for gain, path in zip(realization.drawn_gains, realization.spec.paths):
+        groups.setdefault(path.doppler, []).append(
+            (gain, *_path_kernel(path.delay, half_len, stream_len))
+        )
+    out = []
+    for doppler, members in groups.items():
+        lag0 = min(first for _, first, _ in members)
+        end = max(first + len(h) for _, first, h in members)
+        taps = np.zeros(end - lag0, dtype=np.complex128)
+        for gain, first, h in members:
+            taps[first - lag0 : first - lag0 + len(h)] += gain * h
+        out.append((doppler, lag0, taps))
+    return out
+
+
 class ChannelOperator:
     """Realized channel as a linear operator on a sample stream.
 
-    ``apply`` filters per path (FFT convolution) and adds the Doppler phase
-    ramp; ``dense``/``block`` materialize the same kernels as matrices, the
-    former guarded by ``max_dense_len``.
+    The paths are folded into one composite FIR per distinct Doppler value.
+    ``apply`` filters the stream with each (FFT convolution) and adds the
+    Doppler phase ramp; ``dense``/``block`` materialize the same kernels as
+    matrices, the former guarded by ``max_dense_len``.
     """
 
     def __init__(
@@ -182,74 +204,54 @@ class ChannelOperator:
         half_len: int | None = DEFAULT_FIR_HALF_LEN,
         max_dense_len: int = DEFAULT_MAX_DENSE_LEN,
     ):
+        if half_len is not None and half_len < 0:
+            raise ParameterError(f"half_len must be >= 0 or None, got {half_len}")
         self.realization = realization
         self.half_len = half_len
         self.max_dense_len = max_dense_len
         self.stream_len = realization.stream_len
-        self._kernels = [
-            _path_kernel(p.delay, half_len, self.stream_len)
-            for p in realization.spec.paths
-        ]
-
-    def _kernel_at(self, path_idx: int, lags: np.ndarray) -> np.ndarray:
-        lag0, values = self._kernels[path_idx]
-        out = np.zeros(lags.shape)
-        idx = lags - lag0
-        ok = (idx >= 0) & (idx < len(values))
-        out[ok] = values[idx[ok].astype(int)]
-        return out
+        self._groups = _composite_kernels(realization, half_len, self.stream_len)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        if x.shape != (self.stream_len,):
-            raise ParameterError(
-                f"expected stream of length {self.stream_len}, got {x.shape}"
-            )
-        spec = self.realization.spec
-        y = np.zeros(self.stream_len, dtype=np.complex128)
-        sample_idx = np.arange(self.stream_len)
-        for gain, path, (lag0, h) in zip(
-            self.realization.drawn_gains, spec.paths, self._kernels
-        ):
-            if len(h) == 1:
-                delayed = np.zeros(self.stream_len, dtype=x.dtype)
-                if lag0 >= 0:
-                    if lag0 < self.stream_len:
-                        delayed[lag0:] = x[: self.stream_len - lag0]
-                else:
-                    delayed[: self.stream_len + lag0] = x[-lag0:]
-            else:
-                conv = scipy.signal.fftconvolve(x, h)
-                delayed = np.zeros(self.stream_len, dtype=np.complex128)
-                lo = max(0, lag0)
-                hi = min(self.stream_len - 1, lag0 + len(conv) - 1)
-                if hi >= lo:
-                    delayed[lo : hi + 1] = conv[lo - lag0 : hi + 1 - lag0]
-            if path.doppler != 0.0:
-                delayed = delayed * np.exp(2j * np.pi * path.doppler * sample_idx)
-            y += gain * delayed
+        n = self.stream_len
+        if x.shape != (n,):
+            raise ParameterError(f"expected stream of length {n}, got {x.shape}")
+        y = np.zeros(n, dtype=np.complex128)
+        for doppler, lag0, taps in self._groups:
+            conv = scipy.signal.fftconvolve(x, taps)
+            lo, hi = max(0, lag0), min(n, lag0 + len(conv))
+            if hi <= lo:  # the filter misses the stream; keep slices non-negative
+                continue
+            part = conv[lo - lag0 : hi - lag0]
+            if doppler != 0.0:
+                part = part * np.exp(2j * np.pi * doppler * np.arange(lo, hi))
+            y[lo:hi] += part
         return y
 
+    def _matrix(self, row0: int, col0: int, rows: int, cols: int) -> np.ndarray:
+        """Stream-matrix entries (row0 + i, col0 + j), i < rows, j < cols."""
+        base = row0 - col0
+        out = np.zeros((rows, cols), dtype=np.complex128)
+        for doppler, lag0, taps in self._groups:
+            t = scipy.linalg.toeplitz(
+                _taps_at(lag0, taps, base + np.arange(rows)),
+                _taps_at(lag0, taps, base - np.arange(cols)),
+            )
+            if doppler != 0.0:
+                ramp = np.exp(2j * np.pi * doppler * (row0 + np.arange(rows)))
+                t = ramp[:, None] * t
+            out += t
+        return out
+
     def dense(self) -> np.ndarray:
-        if self.stream_len > self.max_dense_len:
+        n = self.stream_len
+        if n > self.max_dense_len:
             raise MemoryBudgetError(
-                f"dense channel of size {self.stream_len} exceeds the budget "
+                f"dense channel of size {n} exceeds the budget "
                 f"({self.max_dense_len}); use the streaming form"
             )
-        n = self.stream_len
-        lag_col = np.arange(n)
-        lag_row = -np.arange(n)
-        h = np.zeros((n, n), dtype=np.complex128)
-        for p, (gain, path) in enumerate(
-            zip(self.realization.drawn_gains, self.realization.spec.paths)
-        ):
-            t = scipy.linalg.toeplitz(
-                self._kernel_at(p, lag_col), self._kernel_at(p, lag_row)
-            )
-            if path.doppler != 0.0:
-                t = np.exp(2j * np.pi * path.doppler * lag_col)[:, None] * t
-            h += gain * t
-        return h
+        return self._matrix(0, 0, n, n)
 
     def block(self, l: int, l_prime: int) -> np.ndarray:
         """The (l, l') block of the stream matrix, shape block_len x block_len."""
@@ -257,36 +259,16 @@ class ChannelOperator:
         if not (0 <= l < nb and 0 <= l_prime < nb):
             raise ParameterError(f"block indices ({l}, {l_prime}) out of range {nb}")
         b = self.realization.block_len
-        base = (l - l_prime) * b
-        lag_col = base + np.arange(b)
-        lag_row = base - np.arange(b)
-        out = np.zeros((b, b), dtype=np.complex128)
-        for p, (gain, path) in enumerate(
-            zip(self.realization.drawn_gains, self.realization.spec.paths)
-        ):
-            t = scipy.linalg.toeplitz(
-                self._kernel_at(p, lag_col), self._kernel_at(p, lag_row)
-            )
-            if path.doppler != 0.0:
-                t = (
-                    np.exp(2j * np.pi * path.doppler * (l * b + np.arange(b)))[:, None]
-                    * t
-                )
-            out += gain * t
-        return out
+        return self._matrix(l * b, l_prime * b, b, b)
 
 
-def assemble_channel(
-    realization: ChannelRealization,
-    half_len: int | None = DEFAULT_FIR_HALF_LEN,
-    max_dense_len: int = DEFAULT_MAX_DENSE_LEN,
-) -> ChannelOperator:
-    """Build the stream operator for a realization."""
-    return ChannelOperator(realization, half_len=half_len, max_dense_len=max_dense_len)
-
-
-def block_submatrix(operator: ChannelOperator, l: int, l_prime: int) -> np.ndarray:
-    return operator.block(l, l_prime)
+def _taps_at(lag0: int, taps: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Taps of an FIR starting at ``lag0``, read at ``lags`` (zero outside)."""
+    out = np.zeros(lags.shape, dtype=taps.dtype)
+    idx = lags - lag0
+    ok = (idx >= 0) & (idx < len(taps))
+    out[ok] = taps[idx[ok]]
+    return out
 
 
 def realize(

@@ -116,6 +116,13 @@ def _as_float_list(value) -> list[float]:
     )
 
 
+def _as_int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{key} must be an integer, got {value!r}") from None
+
+
 def _verify_basis(basis) -> None:
     o = basis.o_matrix
     gram = o.conj().T @ o
@@ -335,8 +342,11 @@ def cmd_ser(args) -> int:
     prefix = _resolve(args, cfg, "prefix")
     prefix = prefix_length_for(channel) if prefix is None else int(prefix)
     half_len = _resolve(args, cfg, "half-len", 64)
-    half_len = None if str(half_len).lower() in {"none", "full"} else int(half_len)
-    threads = int(_resolve(args, cfg, "threads", 1))
+    if str(half_len).lower() in {"none", "full"}:
+        half_len = None
+    else:
+        half_len = _as_int(half_len, "half-len")
+    threads = _as_int(_resolve(args, cfg, "threads", 1), "threads")
     out = _resolve(args, cfg, "out", "ser.csv")
 
     spread_ns = channel.rms_delay_spread_ns

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc
 
-from .channel import ChannelSpec, assemble_channel, realize
+from .channel import ChannelOperator, ChannelSpec, realize
 from .errors import EqualizationError, ParameterError
 from .waveform import (
     PrecodingScheme,
@@ -61,7 +61,6 @@ class FrameConfig:
     prefix_kind: PrefixKind = PrefixKind.CYCLIC
     prefix_len: int = 0
     p_delta_db: float = 0.0
-    modulation: str = "qpsk"
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
@@ -70,8 +69,6 @@ class FrameConfig:
             raise ParameterError("prefix_len must be >= 0")
         if self.p_delta_db < 0:
             raise ParameterError("p_delta_db must be >= 0")
-        if self.modulation != "qpsk":
-            raise ParameterError(f"unsupported modulation {self.modulation!r}")
         if self.symbols_per_subframe < 1 or self.n_subframes < 1:
             raise ParameterError("frame needs at least one symbol per subframe")
 
@@ -156,7 +153,7 @@ def analytic_qpsk_ser(snr_lin: float) -> float:
 def draw_payloads(cfg: FrameConfig, rng: np.random.Generator) -> np.ndarray:
     """Random QPSK payloads, one row of m_active symbols per frame symbol."""
     bits = rng.integers(0, 2, size=(cfg.n_symbols, 2 * cfg.m_active))
-    return np.stack([qpsk_map(row) for row in bits])
+    return qpsk_map(bits).reshape(cfg.n_symbols, cfg.m_active)
 
 
 def build_frame(
@@ -192,19 +189,19 @@ def equalize_and_detect(
 ) -> np.ndarray:
     """Linear MMSE equalization of the effective channel, then QPSK slicing.
 
-    ``received`` holds one symbol vector per row.  Raises
+    ``received`` holds one symbol vector z per row; the estimates solve
+    (A^H A + noise_var I) x = A^H z for all rows at once.  Raises
     ``EqualizationError`` when the regularized matrix cannot be solved.
     """
     received = np.atleast_2d(np.asarray(received))
-    m = a_matrix.shape[1]
-    gram = a_matrix.conj().T @ a_matrix + noise_var * np.eye(m)
+    a_h = a_matrix.conj().T
+    gram = a_h @ a_matrix + noise_var * np.eye(a_matrix.shape[1])
     try:
-        w = np.linalg.solve(gram, a_matrix.conj().T)
+        estimates = np.linalg.solve(gram, a_h @ received.T).T
     except np.linalg.LinAlgError as exc:
         raise EqualizationError(f"MMSE matrix is singular: {exc}") from exc
-    if not np.all(np.isfinite(w)):
+    if not np.all(np.isfinite(estimates)):
         raise EqualizationError("MMSE solution is not finite")
-    estimates = received @ w.T
     return qpsk_detect(estimates)
 
 
@@ -228,13 +225,14 @@ def run_trial(
     )
     payloads = draw_payloads(cfg, rng)
     x = build_frame(cfg, basis, payloads)
-    op = assemble_channel(realization, half_len=half_len)
+    op = ChannelOperator(realization, half_len=half_len)
     y = op.apply(x)
 
     victim = cfg.victim_subframe
     lo = victim * cfg.symbols_per_subframe
     hi = lo + cfg.symbols_per_subframe
-    a_matrix = basis.o_r.conj().T @ op.block(lo, lo) @ basis.o_t
+    o_r_conj = basis.o_r.conj()
+    a_matrix = o_r_conj.T @ op.block(lo, lo) @ basis.o_t
     es = float(np.real(np.trace(a_matrix.conj().T @ a_matrix))) / cfg.m_active
 
     y_victim = y[lo * block_len : hi * block_len].reshape(
@@ -244,18 +242,19 @@ def run_trial(
         rng.standard_normal(y_victim.shape) + 1j * rng.standard_normal(y_victim.shape)
     ) / math.sqrt(2.0)
     sent = payloads[lo:hi]
+    expected = qpsk_detect(sent)
 
     results = []
     for snr_db in snr_grid_db:
         n0 = es / (10.0 ** (snr_db / 10.0))
-        z = (y_victim + math.sqrt(n0) * noise_unit) @ basis.o_r.conj()
+        z = (y_victim + math.sqrt(n0) * noise_unit) @ o_r_conj
         try:
             detected = equalize_and_detect(z, a_matrix, n0)
         except EqualizationError as exc:
             log.warning("trial seed %d skipped at %.1f dB: %s", seed, snr_db, exc)
             results.append(TrialResult(float(snr_db), 0, 0, seed))
             continue
-        errors = int(np.sum(~np.isclose(detected, qpsk_detect(sent), atol=1e-9)))
+        errors = int(np.sum(~np.isclose(detected, expected, atol=1e-9)))
         results.append(TrialResult(float(snr_db), errors, sent.size, seed))
     return results
 
@@ -281,6 +280,8 @@ def run_ser(
         raise ParameterError("snr grid must be a non-empty 1-D sequence")
     if np.any(np.diff(snr_grid_db) <= 0):
         raise ParameterError("snr grid must be strictly increasing")
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     if np.any(channel_spec.dopplers != 0.0):
         raise ParameterError("SER runs assume a quasi-static (zero Doppler) channel")
     basis = cfg.make_basis()

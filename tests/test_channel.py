@@ -1,14 +1,18 @@
 """Tests for fractional-delay channel construction and application."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precofdm.channel import (
+    ChannelOperator,
     ChannelRealization,
     ChannelSpec,
     PathSpec,
-    assemble_channel,
-    block_submatrix,
     builtin_channel_spec,
     cdlc_channel_spec,
     doppler_matrix,
@@ -83,14 +87,14 @@ def two_path_realization(block_len=8, n_blocks=3):
 class TestChannelOperator:
     def test_identity_path(self):
         spec = ChannelSpec((PathSpec(delay=0.0, gain=1.0 + 0.0j),), 0.0)
-        op = assemble_channel(realize(spec, 0, block_len=5, n_blocks=2))
+        op = ChannelOperator(realize(spec, 0, block_len=5, n_blocks=2))
         x = np.arange(10.0) + 1j
         assert np.allclose(op.apply(x), x, atol=1e-14)
         assert np.array_equal(op.dense(), np.eye(10))
 
     def test_factorization_consistency(self):
         real = two_path_realization()
-        h = assemble_channel(real, half_len=None).dense()
+        h = ChannelOperator(real, half_len=None).dense()
         n = real.stream_len
         explicit = np.zeros((n, n), dtype=complex)
         for path, gain in zip(real.spec.paths, real.drawn_gains):
@@ -103,7 +107,7 @@ class TestChannelOperator:
 
     def test_integer_taps_strictly_banded(self):
         spec = exp_profile_spec(0.5, np.arange(0.0, 4.0), max_delay=4.0)
-        op = assemble_channel(realize(spec, 1, block_len=10, n_blocks=2))
+        op = ChannelOperator(realize(spec, 1, block_len=10, n_blocks=2))
         h = op.dense()
         for i in range(20):
             for j in range(20):
@@ -112,26 +116,26 @@ class TestChannelOperator:
 
     def test_single_fractional_tap_fills_all_diagonals(self):
         spec = ChannelSpec((PathSpec(delay=0.5, gain=1.0 + 0.0j),), 1.0)
-        h = assemble_channel(realize(spec, 0, block_len=8, n_blocks=1)).dense()
+        h = ChannelOperator(realize(spec, 0, block_len=8, n_blocks=1)).dense()
         assert np.all(np.abs(h) > 0.0)
 
     def test_fractional_row_matches_integer_expansion(self):
         spec = ChannelSpec((PathSpec(delay=2.7, gain=1.0 + 0.0j),), 3.0)
-        h = assemble_channel(realize(spec, 0, block_len=16, n_blocks=1)).dense()
+        h = ChannelOperator(realize(spec, 0, block_len=16, n_blocks=1)).dense()
         for k in range(16):
             x = 8 - k - 2.7
             assert h[8, k] == pytest.approx(np.sin(np.pi * x) / (np.pi * x), abs=1e-12)
 
     def test_dense_and_streaming_agree(self):
         real = two_path_realization(block_len=13, n_blocks=3)
-        op = assemble_channel(real)  # default truncation covers this size
+        op = ChannelOperator(real)  # default truncation covers this size
         rng = np.random.default_rng(5)
         x = rng.standard_normal(39) + 1j * rng.standard_normal(39)
         assert np.max(np.abs(op.apply(x) - op.dense() @ x)) <= 1e-9
 
     def test_memory_guard(self):
         spec = ChannelSpec((PathSpec(delay=0.5, gain=1.0 + 0.0j),), 1.0)
-        op = assemble_channel(
+        op = ChannelOperator(
             realize(spec, 0, block_len=64, n_blocks=2), max_dense_len=100
         )
         with pytest.raises(MemoryBudgetError):
@@ -139,7 +143,7 @@ class TestChannelOperator:
 
     def test_energy_preservation_interior(self):
         spec = ChannelSpec((PathSpec(delay=3.4, gain=1.0 + 0.0j),), 4.0)
-        op = assemble_channel(
+        op = ChannelOperator(
             realize(spec, 0, block_len=512, n_blocks=4), half_len=None,
             max_dense_len=0,
         )
@@ -153,15 +157,15 @@ class TestChannelOperator:
 
     def test_block_matches_dense_slice(self):
         real = two_path_realization(block_len=8, n_blocks=3)
-        op = assemble_channel(real, half_len=None)
+        op = ChannelOperator(real, half_len=None)
         h = op.dense()
         for l in range(3):
             for lp in range(3):
-                blk = block_submatrix(op, l, lp)
+                blk = op.block(l, lp)
                 assert np.max(np.abs(blk - h[l * 8:(l + 1) * 8, lp * 8:(lp + 1) * 8])) <= 1e-12
 
     def test_block_out_of_range(self):
-        op = assemble_channel(two_path_realization())
+        op = ChannelOperator(two_path_realization())
         with pytest.raises(ParameterError):
             op.block(0, 5)
 
@@ -171,9 +175,116 @@ class TestChannelOperator:
         # blocks is exactly zero
         spec = exp_profile_spec(0.5, np.arange(0.0, 4.0), max_delay=4.0)
         g = 4
-        op = assemble_channel(realize(spec, 3, block_len=12 + g, n_blocks=3))
+        op = ChannelOperator(realize(spec, 3, block_len=12 + g, n_blocks=3))
         blk = op.block(1, 0)
         assert np.array_equal(blk[g:, :], np.zeros((12, 12 + g)))
+
+
+def per_path_reference(real, half_len):
+    """Stream matrix and a filter from one np.convolve per path.
+
+    Returns (H, apply) with H[i, j] = sum_p g_p e^{j 2 pi nu_p i} k_p(i - j),
+    where k_p is the unit tap at an integer delay and otherwise the sinc
+    sampled at lags floor(tau) -+ half_len (every lag when ``None``).
+    """
+    n = real.stream_len
+    idx = np.arange(n)
+    paths = []
+    for gain, path in zip(real.drawn_gains, real.spec.paths):
+        tau = path.delay
+        if float(tau).is_integer():
+            lag0, taps = int(tau), np.ones(1)
+        else:
+            lag0 = -(n - 1) if half_len is None else math.floor(tau) - half_len
+            end = n if half_len is None else math.floor(tau) + half_len + 1
+            taps = np.sinc(np.arange(lag0, end) - tau)
+        ramp = gain * np.exp(2j * np.pi * path.doppler * idx)
+        paths.append((lag0, taps, ramp))
+
+    def apply(x):
+        y = np.zeros(n, dtype=complex)
+        for lag0, taps, ramp in paths:
+            full = np.convolve(x, taps)
+            lo, hi = max(0, lag0), min(n, lag0 + full.size)
+            delayed = np.zeros(n, dtype=complex)
+            if hi > lo:
+                delayed[lo:hi] = full[lo - lag0 : hi - lag0]
+            y += ramp * delayed
+        return y
+
+    h = np.zeros((n, n), dtype=complex)
+    lags = idx[:, None] - idx[None, :]
+    for lag0, taps, ramp in paths:
+        k = lags - lag0
+        inside = (k >= 0) & (k < taps.size)
+        h += ramp[:, None] * np.where(inside, taps[np.clip(k, 0, taps.size - 1)], 0.0)
+    return h, apply
+
+
+def assert_rel_close(a, reference, rel=1e-12):
+    assert np.linalg.norm(a - reference) <= rel * np.linalg.norm(reference)
+
+
+class TestCompositeFilter:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block_len=st.integers(1, 20),
+        n_blocks=st.integers(1, 2),
+        delays=st.lists(
+            st.one_of(
+                st.integers(0, 6).map(float),
+                st.floats(0.0, 6.0, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1, max_size=6,
+        ),
+        half_len=st.one_of(st.none(), st.integers(0, 70)),
+        doppler=st.floats(-0.05, 0.05, allow_nan=False, allow_infinity=False),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_path_reference(
+        self, block_len, n_blocks, delays, half_len, doppler, seed
+    ):
+        # paths alternate between zero Doppler and ``doppler``: two groups
+        paths = tuple(
+            PathSpec(delay=d, gain_power=1.0 / (1 + i), doppler=doppler * (i % 2))
+            for i, d in enumerate(delays)
+        )
+        real = realize(
+            ChannelSpec(paths, max_delay=6.0), seed,
+            block_len=block_len, n_blocks=n_blocks,
+        )
+        op = ChannelOperator(real, half_len=half_len)
+        h, reference_apply = per_path_reference(real, half_len)
+        rng = np.random.default_rng(seed)
+        n = real.stream_len
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert_rel_close(op.apply(x), reference_apply(x))
+        assert_rel_close(op.dense(), h)
+        b = block_len
+        for l in range(n_blocks):
+            for lp in range(n_blocks):
+                ref = h[l * b : (l + 1) * b, lp * b : (lp + 1) * b]
+                assert_rel_close(op.block(l, lp), ref)
+
+    def test_one_convolution_per_doppler_value(self, monkeypatch):
+        calls = []
+        fftconvolve = scipy.signal.fftconvolve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fftconvolve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.signal, "fftconvolve", counted)
+        # 24 zero-Doppler CDL-C paths, then two paths with distinct Doppler
+        real = realize(cdlc_channel_spec(1000.0), 0, block_len=145, n_blocks=3)
+        ChannelOperator(real).apply(np.ones(real.stream_len))
+        assert len(calls) == 1
+        ChannelOperator(two_path_realization()).apply(np.ones(24))
+        assert len(calls) == 3
+
+    def test_negative_half_len_rejected(self):
+        with pytest.raises(ParameterError):
+            ChannelOperator(two_path_realization(), half_len=-1)
 
 
 class TestProfiles:

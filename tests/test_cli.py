@@ -155,6 +155,19 @@ class TestSerCommand:
     def test_missing_channel_is_error(self, tmp_path):
         assert run(["ser", "--schemes", "ofdm", "--out", tmp_path / "x.csv"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--half-len", "-1"), ("--half-len", "abc"),
+        ("--threads", "0"), ("--threads", "-3"),
+    ])
+    def test_bad_half_len_or_threads_is_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        assert run([
+            "ser", "--channel", "cdlc200ns", "--n", 9, "--snrs", "[20]",
+            "--trials", 1, flag, value, "--out", out,
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
 
 class TestScanCommand:
     def test_scan_output(self, tmp_path):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from precofdm import isimetrics
 
 from precofdm.channel import (
+    ChannelOperator,
     ChannelSpec,
     PathSpec,
-    assemble_channel,
     exp_profile_spec,
     integer_channel_spec,
     mild_channel_spec,
@@ -329,7 +329,7 @@ class TestIsiTransfer:
         spec = ChannelSpec((PathSpec(delay=0.5, gain=0.8 - 0.6j),), 1.0)
         _, pref = make_pair(PrecodingScheme.OFDM, 9, 9, 1)
         real = realize(spec, 0, block_len=10, n_blocks=4)
-        h = assemble_channel(real, half_len=None).dense()
+        h = ChannelOperator(real, half_len=None).dense()
         l, lp = 2, 1
         oracle = pref.o_r.conj().T @ h[l * 10:(l + 1) * 10, lp * 10:(lp + 1) * 10] @ pref.o_t
         beta = isi_transfer(pref, pref, real, l, lp).beta
