@@ -9,8 +9,6 @@ from .channel import (
     PathSpec,
     builtin_channel_spec,
     cdlc_channel_spec,
-    doppler_matrix,
-    exp_profile_channel,
     exp_profile_spec,
     integer_channel_spec,
     load_channel_profile,
@@ -18,12 +16,10 @@ from .channel import (
     prefix_length_for,
     realize,
     severe_channel_spec,
-    sinc_delay_matrix,
 )
 from .dpss import DpssParams, DpssSet, compute_dpss, dpss_limit_half
 from .errors import (
     EqualizationError,
-    MemoryBudgetError,
     NumericalError,
     ParameterError,
 )

@@ -1,35 +1,31 @@
-"""Delay-Doppler multipath channels with fractional-delay taps.
+"""Quasi-static multipath channels with fractional-delay taps.
 
-A channel is a sum over paths of (complex gain) x (Doppler modulation) x
-(band-limited delay).  Integer delays shift exactly; fractional delays act
-through the sinc kernel and therefore spread over all lags.  The operator is
-available both as a guarded dense matrix and as a streaming filter whose
-per-path kernels are truncated sinc interpolators (exact for integer
-delays), summed into one composite filter per Doppler value; both forms
-sample the same kernels, so they agree to round-off.
+A channel is a sum over paths of (complex gain) x (band-limited delay).
+Integer delays shift exactly; fractional delays act through the sinc kernel
+and therefore spread over all lags.  The realized channel is one composite
+filter, the sum of the per-path kernels (truncated sinc interpolators, exact
+for integer delays), applied to a stream by FFT convolution or read out as
+matrix blocks; both forms sample the same taps, so they agree to round-off.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.signal
 
 from .configio import load_kv_file
-from .errors import MemoryBudgetError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "PathSpec",
     "ChannelSpec",
     "ChannelRealization",
-    "sinc_delay_matrix",
-    "doppler_matrix",
     "ChannelOperator",
     "realize",
     "exp_profile_spec",
-    "exp_profile_channel",
     "mild_channel_spec",
     "severe_channel_spec",
     "integer_channel_spec",
@@ -40,19 +36,17 @@ __all__ = [
 ]
 
 DEFAULT_FIR_HALF_LEN = 64
-DEFAULT_MAX_DENSE_LEN = 4096
 # Sample rate (Hz) that converts delays in samples to and from seconds.
 SAMPLE_RATE_HZ = 1.92e6
 
 
 @dataclass(frozen=True)
 class PathSpec:
-    """One specular path: delay (samples), gain or gain power, Doppler."""
+    """One specular path: delay (samples) and a gain or gain power."""
 
     delay: float
     gain: complex | None = None
     gain_power: float | None = None
-    doppler: float = 0.0
 
     def __post_init__(self):
         if self.delay < 0:
@@ -93,10 +87,6 @@ class ChannelSpec:
         return np.array([p.power for p in self.paths])
 
     @property
-    def dopplers(self) -> np.ndarray:
-        return np.array([p.doppler for p in self.paths])
-
-    @property
     def rms_delay_spread_ns(self) -> float:
         """Power-weighted RMS delay spread, in nanoseconds."""
         weights = self.powers / self.powers.sum()
@@ -118,35 +108,12 @@ class ChannelRealization:
         self.drawn_gains.flags.writeable = False
         if len(self.drawn_gains) != len(self.spec.paths):
             raise ParameterError("one drawn gain per path required")
-
-    def with_blocks(self, block_len: int, n_blocks: int) -> "ChannelRealization":
-        return replace(self, block_len=block_len, n_blocks=n_blocks)
+        if self.block_len < 1 or self.n_blocks < 1:
+            raise ParameterError("block_len and n_blocks must be >= 1")
 
     @property
     def stream_len(self) -> int:
         return self.block_len * self.n_blocks
-
-
-def sinc_delay_matrix(
-    delay: float, rows: int, cols: int, row_offset: int = 0
-) -> np.ndarray:
-    """Delay operator block: entry (l, k) = sinc(l + row_offset - k - delay).
-
-    Integer delays produce an exact 0/1 shift matrix.
-    """
-    if rows < 1 or cols < 1:
-        raise ParameterError("rows and cols must be >= 1")
-    lags = np.arange(rows)[:, None] + row_offset - np.arange(cols)[None, :]
-    if float(delay).is_integer():
-        return (lags == int(delay)).astype(np.float64)
-    return np.sinc(lags - delay)
-
-
-def doppler_matrix(doppler: float, n: int, offset: int = 0) -> np.ndarray:
-    """Diagonal modulation matrix exp(j 2 pi (l + offset) nu)."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    return np.diag(np.exp(2j * np.pi * (np.arange(n) + offset) * doppler))
 
 
 def _path_kernel(delay: float, half_len: int | None, stream_len: int):
@@ -167,91 +134,57 @@ def _path_kernel(delay: float, half_len: int | None, stream_len: int):
     return lag0, np.sinc(lags - delay)
 
 
-def _composite_kernels(realization: ChannelRealization, half_len, stream_len):
-    """One FIR per distinct Doppler value: [(doppler, first lag, taps)].
+def _composite_kernel(realization: ChannelRealization, half_len, stream_len):
+    """The channel as one FIR: (first lag, taps).
 
-    Each group sums ``gain x kernel`` over its paths, in path order, on the
-    union of their lag grids; a quasi-static channel is a single group.
+    Sums ``gain x kernel`` over the paths, in path order, on the union of
+    their lag grids.
     """
-    groups: dict[float, list] = {}
-    for gain, path in zip(realization.drawn_gains, realization.spec.paths):
-        groups.setdefault(path.doppler, []).append(
-            (gain, *_path_kernel(path.delay, half_len, stream_len))
-        )
-    out = []
-    for doppler, members in groups.items():
-        lag0 = min(first for _, first, _ in members)
-        end = max(first + len(h) for _, first, h in members)
-        taps = np.zeros(end - lag0, dtype=np.complex128)
-        for gain, first, h in members:
-            taps[first - lag0 : first - lag0 + len(h)] += gain * h
-        out.append((doppler, lag0, taps))
-    return out
+    kernels = [
+        (gain, *_path_kernel(path.delay, half_len, stream_len))
+        for gain, path in zip(realization.drawn_gains, realization.spec.paths)
+    ]
+    lag0 = min(first for _, first, _ in kernels)
+    end = max(first + len(h) for _, first, h in kernels)
+    taps = np.zeros(end - lag0, dtype=np.complex128)
+    for gain, first, h in kernels:
+        taps[first - lag0 : first - lag0 + len(h)] += gain * h
+    return lag0, taps
 
 
 class ChannelOperator:
     """Realized channel as a linear operator on a sample stream.
 
-    The paths are folded into one composite FIR per distinct Doppler value.
-    ``apply`` filters the stream with each (FFT convolution) and adds the
-    Doppler phase ramp; ``dense``/``block`` materialize the same kernels as
-    matrices, the former guarded by ``max_dense_len``.
+    The paths are folded into one composite FIR.  ``apply`` filters the
+    stream with it (FFT convolution); ``block`` reads the same taps out as a
+    block of the stream matrix.
     """
 
     def __init__(
         self,
         realization: ChannelRealization,
         half_len: int | None = DEFAULT_FIR_HALF_LEN,
-        max_dense_len: int = DEFAULT_MAX_DENSE_LEN,
     ):
         if half_len is not None and half_len < 0:
             raise ParameterError(f"half_len must be >= 0 or None, got {half_len}")
         self.realization = realization
         self.half_len = half_len
-        self.max_dense_len = max_dense_len
         self.stream_len = realization.stream_len
-        self._groups = _composite_kernels(realization, half_len, self.stream_len)
+        self._lag0, self._taps = _composite_kernel(
+            realization, half_len, self.stream_len
+        )
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        n = self.stream_len
+        n, lag0 = self.stream_len, self._lag0
         if x.shape != (n,):
             raise ParameterError(f"expected stream of length {n}, got {x.shape}")
         y = np.zeros(n, dtype=np.complex128)
-        for doppler, lag0, taps in self._groups:
-            conv = scipy.signal.fftconvolve(x, taps)
-            lo, hi = max(0, lag0), min(n, lag0 + len(conv))
-            if hi <= lo:  # the filter misses the stream; keep slices non-negative
-                continue
-            part = conv[lo - lag0 : hi - lag0]
-            if doppler != 0.0:
-                part = part * np.exp(2j * np.pi * doppler * np.arange(lo, hi))
-            y[lo:hi] += part
+        conv = scipy.signal.fftconvolve(x, self._taps)
+        lo, hi = max(0, lag0), min(n, lag0 + len(conv))
+        if hi > lo:  # the filter may miss the stream; keep slices non-negative
+            y[lo:hi] += conv[lo - lag0 : hi - lag0]
         return y
-
-    def _matrix(self, row0: int, col0: int, rows: int, cols: int) -> np.ndarray:
-        """Stream-matrix entries (row0 + i, col0 + j), i < rows, j < cols."""
-        base = row0 - col0
-        out = np.zeros((rows, cols), dtype=np.complex128)
-        for doppler, lag0, taps in self._groups:
-            t = scipy.linalg.toeplitz(
-                _taps_at(lag0, taps, base + np.arange(rows)),
-                _taps_at(lag0, taps, base - np.arange(cols)),
-            )
-            if doppler != 0.0:
-                ramp = np.exp(2j * np.pi * doppler * (row0 + np.arange(rows)))
-                t = ramp[:, None] * t
-            out += t
-        return out
-
-    def dense(self) -> np.ndarray:
-        n = self.stream_len
-        if n > self.max_dense_len:
-            raise MemoryBudgetError(
-                f"dense channel of size {n} exceeds the budget "
-                f"({self.max_dense_len}); use the streaming form"
-            )
-        return self._matrix(0, 0, n, n)
 
     def block(self, l: int, l_prime: int) -> np.ndarray:
         """The (l, l') block of the stream matrix, shape block_len x block_len."""
@@ -259,7 +192,11 @@ class ChannelOperator:
         if not (0 <= l < nb and 0 <= l_prime < nb):
             raise ParameterError(f"block indices ({l}, {l_prime}) out of range {nb}")
         b = self.realization.block_len
-        return self._matrix(l * b, l_prime * b, b, b)
+        base = (l - l_prime) * b
+        return scipy.linalg.toeplitz(
+            _taps_at(self._lag0, self._taps, base + np.arange(b)),
+            _taps_at(self._lag0, self._taps, base - np.arange(b)),
+        )
 
 
 def _taps_at(lag0: int, taps: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -315,13 +252,6 @@ def exp_profile_spec(
     return ChannelSpec(paths=paths, max_delay=max_delay, name=name)
 
 
-def exp_profile_channel(
-    decay: float, delays: np.ndarray, seed: int
-) -> ChannelRealization:
-    """Seeded realization of an exponential-decay profile."""
-    return realize(exp_profile_spec(decay, delays), seed)
-
-
 def mild_channel_spec() -> ChannelSpec:
     return exp_profile_spec(0.5, np.arange(0.0, 15.05, 0.1), max_delay=16.0, name="mild")
 
@@ -351,8 +281,8 @@ _CDLC_TAPS = (
 
 def cdlc_channel_spec(delay_spread_ns: float) -> ChannelSpec:
     """CDL-C style power-delay profile scaled to a delay spread, unit total power."""
-    if delay_spread_ns <= 0:
-        raise ParameterError("delay_spread_ns must be > 0")
+    if not 0 < delay_spread_ns < math.inf:
+        raise ParameterError(f"delay spread must be > 0 ns, got {delay_spread_ns}")
     powers = np.array([10.0 ** (p / 10.0) for _, p in _CDLC_TAPS])
     powers /= powers.sum()
     delays = np.array(
@@ -364,7 +294,7 @@ def cdlc_channel_spec(delay_spread_ns: float) -> ChannelSpec:
     return ChannelSpec(
         paths=paths,
         max_delay=float(delays.max()),
-        name=f"cdlc{int(delay_spread_ns)}ns",
+        name=f"cdlc{delay_spread_ns:.12g}ns",
     )
 
 
@@ -394,8 +324,8 @@ def load_channel_profile(path) -> tuple[ChannelSpec, int | None]:
     """Read a channel profile file; returns (spec, seed or None).
 
     Fields: ``delays_samples`` (list or range), one of ``powers_db`` /
-    ``decay``, optional ``doppler`` (scalar or per-path list), ``seed``,
-    ``max_delay``, ``name``.
+    ``decay``, optional ``seed``, ``max_delay``, ``name``, and ``doppler``
+    (0 or a list of zeros; anything else raises ``ParameterError``).
     """
     kv = load_kv_file(path)
     if "delays_samples" not in kv:
@@ -410,13 +340,10 @@ def load_channel_profile(path) -> tuple[ChannelSpec, int | None]:
         powers = np.exp(-2.0 * float(kv["decay"]) * delays)
     else:
         raise ParameterError(f"profile {path} needs powers_db or decay")
-    doppler = kv.get("doppler", 0.0)
-    dopplers = np.broadcast_to(
-        np.atleast_1d(np.asarray(doppler, dtype=float)), delays.shape
-    )
+    if np.any(np.asarray(kv.get("doppler", 0.0), dtype=float) != 0.0):
+        raise ParameterError(f"profile {path}: doppler must be 0 (quasi-static)")
     paths = tuple(
-        PathSpec(delay=float(t), gain_power=float(p), doppler=float(nu))
-        for t, p, nu in zip(delays, powers, dopplers)
+        PathSpec(delay=float(t), gain_power=float(p)) for t, p in zip(delays, powers)
     )
     max_delay = float(kv.get("max_delay", delays.max()))
     name = str(kv.get("name", "profile"))

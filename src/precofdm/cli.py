@@ -19,6 +19,7 @@ from . import __version__
 from .channel import (
     ChannelSpec,
     builtin_channel_spec,
+    cdlc_channel_spec,
     load_channel_profile,
     prefix_length_for,
 )
@@ -26,6 +27,7 @@ from .configio import load_kv_file, parse_value
 from .dpss import DpssParams, compute_dpss
 from .errors import ParameterError
 from .isimetrics import (
+    _ratio_db,
     ebct_all,
     ebct_bound_all,
     half_shift_worst_case_scan,
@@ -46,9 +48,9 @@ _SCHEME_ALIASES = {
 }
 
 
-def _scheme(name: str) -> PrecodingScheme:
+def _scheme(name) -> PrecodingScheme:
     try:
-        return _SCHEME_ALIASES[name.strip().lower()]
+        return _SCHEME_ALIASES[str(name).strip().lower()]
     except KeyError:
         raise ParameterError(
             f"unknown scheme {name!r}; use ofdm, dft/scfdma, or dpss"
@@ -73,24 +75,9 @@ def write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    if not os.path.exists(path):
-        raise ParameterError(f"config file {path} does not exist")
-    return load_kv_file(path)
-
-
-def _resolve(args, config: dict, key: str, default=None):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _channel_from_name(name: str) -> tuple[ChannelSpec, int | None]:
+def _channel(name) -> tuple:
+    """A builtin channel name or a profile file: (spec, profile seed or None)."""
+    name = str(name)
     try:
         return builtin_channel_spec(name), None
     except ParameterError:
@@ -116,11 +103,8 @@ def _as_float_list(value) -> list[float]:
     )
 
 
-def _as_int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{key} must be an integer, got {value!r}") from None
+def _half_len(value) -> int | None:
+    return None if str(value).lower() in {"none", "full"} else int(value)
 
 
 def _verify_basis(basis) -> None:
@@ -140,49 +124,33 @@ def _verify_tensor(tensor) -> None:
         raise ParameterError("tensor unit-diagonal check failed")
 
 
-def cmd_dpss(args) -> int:
-    cfg = _load_config(args.config)
-    n = int(_resolve(args, cfg, "n"))
-    w = float(_resolve(args, cfg, "w", 0.5))
-    k = int(_resolve(args, cfg, "k", n))
-    out = _resolve(args, cfg, "out", "dpss.csv")
-    dset = compute_dpss(DpssParams(n_len=n, half_bandwidth=w, count=k))
-    header = ["order", "eigenvalue"] + [f"c{i}" for i in range(n)]
+def cmd_dpss(v) -> None:
+    dset = compute_dpss(DpssParams(n_len=v.n, half_bandwidth=v.w, count=v.k))
+    header = ["order", "eigenvalue"] + [f"c{i}" for i in range(v.n)]
     rows = [
-        [l, dset.eigenvalues[l]] + list(dset.sequences[:, l]) for l in range(k)
+        [l, dset.eigenvalues[l]] + list(dset.sequences[:, l]) for l in range(v.k)
     ]
-    write_csv(out, header, rows)
-    print(f"wrote {out} ({k} sequences, N={n}, W={_fmt(w)})")
-    return 0
+    write_csv(v.out, header, rows)
+    print(f"wrote {v.out} ({v.k} sequences, N={v.n}, W={_fmt(v.w)})")
 
 
-def cmd_basis(args) -> int:
-    cfg = _load_config(args.config)
-    scheme = _scheme(_resolve(args, cfg, "scheme", "ofdm"))
-    n = int(_resolve(args, cfg, "n"))
-    m = int(_resolve(args, cfg, "m", n))
-    out = _resolve(args, cfg, "out", "basis.csv")
-    basis = default_basis(scheme, n, m)
-    if args.verify:
+def cmd_basis(v) -> None:
+    basis = default_basis(v.scheme, v.n, v.m)
+    if v.verify:
         _verify_basis(basis)
     rows = [
         (c, i, basis.o_matrix[i, c].real, basis.o_matrix[i, c].imag)
-        for c in range(m)
-        for i in range(n)
+        for c in range(v.m)
+        for i in range(v.n)
     ]
-    write_csv(out, ["component", "sample", "re", "im"], rows)
-    print(f"wrote {out} ({scheme.value}, N={n}, M={m})")
-    return 0
+    write_csv(v.out, ["component", "sample", "re", "im"], rows)
+    print(f"wrote {v.out} ({v.scheme.value}, N={v.n}, M={v.m})")
 
 
-def cmd_xcorr(args) -> int:
-    cfg = _load_config(args.config)
-    scheme = _scheme(_resolve(args, cfg, "scheme", "ofdm"))
-    n = int(_resolve(args, cfg, "n"))
-    m = int(_resolve(args, cfg, "m", n))
-    out = _resolve(args, cfg, "out", "xcorr.csv")
-    tensor = xcorr_tensor(default_basis(scheme, n, m))
-    if args.verify:
+def cmd_xcorr(v) -> None:
+    n, m = v.n, v.m
+    tensor = xcorr_tensor(default_basis(v.scheme, n, m))
+    if v.verify:
         _verify_tensor(tensor)
     rows = [
         (r, s, q, tensor.lag(r, s, q).real, tensor.lag(r, s, q).imag)
@@ -190,101 +158,64 @@ def cmd_xcorr(args) -> int:
         for s in range(m)
         for q in range(-(n - 1), n)
     ]
-    write_csv(out, ["r", "s", "q", "re", "im"], rows)
-    print(f"wrote {out} ({m * m * (2 * n - 1)} entries)")
-    return 0
+    write_csv(v.out, ["r", "s", "q", "re", "im"], rows)
+    print(f"wrote {v.out} ({m * m * (2 * n - 1)} entries)")
 
 
-def cmd_ebct(args) -> int:
-    cfg = _load_config(args.config)
-    scheme = _scheme(_resolve(args, cfg, "scheme", "ofdm"))
-    n = int(_resolve(args, cfg, "n"))
-    m = int(_resolve(args, cfg, "m", n))
-    out = _resolve(args, cfg, "out", "ebct.csv")
-    basis = default_basis(scheme, n, m)
+def cmd_ebct(v) -> None:
+    basis = default_basis(v.scheme, v.n, v.m)
     tensor = xcorr_tensor(basis)
-    if args.verify:
+    if v.verify:
         _verify_basis(basis)
         _verify_tensor(tensor)
     values = ebct_all(tensor)
     bounds = ebct_bound_all(tensor)
     rows = [
-        (scheme.value, n, m, r, s, values[r, s], bounds[r, s])
-        for r in range(m)
-        for s in range(m)
+        (v.scheme.value, v.n, v.m, r, s, values[r, s], bounds[r, s])
+        for r in range(v.m)
+        for s in range(v.m)
     ]
-    write_csv(out, ["scheme", "N", "M", "r", "s", "ebct", "bound"], rows)
-    print(f"wrote {out} ({m * m} pairs)")
-    return 0
+    write_csv(v.out, ["scheme", "N", "M", "r", "s", "ebct", "bound"], rows)
+    print(f"wrote {v.out} ({v.m * v.m} pairs)")
 
 
-def cmd_bound(args) -> int:
-    cfg = _load_config(args.config)
-    scheme = _scheme(_resolve(args, cfg, "scheme", "ofdm"))
-    n = int(_resolve(args, cfg, "n"))
-    m = int(_resolve(args, cfg, "m", n))
-    channel, _ = _channel_from_name(_resolve(args, cfg, "channel", "mild"))
-    prefix = _resolve(args, cfg, "prefix")
-    prefix = prefix_length_for(channel) if prefix is None else int(prefix)
-    blocks = int(_resolve(args, cfg, "blocks", 12))
-    out = _resolve(args, cfg, "out", "bound.csv")
-    basis = default_basis(scheme, n, m)
-    pref = with_prefix(basis, prefix, PrefixKind.ZERO)
-    signal, empirical = signal_isi_energies(pref, pref, channel, blocks)
-    report = isi_bound(
-        xcorr_tensor(basis), channel, prefix,
-        empirical=empirical, signal_energy=signal,
-    )
-    s2i = report.s2i_db if report.s2i_db is not None else float("inf")
-    lower = (
-        10.0 * math.log10(signal / report.total_bound)
-        if report.total_bound > 0
-        else float("inf")
-    )
+def cmd_bound(v) -> None:
+    channel, _ = v.channel
+    basis = default_basis(v.scheme, v.n, v.m)
+    pref = with_prefix(basis, v.prefix, PrefixKind.ZERO)
+    signal, empirical = signal_isi_energies(pref, pref, channel, v.blocks)
+    total = isi_bound(xcorr_tensor(basis), channel, v.prefix).total_bound
     write_csv(
-        out,
+        v.out,
         [
             "scheme", "N", "M", "tap_model", "prefix_len",
             "total_bound", "empirical_isi", "s2i_db", "s2i_lower_bound_db",
         ],
         [
             (
-                scheme.value, n, m, channel.name, prefix,
-                report.total_bound, empirical, s2i, lower,
+                v.scheme.value, v.n, v.m, channel.name, v.prefix, total,
+                empirical, _ratio_db(signal, empirical), _ratio_db(signal, total),
             )
         ],
     )
-    if args.verify and report.total_bound < empirical:
+    if v.verify and total < empirical:
         raise ParameterError("ISI bound fell below the empirical energy")
-    print(f"wrote {out}")
-    return 0
+    print(f"wrote {v.out}")
 
 
-def cmd_s2i(args) -> int:
-    cfg = _load_config(args.config)
-    schemes = [
-        _scheme(s)
-        for s in str(_resolve(args, cfg, "schemes", "ofdm,dft,dpss")).split(",")
-    ]
-    etas = _as_float_list(_resolve(args, cfg, "etas", [1.0]))
-    channel, _ = _channel_from_name(_resolve(args, cfg, "channel", "mild"))
-    n = int(_resolve(args, cfg, "n", 128))
-    prefix = _resolve(args, cfg, "prefix")
-    prefix = prefix_length_for(channel) if prefix is None else int(prefix)
-    blocks = int(_resolve(args, cfg, "blocks", 12))
-    out = _resolve(args, cfg, "out", "s2i.csv")
+def cmd_s2i(v) -> None:
     rows = s2i_sweep(
-        schemes,
-        etas,
-        channel,
-        n,
-        prefix,
+        v.schemes,
+        v.etas,
+        v.channel[0],
+        v.n,
+        v.prefix,
         prefix_kind=PrefixKind.ZERO,
-        n_blocks=blocks,
-        include_bound=not args.no_bound,
+        n_blocks=v.blocks,
+        include_bound=not v.no_bound,
     )
     write_csv(
-        out,
+        v.out,
         ["scheme", "eta", "tap_model", "s2i_db", "s2i_lower_bound_db"],
         [
             (
@@ -294,8 +225,8 @@ def cmd_s2i(args) -> int:
             for p in rows
         ],
     )
-    if args.plot_data:
-        stem, ext = os.path.splitext(out)
+    if v.plot_data:
+        stem, ext = os.path.splitext(v.out)
         write_csv(
             stem + "_plotdata" + ext,
             ["figure", "series", "x", "y"],
@@ -304,56 +235,33 @@ def cmd_s2i(args) -> int:
                 for p in rows
             ],
         )
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 0
+    print(f"wrote {v.out} ({len(rows)} rows)")
 
 
-def cmd_ser(args) -> int:
-    cfg = _load_config(args.config)
-    preset = _resolve(args, cfg, "preset")
-    defaults = {}
-    if preset == "table1":
-        defaults = {"n": 128, "trials": 200, "snrs": "0:5:40"}
-    elif preset:
-        raise ParameterError(f"unknown preset {preset!r}")
+def _spread_channel(text) -> ChannelSpec:
+    """The CDL-C profile scaled to a delay spread in ns ('1000ns' or '1000')."""
+    try:
+        return cdlc_channel_spec(float(str(text).strip().removesuffix("ns")))
+    except ValueError:  # ParameterError included
+        raise ParameterError(
+            f"delay spread {text!r} must be a positive number of ns, e.g. 1000ns"
+        ) from None
 
-    spread = _resolve(args, cfg, "delay-spread")
-    channel_name = _resolve(args, cfg, "channel")
-    if channel_name is None:
-        if spread is None:
-            raise ParameterError("give --channel or --delay-spread")
-        ns = float(str(spread).replace("ns", ""))
-        channel_name = f"cdlc{int(ns)}ns"
-    channel, profile_seed = _channel_from_name(str(channel_name))
 
-    schemes = [
-        _scheme(s)
-        for s in str(_resolve(args, cfg, "schemes", "ofdm,dft,dpss")).split(",")
-    ]
-    etas = _as_float_list(_resolve(args, cfg, "etas", [1.0]))
-    n = int(_resolve(args, cfg, "n", defaults.get("n", 128)))
-    trials = int(_resolve(args, cfg, "trials", defaults.get("trials", 200)))
-    snrs = np.asarray(
-        _as_float_list(_resolve(args, cfg, "snrs", defaults.get("snrs", "0:5:40")))
-    )
-    pdelta = float(_resolve(args, cfg, "pdelta", 0.0))
-    seed = _resolve(args, cfg, "seed")
-    seed = int(seed) if seed is not None else (profile_seed or 0)
-    prefix = _resolve(args, cfg, "prefix")
-    prefix = prefix_length_for(channel) if prefix is None else int(prefix)
-    half_len = _resolve(args, cfg, "half-len", 64)
-    if str(half_len).lower() in {"none", "full"}:
-        half_len = None
-    else:
-        half_len = _as_int(half_len, "half-len")
-    threads = _as_int(_resolve(args, cfg, "threads", 1), "threads")
-    out = _resolve(args, cfg, "out", "ser.csv")
-
+def cmd_ser(v) -> None:
+    if v.preset not in (None, "table1"):  # table1's values are the defaults
+        raise ParameterError(f"unknown preset {v.preset!r}")
+    if v.channel is None and v.delay_spread is None:
+        raise ParameterError("give --channel or --delay-spread")
+    channel, profile_seed = v.channel or (_spread_channel(v.delay_spread), None)
+    n, trials, snrs, pdelta = v.n, v.trials, v.snrs, v.pdelta
+    seed = (profile_seed or 0) if v.seed is None else v.seed
+    prefix = prefix_length_for(channel) if v.prefix is None else v.prefix
     spread_ns = channel.rms_delay_spread_ns
     rows = []
     manifest_runs = []
-    for scheme in schemes:
-        for eta in etas:
+    for scheme in v.schemes:
+        for eta in v.etas:
             frame = FrameConfig(
                 scheme=scheme,
                 eta=eta,
@@ -363,7 +271,7 @@ def cmd_ser(args) -> int:
             )
             curve = run_ser(
                 frame, channel, snrs, n_trials=trials, base_seed=seed,
-                half_len=half_len, threads=threads,
+                half_len=v.half_len, threads=v.threads,
             )
             for pt in curve.points:
                 rows.append(
@@ -381,7 +289,7 @@ def cmd_ser(args) -> int:
                 }
             )
     write_csv(
-        out,
+        v.out,
         [
             "scheme", "eta", "p_delta_db", "delay_spread_ns",
             "snr_db", "ser", "trials", "total_symbols",
@@ -398,39 +306,111 @@ def cmd_ser(args) -> int:
         "trials": trials,
         "base_seed": seed,
         "trial_seeds": f"{seed}..{seed + trials - 1}",
-        "half_len": half_len,
+        "half_len": v.half_len,
         "runs": manifest_runs,
     }
-    with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
+    with open(v.out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {out} and {out}.manifest.json")
-    return 0
+    print(f"wrote {v.out} and {v.out}.manifest.json")
 
 
-def cmd_scan_halfshift(args) -> int:
-    cfg = _load_config(args.config)
-    scheme = _scheme(_resolve(args, cfg, "scheme", "ofdm"))
-    n = int(_resolve(args, cfg, "n", 9))
-    m = int(_resolve(args, cfg, "m", n))
-    taus = np.asarray(_as_float_list(_resolve(args, cfg, "taus", "0.05:0.05:0.95")))
-    out = _resolve(args, cfg, "out", "halfshift.csv")
-    tensor = xcorr_tensor(default_basis(scheme, n, m))
+def cmd_scan_halfshift(v) -> None:
+    tensor = xcorr_tensor(default_basis(v.scheme, v.n, v.m))
     rows = []
     at_half = 0
-    for r in range(m):
-        for s in range(m):
-            argmax, curve = half_shift_worst_case_scan(tensor, r, s, taus)
+    for r in range(v.m):
+        for s in range(v.m):
+            argmax, curve = half_shift_worst_case_scan(tensor, r, s, v.taus)
             rows.extend(
-                (scheme.value, n, m, r, s, t, e) for t, e in zip(taus, curve)
+                (v.scheme.value, v.n, v.m, r, s, t, e) for t, e in zip(v.taus, curve)
             )
             if abs(argmax - 0.5) < 1e-12:
                 at_half += 1
-    write_csv(out, ["scheme", "N", "M", "r", "s", "tau", "tail_energy"], rows)
+    write_csv(v.out, ["scheme", "N", "M", "r", "s", "tau", "tail_energy"], rows)
     print(
-        f"wrote {out}; argmax at tau=0.5 for {at_half}/{m * m} pairs"
+        f"wrote {v.out}; argmax at tau=0.5 for {at_half}/{v.m * v.m} pairs"
     )
-    return 0
+
+
+# Options as (name, converter, default).  A value comes from the flag, else
+# the config file, else the default; ``REQUIRED`` has none, and a callable
+# default is computed from the values resolved before it.  ``int`` and
+# ``float`` options are typed flags, ``bool`` ones are switches that the
+# config file does not set.
+REQUIRED = object()
+_N = ("n", int, REQUIRED)
+_M = ("m", int, lambda v: v.n)
+_SCHEME = ("scheme", _scheme, "ofdm")
+_SCHEMES = (
+    "schemes", lambda names: [_scheme(s) for s in str(names).split(",")],
+    "ofdm,dft,dpss",
+)
+_ETAS = ("etas", _as_float_list, [1.0])
+_PREFIX = ("prefix", int, lambda v: prefix_length_for(v.channel[0]))
+_BLOCKS = ("blocks", int, 12)
+
+# Subcommand: (help line, handler, default output file, options).  The
+# common --config, --verify and --out come first.
+COMMANDS = {
+    "dpss": ("export a DPSS set", cmd_dpss, "dpss.csv", [
+        _N, ("w", float, 0.5), ("k", int, lambda v: v.n),
+    ]),
+    "basis": ("export an effective waveform basis", cmd_basis, "basis.csv", [
+        _SCHEME, _N, _M,
+    ]),
+    "xcorr": ("export a cross-correlation tensor", cmd_xcorr, "xcorr.csv", [
+        _SCHEME, _N, _M,
+    ]),
+    "ebct": ("band-limited correlation tail energies", cmd_ebct, "ebct.csv", [
+        _SCHEME, _N, _M,
+    ]),
+    "bound": ("ISI energy bound for a channel", cmd_bound, "bound.csv", [
+        _SCHEME, _N, _M, ("channel", _channel, "mild"), _PREFIX, _BLOCKS,
+    ]),
+    "s2i": ("signal-to-ISI sweep over utilization", cmd_s2i, "s2i.csv", [
+        _SCHEMES, _ETAS, ("channel", _channel, "mild"), ("n", int, 128),
+        _PREFIX, _BLOCKS, ("no-bound", bool, False), ("plot-data", bool, False),
+    ]),
+    "ser": ("multi-user SER campaign", cmd_ser, "ser.csv", [
+        ("preset", str, None), _SCHEMES, _ETAS, ("channel", _channel, None),
+        ("delay-spread", str, None), ("pdelta", float, 0.0), ("n", int, 128),
+        ("snrs", _as_float_list, "0:5:40"), ("trials", int, 200),
+        ("seed", int, None), ("prefix", int, None), ("half-len", _half_len, 64),
+        ("threads", int, 1),
+    ]),
+    "scan-halfshift": (
+        "tail energy vs fractional shift", cmd_scan_halfshift, "halfshift.csv",
+        [_SCHEME, ("n", int, 9), _M, ("taus", _as_float_list, "0.05:0.05:0.95")],
+    ),
+}
+_COMMON_HELP = {"verify": "run invariant checks", "out": "output CSV path"}
+
+
+def _resolve(args) -> argparse.Namespace:
+    """The subcommand's option values, converted; ``ParameterError`` if bad."""
+    if args.config and not os.path.exists(args.config):
+        raise ParameterError(f"config file {args.config} does not exist")
+    config = load_kv_file(args.config) if args.config else {}
+    v = argparse.Namespace()
+    for key, convert, default in args.options:
+        attr = key.replace("-", "_")
+        value = getattr(args, attr)
+        if value is None:
+            value = config.get(key, default)
+        if value is REQUIRED:
+            raise ParameterError(f"missing {key}: give --{key} or set it in --config")
+        if value is default and callable(default):
+            value = default(v)
+        elif value is not None:
+            try:
+                value = convert(value)
+            except ParameterError:
+                raise
+            except (TypeError, ValueError):
+                raise ParameterError(f"bad value for {key}: {value!r}") from None
+        setattr(v, attr, value)
+    return v
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,100 +420,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_line, handler, out, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--verify", action="store_true", help="run invariant checks")
-        p.add_argument("--out", help="output CSV path")
-
-    p = sub.add_parser("dpss", help="export a DPSS set")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--w", type=float)
-    p.add_argument("--k", type=int)
-    p.set_defaults(func=cmd_dpss)
-
-    p = sub.add_parser("basis", help="export an effective waveform basis")
-    common(p)
-    p.add_argument("--scheme")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("xcorr", help="export a cross-correlation tensor")
-    common(p)
-    p.add_argument("--scheme")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.set_defaults(func=cmd_xcorr)
-
-    p = sub.add_parser("ebct", help="band-limited correlation tail energies")
-    common(p)
-    p.add_argument("--scheme")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.set_defaults(func=cmd_ebct)
-
-    p = sub.add_parser("bound", help="ISI energy bound for a channel")
-    common(p)
-    p.add_argument("--scheme")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--channel")
-    p.add_argument("--prefix", type=int)
-    p.add_argument("--blocks", type=int)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("s2i", help="signal-to-ISI sweep over utilization")
-    common(p)
-    p.add_argument("--schemes")
-    p.add_argument("--etas")
-    p.add_argument("--channel")
-    p.add_argument("--n", type=int)
-    p.add_argument("--prefix", type=int)
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--no-bound", action="store_true")
-    p.add_argument("--plot-data", action="store_true")
-    p.set_defaults(func=cmd_s2i)
-
-    p = sub.add_parser("ser", help="multi-user SER campaign")
-    common(p)
-    p.add_argument("--preset")
-    p.add_argument("--schemes")
-    p.add_argument("--etas")
-    p.add_argument("--channel")
-    p.add_argument("--delay-spread")
-    p.add_argument("--pdelta", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--snrs")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--prefix", type=int)
-    p.add_argument("--half-len")
-    p.add_argument("--threads", type=int)
-    p.set_defaults(func=cmd_ser)
-
-    p = sub.add_parser("scan-halfshift", help="tail energy vs fractional shift")
-    common(p)
-    p.add_argument("--scheme")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--taus")
-    p.set_defaults(func=cmd_scan_halfshift)
-
+        options = [("verify", bool, False), ("out", str, out)] + options
+        for key, convert, _ in options:
+            flag, help_text = "--" + key, _COMMON_HELP.get(key)
+            if convert is bool:
+                p.add_argument(flag, action="store_true", help=help_text)
+            else:
+                typed = convert if convert in (int, float) else None
+                p.add_argument(flag, type=typed, help=help_text)
+        p.set_defaults(func=handler, options=options)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(_resolve(args))
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,9 +13,5 @@ class NumericalError(RuntimeError):
         self.index = index
 
 
-class MemoryBudgetError(RuntimeError):
-    """A dense materialization would exceed the configured memory budget."""
-
-
 class EqualizationError(RuntimeError):
     """The equalizer matrix could not be inverted for this trial."""

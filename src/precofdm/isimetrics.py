@@ -16,8 +16,7 @@ The chain implemented here:
   bases over realized channels, the matching analytical upper bound per
   channel, and signal-to-ISI sweeps across utilization.
 
-Quasi-static channels (zero Doppler) are assumed by the energy/bound
-operations; the transfer-matrix operation supports per-block Doppler.
+Channels are quasi-static: every operation takes one set of path gains.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelOperator, ChannelRealization, ChannelSpec, sinc_delay_matrix
+from .channel import ChannelOperator, ChannelRealization, ChannelSpec
 from .errors import ParameterError
 from .waveform import (
     PrecodingScheme,
@@ -347,25 +346,11 @@ def isi_transfer(
     kernels are used so the result matches what ``apply`` does.
     """
     _check_pair(basis_tx, basis_rx)
-    b = basis_tx.block_len
-    if isinstance(channel, ChannelOperator):
-        if channel.realization.block_len != b:
-            raise ParameterError("channel block length != basis block length")
-        h_block = channel.block(l, l_prime)
-    else:
-        if channel.block_len != b:
-            raise ParameterError("channel block length != basis block length")
-        nb = channel.n_blocks
-        if not (0 <= l < nb and 0 <= l_prime < nb):
-            raise ParameterError(f"block indices ({l}, {l_prime}) out of range {nb}")
-        h_block = np.zeros((b, b), dtype=np.complex128)
-        offset = (l - l_prime) * b
-        for gain, path in zip(channel.drawn_gains, channel.spec.paths):
-            t = sinc_delay_matrix(path.delay, b, b, row_offset=offset)
-            if path.doppler != 0.0:
-                ramp = np.exp(2j * np.pi * path.doppler * (l * b + np.arange(b)))
-                t = ramp[:, None] * t
-            h_block += gain * t
+    if isinstance(channel, ChannelRealization):
+        channel = ChannelOperator(channel, half_len=None)
+    if channel.realization.block_len != basis_tx.block_len:
+        raise ParameterError("channel block length != basis block length")
+    h_block = channel.block(l, l_prime)
     beta = basis_rx.o_r.conj().T @ h_block @ basis_tx.o_t
     return IsiTransfer(beta=beta, from_block=l_prime, to_block=l)
 
@@ -411,12 +396,7 @@ def isi_gram(
 
 
 def _spec_of(channel: ChannelSpec | ChannelRealization) -> ChannelSpec:
-    spec = channel.spec if isinstance(channel, ChannelRealization) else channel
-    if np.any(spec.dopplers != 0.0):
-        raise ParameterError(
-            "ISI energy is defined for quasi-static (zero Doppler) channels"
-        )
-    return spec
+    return channel.spec if isinstance(channel, ChannelRealization) else channel
 
 
 def _quad(gram: np.ndarray, channel: ChannelSpec | ChannelRealization) -> float:
@@ -436,7 +416,7 @@ def isi_energy(
 
     With a realization, evaluates sum_{d != 0} ||beta_d||_F^2 for the drawn
     gains; with a spec, returns the statistical form sum_p sigma_p^2
-    E_isi(tau_p).  Requires a purely delay-dispersive channel.
+    E_isi(tau_p).
     """
     spec = _spec_of(channel)
     gram = isi_gram(tx, rx, spec.delays, n_blocks)
@@ -474,8 +454,6 @@ def isi_bound(
     N_p = N + g - floor(tau_p).  Path powers weight the terms; paths that
     share N_p share one tail, and one sinc product serves every N_p.
     """
-    if np.any(channel.dopplers != 0.0):
-        raise ParameterError("the ISI bound applies to quasi-static channels")
     m, n = tensor.m, tensor.n_len
     cmat = tensor.values.reshape(m * m, 2 * n - 1)
     groups: dict[int, float] = {}

@@ -282,8 +282,8 @@ def run_ser(
         raise ParameterError("snr grid must be strictly increasing")
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
-    if np.any(channel_spec.dopplers != 0.0):
-        raise ParameterError("SER runs assume a quasi-static (zero Doppler) channel")
+    if n_trials < 1:
+        raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     basis = cfg.make_basis()
     seeds = [base_seed + i for i in range(n_trials)]
 

@@ -15,8 +15,6 @@ from precofdm.channel import (
     PathSpec,
     builtin_channel_spec,
     cdlc_channel_spec,
-    doppler_matrix,
-    exp_profile_channel,
     exp_profile_spec,
     integer_channel_spec,
     load_channel_profile,
@@ -24,60 +22,64 @@ from precofdm.channel import (
     prefix_length_for,
     realize,
     severe_channel_spec,
-    sinc_delay_matrix,
 )
-from precofdm.errors import MemoryBudgetError, ParameterError
+from precofdm.errors import ParameterError
+
+
+def dense(op):
+    """The whole stream matrix, stacked from ``op.block``."""
+    nb = op.realization.n_blocks
+    return np.block([[op.block(l, lp) for lp in range(nb)] for l in range(nb)])
+
+
+def one_path_operator(delay, block_len, n_blocks=1):
+    """Exact (untruncated) operator of a unit-gain path."""
+    spec = ChannelSpec((PathSpec(delay=delay, gain=1.0 + 0.0j),), math.ceil(delay))
+    return ChannelOperator(
+        realize(spec, 0, block_len=block_len, n_blocks=n_blocks), half_len=None
+    )
 
 
 class TestSincDelayMatrix:
+    """The delay matrix of one path, as ``ChannelOperator.block`` reads it."""
+
     def test_zero_delay_is_identity(self):
-        assert np.array_equal(sinc_delay_matrix(0.0, 6, 6), np.eye(6))
+        assert np.array_equal(one_path_operator(0.0, 6).block(0, 0), np.eye(6))
 
     def test_integer_delay_is_exact_subdiagonal(self):
-        t = sinc_delay_matrix(3.0, 8, 8)
+        t = one_path_operator(3.0, 8).block(0, 0)
         expected = np.zeros((8, 8))
         for i in range(3, 8):
             expected[i, i - 3] = 1.0
         assert np.array_equal(t, expected)
 
     def test_fractional_matches_elementwise_sinc(self):
-        t = sinc_delay_matrix(0.5, 8, 8, row_offset=2)
+        # block (1, 0) is offset by one block of rows
+        t = one_path_operator(0.5, 8, n_blocks=2).block(1, 0)
         for l in range(8):
             for k in range(8):
-                x = l + 2 - k - 0.5
+                x = l + 8 - k - 0.5
                 assert t[l, k] == pytest.approx(
                     np.sin(np.pi * x) / (np.pi * x), abs=1e-15
                 )
 
     def test_half_sample_row_energy(self):
-        t = sinc_delay_matrix(0.5, 8, 8)
+        t = one_path_operator(0.5, 8).block(0, 0)
         energies = np.sum(np.abs(t) ** 2, axis=1)
         assert np.all(energies > 0.0) and np.all(energies <= 1.0 + 1e-12)
 
     def test_bad_shape(self):
-        with pytest.raises(ParameterError):
-            sinc_delay_matrix(0.1, 0, 4)
-
-
-class TestDopplerMatrix:
-    def test_zero_doppler_is_identity(self):
-        assert np.array_equal(doppler_matrix(0.0, 5), np.eye(5))
-
-    def test_quarter_cycle(self):
-        d = np.diag(doppler_matrix(0.25, 4))
-        assert np.allclose(d, [1.0, 1.0j, -1.0, -1.0j], atol=1e-15)
-
-    def test_block_offset_matches_stream_slice(self):
-        full = np.diag(doppler_matrix(0.013, 12))
-        block = np.diag(doppler_matrix(0.013, 4, offset=8))
-        assert np.allclose(block, full[8:12], atol=1e-15)
+        spec = ChannelSpec((PathSpec(delay=0.1, gain=1.0 + 0.0j),), 1.0)
+        for block_len, n_blocks in ((0, 4), (4, 0)):
+            with pytest.raises(ParameterError):
+                realize(spec, 0, block_len=block_len, n_blocks=n_blocks)
 
 
 def two_path_realization(block_len=8, n_blocks=3):
     spec = ChannelSpec(
         (
-            PathSpec(delay=0.3, gain=0.5 + 0.2j, doppler=0.01),
-            PathSpec(delay=2.0, gain=0.1 - 0.7j, doppler=-0.02),
+            PathSpec(delay=0.3, gain=0.5 + 0.2j),
+            PathSpec(delay=2.0, gain=0.1 - 0.7j),
         ),
         max_delay=3.0,
     )
@@ -90,25 +92,22 @@ class TestChannelOperator:
         op = ChannelOperator(realize(spec, 0, block_len=5, n_blocks=2))
         x = np.arange(10.0) + 1j
         assert np.allclose(op.apply(x), x, atol=1e-14)
-        assert np.array_equal(op.dense(), np.eye(10))
+        assert np.array_equal(dense(op), np.eye(10))
 
     def test_factorization_consistency(self):
         real = two_path_realization()
-        h = ChannelOperator(real, half_len=None).dense()
+        h = dense(ChannelOperator(real, half_len=None))
         n = real.stream_len
+        lags = np.arange(n)[:, None] - np.arange(n)[None, :]
         explicit = np.zeros((n, n), dtype=complex)
         for path, gain in zip(real.spec.paths, real.drawn_gains):
-            explicit += (
-                gain
-                * doppler_matrix(path.doppler, n)
-                @ sinc_delay_matrix(path.delay, n, n)
-            )
+            explicit += gain * np.sinc(lags - path.delay)
         assert np.max(np.abs(h - explicit)) <= 1e-10
 
     def test_integer_taps_strictly_banded(self):
         spec = exp_profile_spec(0.5, np.arange(0.0, 4.0), max_delay=4.0)
         op = ChannelOperator(realize(spec, 1, block_len=10, n_blocks=2))
-        h = op.dense()
+        h = dense(op)
         for i in range(20):
             for j in range(20):
                 if not 0 <= i - j <= 3:
@@ -116,12 +115,12 @@ class TestChannelOperator:
 
     def test_single_fractional_tap_fills_all_diagonals(self):
         spec = ChannelSpec((PathSpec(delay=0.5, gain=1.0 + 0.0j),), 1.0)
-        h = ChannelOperator(realize(spec, 0, block_len=8, n_blocks=1)).dense()
+        h = dense(ChannelOperator(realize(spec, 0, block_len=8, n_blocks=1)))
         assert np.all(np.abs(h) > 0.0)
 
     def test_fractional_row_matches_integer_expansion(self):
         spec = ChannelSpec((PathSpec(delay=2.7, gain=1.0 + 0.0j),), 3.0)
-        h = ChannelOperator(realize(spec, 0, block_len=16, n_blocks=1)).dense()
+        h = dense(ChannelOperator(realize(spec, 0, block_len=16, n_blocks=1)))
         for k in range(16):
             x = 8 - k - 2.7
             assert h[8, k] == pytest.approx(np.sin(np.pi * x) / (np.pi * x), abs=1e-12)
@@ -131,21 +130,12 @@ class TestChannelOperator:
         op = ChannelOperator(real)  # default truncation covers this size
         rng = np.random.default_rng(5)
         x = rng.standard_normal(39) + 1j * rng.standard_normal(39)
-        assert np.max(np.abs(op.apply(x) - op.dense() @ x)) <= 1e-9
-
-    def test_memory_guard(self):
-        spec = ChannelSpec((PathSpec(delay=0.5, gain=1.0 + 0.0j),), 1.0)
-        op = ChannelOperator(
-            realize(spec, 0, block_len=64, n_blocks=2), max_dense_len=100
-        )
-        with pytest.raises(MemoryBudgetError):
-            op.dense()
+        assert np.max(np.abs(op.apply(x) - dense(op) @ x)) <= 1e-9
 
     def test_energy_preservation_interior(self):
         spec = ChannelSpec((PathSpec(delay=3.4, gain=1.0 + 0.0j),), 4.0)
         op = ChannelOperator(
-            realize(spec, 0, block_len=512, n_blocks=4), half_len=None,
-            max_dense_len=0,
+            realize(spec, 0, block_len=512, n_blocks=4), half_len=None
         )
         rng = np.random.default_rng(11)
         x = (rng.standard_normal(2048) + 1j * rng.standard_normal(2048)) / np.sqrt(2)
@@ -158,7 +148,7 @@ class TestChannelOperator:
     def test_block_matches_dense_slice(self):
         real = two_path_realization(block_len=8, n_blocks=3)
         op = ChannelOperator(real, half_len=None)
-        h = op.dense()
+        h = dense(op)
         for l in range(3):
             for lp in range(3):
                 blk = op.block(l, lp)
@@ -183,7 +173,7 @@ class TestChannelOperator:
 def per_path_reference(real, half_len):
     """Stream matrix and a filter from one np.convolve per path.
 
-    Returns (H, apply) with H[i, j] = sum_p g_p e^{j 2 pi nu_p i} k_p(i - j),
+    Returns (H, apply) with H[i, j] = sum_p g_p k_p(i - j),
     where k_p is the unit tap at an integer delay and otherwise the sinc
     sampled at lags floor(tau) -+ half_len (every lag when ``None``).
     """
@@ -198,26 +188,25 @@ def per_path_reference(real, half_len):
             lag0 = -(n - 1) if half_len is None else math.floor(tau) - half_len
             end = n if half_len is None else math.floor(tau) + half_len + 1
             taps = np.sinc(np.arange(lag0, end) - tau)
-        ramp = gain * np.exp(2j * np.pi * path.doppler * idx)
-        paths.append((lag0, taps, ramp))
+        paths.append((lag0, taps, gain))
 
     def apply(x):
         y = np.zeros(n, dtype=complex)
-        for lag0, taps, ramp in paths:
+        for lag0, taps, gain in paths:
             full = np.convolve(x, taps)
             lo, hi = max(0, lag0), min(n, lag0 + full.size)
             delayed = np.zeros(n, dtype=complex)
             if hi > lo:
                 delayed[lo:hi] = full[lo - lag0 : hi - lag0]
-            y += ramp * delayed
+            y += gain * delayed
         return y
 
     h = np.zeros((n, n), dtype=complex)
     lags = idx[:, None] - idx[None, :]
-    for lag0, taps, ramp in paths:
+    for lag0, taps, gain in paths:
         k = lags - lag0
         inside = (k >= 0) & (k < taps.size)
-        h += ramp[:, None] * np.where(inside, taps[np.clip(k, 0, taps.size - 1)], 0.0)
+        h += gain * np.where(inside, taps[np.clip(k, 0, taps.size - 1)], 0.0)
     return h, apply
 
 
@@ -238,16 +227,13 @@ class TestCompositeFilter:
             min_size=1, max_size=6,
         ),
         half_len=st.one_of(st.none(), st.integers(0, 70)),
-        doppler=st.floats(-0.05, 0.05, allow_nan=False, allow_infinity=False),
         seed=st.integers(0, 2**16),
     )
     def test_matches_per_path_reference(
-        self, block_len, n_blocks, delays, half_len, doppler, seed
+        self, block_len, n_blocks, delays, half_len, seed
     ):
-        # paths alternate between zero Doppler and ``doppler``: two groups
         paths = tuple(
-            PathSpec(delay=d, gain_power=1.0 / (1 + i), doppler=doppler * (i % 2))
-            for i, d in enumerate(delays)
+            PathSpec(delay=d, gain_power=1.0 / (1 + i)) for i, d in enumerate(delays)
         )
         real = realize(
             ChannelSpec(paths, max_delay=6.0), seed,
@@ -259,14 +245,14 @@ class TestCompositeFilter:
         n = real.stream_len
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert_rel_close(op.apply(x), reference_apply(x))
-        assert_rel_close(op.dense(), h)
+        assert_rel_close(dense(op), h)
         b = block_len
         for l in range(n_blocks):
             for lp in range(n_blocks):
                 ref = h[l * b : (l + 1) * b, lp * b : (lp + 1) * b]
                 assert_rel_close(op.block(l, lp), ref)
 
-    def test_one_convolution_per_doppler_value(self, monkeypatch):
+    def test_one_convolution_per_apply(self, monkeypatch):
         calls = []
         fftconvolve = scipy.signal.fftconvolve
 
@@ -275,12 +261,12 @@ class TestCompositeFilter:
             return fftconvolve(*args, **kwargs)
 
         monkeypatch.setattr(scipy.signal, "fftconvolve", counted)
-        # 24 zero-Doppler CDL-C paths, then two paths with distinct Doppler
+        # the 24 CDL-C paths, then a fractional and an integer path
         real = realize(cdlc_channel_spec(1000.0), 0, block_len=145, n_blocks=3)
         ChannelOperator(real).apply(np.ones(real.stream_len))
         assert len(calls) == 1
         ChannelOperator(two_path_realization()).apply(np.ones(24))
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_negative_half_len_rejected(self):
         with pytest.raises(ParameterError):
@@ -289,15 +275,14 @@ class TestCompositeFilter:
 
 class TestProfiles:
     def test_exp_profile_gain_magnitudes(self):
-        real = exp_profile_channel(0.5, np.arange(0.0, 3.0, 0.5), seed=9)
+        real = realize(exp_profile_spec(0.5, np.arange(0.0, 3.0, 0.5)), 9)
         mags = np.abs(real.drawn_gains)
         assert np.allclose(mags, np.exp(-0.5 * np.arange(0.0, 3.0, 0.5)), atol=1e-12)
 
     def test_seed_reproducibility_bit_exact(self):
-        a = exp_profile_channel(0.05, np.arange(0.0, 5.0, 0.1), seed=42)
-        b = exp_profile_channel(0.05, np.arange(0.0, 5.0, 0.1), seed=42)
+        spec = exp_profile_spec(0.05, np.arange(0.0, 5.0, 0.1))
+        a, b, c = realize(spec, 42), realize(spec, 42), realize(spec, 43)
         assert np.array_equal(a.drawn_gains, b.drawn_gains)
-        c = exp_profile_channel(0.05, np.arange(0.0, 5.0, 0.1), seed=43)
         assert not np.array_equal(a.drawn_gains, c.drawn_gains)
 
     def test_builtin_channels(self):
@@ -364,6 +349,18 @@ class TestProfiles:
         assert seed is None
         assert np.allclose(spec.delays, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert np.allclose(spec.powers, np.exp(-1.0 * spec.delays))
+
+    def test_profile_doppler_must_be_zero(self, tmp_path):
+        path = tmp_path / "chan.txt"
+        profile = "delays_samples: [0, 1.5]\ndecay: 0.5\ndoppler: "
+        for doppler in ("0", "[0, 0]", "0.0"):
+            path.write_text(profile + doppler + "\n")
+            spec, _ = load_channel_profile(path)
+            assert np.allclose(spec.delays, [0.0, 1.5])
+        for doppler in ("0.01", "[0, -0.02]"):
+            path.write_text(profile + doppler + "\n")
+            with pytest.raises(ParameterError, match="doppler"):
+                load_channel_profile(path)
 
     def test_profile_missing_fields(self, tmp_path):
         path = tmp_path / "chan.txt"

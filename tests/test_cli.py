@@ -1,10 +1,12 @@
 """Tests for the command-line interface and CSV outputs."""
 
+import argparse
 import json
 
 import pytest
 
-from precofdm.cli import main
+from precofdm import cli
+from precofdm.cli import build_parser, main
 
 
 def run(args):
@@ -152,6 +154,38 @@ class TestSerCommand:
             assert float(row[2]) == 10.0
             assert float(row[3]) == pytest.approx(rms_ns, abs=0.01)
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_is_error(self, tmp_path, capsys, trials):
+        out = tmp_path / "x.csv"
+        assert run([
+            "ser", "--channel", "cdlc200ns", "--n", 9, "--snrs", "[20]",
+            "--trials", trials, "--out", out,
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spread,rms_ns", [("500ns", 500.0), ("1000.7ns", 1000.7)])
+    def test_any_delay_spread(self, tmp_path, spread, rms_ns):
+        out = tmp_path / "ser.csv"
+        assert run([
+            "ser", "--delay-spread", spread, "--n", 24, "--snrs", "[25]",
+            "--trials", 1, "--out", out,
+        ]) == 0
+        spread_ns = float(read_lines(out)[1].split(",")[3])
+        assert spread_ns == pytest.approx(rms_ns, abs=0.01)
+        manifest = json.loads((tmp_path / "ser.csv.manifest.json").read_text())
+        assert manifest["channel"] == f"cdlc{spread}"
+
+    @pytest.mark.parametrize("spread", ["abc", "-5ns", "0ns", "nanns"])
+    def test_bad_delay_spread_is_error(self, tmp_path, capsys, spread):
+        out = tmp_path / "x.csv"
+        assert run([
+            "ser", f"--delay-spread={spread}", "--n", 24, "--snrs", "[25]",
+            "--trials", 1, "--out", out,
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_missing_channel_is_error(self, tmp_path):
         assert run(["ser", "--schemes", "ofdm", "--out", tmp_path / "x.csv"]) == 2
 
@@ -213,3 +247,69 @@ class TestConfigHandling:
             "s2i", "--channel", "bogus", "--n", 9, "--etas", "1.0",
             "--out", tmp_path / "x.csv",
         ]) == 2
+
+
+class TestCommandTable:
+    OPTIONS = {
+        "dpss": ["--n", "--w", "--k"],
+        "basis": ["--scheme", "--n", "--m"],
+        "xcorr": ["--scheme", "--n", "--m"],
+        "ebct": ["--scheme", "--n", "--m"],
+        "bound": ["--scheme", "--n", "--m", "--channel", "--prefix", "--blocks"],
+        "s2i": [
+            "--schemes", "--etas", "--channel", "--n", "--prefix", "--blocks",
+            "--no-bound", "--plot-data",
+        ],
+        "ser": [
+            "--preset", "--schemes", "--etas", "--channel", "--delay-spread",
+            "--pdelta", "--n", "--snrs", "--trials", "--seed", "--prefix",
+            "--half-len", "--threads",
+        ],
+        "scan-halfshift": ["--scheme", "--n", "--m", "--taus"],
+    }
+
+    def test_option_strings_pinned(self):
+        (sub,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert list(sub.choices) == list(self.OPTIONS)
+        for command, options in self.OPTIONS.items():
+            found = [s for a in sub.choices[command]._actions for s in a.option_strings]
+            assert found == ["-h", "--help", "--config", "--verify", "--out"] + options
+
+    @pytest.mark.parametrize("command", ["dpss", "basis", "xcorr", "ebct", "bound"])
+    def test_missing_n_is_error(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        assert run([command, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: missing n")
+        assert not out.exists()
+
+    # The library names the CLI must look up in its own namespace at call
+    # time, so that wrapping them there (as a tracer does) sees every call.
+    CALLS = [
+        ("default_basis", ["basis", "--n", 5]),
+        ("xcorr_tensor", ["xcorr", "--n", 5]),
+        ("signal_isi_energies", ["bound", "--n", 24, "--blocks", 3]),
+        ("isi_bound", ["bound", "--n", 24, "--blocks", 3]),
+        ("ebct_all", ["ebct", "--n", 5]),
+        ("ebct_bound_all", ["ebct", "--n", 5]),
+        ("half_shift_worst_case_scan", ["scan-halfshift", "--n", 3, "--taus", "[0.5]"]),
+        ("write_csv", ["dpss", "--n", 5]),
+    ]
+
+    @pytest.mark.parametrize("name,args", CALLS)
+    def test_module_globals_looked_up_at_call_time(
+        self, tmp_path, monkeypatch, name, args
+    ):
+        calls = []
+        original = getattr(cli, name)
+
+        def counted(*a, **kw):
+            calls.append(1)
+            return original(*a, **kw)
+
+        monkeypatch.setattr(cli, name, counted)
+        assert run(args + ["--out", tmp_path / "x.csv"]) == 0
+        assert calls

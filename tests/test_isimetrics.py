@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from precofdm import isimetrics
 
 from precofdm.channel import (
-    ChannelOperator,
     ChannelSpec,
     PathSpec,
     exp_profile_spec,
@@ -329,9 +328,10 @@ class TestIsiTransfer:
         spec = ChannelSpec((PathSpec(delay=0.5, gain=0.8 - 0.6j),), 1.0)
         _, pref = make_pair(PrecodingScheme.OFDM, 9, 9, 1)
         real = realize(spec, 0, block_len=10, n_blocks=4)
-        h = ChannelOperator(real, half_len=None).dense()
         l, lp = 2, 1
-        oracle = pref.o_r.conj().T @ h[l * 10:(l + 1) * 10, lp * 10:(lp + 1) * 10] @ pref.o_t
+        lags = (l - lp) * 10 + np.arange(10)[:, None] - np.arange(10)[None, :]
+        h_block = (0.8 - 0.6j) * np.sinc(lags - 0.5)
+        oracle = pref.o_r.conj().T @ h_block @ pref.o_t
         beta = isi_transfer(pref, pref, real, l, lp).beta
         assert np.linalg.norm(beta) > 1e-3
         assert np.max(np.abs(beta - oracle)) <= 1e-9
@@ -407,12 +407,6 @@ class TestIsiEnergy:
         e1 = isi_energy(pref, pref, spec1, n_blocks=4)
         e3 = isi_energy(pref, pref, scaled, n_blocks=4)
         assert e3 == pytest.approx(3.0 * e1, rel=1e-12)
-
-    def test_doppler_rejected(self):
-        spec = ChannelSpec((PathSpec(delay=0.5, gain=1.0 + 0j, doppler=0.01),), 1.0)
-        _, pref = make_pair(PrecodingScheme.OFDM, 9, 9, 1)
-        with pytest.raises(ParameterError):
-            isi_energy(pref, pref, spec, n_blocks=3)
 
     def test_signal_energy_identity_channel(self):
         spec = ChannelSpec((PathSpec(delay=0.0, gain=1.0 + 0.0j),), 0.0)
