@@ -14,7 +14,12 @@ The chain implemented here:
   (Laakso et al., "Splitting the unit delay", IEEE SP Mag. 1996);
 * exact ISI transfer matrices and energies for prefixed transmit/receive
   bases over realized channels, the matching analytical upper bound per
-  channel, and signal-to-ISI sweeps across utilization.
+  channel, and signal-to-ISI sweeps across utilization.  The energies come
+  from a square-root lag Gram: the lag-correlation matrix C of the two bases
+  is factored once into a triangle R with R^H R = C^H C, and each block
+  offset multiplies R by the paths' sinc kernels.  C^H C itself is never
+  formed, because its round-off would swamp the DPSS energies beyond the
+  nearest neighbour block.
 
 Channels are quasi-static: every operation takes one set of path gains.
 """
@@ -24,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .channel import ChannelOperator, ChannelRealization, ChannelSpec
 from .errors import ParameterError
@@ -111,12 +117,10 @@ class IsiTransfer:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-pair and total analytical ISI bound, with optional measurements."""
+    """Per-pair and total analytical ISI bound."""
 
     per_pair: np.ndarray
     total_bound: float
-    empirical: float | None = None
-    s2i_db: float | None = None
 
 
 @dataclass(frozen=True)
@@ -128,16 +132,20 @@ class S2iPoint:
     s2i_lower_bound_db: float | None = None
 
 
-def _cross_lag_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _cross_lag_matrix(
+    left: np.ndarray, right: np.ndarray, order: str = "C"
+) -> np.ndarray:
     """Correlations sum_n left*[n, r] right[n - q, s] for q in [-(B-1), B-1].
 
-    Returns shape (M_left * M_right, 2B - 1) with pair index r * M_right + s.
+    Returns shape (M_left * M_right, 2B - 1) with pair index r * M_right + s,
+    stored in numpy ``order`` ("C": one contiguous lag sequence per pair;
+    "F": one contiguous column per lag).
     """
     b = left.shape[0]
     if right.shape[0] != b:
         raise ParameterError("row counts must match")
     m_l, m_r = left.shape[1], right.shape[1]
-    out = np.empty((m_l * m_r, 2 * b - 1), dtype=np.complex128)
+    out = np.empty((m_l * m_r, 2 * b - 1), dtype=np.complex128, order=order)
     for q in range(-(b - 1), b):
         if q >= 0:
             c = left[q:].conj().T @ right[: b - q]
@@ -355,6 +363,18 @@ def isi_transfer(
     return IsiTransfer(beta=beta, from_block=l_prime, to_block=l)
 
 
+def _lag_root(cmat: np.ndarray) -> np.ndarray:
+    """Upper triangle R with R^H R = cmat^H cmat, factored in place.
+
+    Householder QR of the column-major ``cmat`` (LAPACK zgeqrf overwrites
+    it, so no copy is made): cmat = Q R with Q having orthonormal columns.
+    R has min(rows, cols) rows.
+    """
+    lwork = int(lapack.zgeqrf_lwork(*cmat.shape)[0].real)
+    qr = lapack.zgeqrf(cmat, lwork=lwork, overwrite_a=1)[0]
+    return np.triu(qr[: qr.shape[1]])
+
+
 def isi_gram(
     tx: PrefixedBasis,
     rx: PrefixedBasis,
@@ -370,13 +390,23 @@ def isi_gram(
     gain vector g is then g^H K g, and diag(K) holds per-path energies.
     With ``include_signal`` the analogous d = 0 matrix (desired-signal
     energies through the same bases) is returned as a second value.
+
+    With C the (M_r M_t) x (2B - 1) lag-correlation matrix of the bases and
+    k_d the sinc kernels of the paths at offset d, the vectorized beta_{p,d}
+    is column p of C k_d, so K sums (C k_d)^H (C k_d) over d.  C is factored
+    once into a triangle R of at most 2B - 1 rows with R^H R = C^H C (QR,
+    backward stable; Golub & Van Loan, Matrix Computations, 5.3), and each
+    offset costs R k_d on 2B - 1 rows instead of C k_d on M_r M_t rows.
+    The normal-equation Gram C^H C is never formed: it squares the condition
+    number, and its round-off (about 1e-18 for DPSS at N = 128, M = 121 on
+    the mild channel) exceeds the ISI energy of offset d = 2 (2.8e-20).
     """
     _check_pair(tx, rx)
     if n_blocks < 2:
         raise ParameterError("n_blocks must be >= 2 to include any interferer")
     delays = np.asarray(delays, dtype=float)
     b = tx.block_len
-    cmat = _cross_lag_matrix(rx.o_r, tx.o_t)
+    root = _lag_root(_cross_lag_matrix(rx.o_r, tx.o_t, order="F"))
     lags = np.arange(-(b - 1), b)
     n_paths = delays.size
     k_isi = np.zeros((n_paths, n_paths), dtype=np.complex128)
@@ -385,7 +415,7 @@ def isi_gram(
         if d == 0 and not include_signal:
             continue
         kernel = _sinc(lags[:, None] + d * b - delays[None, :])
-        u = cmat @ kernel
+        u = root @ kernel
         if d == 0:
             k_sig += u.conj().T @ u
         else:
@@ -442,8 +472,6 @@ def isi_bound(
     tensor: CrossCorrTensor,
     channel: ChannelSpec,
     prefix_len: int,
-    empirical: float | None = None,
-    signal_energy: float | None = None,
 ) -> BoundReport:
     """Analytical upper bound on the total ISI energy of a channel.
 
@@ -468,15 +496,8 @@ def isi_bound(
     tails = _parseval_tails(cmat, 0.5, [n_p - 1 for n_p in n_ps])
     weights = np.array([groups[n_p] for n_p in n_ps])
     per_pair = np.sum(weights[:, None] * tails, axis=0)
-    total = float(per_pair.sum())
-    s2i_db = None
-    if empirical is not None and empirical > 0 and signal_energy is not None:
-        s2i_db = 10.0 * math.log10(signal_energy / empirical)
     return BoundReport(
-        per_pair=per_pair.reshape(m, m),
-        total_bound=total,
-        empirical=empirical,
-        s2i_db=s2i_db,
+        per_pair=per_pair.reshape(m, m), total_bound=float(per_pair.sum())
     )
 
 

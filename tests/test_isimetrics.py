@@ -425,6 +425,102 @@ class TestIsiEnergy:
         assert direct == pytest.approx(float(np.real(g.conj() @ gram @ g)), rel=1e-12)
 
 
+def lag_matrix_reference(left, right):
+    """Rows sum_n left*[n, r] right[n - q, s] over q in [-(B-1), B-1], pair
+    r * M_right + s, from np.correlate lag sequences of the columns."""
+    return np.array(
+        [
+            np.correlate(right[:, s], left[:, r], "full")[::-1]
+            for r in range(left.shape[1])
+            for s in range(right.shape[1])
+        ]
+    )
+
+
+def sinc_kernel_reference(b, d, delays):
+    """Kernel sinc(q + d B - tau_p) on the lags q of a block of length B."""
+    x = np.arange(-(b - 1), b)[:, None] + d * b - np.asarray(delays)[None, :]
+    kernel = np.sinc(x)
+    # sin(pi k) vanishes at a nonzero integer k; np.sinc leaves about 1e-17
+    kernel[(x == np.round(x)) & (x != 0)] = 0.0
+    return kernel
+
+
+def offset_energies_reference(cmat, b, delays, offsets):
+    """sum over the offsets d of (C k_d)^H (C k_d), shape (paths, paths)."""
+    total = 0.0
+    for d in offsets:
+        u = cmat @ sinc_kernel_reference(b, d, delays)
+        total = total + u.conj().T @ u
+    return total
+
+
+class TestIsiGramSquareRoot:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=24),
+        schemes=st.permutations(SCHEMES),
+        kind=st.sampled_from(list(PrefixKind)),
+        n_blocks=st.integers(min_value=2, max_value=5),
+        data=st.data(),
+    )
+    def test_matches_correlate_reference(self, n, schemes, kind, n_blocks, data):
+        m = data.draw(st.integers(min_value=1, max_value=n))
+        g = data.draw(st.integers(min_value=0, max_value=n - 1))
+        delay = st.one_of(
+            st.integers(min_value=0, max_value=n + g).map(float),
+            st.floats(min_value=0.0, max_value=n + g),
+        )
+        delays = np.array(data.draw(st.lists(delay, min_size=1, max_size=4)))
+        tx = with_prefix(default_basis(schemes[0], n, m), g, kind)
+        rx = with_prefix(default_basis(schemes[1], n, m), g, kind)
+        k_isi, k_sig = isi_gram(tx, rx, delays, n_blocks, include_signal=True)
+        cmat = lag_matrix_reference(rx.o_r, tx.o_t)
+        b = n + g
+        isi_offsets = [d for d in range(1 - n_blocks, n_blocks) if d != 0]
+        for got, offsets in ((k_isi, isi_offsets), (k_sig, [0])):
+            want = offset_energies_reference(cmat, b, delays, offsets)
+            kernels = [sinc_kernel_reference(b, d, delays) for d in offsets]
+            # Any backward-stable U = C k is off by about eps |C| |k|, so
+            # U^H U by 2 |U| times that: ISI energies near 1e-29 (OFDM into
+            # DPSS) carry that much round-off in the reference itself.
+            floor = (
+                32 * np.finfo(float).eps * np.sqrt(np.real(np.trace(want)))
+                * np.linalg.norm(cmat) * np.linalg.norm(kernels)
+            )
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want) + floor
+
+    def test_dpss_far_offsets_keep_their_digits(self):
+        # The +-2-offset ISI energy of DPSS is 5e-20 beside a signal energy
+        # of 1260; a normal-equation Gram C^H C buries it under about 2e-18
+        # to 4e-18 of round-off.
+        mild = mild_channel_spec()
+        _, pref = make_pair(PrecodingScheme.DPSS, 128, 121, 16)
+        far = isi_gram(pref, pref, mild.delays, 3) - isi_gram(pref, pref, mild.delays, 2)
+        got = float(mild.powers @ np.real(np.diag(far)))
+        cmat = lag_matrix_reference(pref.o_r, pref.o_t)
+        ref = offset_energies_reference(cmat, 144, mild.delays, [-2, 2])
+        want = float(mild.powers @ np.real(np.diag(ref)))
+        assert 4e-20 < want < 6e-20
+        assert got == pytest.approx(want, rel=1e-2, abs=0)
+
+    @pytest.mark.parametrize("kind", list(PrefixKind))
+    @pytest.mark.parametrize(
+        "n,m", [(9, 7), (9, 8), (16, 13), (16, 14), (17, 12), (24, 19), (33, 30)]
+    )
+    def test_ofdm_and_dft_energies_agree(self, n, m, kind):
+        # DFT precoding is a unitary map on the OFDM subcarriers, so both
+        # schemes span one space and see the same energies.
+        mild = mild_channel_spec()
+        g = min(16, n - 1)
+        for channel in (mild, realize(mild, 3)):
+            _, ofdm = make_pair(PrecodingScheme.OFDM, n, m, g, kind)
+            _, dft = make_pair(PrecodingScheme.DFT, n, m, g, kind)
+            want = signal_isi_energies(ofdm, ofdm, channel, n_blocks=6)
+            got = signal_isi_energies(dft, dft, channel, n_blocks=6)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 class TestParsevalTailProperties:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -512,14 +608,11 @@ class TestIsiBound:
     def test_report_fields(self):
         mild = mild_channel_spec()
         basis, pref = make_pair(PrecodingScheme.DFT, 17, 17, 16)
-        sig, emp = signal_isi_energies(pref, pref, mild, n_blocks=6)
-        report = isi_bound(
-            xcorr_tensor(basis), mild, 16, empirical=emp, signal_energy=sig
-        )
+        _, emp = signal_isi_energies(pref, pref, mild, n_blocks=6)
+        report = isi_bound(xcorr_tensor(basis), mild, 16)
         assert report.per_pair.shape == (17, 17)
         assert report.total_bound == pytest.approx(report.per_pair.sum(), rel=1e-12)
         assert report.total_bound >= emp
-        assert report.s2i_db == pytest.approx(10 * np.log10(sig / emp), abs=1e-9)
 
 
 class TestS2iSweep:
