@@ -26,12 +26,9 @@ from .errors import (
 from .isimetrics import (
     BoundReport,
     CrossCorrTensor,
-    IsiTransfer,
     S2iPoint,
     bandlimit_shift,
-    ebct,
     ebct_all,
-    ebct_bound,
     ebct_bound_all,
     half_shift_worst_case_scan,
     isi_bound,
@@ -53,7 +50,6 @@ from .linksim import (
     analytic_qpsk_ser,
     build_frame,
     equalize_and_detect,
-    qpsk_demap,
     qpsk_detect,
     qpsk_map,
     run_ser,
@@ -64,9 +60,8 @@ from .waveform import (
     PrefixKind,
     PrefixedBasis,
     WaveformBasis,
-    build_basis,
+    active_count,
     default_basis,
-    edge_truncation_order,
     retained_frequencies,
     with_prefix,
 )

@@ -168,7 +168,6 @@ class ChannelOperator:
         if half_len is not None and half_len < 0:
             raise ParameterError(f"half_len must be >= 0 or None, got {half_len}")
         self.realization = realization
-        self.half_len = half_len
         self.stream_len = realization.stream_len
         self._lag0, self._taps = _composite_kernel(
             realization, half_len, self.stream_len
@@ -235,20 +234,16 @@ def realize(
 def exp_profile_spec(
     decay: float,
     delays: np.ndarray,
-    max_delay: float | None = None,
+    max_delay: float,
     name: str = "custom",
 ) -> ChannelSpec:
     """Tapped-delay-line spec with amplitudes exp(-decay * tau)."""
     if decay <= 0:
         raise ParameterError(f"decay must be > 0, got {decay}")
     delays = np.asarray(delays, dtype=float)
-    if delays.size == 0:
-        raise ParameterError("delays grid must be non-empty")
     paths = tuple(
         PathSpec(delay=t, gain_power=float(np.exp(-2.0 * decay * t))) for t in delays
     )
-    if max_delay is None:
-        max_delay = float(delays.max())
     return ChannelSpec(paths=paths, max_delay=max_delay, name=name)
 
 

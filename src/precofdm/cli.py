@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    DEFAULT_FIR_HALF_LEN,
     ChannelSpec,
     builtin_channel_spec,
     cdlc_channel_spec,
@@ -27,6 +28,7 @@ from .configio import load_kv_file, parse_value
 from .dpss import DpssParams, compute_dpss
 from .errors import ParameterError
 from .isimetrics import (
+    DEFAULT_BLOCK_WINDOW,
     _ratio_db,
     ebct_all,
     ebct_bound_all,
@@ -107,10 +109,10 @@ def _half_len(value) -> int | None:
     return None if str(value).lower() in {"none", "full"} else int(value)
 
 
-def _verify_basis(basis) -> None:
-    o = basis.o_matrix
+def _verify_basis(o) -> None:
+    """The columns of ``o`` are orthonormal to 1e-10."""
     gram = o.conj().T @ o
-    err = np.max(np.abs(gram - np.eye(basis.m_active)))
+    err = np.max(np.abs(gram - np.eye(o.shape[1])))
     if err > 1e-10:
         raise ParameterError(f"basis orthonormality check failed: {err:.2e}")
 
@@ -126,6 +128,8 @@ def _verify_tensor(tensor) -> None:
 
 def cmd_dpss(v) -> None:
     dset = compute_dpss(DpssParams(n_len=v.n, half_bandwidth=v.w, count=v.k))
+    if v.verify:
+        _verify_basis(dset.sequences)
     header = ["order", "eigenvalue"] + [f"c{i}" for i in range(v.n)]
     rows = [
         [l, dset.eigenvalues[l]] + list(dset.sequences[:, l]) for l in range(v.k)
@@ -137,7 +141,7 @@ def cmd_dpss(v) -> None:
 def cmd_basis(v) -> None:
     basis = default_basis(v.scheme, v.n, v.m)
     if v.verify:
-        _verify_basis(basis)
+        _verify_basis(basis.o_matrix)
     rows = [
         (c, i, basis.o_matrix[i, c].real, basis.o_matrix[i, c].imag)
         for c in range(v.m)
@@ -166,7 +170,7 @@ def cmd_ebct(v) -> None:
     basis = default_basis(v.scheme, v.n, v.m)
     tensor = xcorr_tensor(basis)
     if v.verify:
-        _verify_basis(basis)
+        _verify_basis(basis.o_matrix)
         _verify_tensor(tensor)
     values = ebct_all(tensor)
     bounds = ebct_bound_all(tensor)
@@ -185,6 +189,8 @@ def cmd_bound(v) -> None:
     pref = with_prefix(basis, v.prefix, PrefixKind.ZERO)
     signal, empirical = signal_isi_energies(pref, pref, channel, v.blocks)
     total = isi_bound(xcorr_tensor(basis), channel, v.prefix).total_bound
+    if v.verify and total < empirical:
+        raise ParameterError("ISI bound fell below the empirical energy")
     write_csv(
         v.out,
         [
@@ -198,8 +204,6 @@ def cmd_bound(v) -> None:
             )
         ],
     )
-    if v.verify and total < empirical:
-        raise ParameterError("ISI bound fell below the empirical energy")
     print(f"wrote {v.out}")
 
 
@@ -210,10 +214,16 @@ def cmd_s2i(v) -> None:
         v.channel[0],
         v.n,
         v.prefix,
-        prefix_kind=PrefixKind.ZERO,
         n_blocks=v.blocks,
         include_bound=not v.no_bound,
     )
+    if v.verify:
+        for p in rows:
+            if p.s2i_lower_bound_db is not None and p.s2i_lower_bound_db > p.s2i_db:
+                raise ParameterError(
+                    f"S2I lower bound {p.s2i_lower_bound_db:.6g} dB above "
+                    f"S2I {p.s2i_db:.6g} dB ({p.scheme}, eta={p.eta:.6g})"
+                )
     write_csv(
         v.out,
         ["scheme", "eta", "tap_model", "s2i_db", "s2i_lower_bound_db"],
@@ -269,6 +279,8 @@ def cmd_ser(v) -> None:
                 prefix_len=prefix,
                 p_delta_db=pdelta,
             )
+            if v.verify:
+                _verify_basis(frame.make_basis().base.o_matrix)
             curve = run_ser(
                 frame, channel, snrs, n_trials=trials, base_seed=seed,
                 half_len=v.half_len, threads=v.threads,
@@ -317,6 +329,8 @@ def cmd_ser(v) -> None:
 
 def cmd_scan_halfshift(v) -> None:
     tensor = xcorr_tensor(default_basis(v.scheme, v.n, v.m))
+    if v.verify:
+        _verify_tensor(tensor)
     rows = []
     at_half = 0
     for r in range(v.m):
@@ -348,7 +362,7 @@ _SCHEMES = (
 )
 _ETAS = ("etas", _as_float_list, [1.0])
 _PREFIX = ("prefix", int, lambda v: prefix_length_for(v.channel[0]))
-_BLOCKS = ("blocks", int, 12)
+_BLOCKS = ("blocks", int, DEFAULT_BLOCK_WINDOW)
 
 # Subcommand: (help line, handler, default output file, options).  The
 # common --config, --verify and --out come first.
@@ -376,8 +390,8 @@ COMMANDS = {
         ("preset", str, None), _SCHEMES, _ETAS, ("channel", _channel, None),
         ("delay-spread", str, None), ("pdelta", float, 0.0), ("n", int, 128),
         ("snrs", _as_float_list, "0:5:40"), ("trials", int, 200),
-        ("seed", int, None), ("prefix", int, None), ("half-len", _half_len, 64),
-        ("threads", int, 1),
+        ("seed", int, None), ("prefix", int, None),
+        ("half-len", _half_len, DEFAULT_FIR_HALF_LEN), ("threads", int, 1),
     ]),
     "scan-halfshift": (
         "tail energy vs fractional shift", cmd_scan_halfshift, "halfshift.csv",

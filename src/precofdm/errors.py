@@ -8,10 +8,6 @@ class ParameterError(ValueError):
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge or produced unusable output."""
 
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
 
 class EqualizationError(RuntimeError):
     """The equalizer matrix could not be inverted for this trial."""

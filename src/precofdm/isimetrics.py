@@ -38,6 +38,7 @@ from .waveform import (
     PrefixKind,
     PrefixedBasis,
     WaveformBasis,
+    active_count,
     default_basis,
     retained_frequencies,
     with_prefix,
@@ -45,7 +46,6 @@ from .waveform import (
 
 __all__ = [
     "CrossCorrTensor",
-    "IsiTransfer",
     "BoundReport",
     "S2iPoint",
     "xcorr_tensor",
@@ -53,9 +53,7 @@ __all__ = [
     "xcorr_scfdma_closed",
     "bandlimit_shift",
     "tail_energy",
-    "ebct",
     "ebct_all",
-    "ebct_bound",
     "ebct_bound_all",
     "isi_transfer",
     "isi_gram",
@@ -90,29 +88,15 @@ class CrossCorrTensor:
     m: int
     n_len: int
     values: np.ndarray
-    source_scheme: PrecodingScheme | None = None
 
     def __post_init__(self):
         self.values.flags.writeable = False
-
-    @property
-    def lags(self) -> np.ndarray:
-        return np.arange(-(self.n_len - 1), self.n_len)
 
     def lag(self, r: int, s: int, q: int) -> complex:
         return self.values[r, s, q + self.n_len - 1]
 
     def pair_sequence(self, r: int, s: int) -> np.ndarray:
         return self.values[r, s, :]
-
-
-@dataclass(frozen=True)
-class IsiTransfer:
-    """Linear map from block l' symbols into block l output."""
-
-    beta: np.ndarray
-    from_block: int
-    to_block: int
 
 
 @dataclass(frozen=True)
@@ -160,9 +144,7 @@ def xcorr_tensor(basis: WaveformBasis) -> CrossCorrTensor:
     o = basis.o_matrix
     n, m = o.shape
     values = _cross_lag_matrix(o, o).reshape(m, m, 2 * n - 1)
-    return CrossCorrTensor(
-        m=m, n_len=n, values=values, source_scheme=basis.scheme
-    )
+    return CrossCorrTensor(m=m, n_len=n, values=values)
 
 
 def _dirichlet_ratio(delta: np.ndarray, count: np.ndarray, n_len: int) -> np.ndarray:
@@ -176,15 +158,13 @@ def _dirichlet_ratio(delta: np.ndarray, count: np.ndarray, n_len: int) -> np.nda
     return np.where(delta == 0, count, ratio)
 
 
-def xcorr_ofdm_closed(r: int, s: int, q: int, n_len: int, m_active: int | None = None) -> complex:
+def xcorr_ofdm_closed(r: int, s: int, q: int, n_len: int, m_active: int) -> complex:
     """Closed-form OFDM correlation entry; r = s uses the analytic limit.
 
     Matches the direct-sum tensor of the centered-subcarrier basis:
     C_rs[q >= 0] = exp(-j pi (f_r + f_s) q / N) sin(pi (N-q)(s-r)/N)
                    / (N sin(pi (s-r)/N)).
     """
-    if m_active is None:
-        m_active = n_len
     if abs(q) > n_len - 1:
         raise ParameterError(f"|q| must be <= N-1, got q={q}")
     if not (0 <= r < m_active and 0 <= s < m_active):
@@ -302,29 +282,15 @@ def _parseval_tails(cmat: np.ndarray, shift: float, radii) -> np.ndarray:
     return np.maximum(total - window, 0.0)
 
 
-def ebct(tensor: CrossCorrTensor, r: int, s: int) -> float:
-    """Band-limited correlation tail energy of pair (r, s).
-
-    The exact, untruncated energy beyond N-1 of the half-sample-shifted,
-    half-band-limited correlation sequence.
-    """
-    seq = tensor.pair_sequence(r, s)[None, :]
-    return float(_parseval_tails(seq, 0.5, [tensor.n_len - 1])[0, 0])
-
-
 def ebct_all(tensor: CrossCorrTensor) -> np.ndarray:
-    """E_BCT for every pair, shape (M, M)."""
+    """Band-limited correlation tail energy (E_BCT) of every pair, shape (M, M).
+
+    Entry (r, s) is the exact, untruncated energy beyond N-1 of the
+    half-sample-shifted, half-band-limited correlation sequence of the pair.
+    """
     m, n = tensor.m, tensor.n_len
     cmat = tensor.values.reshape(m * m, 2 * n - 1)
     return _parseval_tails(cmat, 0.5, [n - 1])[0].reshape(m, m)
-
-
-def ebct_bound(tensor: CrossCorrTensor, r: int, s: int) -> float:
-    """Alias of ``ebct``, kept for callers of the bound name.
-
-    The tail is exact, so the value is its own bound.
-    """
-    return ebct(tensor, r, s)
 
 
 def ebct_bound_all(tensor: CrossCorrTensor) -> np.ndarray:
@@ -343,24 +309,20 @@ def _check_pair(tx: PrefixedBasis, rx: PrefixedBasis):
 def isi_transfer(
     basis_tx: PrefixedBasis,
     basis_rx: PrefixedBasis,
-    channel: ChannelRealization | ChannelOperator,
+    realization: ChannelRealization,
     l: int,
     l_prime: int,
-) -> IsiTransfer:
+) -> np.ndarray:
     """ISI transfer matrix beta_{l,l'} = O_r^H H_{l,l'} O_t.
 
-    Given a realization, the channel block is evaluated with the exact sinc
-    delay kernel; given an operator, the operator's own (possibly truncated)
-    kernels are used so the result matches what ``apply`` does.
+    It maps the symbols of block l' into the output of block l; the channel
+    block is evaluated with the exact sinc delay kernel.
     """
     _check_pair(basis_tx, basis_rx)
-    if isinstance(channel, ChannelRealization):
-        channel = ChannelOperator(channel, half_len=None)
-    if channel.realization.block_len != basis_tx.block_len:
+    if realization.block_len != basis_tx.block_len:
         raise ParameterError("channel block length != basis block length")
-    h_block = channel.block(l, l_prime)
-    beta = basis_rx.o_r.conj().T @ h_block @ basis_tx.o_t
-    return IsiTransfer(beta=beta, from_block=l_prime, to_block=l)
+    h_block = ChannelOperator(realization, half_len=None).block(l, l_prime)
+    return basis_rx.o_r.conj().T @ h_block @ basis_tx.o_t
 
 
 def _lag_root(cmat: np.ndarray) -> np.ndarray:
@@ -513,7 +475,6 @@ def s2i_sweep(
     channel: ChannelSpec,
     n_len: int,
     prefix_len: int,
-    prefix_kind: PrefixKind = PrefixKind.ZERO,
     n_blocks: int = DEFAULT_BLOCK_WINDOW,
     include_bound: bool = True,
 ) -> list[S2iPoint]:
@@ -522,17 +483,15 @@ def s2i_sweep(
     S2I is the received desired-signal energy over the ISI energy, both
     statistical under unit per-component symbol energy; replacing the ISI
     energy by its analytic upper bound gives the lower-bound column.
+    Every basis carries a zero prefix of ``prefix_len`` samples;
     m_active = floor(eta * N).
     """
     rows: list[S2iPoint] = []
     for scheme in schemes:
         scheme = PrecodingScheme(scheme)
         for eta in eta_list:
-            m_active = int(math.floor(eta * n_len + 1e-9))
-            if not 1 <= m_active <= n_len:
-                raise ParameterError(f"eta={eta} gives invalid m_active={m_active}")
-            basis = default_basis(scheme, n_len, m_active)
-            pref = with_prefix(basis, prefix_len, prefix_kind)
+            basis = default_basis(scheme, n_len, active_count(eta, n_len))
+            pref = with_prefix(basis, prefix_len, PrefixKind.ZERO)
             signal, energy = signal_isi_energies(pref, pref, channel, n_blocks)
             lower = None
             if include_bound:

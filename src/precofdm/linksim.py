@@ -15,16 +15,18 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import erfc
 
-from .channel import ChannelOperator, ChannelSpec, realize
+from .channel import DEFAULT_FIR_HALF_LEN, ChannelOperator, ChannelSpec, realize
 from .errors import EqualizationError, ParameterError
 from .waveform import (
     PrecodingScheme,
     PrefixKind,
     PrefixedBasis,
+    active_count,
     default_basis,
     with_prefix,
 )
@@ -35,7 +37,6 @@ __all__ = [
     "SerPoint",
     "SerCurve",
     "qpsk_map",
-    "qpsk_demap",
     "qpsk_detect",
     "analytic_qpsk_ser",
     "build_frame",
@@ -51,14 +52,17 @@ _QPSK_SCALE = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Multi-user frame layout and transmit parameters."""
+    """Multi-user frame layout and transmit parameters.
+
+    A frame is three subframes of 14 symbols, each with a cyclic prefix.
+    """
+
+    symbols_per_subframe: ClassVar[int] = 14
+    n_subframes: ClassVar[int] = 3
 
     scheme: PrecodingScheme
     eta: float = 1.0
     n_len: int = 128
-    symbols_per_subframe: int = 14
-    n_subframes: int = 3
-    prefix_kind: PrefixKind = PrefixKind.CYCLIC
     prefix_len: int = 0
     p_delta_db: float = 0.0
 
@@ -69,12 +73,10 @@ class FrameConfig:
             raise ParameterError("prefix_len must be >= 0")
         if self.p_delta_db < 0:
             raise ParameterError("p_delta_db must be >= 0")
-        if self.symbols_per_subframe < 1 or self.n_subframes < 1:
-            raise ParameterError("frame needs at least one symbol per subframe")
 
     @property
     def m_active(self) -> int:
-        return int(math.floor(self.eta * self.n_len + 1e-9))
+        return active_count(self.eta, self.n_len)
 
     @property
     def n_symbols(self) -> int:
@@ -86,7 +88,7 @@ class FrameConfig:
 
     def make_basis(self) -> PrefixedBasis:
         basis = default_basis(PrecodingScheme(self.scheme), self.n_len, self.m_active)
-        return with_prefix(basis, self.prefix_len, self.prefix_kind)
+        return with_prefix(basis, self.prefix_len, PrefixKind.CYCLIC)
 
 
 @dataclass(frozen=True)
@@ -125,16 +127,6 @@ def qpsk_map(bits: np.ndarray) -> np.ndarray:
     )
 
 
-def qpsk_demap(symbols: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor demapping back to bits (inverse Gray map)."""
-    symbols = np.asarray(symbols)
-    bits = np.empty((symbols.size, 2), dtype=np.int64)
-    flat = symbols.ravel()
-    bits[:, 0] = (flat.real < 0).astype(np.int64)
-    bits[:, 1] = (flat.imag < 0).astype(np.int64)
-    return bits.ravel()
-
-
 def qpsk_detect(symbols: np.ndarray) -> np.ndarray:
     """Quadrant decision onto the unit-energy QPSK constellation."""
     symbols = np.asarray(symbols)
@@ -157,21 +149,13 @@ def draw_payloads(cfg: FrameConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def build_frame(
-    cfg: FrameConfig,
-    basis: PrefixedBasis,
-    payloads: np.ndarray | None = None,
-    seed: int | np.random.Generator | None = None,
+    cfg: FrameConfig, basis: PrefixedBasis, payloads: np.ndarray
 ) -> np.ndarray:
     """Assemble the transmit stream: per-symbol O_t i with subframe powers.
 
     Subframes other than the victim's are scaled by 10^(p_delta_db / 20).
-    ``payloads`` is (n_symbols, m_active); when omitted it is drawn from
-    ``seed``.
+    ``payloads`` is (n_symbols, m_active), as ``draw_payloads`` returns.
     """
-    if payloads is None:
-        if seed is None:
-            raise ParameterError("provide payloads or a seed to draw them")
-        payloads = draw_payloads(cfg, np.random.default_rng(seed))
     payloads = np.asarray(payloads)
     if payloads.shape != (cfg.n_symbols, cfg.m_active):
         raise ParameterError(
@@ -211,7 +195,7 @@ def run_trial(
     basis: PrefixedBasis,
     snr_grid_db,
     seed: int,
-    half_len: int | None = 64,
+    half_len: int | None = DEFAULT_FIR_HALF_LEN,
 ) -> list[TrialResult]:
     """One seeded trial: channel draw, frame, detection at each SNR point.
 
@@ -265,7 +249,7 @@ def run_ser(
     snr_grid_db,
     n_trials: int = 200,
     base_seed: int = 0,
-    half_len: int | None = 64,
+    half_len: int | None = DEFAULT_FIR_HALF_LEN,
     threads: int = 1,
 ) -> SerCurve:
     """Victim-user SER over an SNR grid, averaged over seeded trials.

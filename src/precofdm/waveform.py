@@ -11,12 +11,13 @@ channel application do not.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dpss import DpssSet, dpss_limit_half
+from .dpss import dpss_limit_half
 from .errors import ParameterError
 
 __all__ = [
@@ -25,10 +26,9 @@ __all__ = [
     "WaveformBasis",
     "PrefixedBasis",
     "retained_frequencies",
-    "build_basis",
+    "active_count",
     "default_basis",
     "with_prefix",
-    "edge_truncation_order",
 ]
 
 
@@ -111,18 +111,25 @@ def _centered_dft_columns(n_len: int, freqs: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(n, freqs) / n_len) / np.sqrt(n_len)
 
 
-def build_basis(
-    scheme: PrecodingScheme,
-    n_len: int,
-    m_active: int,
-    dpss_source: DpssSet | None = None,
-) -> WaveformBasis:
+def active_count(eta: float, n_len: int) -> int:
+    """Active components at utilization ``eta``: floor(eta * N).
+
+    The 1e-9 guard keeps a utilization written as m / N on m after
+    rounding.  A count outside [1, N] raises ``ParameterError``.
+    """
+    m_active = int(math.floor(eta * n_len + 1e-9))
+    if not 1 <= m_active <= n_len:
+        raise ParameterError(f"eta={eta} gives invalid m_active={m_active}")
+    return m_active
+
+
+def default_basis(scheme: PrecodingScheme, n_len: int, m_active: int) -> WaveformBasis:
     """Construct the effective basis O for a scheme at utilization M / N.
 
     OFDM keeps the M centermost subcarriers of the centered DFT; DFT
     precoding produces M Dirichlet pulses at centered time shifts; DPSS uses
-    the first M columns of ``dpss_source`` (required, length N).  Columns are
-    renormalized to unit norm to pin orthonormality numerically.
+    the first M sequences of the W -> 0.5- set.  Columns are renormalized to
+    unit norm to pin orthonormality numerically.
     """
     if not 1 <= m_active <= n_len:
         raise ParameterError(f"need 1 <= m_active <= n_len, got {m_active}, {n_len}")
@@ -138,18 +145,8 @@ def build_basis(
         a = np.arange(m_active) - (m_active - 1) / 2.0
         f_m = np.exp(-2j * np.pi * np.outer(a, a) / m_active) / np.sqrt(m_active)
         o = f_sel @ f_m
-    elif scheme is PrecodingScheme.DPSS:
-        if dpss_source is None:
-            raise ParameterError("DPSS precoding requires a dpss_source set")
-        if dpss_source.sequences.shape[0] != n_len:
-            raise ParameterError(
-                f"dpss_source length {dpss_source.sequences.shape[0]} != n_len {n_len}"
-            )
-        if dpss_source.sequences.shape[1] < m_active:
-            raise ParameterError("dpss_source has fewer than m_active columns")
-        o = dpss_source.sequences[:, :m_active].astype(np.complex128)
-    else:  # pragma: no cover
-        raise ParameterError(f"unknown scheme {scheme}")
+    else:
+        o = dpss_limit_half(n_len, m_active).sequences.astype(np.complex128)
 
     o = o / np.linalg.norm(o, axis=0, keepdims=True)
     return WaveformBasis(
@@ -159,15 +156,6 @@ def build_basis(
         o_matrix=np.ascontiguousarray(o),
         eta=m_active / n_len,
     )
-
-
-def default_basis(scheme: PrecodingScheme, n_len: int, m_active: int) -> WaveformBasis:
-    """``build_basis`` that supplies the W -> 0.5- DPSS set when needed."""
-    scheme = PrecodingScheme(scheme)
-    source = None
-    if scheme is PrecodingScheme.DPSS:
-        source = dpss_limit_half(n_len, m_active)
-    return build_basis(scheme, n_len, m_active, dpss_source=source)
 
 
 def with_prefix(
@@ -192,22 +180,3 @@ def with_prefix(
     return PrefixedBasis(
         base=base, prefix_len=prefix_len, prefix_kind=prefix_kind, o_t=o_t, o_r=o_r
     )
-
-
-def edge_truncation_order(
-    scheme: PrecodingScheme, n_len: int, m_active: int
-) -> list[int]:
-    """Full-basis component indices deactivated when going from N to M.
-
-    OFDM/DFT drop the outermost (highest |frequency| / outermost time shift)
-    components symmetrically, one extra from the upper edge when N - M is
-    odd; DPSS drops the highest-order sequences.
-    """
-    if not 1 <= m_active <= n_len:
-        raise ParameterError(f"need 1 <= m_active <= n_len, got {m_active}, {n_len}")
-    scheme = PrecodingScheme(scheme)
-    if scheme is PrecodingScheme.DPSS:
-        return list(range(m_active, n_len))
-    d_low = (n_len - m_active) // 2
-    d_high = n_len - m_active - d_low
-    return list(range(d_low)) + list(range(n_len - d_high, n_len))

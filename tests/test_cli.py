@@ -1,12 +1,15 @@
 """Tests for the command-line interface and CSV outputs."""
 
 import argparse
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from precofdm import cli
+from precofdm import cli, linksim
 from precofdm.cli import build_parser, main
+from precofdm.isimetrics import BoundReport, S2iPoint
 
 
 def run(args):
@@ -214,6 +217,104 @@ class TestScanCommand:
         lines = read_lines(out)
         assert lines[0] == "scheme,N,M,r,s,tau,tail_energy"
         assert len(lines) == 1 + 25 * 3
+
+
+class TestVerify:
+    """``--verify`` checks every subcommand's output before it is written."""
+
+    PASSING = [
+        ["dpss", "--n", 9, "--w", 0.25, "--k", 9],
+        ["bound", "--scheme", "dpss", "--n", 24, "--m", 22, "--blocks", 3],
+        ["s2i", "--schemes", "ofdm,dpss", "--etas", "[1.0, 0.9]", "--n", 20,
+         "--prefix", 4, "--blocks", 3],
+        ["ser", "--channel", "cdlc200ns", "--schemes", "dft,dpss",
+         "--etas", "[1.0, 0.9]", "--n", 17, "--snrs", "[20]", "--trials", 1],
+        ["scan-halfshift", "--scheme", "dft", "--n", 5, "--taus", "[0.25, 0.5]"],
+    ]
+
+    @pytest.mark.parametrize("args", PASSING, ids=lambda a: a[0])
+    def test_passes_on_correct_output(self, tmp_path, args):
+        out = tmp_path / "x.csv"
+        assert run(args + ["--verify", "--out", out]) == 0
+        assert out.exists()
+
+    def assert_rejected(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x.csv"
+        assert run(args + ["--verify", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    def test_bound_below_empirical_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "isi_bound",
+            lambda tensor, *a, **kw: BoundReport(np.zeros((tensor.m, tensor.m)), 0.0),
+        )
+        self.assert_rejected(
+            tmp_path, capsys, ["bound", "--n", 24, "--blocks", 3],
+            "ISI bound fell below the empirical energy",
+        )
+
+    def test_s2i_lower_bound_above_value_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        rows = [
+            S2iPoint("ofdm", 1.0, "mild", 30.0, 29.0),
+            S2iPoint("dft", 1.0, "mild", 30.0, None),
+            S2iPoint("dpss", 1.0, "mild", 30.0, 30.5),
+        ]
+        monkeypatch.setattr(cli, "s2i_sweep", lambda *a, **kw: rows)
+        self.assert_rejected(
+            tmp_path, capsys, ["s2i", "--n", 20, "--prefix", 4],
+            "S2I lower bound 30.5 dB above S2I 30 dB (dpss",
+        )
+
+    def test_dpss_non_orthonormal_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        original = cli.compute_dpss
+
+        def skewed(params):
+            dset = original(params)
+            seqs = dset.sequences.copy()
+            seqs[:, 1] += 1e-6 * seqs[:, 0]
+            return dataclasses.replace(dset, sequences=seqs)
+
+        monkeypatch.setattr(cli, "compute_dpss", skewed)
+        self.assert_rejected(
+            tmp_path, capsys, ["dpss", "--n", 9, "--w", 0.25, "--k", 4],
+            "orthonormality",
+        )
+
+    def test_ser_non_orthonormal_basis_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        original = linksim.default_basis
+
+        def skewed(*args):
+            basis = original(*args)
+            o = basis.o_matrix.copy()
+            o[:, 1] += 1e-6 * o[:, 0]
+            return dataclasses.replace(basis, o_matrix=o)
+
+        monkeypatch.setattr(linksim, "default_basis", skewed)
+        self.assert_rejected(
+            tmp_path, capsys,
+            ["ser", "--channel", "cdlc200ns", "--n", 9, "--snrs", "[20]",
+             "--trials", 1],
+            "orthonormality",
+        )
+        assert not (tmp_path / "x.csv.manifest.json").exists()
+
+    def test_scan_bad_tensor_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        original = cli.xcorr_tensor
+
+        def scaled(basis):
+            tensor = original(basis)
+            return dataclasses.replace(tensor, values=2.0 * tensor.values)
+
+        monkeypatch.setattr(cli, "xcorr_tensor", scaled)
+        self.assert_rejected(
+            tmp_path, capsys, ["scan-halfshift", "--n", 5], "unit-diagonal"
+        )
 
 
 class TestConfigHandling:

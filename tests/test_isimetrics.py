@@ -21,9 +21,7 @@ from precofdm.errors import ParameterError
 from precofdm.isimetrics import (
     _parseval_tails,
     bandlimit_shift,
-    ebct,
     ebct_all,
-    ebct_bound,
     ebct_bound_all,
     half_shift_worst_case_scan,
     isi_bound,
@@ -99,12 +97,12 @@ class TestClosedForms:
                         assert abs(tensor.lag(r, s, q) - closed) <= 1e-12
 
     def test_ofdm_diagonal_limit(self):
-        assert xcorr_ofdm_closed(3, 3, 0, 9) == pytest.approx(1.0, abs=1e-14)
-        val = xcorr_ofdm_closed(2, 2, 4, 9)
+        assert xcorr_ofdm_closed(3, 3, 0, 9, 9) == pytest.approx(1.0, abs=1e-14)
+        val = xcorr_ofdm_closed(2, 2, 4, 9, 9)
         assert abs(val) == pytest.approx((9 - 4) / 9, abs=1e-12)
 
     def test_ofdm_zero_lag_orthogonality(self):
-        assert abs(xcorr_ofdm_closed(0, 1, 0, 9)) <= 1e-14
+        assert abs(xcorr_ofdm_closed(0, 1, 0, 9, 9)) <= 1e-14
 
     def test_scfdma_matches_direct_sum(self):
         basis = default_basis(PrecodingScheme.DFT, 9, 7)
@@ -126,7 +124,7 @@ class TestClosedForms:
 
     def test_lag_out_of_range(self):
         with pytest.raises(ParameterError):
-            xcorr_ofdm_closed(0, 0, 9, 9)
+            xcorr_ofdm_closed(0, 0, 9, 9, 9)
         with pytest.raises(ParameterError):
             xcorr_scfdma_closed(0, 0, -9, 9, 9)
 
@@ -239,7 +237,7 @@ class TestTailEnergy:
         assert value == pytest.approx(brute, abs=1e-10)
         # ebct is the untruncated tail: it equals the Parseval form, and the
         # 64 N-point sum falls short of it by at most the truncation remainder
-        exact = ebct(tensor, 0, 8)
+        exact = ebct_all(tensor)[0, 8]
         assert exact == pytest.approx(
             parseval_tail_reference(basis.o_matrix, 0, 8, 8), abs=1e-12
         )
@@ -282,10 +280,10 @@ class TestEbct:
                 ref = parseval_tail_reference(basis.o_matrix, r, s, n - 1)
                 assert values[r, s] == pytest.approx(ref, abs=1e-12)
 
-    def test_bound_scalar_matches_matrix(self):
-        tensor = xcorr_tensor(default_basis(PrecodingScheme.OFDM, 9, 9))
-        bounds = ebct_bound_all(tensor)
-        assert ebct_bound(tensor, 2, 5) == pytest.approx(bounds[2, 5], abs=1e-15)
+    def test_bound_all_equals_ebct_all(self):
+        for scheme in SCHEMES:
+            tensor = xcorr_tensor(default_basis(scheme, 9, 9))
+            assert np.array_equal(ebct_bound_all(tensor), ebct_all(tensor))
 
     def test_bound_deterministic(self):
         tensor = xcorr_tensor(default_basis(PrecodingScheme.DPSS, 9, 9))
@@ -314,14 +312,14 @@ class TestIsiTransfer:
         spec = exp_profile_spec(0.5, np.arange(0.0, 4.0), max_delay=4.0)
         _, pref = make_pair(PrecodingScheme.OFDM, 9, 9, 4)
         real = realize(spec, 0, block_len=13, n_blocks=3)
-        beta = isi_transfer(pref, pref, real, 1, 0).beta
+        beta = isi_transfer(pref, pref, real, 1, 0)
         assert np.max(np.abs(beta)) == 0.0
 
     def test_identity_channel_diagonal_block(self):
         spec = ChannelSpec((PathSpec(delay=0.0, gain=1.0 + 0.0j),), 0.0)
         _, pref = make_pair(PrecodingScheme.DFT, 9, 9, 2)
         real = realize(spec, 0, block_len=11, n_blocks=2)
-        beta = isi_transfer(pref, pref, real, 1, 1).beta
+        beta = isi_transfer(pref, pref, real, 1, 1)
         assert np.max(np.abs(beta - np.eye(9))) <= 1e-10
 
     def test_fractional_tap_matches_dense_oracle(self):
@@ -332,7 +330,7 @@ class TestIsiTransfer:
         lags = (l - lp) * 10 + np.arange(10)[:, None] - np.arange(10)[None, :]
         h_block = (0.8 - 0.6j) * np.sinc(lags - 0.5)
         oracle = pref.o_r.conj().T @ h_block @ pref.o_t
-        beta = isi_transfer(pref, pref, real, l, lp).beta
+        beta = isi_transfer(pref, pref, real, l, lp)
         assert np.linalg.norm(beta) > 1e-3
         assert np.max(np.abs(beta - oracle)) <= 1e-9
 
@@ -345,7 +343,7 @@ class TestIsiTransfer:
         tensor = xcorr_tensor(basis)
         real = realize(spec, 0, block_len=9, n_blocks=3)
         d = 1  # output block 2, input block 1
-        beta = isi_transfer(pref, pref, real, 2, 1).beta
+        beta = isi_transfer(pref, pref, real, 2, 1)
         for r in range(9):
             for s in range(9):
                 val = bandlimit_shift(
@@ -377,7 +375,7 @@ class TestIsiEnergy:
         energy = isi_energy(pref, pref, real, n_blocks=window)
         center = window - 1
         betas = [
-            isi_transfer(pref, pref, real, center, lp).beta
+            isi_transfer(pref, pref, real, center, lp)
             for lp in range(2 * window - 1)
             if lp != center
         ]

@@ -1,4 +1,4 @@
-"""Tests for precoding bases, prefixes, and edge truncation."""
+"""Tests for precoding bases, prefixes, edge truncation and active counts."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,8 @@ from precofdm.errors import ParameterError
 from precofdm.waveform import (
     PrecodingScheme,
     PrefixKind,
-    build_basis,
+    active_count,
     default_basis,
-    edge_truncation_order,
     retained_frequencies,
     time_grid,
     with_prefix,
@@ -77,28 +76,19 @@ class TestBuildBasis:
             basis = default_basis(scheme, 9, 7)
             full = default_basis(PrecodingScheme.OFDM, 9, 9).o_matrix
             spectrum = full.conj().T @ basis.o_matrix
-            dropped = edge_truncation_order(PrecodingScheme.OFDM, 9, 7)
-            assert np.max(np.abs(spectrum[dropped, :])) <= 1e-12
+            # the outermost subcarriers of the full band, one per edge
+            assert np.max(np.abs(spectrum[[0, 8], :])) <= 1e-12
 
     def test_dpss_uses_source_columns(self):
-        source = dpss_limit_half(9, 9)
-        basis = build_basis(PrecodingScheme.DPSS, 9, 6, dpss_source=source)
-        assert np.max(np.abs(basis.o_matrix - source.sequences[:, :6])) <= 1e-12
-
-    def test_dpss_requires_source(self):
-        with pytest.raises(ParameterError):
-            build_basis(PrecodingScheme.DPSS, 9, 6)
-
-    def test_dpss_source_shape_checked(self):
-        source = dpss_limit_half(9, 4)
-        with pytest.raises(ParameterError):
-            build_basis(PrecodingScheme.DPSS, 9, 6, dpss_source=source)
-        with pytest.raises(ParameterError):
-            build_basis(PrecodingScheme.DPSS, 11, 4, dpss_source=source)
+        # the source is the W -> 0.5- set of exactly M sequences
+        source = dpss_limit_half(9, 6)
+        basis = default_basis(PrecodingScheme.DPSS, 9, 6)
+        assert np.max(np.abs(basis.o_matrix - source.sequences)) <= 1e-12
 
     def test_m_exceeding_n_rejected(self):
-        with pytest.raises(ParameterError):
-            build_basis(PrecodingScheme.OFDM, 9, 10)
+        for scheme in SCHEMES:
+            with pytest.raises(ParameterError):
+                default_basis(scheme, 9, 10)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -146,21 +136,47 @@ class TestPrefix:
 
 
 class TestEdgeTruncation:
+    FULL = np.arange(9) - 4.0  # centered subcarriers of N = 9
+
     def test_ofdm_drops_edge_subcarriers(self):
-        assert edge_truncation_order(PrecodingScheme.OFDM, 9, 7) == [0, 8]
+        assert list(retained_frequencies(9, 7)) == list(self.FULL[1:8])
 
     def test_dpss_drops_high_orders(self):
-        assert edge_truncation_order(PrecodingScheme.DPSS, 9, 7) == [7, 8]
+        full = default_basis(PrecodingScheme.DPSS, 9, 9).o_matrix
+        kept = default_basis(PrecodingScheme.DPSS, 9, 7).o_matrix
+        assert np.max(np.abs(kept - full[:, :7])) <= 1e-12
 
     def test_full_utilization_drops_nothing(self):
+        assert list(retained_frequencies(9, 9)) == list(self.FULL)
         for scheme in SCHEMES:
-            assert edge_truncation_order(scheme, 9, 9) == []
+            basis = default_basis(scheme, 9, 9).o_matrix
+            assert np.max(np.abs(basis.conj().T @ basis - np.eye(9))) <= 1e-10
 
     def test_odd_deficit_drops_extra_from_upper_edge(self):
-        assert edge_truncation_order(PrecodingScheme.OFDM, 9, 6) == [0, 7, 8]
-        assert edge_truncation_order(PrecodingScheme.DFT, 9, 6) == [0, 7, 8]
+        assert list(retained_frequencies(9, 6)) == list(self.FULL[1:7])
+        # DFT precoding spans exactly the retained OFDM subcarriers
+        ofdm = default_basis(PrecodingScheme.OFDM, 9, 6).o_matrix
+        dft = default_basis(PrecodingScheme.DFT, 9, 6).o_matrix
+        assert np.max(np.abs(dft - ofdm @ (ofdm.conj().T @ dft))) <= 1e-12
 
     def test_even_n_frequencies_are_symmetric_half_integers(self):
         freqs = retained_frequencies(8, 8)
         assert np.allclose(freqs, np.arange(8) - 3.5)
         assert np.allclose(freqs, -freqs[::-1])
+
+
+class TestActiveCount:
+    def test_round_trips_every_ratio(self):
+        # the ser command passes eta = m / N and reads m back
+        for n in range(1, 1025):
+            for m in range(1, n + 1):
+                assert active_count(m / n, n) == m
+
+    def test_floors_between_counts(self):
+        assert active_count(0.98, 128) == 125
+        assert active_count(0.95, 128) == 121
+
+    @pytest.mark.parametrize("eta,n", [(0.0, 9), (0.1, 9), (-1.0, 9), (1.2, 9)])
+    def test_count_outside_one_to_n_rejected(self, eta, n):
+        with pytest.raises(ParameterError):
+            active_count(eta, n)
