@@ -331,16 +331,14 @@ def cmd_scan_halfshift(v) -> None:
     tensor = xcorr_tensor(default_basis(v.scheme, v.n, v.m))
     if v.verify:
         _verify_tensor(tensor)
-    rows = []
-    at_half = 0
-    for r in range(v.m):
-        for s in range(v.m):
-            argmax, curve = half_shift_worst_case_scan(tensor, r, s, v.taus)
-            rows.extend(
-                (v.scheme.value, v.n, v.m, r, s, t, e) for t, e in zip(v.taus, curve)
-            )
-            if abs(argmax - 0.5) < 1e-12:
-                at_half += 1
+    r, s = np.divmod(np.arange(v.m * v.m), v.m)
+    argmax, curves = half_shift_worst_case_scan(tensor, r, s, v.taus)
+    rows = [
+        (v.scheme.value, v.n, v.m, int(r[i]), int(s[i]), t, e)
+        for i, curve in enumerate(curves)
+        for t, e in zip(v.taus, curve)
+    ]
+    at_half = int(np.count_nonzero(np.abs(argmax - 0.5) < 1e-12))
     write_csv(v.out, ["scheme", "N", "M", "r", "s", "tau", "tail_energy"], rows)
     print(
         f"wrote {v.out}; argmax at tau=0.5 for {at_half}/{v.m * v.m} pairs"

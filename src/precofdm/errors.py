@@ -7,7 +7,3 @@ class ParameterError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge or produced unusable output."""
-
-
-class EqualizationError(RuntimeError):
-    """The equalizer matrix could not be inverted for this trial."""

@@ -261,23 +261,23 @@ def tail_energy(values: np.ndarray, l: int, origin: int | None = None) -> float:
 def _parseval_tails(cmat: np.ndarray, shift: float, radii) -> np.ndarray:
     """Exact tail energies of shifted band-limited lag sequences.
 
-    Each row of ``cmat`` is a lag sequence C on |q| <= N-1, and
-    y(n + shift) = sum_q C[q] sinc(n + shift - q) its band-limited
+    Each row of ``cmat`` (its last axis) is a lag sequence C on |q| <= N-1,
+    and y(n + shift) = sum_q C[q] sinc(n + shift - q) its band-limited
     interpolant sampled at the shifted integers.  At half-bandwidth 1/2 the
     shift is unitary, so sum_n |y(n + shift)|^2 = ||C||^2 and the tail beyond
     radius R is ||C||^2 - sum_{|n| <= R} |y(n + shift)|^2 for any shift.  One
     sinc product over the widest window serves every radius.  Returns shape
-    (len(radii), rows).
+    (len(radii),) + cmat.shape[:-1].
     """
-    n_len = (cmat.shape[1] + 1) // 2
+    n_len = (cmat.shape[-1] + 1) // 2
     lags = np.arange(-(n_len - 1), n_len)
     widest = max(radii)
     pts = np.arange(-widest, widest + 1)
     y = cmat @ _sinc(lags[:, None] - pts[None, :] - shift)
     power = np.abs(y) ** 2
-    total = np.sum(np.abs(cmat) ** 2, axis=1)
+    total = np.sum(np.abs(cmat) ** 2, axis=-1)
     window = np.array(
-        [np.sum(power[:, widest - r : widest + r + 1], axis=1) for r in radii]
+        [np.sum(power[..., widest - r : widest + r + 1], axis=-1) for r in radii]
     )
     return np.maximum(total - window, 0.0)
 
@@ -511,20 +511,30 @@ def s2i_sweep(
 
 def half_shift_worst_case_scan(
     tensor: CrossCorrTensor,
-    r: int,
-    s: int,
+    r,
+    s,
     tau_grid: np.ndarray,
-) -> tuple[float, np.ndarray]:
+) -> tuple:
     """Exact tail energy beyond N-1 versus fractional shift; returns (argmax, curve).
 
-    Each curve point is the untruncated tail of the shifted band-limited
-    correlation sequence.  Whether the half-sample shift maximizes the
-    curve is reported by the returned argmax, never assumed.
+    ``r`` and ``s`` index the pairs: two integers, or integer arrays that
+    broadcast together, which scans every pair with one tail pass per shift.
+    ``curve`` has shape ``broadcast(r, s).shape + (len(tau_grid),)``; each
+    point is the untruncated tail of the shifted band-limited correlation
+    sequence.  ``argmax`` holds, per pair, the shift at which the curve
+    peaks: whether the half-sample shift maximizes it is reported, never
+    assumed.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.any((tau_grid <= 0.0) | (tau_grid >= 1.0)):
         raise ParameterError("tau grid must lie strictly inside (0, 1)")
-    seq = tensor.pair_sequence(r, s)[None, :]
+    seqs = tensor.values[r, s]
+    # one (1 x lags) row per pair: the batched product then runs the same
+    # vector-matrix kernel as a single pair does, so no digit depends on
+    # how many pairs are scanned together
+    rows = seqs.reshape(-1, 1, seqs.shape[-1])
     radii = [tensor.n_len - 1]
-    curve = np.array([_parseval_tails(seq, tau, radii)[0, 0] for tau in tau_grid])
-    return float(tau_grid[int(np.argmax(curve))]), curve
+    curve = np.stack(
+        [_parseval_tails(rows, tau, radii)[0, :, 0] for tau in tau_grid], axis=-1
+    ).reshape(seqs.shape[:-1] + tau_grid.shape)
+    return tau_grid[np.argmax(curve, axis=-1)], curve

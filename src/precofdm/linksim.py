@@ -8,6 +8,12 @@ the victim's received signal power, and detects the victim's symbols with a
 one-shot MMSE equalizer built from genie channel knowledge.  Residual
 interference from the adjacent subframes is left untouched: it is the
 quantity under study.
+
+Within a trial only the noise level changes between SNR points, so the
+victim's effective channel A, its Gram matrix A^H A and the matched-filter
+outputs of the received signal and of the unit-variance noise are formed
+once; each point adds its scaled noise term and solves its own regularized
+system, and errors are counted on the signs of the estimates.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .channel import DEFAULT_FIR_HALF_LEN, ChannelOperator, ChannelSpec, realize
-from .errors import EqualizationError, ParameterError
+from .errors import ParameterError
 from .waveform import (
     PrecodingScheme,
     PrefixKind,
@@ -168,25 +174,73 @@ def build_frame(
     return (gains[:, None] * blocks).ravel()
 
 
-def equalize_and_detect(
-    received: np.ndarray, a_matrix: np.ndarray, noise_var: float
-) -> np.ndarray:
-    """Linear MMSE equalization of the effective channel, then QPSK slicing.
+def _gray_bits(symbols: np.ndarray) -> np.ndarray:
+    """QPSK decisions as Gray bit pairs: the signs of I and Q, last axis."""
+    return np.stack([symbols.real < 0, symbols.imag < 0], axis=-1)
 
-    ``received`` holds one symbol vector z per row; the estimates solve
-    (A^H A + noise_var I) x = A^H z for all rows at once.  Raises
-    ``EqualizationError`` when the regularized matrix cannot be solved.
+
+def equalize_and_detect(
+    gram: np.ndarray, matched: np.ndarray, noise_vars
+) -> list[np.ndarray | None]:
+    """Linear MMSE equalization at several noise variances, then QPSK decisions.
+
+    ``gram`` is A^H A for an effective channel A (M x M); ``matched`` holds
+    the matched-filter outputs A^H z, one (M, K) block of K received vectors
+    per entry of ``noise_vars``.  Point p solves
+    (gram + noise_vars[p] I) x = matched[p]; the points are solved in one
+    call, and one by one only if that call fails.  Returns one entry per
+    point: the Gray bits of the decisions, shape (K, M, 2), first bit the
+    sign of I and second that of Q as ``qpsk_map`` reads them; or ``None``
+    where the system is singular or the solution is not finite.
     """
-    received = np.atleast_2d(np.asarray(received))
-    a_h = a_matrix.conj().T
-    gram = a_h @ a_matrix + noise_var * np.eye(a_matrix.shape[1])
+    noise_vars = np.asarray(noise_vars, dtype=float).reshape(-1)
+    m = gram.shape[0]
+    matched = np.asarray(matched)
+    if gram.shape != (m, m) or matched.ndim != 3 or matched.shape[:2] != (
+        len(noise_vars), m
+    ):
+        raise ParameterError(
+            f"need an (M, M) gram and (points, M, K) matched outputs for "
+            f"{len(noise_vars)} noise variances, got {gram.shape} and {matched.shape}"
+        )
+    systems = np.repeat(gram[None], len(noise_vars), axis=0)
+    diag = np.arange(m)
+    systems[:, diag, diag] += noise_vars[:, None]
     try:
-        estimates = np.linalg.solve(gram, a_h @ received.T).T
-    except np.linalg.LinAlgError as exc:
-        raise EqualizationError(f"MMSE matrix is singular: {exc}") from exc
-    if not np.all(np.isfinite(estimates)):
-        raise EqualizationError("MMSE solution is not finite")
-    return qpsk_detect(estimates)
+        estimates = list(np.linalg.solve(systems, matched))
+    except np.linalg.LinAlgError:
+        estimates = []
+        for system, rhs in zip(systems, matched):
+            try:
+                estimates.append(np.linalg.solve(system, rhs))
+            except np.linalg.LinAlgError:
+                estimates.append(None)
+    return [
+        _gray_bits(est.T) if est is not None and np.all(np.isfinite(est)) else None
+        for est in estimates
+    ]
+
+
+def _normal_equations(
+    basis: PrefixedBasis, op: ChannelOperator, l: int, received, noise
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A^H A and the matched-filter outputs A^H O_r^H y of two block stacks.
+
+    A = O_r^H H_{l,l} O_t is the effective channel of block l; ``received``
+    and ``noise`` hold one block per row.  O_r is zero on the prefix rows,
+    so only the rows past the prefix enter, and conj(A) is formed as
+    O^T conj(H O_t) without conjugating O.  The channel block is freed as
+    soon as H O_t exists, which keeps a trial's peak heap small.
+    """
+    g = basis.prefix_len
+    o = basis.base.o_matrix
+    a_conj = o.T @ np.conj(op.block(l, l)[g:] @ basis.o_t)
+    a_h = a_conj.T
+
+    def matched(rows):
+        return a_h @ (np.conj(rows[:, g:]) @ o).conj().T
+
+    return a_h @ a_conj.conj(), matched(received), matched(noise)
 
 
 def run_trial(
@@ -199,7 +253,10 @@ def run_trial(
 ) -> list[TrialResult]:
     """One seeded trial: channel draw, frame, detection at each SNR point.
 
-    A skipped SNR point (equalizer failure) reports zero symbols.
+    Draws come from ``default_rng(seed)`` in a fixed order: channel phases,
+    payload bits, noise.  The noise is drawn once at unit variance and
+    scaled per point.  A skipped SNR point (singular MMSE system or a
+    non-finite solution) reports zero symbols.
     """
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
     rng = np.random.default_rng(seed)
@@ -208,37 +265,35 @@ def run_trial(
         channel_spec, rng, block_len=block_len, n_blocks=cfg.n_symbols
     )
     payloads = draw_payloads(cfg, rng)
-    x = build_frame(cfg, basis, payloads)
     op = ChannelOperator(realization, half_len=half_len)
-    y = op.apply(x)
+    y = op.apply(build_frame(cfg, basis, payloads))
 
     victim = cfg.victim_subframe
     lo = victim * cfg.symbols_per_subframe
     hi = lo + cfg.symbols_per_subframe
-    o_r_conj = basis.o_r.conj()
-    a_matrix = o_r_conj.T @ op.block(lo, lo) @ basis.o_t
-    es = float(np.real(np.trace(a_matrix.conj().T @ a_matrix))) / cfg.m_active
-
     y_victim = y[lo * block_len : hi * block_len].reshape(
         cfg.symbols_per_subframe, block_len
     )
     noise_unit = (
         rng.standard_normal(y_victim.shape) + 1j * rng.standard_normal(y_victim.shape)
     ) / math.sqrt(2.0)
+    gram, signal, noise = _normal_equations(basis, op, lo, y_victim, noise_unit)
+    es = float(np.real(np.trace(gram))) / cfg.m_active
+    n0 = es / 10.0 ** (snr_grid_db / 10.0)
+    matched = signal + np.sqrt(n0)[:, None, None] * noise
     sent = payloads[lo:hi]
-    expected = qpsk_detect(sent)
+    sent_bits = _gray_bits(sent)
 
     results = []
-    for snr_db in snr_grid_db:
-        n0 = es / (10.0 ** (snr_db / 10.0))
-        z = (y_victim + math.sqrt(n0) * noise_unit) @ o_r_conj
-        try:
-            detected = equalize_and_detect(z, a_matrix, n0)
-        except EqualizationError as exc:
-            log.warning("trial seed %d skipped at %.1f dB: %s", seed, snr_db, exc)
+    for snr_db, bits in zip(snr_grid_db, equalize_and_detect(gram, matched, n0)):
+        if bits is None:
+            log.warning(
+                "trial seed %d skipped at %.1f dB: MMSE system singular or "
+                "solution not finite", seed, snr_db,
+            )
             results.append(TrialResult(float(snr_db), 0, 0, seed))
             continue
-        errors = int(np.sum(~np.isclose(detected, expected, atol=1e-9)))
+        errors = int(np.count_nonzero(np.any(bits != sent_bits, axis=-1)))
         results.append(TrialResult(float(snr_db), errors, sent.size, seed))
     return results
 

@@ -72,7 +72,6 @@ class PrefixedBasis:
 
     base: WaveformBasis
     prefix_len: int
-    prefix_kind: PrefixKind
     o_t: np.ndarray
     o_r: np.ndarray
 
@@ -177,6 +176,4 @@ def with_prefix(
         guard = zeros
     o_t = np.vstack([guard, o])
     o_r = np.vstack([zeros, o])
-    return PrefixedBasis(
-        base=base, prefix_len=prefix_len, prefix_kind=prefix_kind, o_t=o_t, o_r=o_r
-    )
+    return PrefixedBasis(base=base, prefix_len=prefix_len, o_t=o_t, o_r=o_r)

@@ -1,6 +1,8 @@
 """Tests for fractional-delay channel construction and application."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from precofdm import channel
 from precofdm.channel import (
     ChannelOperator,
     ChannelRealization,
@@ -214,6 +217,37 @@ def assert_rel_close(a, reference, rel=1e-12):
     assert np.linalg.norm(a - reference) <= rel * np.linalg.norm(reference)
 
 
+class TestFftConvolve:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_x=st.integers(1, 300),
+        n_taps=st.integers(1, 200),
+        x_kind=st.sampled_from(["complex", "float", "int"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical_to_scipy_signal(self, n_x, n_taps, x_kind, seed):
+        rng = np.random.default_rng(seed)
+        x = {
+            "complex": lambda: rng.standard_normal(n_x) + 1j * rng.standard_normal(n_x),
+            "float": lambda: rng.standard_normal(n_x),
+            "int": lambda: rng.integers(-3, 4, n_x),
+        }[x_kind]()
+        taps = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
+        got = channel._fft_convolve(x, taps)
+        want = scipy.signal.fftconvolve(x, taps)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_package_import_leaves_out_scipy_signal(self):
+        # scipy.signal costs some 40 MB of resident memory and 400 modules
+        code = "import sys, precofdm.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+
 class TestCompositeFilter:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -254,13 +288,13 @@ class TestCompositeFilter:
 
     def test_one_convolution_per_apply(self, monkeypatch):
         calls = []
-        fftconvolve = scipy.signal.fftconvolve
+        fft_convolve = channel._fft_convolve
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return fftconvolve(*args, **kwargs)
+            return fft_convolve(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.signal, "fftconvolve", counted)
+        monkeypatch.setattr(channel, "_fft_convolve", counted)
         # the 24 CDL-C paths, then a fractional and an integer path
         real = realize(cdlc_channel_spec(1000.0), 0, block_len=145, n_blocks=3)
         ChannelOperator(real).apply(np.ones(real.stream_len))

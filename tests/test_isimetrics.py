@@ -662,3 +662,21 @@ class TestHalfShiftScan:
         tensor = xcorr_tensor(default_basis(PrecodingScheme.OFDM, 9, 9))
         with pytest.raises(ParameterError):
             half_shift_worst_case_scan(tensor, 0, 0, np.array([0.0, 0.5]))
+
+    @pytest.mark.parametrize("scheme", list(PrecodingScheme))
+    def test_all_pairs_at_once_match_pair_by_pair(self, scheme):
+        # bit for bit, so a scan's CSV does not depend on how pairs are batched
+        tensor = xcorr_tensor(default_basis(scheme, 9, 8))
+        taus = np.round(np.arange(0.05, 0.951, 0.05), 10)
+        r, s = np.divmod(np.arange(64), 8)
+        args, curves = half_shift_worst_case_scan(tensor, r, s, taus)
+        assert curves.shape == (64, len(taus))
+        for i in range(64):
+            arg, curve = half_shift_worst_case_scan(tensor, r[i], s[i], taus)
+            assert np.array_equal(curves[i], curve)
+            assert args[i] == arg
+        grid_args, grid = half_shift_worst_case_scan(
+            tensor, np.arange(8)[:, None], np.arange(8)[None, :], taus
+        )
+        assert np.array_equal(grid.reshape(64, -1), curves)
+        assert np.array_equal(grid_args.ravel(), args)

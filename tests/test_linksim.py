@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from precofdm import linksim
 from precofdm.channel import (
+    ChannelOperator,
     ChannelSpec,
     PathSpec,
     cdlc_channel_spec,
     prefix_length_for,
+    realize,
 )
-from precofdm.errors import EqualizationError, ParameterError
+from precofdm.errors import ParameterError
 from precofdm.linksim import (
     FrameConfig,
     TrialResult,
@@ -128,19 +133,30 @@ class TestBuildFrame:
         ).m_active == 125
 
 
+def gray_bits(symbols):
+    return np.stack([symbols.real < 0, symbols.imag < 0], axis=-1)
+
+
 class TestEqualizeAndDetect:
+    @staticmethod
+    def normal_equations(a, received):
+        a_h = a.conj().T
+        return a_h @ a, a_h @ received.T
+
     def test_identity_noiseless(self):
         rng = np.random.default_rng(3)
         sym = qpsk_map(rng.integers(0, 2, size=40)).reshape(4, 5)
-        out = equalize_and_detect(sym, np.eye(5, dtype=complex), 0.0)
-        assert np.allclose(out, sym)
+        (bits,) = equalize_and_detect(np.eye(5, dtype=complex), sym.T[None], [0.0])
+        assert bits.shape == (4, 5, 2)
+        assert np.array_equal(qpsk_map(bits.reshape(-1)).reshape(4, 5), sym)
 
     def test_diagonal_high_snr(self):
         rng = np.random.default_rng(4)
         sym = qpsk_map(rng.integers(0, 2, size=12))
         a = np.diag(np.array([2.0, 0.5j, -1.0 + 1.0j, 3.0, 0.2, 1.0j]))
-        out = equalize_and_detect(sym[None, :] @ a.T, a, 1e-9)
-        assert np.allclose(out.ravel(), sym)
+        gram, matched = self.normal_equations(a, sym[None, :] @ a.T)
+        (bits,) = equalize_and_detect(gram, matched[None], [1e-9])
+        assert np.array_equal(bits[0], gray_bits(sym))
 
     def test_zero_forcing_limit_on_random_channel(self):
         rng = np.random.default_rng(5)
@@ -148,14 +164,81 @@ class TestEqualizeAndDetect:
         a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         a += 4.0 * np.eye(m)  # keep it well conditioned
         sym = qpsk_map(rng.integers(0, 2, size=2 * 1000 * m)).reshape(1000, m)
-        received = sym @ a.T
-        out = equalize_and_detect(received, a, 0.0)
-        assert np.array_equal(out, sym)
+        gram, matched = self.normal_equations(a, sym @ a.T)
+        (bits,) = equalize_and_detect(gram, matched[None], [0.0])
+        assert np.array_equal(bits, gray_bits(sym))
 
-    def test_singular_matrix_raises(self):
-        a = np.zeros((4, 4), dtype=complex)
-        with pytest.raises(EqualizationError):
-            equalize_and_detect(np.ones((2, 4), dtype=complex), a, 0.0)
+    def test_points_share_gram_and_keep_their_noise(self):
+        # each point's decisions equal those of a solve of its own system
+        rng = np.random.default_rng(6)
+        m, k = 6, 9
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        gram = a.conj().T @ a
+        matched = rng.standard_normal((3, m, k)) + 1j * rng.standard_normal((3, m, k))
+        noise_vars = [0.01, 0.5, 20.0]
+        out = equalize_and_detect(gram, matched, noise_vars)
+        for bits, rhs, n0 in zip(out, matched, noise_vars):
+            est = np.linalg.solve(gram + n0 * np.eye(m), rhs)
+            assert np.array_equal(bits, gray_bits(est.T))
+
+    def test_singular_point_is_none(self):
+        # a zero Gram matrix is singular without noise and n0 I with it; the
+        # singular point fails the stacked solve, so the points go one by one
+        out = equalize_and_detect(
+            np.zeros((4, 4), dtype=complex), np.ones((2, 4, 3), dtype=complex),
+            [0.0, 1e-3],
+        )
+        assert out[0] is None
+        assert np.array_equal(out[1], np.zeros((3, 4, 2), dtype=bool))
+
+    def test_shapes_checked(self):
+        gram = np.eye(4, dtype=complex)
+        for matched, noise_vars in (
+            (np.ones((2, 4, 3)), [0.1]),  # one variance for two points
+            (np.ones((1, 3, 3)), [0.1]),  # M disagrees with gram
+            (np.ones((4, 3)), [0.1]),  # no point axis
+        ):
+            with pytest.raises(ParameterError):
+                equalize_and_detect(gram, matched, noise_vars)
+        with pytest.raises(ParameterError):
+            equalize_and_detect(np.ones((4, 3)), np.ones((1, 4, 3)), [0.1])
+
+    def test_non_finite_point_is_none(self):
+        matched = np.ones((3, 4, 2), dtype=complex)
+        matched[1, 2, 0] = np.nan
+        out = equalize_and_detect(np.eye(4, dtype=complex), matched, [0.1, 0.1, 0.1])
+        assert out[1] is None
+        assert out[0] is not None and out[2] is not None
+
+
+def reference_trial(cfg, spec, basis, snrs, seed, half_len):
+    """run_trial written out point by point, as equalization was first built.
+
+    Each SNR point forms A^H A + n0 I and A^H z afresh, solves it by LU and
+    counts errors with ``qpsk_detect`` and ``np.isclose``.
+    """
+    rng = np.random.default_rng(seed)
+    real = realize(spec, rng, block_len=basis.block_len, n_blocks=cfg.n_symbols)
+    payloads = draw_payloads(cfg, rng)
+    op = ChannelOperator(real, half_len=half_len)
+    y = op.apply(build_frame(cfg, basis, payloads))
+    lo, hi = 14, 28
+    o_r_conj = basis.o_r.conj()
+    a = o_r_conj.T @ op.block(lo, lo) @ basis.o_t
+    a_h = a.conj().T
+    es = float(np.real(np.trace(a_h @ a))) / cfg.m_active
+    y_victim = y[lo * basis.block_len : hi * basis.block_len].reshape(14, -1)
+    noise = (
+        rng.standard_normal(y_victim.shape) + 1j * rng.standard_normal(y_victim.shape)
+    ) / math.sqrt(2.0)
+    expected = qpsk_detect(payloads[lo:hi])
+    counts = []
+    for snr_db in snrs:
+        n0 = es / 10.0 ** (snr_db / 10.0)
+        z = (y_victim + math.sqrt(n0) * noise) @ o_r_conj
+        est = np.linalg.solve(a_h @ a + n0 * np.eye(cfg.m_active), a_h @ z.T).T
+        counts.append(int(np.sum(~np.isclose(qpsk_detect(est), expected, atol=1e-9))))
+    return counts
 
 
 class TestRunSer:
@@ -211,6 +294,48 @@ class TestRunSer:
         errors = [sum(t[i].errors for t in trials) for i in range(len(snrs))]
         assert errors == [89, 38, 41, 40]
 
+    def test_error_counts_pinned_dpss(self):
+        # as above for DPSS at M = 121 without power offset
+        spec = cdlc_channel_spec(1000.0)
+        cfg = FrameConfig(
+            scheme=PrecodingScheme.DPSS, eta=121 / 128, n_len=128,
+            prefix_len=prefix_length_for(spec), p_delta_db=0.0,
+        )
+        basis = cfg.make_basis()
+        snrs = [15.0, 25.0, 30.0, 35.0]
+        trials = [run_trial(cfg, spec, basis, snrs, seed) for seed in range(20)]
+        errors = [sum(t[i].errors for t in trials) for i in range(len(snrs))]
+        assert errors == [201, 0, 0, 0]
+        assert all(t[i].symbols == 14 * 121 for t in trials for i in range(4))
+
+    def test_failed_point_skipped_alone(self, monkeypatch, caplog):
+        # the solver fails at the second SNR point only: that point reports
+        # zero symbols and the others keep the counts of an undisturbed run
+        cfg = FrameConfig(scheme=PrecodingScheme.DFT, eta=1.0, n_len=24, prefix_len=4)
+        spec = cdlc_channel_spec(200.0)
+        snrs = [5.0, 10.0, 20.0]
+        basis = cfg.make_basis()
+        clean = run_trial(cfg, spec, basis, snrs, seed=11)
+        solve = np.linalg.solve
+        calls = []
+
+        def singular_second(a, b):
+            # the stacked call fails as a singular member makes it fail, and
+            # of the points solved one by one the second is singular
+            calls.append(a.ndim)
+            if a.ndim == 3 or calls.count(2) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(linksim.np.linalg, "solve", singular_second)
+        with caplog.at_level("WARNING", logger="precofdm.linksim"):
+            skipped = run_trial(cfg, spec, basis, snrs, seed=11)
+        assert calls == [3, 2, 2, 2]
+        assert [(t.errors, t.symbols) for t in skipped] == [
+            (clean[0].errors, 14 * 24), (0, 0), (clean[2].errors, 14 * 24),
+        ]
+        assert "skipped at 10.0 dB" in caplog.text
+
     def test_noise_calibration(self):
         # measured noise power against the configured SNR, via the internals
         from precofdm.channel import ChannelOperator, realize
@@ -260,6 +385,36 @@ class TestRunSer:
         )
         curve = run_ser(cfg, spec, [30.0, 40.0], n_trials=15, base_seed=2)
         assert curve.points[-1].ser == 0.0
+
+
+class TestRunTrialReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_len=st.integers(5, 32),
+        data=st.data(),
+        scheme=st.sampled_from(list(PrecodingScheme)),
+        p_delta_db=st.floats(0.0, 20.0),
+        seed=st.integers(0, 2**16),
+        snrs=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4, unique=True),
+        spread_ns=st.sampled_from([200.0, 1000.0]),
+    )
+    def test_counts_match_point_by_point_reference(
+        self, n_len, data, scheme, p_delta_db, seed, snrs, spread_ns
+    ):
+        spec = cdlc_channel_spec(spread_ns)
+        prefix = min(prefix_length_for(spec), n_len - 1)
+        m_active = data.draw(st.integers(1, n_len), label="m_active")
+        cfg = FrameConfig(
+            scheme=scheme, eta=m_active / n_len, n_len=n_len, prefix_len=prefix,
+            p_delta_db=p_delta_db,
+        )
+        basis = cfg.make_basis()
+        snrs = sorted(snrs)
+        got = run_trial(cfg, spec, basis, snrs, seed, half_len=16)
+        want = reference_trial(cfg, spec, basis, snrs, seed, half_len=16)
+        assert [t.errors for t in got] == want
+        assert [t.symbols for t in got] == [14 * m_active] * len(snrs)
+        assert [t.snr_db for t in got] == snrs
 
 
 class TestFloorOrderingMatchesS2i:
