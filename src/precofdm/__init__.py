@@ -42,7 +42,6 @@ from .linksim import (
     FrameConfig,
     SerCurve,
     SerPoint,
-    TrialResult,
     analytic_qpsk_ser,
     build_frame,
     equalize_and_detect,

@@ -332,14 +332,22 @@ def prefix_length_for(spec: ChannelSpec) -> int:
     return int(math.ceil(spec.max_delay - 1e-12))
 
 
+_PROFILE_KEYS = {
+    "delays_samples", "powers_db", "decay", "seed", "max_delay", "name", "doppler",
+}
+
+
 def load_channel_profile(path) -> tuple[ChannelSpec, int | None]:
     """Read a channel profile file; returns (spec, seed or None).
 
     Fields: ``delays_samples`` (list or range), one of ``powers_db`` /
     ``decay``, optional ``seed``, ``max_delay``, ``name``, and ``doppler``
-    (0 or a list of zeros; anything else raises ``ParameterError``).
+    (0 or a list of zeros; anything else raises ``ParameterError``).  Any
+    other key raises ``ParameterError``.
     """
     kv = load_kv_file(path)
+    if unknown := ", ".join(sorted(set(kv) - _PROFILE_KEYS)):
+        raise ParameterError(f"profile {path}: unknown key(s) {unknown}")
     if "delays_samples" not in kv:
         raise ParameterError(f"profile {path} missing delays_samples")
     delays = np.atleast_1d(np.asarray(kv["delays_samples"], dtype=float))

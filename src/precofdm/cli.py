@@ -105,10 +105,6 @@ def _as_float_list(value) -> list[float]:
     )
 
 
-def _half_len(value) -> int | None:
-    return None if str(value).lower() in {"none", "full"} else int(value)
-
-
 def _verify_basis(o) -> None:
     """The columns of ``o`` are orthonormal to 1e-10."""
     gram = o.conj().T @ o
@@ -281,10 +277,7 @@ def cmd_ser(v) -> None:
             )
             if v.verify:
                 _verify_basis(frame.make_basis().base.o_matrix)
-            curve = run_ser(
-                frame, channel, snrs, n_trials=trials, base_seed=seed,
-                half_len=v.half_len, threads=v.threads,
-            )
+            curve = run_ser(frame, channel, snrs, n_trials=trials, base_seed=seed)
             for pt in curve.points:
                 rows.append(
                     (
@@ -318,7 +311,7 @@ def cmd_ser(v) -> None:
         "trials": trials,
         "base_seed": seed,
         "trial_seeds": f"{seed}..{seed + trials - 1}",
-        "half_len": v.half_len,
+        "half_len": DEFAULT_FIR_HALF_LEN,
         "runs": manifest_runs,
     }
     with open(v.out + ".manifest.json", "w", encoding="utf-8") as fh:
@@ -348,8 +341,8 @@ def cmd_scan_halfshift(v) -> None:
 # Options as (name, converter, default).  A value comes from the flag, else
 # the config file, else the default; ``REQUIRED`` has none, and a callable
 # default is computed from the values resolved before it.  ``int`` and
-# ``float`` options are typed flags, ``bool`` ones are switches that the
-# config file does not set.
+# ``float`` options are typed flags, ``bool`` ones are switches.  A config
+# file may set every option but the switches, and no other key.
 REQUIRED = object()
 _N = ("n", int, REQUIRED)
 _M = ("m", int, lambda v: v.n)
@@ -389,7 +382,6 @@ COMMANDS = {
         ("delay-spread", str, None), ("pdelta", float, 0.0), ("n", int, 128),
         ("snrs", _as_float_list, "0:5:40"), ("trials", int, 200),
         ("seed", int, None), ("prefix", int, None),
-        ("half-len", _half_len, DEFAULT_FIR_HALF_LEN), ("threads", int, 1),
     ]),
     "scan-halfshift": (
         "tail energy vs fractional shift", cmd_scan_halfshift, "halfshift.csv",
@@ -404,6 +396,11 @@ def _resolve(args) -> argparse.Namespace:
     if args.config and not os.path.exists(args.config):
         raise ParameterError(f"config file {args.config} does not exist")
     config = load_kv_file(args.config) if args.config else {}
+    settable = {key for key, convert, _ in args.options if convert is not bool}
+    if unknown := ", ".join(sorted(set(config) - settable)):
+        raise ParameterError(
+            f"config file {args.config}: unknown key(s) {unknown} for {args.command}"
+        )
     v = argparse.Namespace()
     for key, convert, default in args.options:
         attr = key.replace("-", "_")

@@ -526,7 +526,7 @@ def half_shift_worst_case_scan(
     assumed.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if np.any((tau_grid <= 0.0) | (tau_grid >= 1.0)):
+    if not np.all((tau_grid > 0.0) & (tau_grid < 1.0)):  # NaN fails too
         raise ParameterError("tau grid must lie strictly inside (0, 1)")
     seqs = tensor.values[r, s]
     # one (1 x lags) row per pair: the batched product then runs the same

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 from scipy.special import erfc
 
-from .channel import DEFAULT_FIR_HALF_LEN, ChannelOperator, ChannelSpec, realize
+from .channel import ChannelOperator, ChannelSpec, realize
 from .errors import ParameterError
 from .waveform import (
     PrecodingScheme,
@@ -39,7 +38,6 @@ from .waveform import (
 
 __all__ = [
     "FrameConfig",
-    "TrialResult",
     "SerPoint",
     "SerCurve",
     "qpsk_map",
@@ -77,8 +75,10 @@ class FrameConfig:
             raise ParameterError(f"eta must be in (0, 1], got {self.eta}")
         if self.prefix_len < 0:
             raise ParameterError("prefix_len must be >= 0")
-        if self.p_delta_db < 0:
-            raise ParameterError("p_delta_db must be >= 0")
+        if not 0 <= self.p_delta_db < math.inf:  # NaN fails too
+            raise ParameterError(
+                f"p_delta_db must be finite and >= 0, got {self.p_delta_db}"
+            )
 
     @property
     def m_active(self) -> int:
@@ -95,18 +95,6 @@ class FrameConfig:
     def make_basis(self) -> PrefixedBasis:
         basis = default_basis(PrecodingScheme(self.scheme), self.n_len, self.m_active)
         return with_prefix(basis, self.prefix_len, PrefixKind.CYCLIC)
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    snr_db: float
-    errors: int
-    symbols: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0 <= self.errors <= self.symbols:
-            raise ParameterError("errors must lie in [0, symbols]")
 
 
 @dataclass(frozen=True)
@@ -249,14 +237,15 @@ def run_trial(
     basis: PrefixedBasis,
     snr_grid_db,
     seed: int,
-    half_len: int | None = DEFAULT_FIR_HALF_LEN,
-) -> list[TrialResult]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One seeded trial: channel draw, frame, detection at each SNR point.
 
-    Draws come from ``default_rng(seed)`` in a fixed order: channel phases,
-    payload bits, noise.  The noise is drawn once at unit variance and
-    scaled per point.  A skipped SNR point (singular MMSE system or a
-    non-finite solution) reports zero symbols.
+    Returns ``(errors, symbols)``: the victim's symbol errors and detected
+    symbols, one int entry per SNR point.  Draws come from
+    ``default_rng(seed)`` in a fixed order: channel phases, payload bits,
+    noise.  The noise is drawn once at unit variance and scaled per point.
+    A skipped SNR point (singular MMSE system or a non-finite solution)
+    reports zero errors and zero symbols.
     """
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
     rng = np.random.default_rng(seed)
@@ -265,7 +254,7 @@ def run_trial(
         channel_spec, rng, block_len=block_len, n_blocks=cfg.n_symbols
     )
     payloads = draw_payloads(cfg, rng)
-    op = ChannelOperator(realization, half_len=half_len)
+    op = ChannelOperator(realization)
     y = op.apply(build_frame(cfg, basis, payloads))
 
     victim = cfg.victim_subframe
@@ -284,18 +273,18 @@ def run_trial(
     sent = payloads[lo:hi]
     sent_bits = _gray_bits(sent)
 
-    results = []
-    for snr_db, bits in zip(snr_grid_db, equalize_and_detect(gram, matched, n0)):
+    errors = np.zeros(len(snr_grid_db), dtype=int)
+    symbols = np.zeros_like(errors)
+    for i, bits in enumerate(equalize_and_detect(gram, matched, n0)):
         if bits is None:
             log.warning(
                 "trial seed %d skipped at %.1f dB: MMSE system singular or "
-                "solution not finite", seed, snr_db,
+                "solution not finite", seed, snr_grid_db[i],
             )
-            results.append(TrialResult(float(snr_db), 0, 0, seed))
             continue
-        errors = int(np.count_nonzero(np.any(bits != sent_bits, axis=-1)))
-        results.append(TrialResult(float(snr_db), errors, sent.size, seed))
-    return results
+        errors[i] = np.count_nonzero(np.any(bits != sent_bits, axis=-1))
+        symbols[i] = sent.size
+    return errors, symbols
 
 
 def run_ser(
@@ -304,45 +293,37 @@ def run_ser(
     snr_grid_db,
     n_trials: int = 200,
     base_seed: int = 0,
-    half_len: int | None = DEFAULT_FIR_HALF_LEN,
-    threads: int = 1,
 ) -> SerCurve:
     """Victim-user SER over an SNR grid, averaged over seeded trials.
 
     Trial i uses seed base_seed + i for channel phases, payload bits, and
-    noise, so results are reproducible and independent of execution order.
-    SNR is Es/N0 referenced to the victim's received per-symbol energy
-    through its own effective channel.
+    noise, so each trial's counts depend only on its seed.  SNR is Es/N0
+    referenced to the victim's received per-symbol energy through its own
+    effective channel; +inf dB is the noiseless, interference-limited SER.
     """
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
     if snr_grid_db.ndim != 1 or snr_grid_db.size == 0:
         raise ParameterError("snr grid must be a non-empty 1-D sequence")
-    if np.any(np.diff(snr_grid_db) <= 0):
+    # comparisons, not their negations, so that NaN fails them
+    if not np.all(snr_grid_db > -np.inf):
+        raise ParameterError(f"snr grid needs dB values above -inf, got {snr_grid_db}")
+    if not np.all(snr_grid_db[1:] > snr_grid_db[:-1]):
         raise ParameterError("snr grid must be strictly increasing")
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     basis = cfg.make_basis()
-    seeds = [base_seed + i for i in range(n_trials)]
-
-    def work(seed: int):
-        return run_trial(cfg, channel_spec, basis, snr_grid_db, seed, half_len)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, seeds))
-    else:
-        results = [work(s) for s in seeds]
-
-    points = []
-    for i, snr_db in enumerate(snr_grid_db):
-        errors = sum(trial[i].errors for trial in results)
-        total = sum(trial[i].symbols for trial in results)
-        ser = errors / total if total else float("nan")
-        points.append(
+    errors, symbols = sum(
+        np.array(run_trial(cfg, channel_spec, basis, snr_grid_db, seed))
+        for seed in range(base_seed, base_seed + n_trials)
+    )
+    return SerCurve(
+        points=[
             SerPoint(
-                snr_db=float(snr_db), ser=ser, trials=n_trials, total_symbols=total
+                snr_db=float(snr_db),
+                ser=int(e) / int(total) if total else float("nan"),
+                trials=n_trials,
+                total_symbols=int(total),
             )
-        )
-    return SerCurve(points=points)
+            for snr_db, e, total in zip(snr_grid_db, errors, symbols)
+        ]
+    )

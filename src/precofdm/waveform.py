@@ -114,12 +114,13 @@ def active_count(eta: float, n_len: int) -> int:
     """Active components at utilization ``eta``: floor(eta * N).
 
     The 1e-9 guard keeps a utilization written as m / N on m after
-    rounding.  A count outside [1, N] raises ``ParameterError``.
+    rounding.  A count outside [1, N], or a NaN or infinite ``eta``, raises
+    ``ParameterError``.
     """
-    m_active = int(math.floor(eta * n_len + 1e-9))
-    if not 1 <= m_active <= n_len:
-        raise ParameterError(f"eta={eta} gives invalid m_active={m_active}")
-    return m_active
+    scaled = eta * n_len + 1e-9
+    if not 1 <= scaled < n_len + 1:  # floor(scaled) in [1, N]; NaN fails
+        raise ParameterError(f"eta={eta} gives no active count in [1, {n_len}]")
+    return int(math.floor(scaled))
 
 
 def default_basis(scheme: PrecodingScheme, n_len: int, m_active: int) -> WaveformBasis:

@@ -396,6 +396,13 @@ class TestProfiles:
             with pytest.raises(ParameterError, match="doppler"):
                 load_channel_profile(path)
 
+    def test_profile_unknown_key(self, tmp_path):
+        # a misspelt key would otherwise be dropped and its default used
+        path = tmp_path / "chan.txt"
+        path.write_text("delays_samples: [0, 1.5]\ndecay: 0.5\nsed: 7\n")
+        with pytest.raises(ParameterError, match=r"unknown key\(s\) sed"):
+            load_channel_profile(path)
+
     def test_profile_missing_fields(self, tmp_path):
         path = tmp_path / "chan.txt"
         path.write_text("delays_samples: [0, 1]\n")

@@ -193,17 +193,37 @@ class TestSerCommand:
         assert run(["ser", "--schemes", "ofdm", "--out", tmp_path / "x.csv"]) == 2
 
     @pytest.mark.parametrize("flag,value", [
-        ("--half-len", "-1"), ("--half-len", "abc"),
-        ("--threads", "0"), ("--threads", "-3"),
+        ("--threads", "2"), ("--half-len", "full"),
     ])
-    def test_bad_half_len_or_threads_is_error(self, tmp_path, capsys, flag, value):
+    def test_removed_flags_are_error(self, tmp_path, capsys, flag, value):
+        # SER runs serially with the 64-tap channel filter; neither is settable
         out = tmp_path / "x.csv"
-        assert run([
-            "ser", "--channel", "cdlc200ns", "--n", 9, "--snrs", "[20]",
-            "--trials", 1, flag, value, "--out", out,
-        ]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "ser", "--channel", "cdlc200ns", "--n", 9, "--snrs", "[20]",
+                "--trials", 1, flag, value, "--out", out,
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["ser", "--snrs", "[nan]"],
+        ["ser", "--snrs", "[-inf,10]"],
+        ["ser", "--snrs", "[10,inf,inf]"],
+        ["ser", "--pdelta", "nan"],
+        ["ser", "--pdelta", "inf"],
+        ["s2i", "--etas", "[nan]"],
+        ["s2i", "--etas", "[inf]"],
+        ["scan-halfshift", "--taus", "[0.5,nan]"],
+    ], ids=" ".join)
+    def test_nan_and_inf_inputs_are_error(self, tmp_path, capsys, args):
+        if args[0] == "ser":
+            args = args + ["--channel", "cdlc200ns", "--trials", 1]
+        out = tmp_path / "x.csv"
+        assert run(args + ["--n", 9, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestScanCommand:
@@ -331,6 +351,22 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         assert run(["dpss", "--config", tmp_path / "nope.cfg", "--n", 9]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "trails = 3", "threads = 2", "half-len = full", "verify = 1",
+    ])
+    def test_unknown_config_key_is_error(self, tmp_path, capsys, line):
+        # a key the subcommand does not read would otherwise be dropped silently
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 9\n{line}\n")
+        out = tmp_path / "x.csv"
+        assert run([
+            "ser", "--config", cfg, "--channel", "cdlc200ns", "--trials", 1,
+            "--snrs", "[20]", "--out", out,
+        ]) == 2
+        key = line.split(" = ")[0]
+        assert f"unknown key(s) {key} for ser" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [
         ["s2i", "--etas", "1.0,0.95"],
         ["s2i", "--etas", "[1.0, x]"],
@@ -364,7 +400,6 @@ class TestCommandTable:
         "ser": [
             "--preset", "--schemes", "--etas", "--channel", "--delay-spread",
             "--pdelta", "--n", "--snrs", "--trials", "--seed", "--prefix",
-            "--half-len", "--threads",
         ],
         "scan-halfshift": ["--scheme", "--n", "--m", "--taus"],
     }

@@ -176,7 +176,10 @@ class TestActiveCount:
         assert active_count(0.98, 128) == 125
         assert active_count(0.95, 128) == 121
 
-    @pytest.mark.parametrize("eta,n", [(0.0, 9), (0.1, 9), (-1.0, 9), (1.2, 9)])
+    @pytest.mark.parametrize("eta,n", [
+        (0.0, 9), (0.1, 9), (-1.0, 9), (1.2, 9),
+        (float("nan"), 9), (float("inf"), 9), (float("-inf"), 9),
+    ])
     def test_count_outside_one_to_n_rejected(self, eta, n):
         with pytest.raises(ParameterError):
             active_count(eta, n)
