@@ -23,7 +23,6 @@ from .isimetrics import (
     BoundReport,
     CrossCorrTensor,
     S2iPoint,
-    bandlimit_shift,
     ebct_all,
     ebct_bound_all,
     half_shift_worst_case_scan,
@@ -33,7 +32,6 @@ from .isimetrics import (
     isi_transfer,
     s2i_sweep,
     signal_isi_energies,
-    tail_energy,
     xcorr_ofdm_closed,
     xcorr_scfdma_closed,
     xcorr_tensor,

@@ -49,12 +49,14 @@ class PathSpec:
     gain_power: float | None = None
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise ParameterError(f"path delay must be >= 0, got {self.delay}")
+        if not 0 <= self.delay < math.inf:  # NaN fails too
+            raise ParameterError(f"path delay must be in [0, inf), got {self.delay}")
         if (self.gain is None) == (self.gain_power is None):
             raise ParameterError("specify exactly one of gain, gain_power")
-        if self.gain_power is not None and self.gain_power <= 0:
-            raise ParameterError(f"gain_power must be > 0, got {self.gain_power}")
+        if self.gain_power is not None and not 0 < self.gain_power < math.inf:
+            raise ParameterError(
+                f"gain_power must be in (0, inf), got {self.gain_power}"
+            )
 
     @property
     def power(self) -> float:
@@ -73,9 +75,10 @@ class ChannelSpec:
         if not self.paths:
             raise ParameterError("channel needs at least one path")
         worst = max(p.delay for p in self.paths)
-        if self.max_delay < worst:
+        if not worst <= self.max_delay < math.inf:
             raise ParameterError(
-                f"max_delay {self.max_delay} below largest path delay {worst}"
+                f"max_delay {self.max_delay} must be finite and >= largest path "
+                f"delay {worst}"
             )
 
     @property
@@ -255,7 +258,7 @@ def exp_profile_spec(
     name: str = "custom",
 ) -> ChannelSpec:
     """Tapped-delay-line spec with amplitudes exp(-decay * tau)."""
-    if decay <= 0:
+    if not decay > 0:  # NaN fails too
         raise ParameterError(f"decay must be > 0, got {decay}")
     delays = np.asarray(delays, dtype=float)
     paths = tuple(
@@ -332,18 +335,15 @@ def prefix_length_for(spec: ChannelSpec) -> int:
     return int(math.ceil(spec.max_delay - 1e-12))
 
 
-_PROFILE_KEYS = {
-    "delays_samples", "powers_db", "decay", "seed", "max_delay", "name", "doppler",
-}
+_PROFILE_KEYS = {"delays_samples", "powers_db", "decay", "seed", "max_delay", "name"}
 
 
 def load_channel_profile(path) -> tuple[ChannelSpec, int | None]:
     """Read a channel profile file; returns (spec, seed or None).
 
     Fields: ``delays_samples`` (list or range), one of ``powers_db`` /
-    ``decay``, optional ``seed``, ``max_delay``, ``name``, and ``doppler``
-    (0 or a list of zeros; anything else raises ``ParameterError``).  Any
-    other key raises ``ParameterError``.
+    ``decay``, optional ``seed``, ``max_delay`` and ``name``.  Any other key
+    raises ``ParameterError``.
     """
     kv = load_kv_file(path)
     if unknown := ", ".join(sorted(set(kv) - _PROFILE_KEYS)):
@@ -360,8 +360,6 @@ def load_channel_profile(path) -> tuple[ChannelSpec, int | None]:
         powers = np.exp(-2.0 * float(kv["decay"]) * delays)
     else:
         raise ParameterError(f"profile {path} needs powers_db or decay")
-    if np.any(np.asarray(kv.get("doppler", 0.0), dtype=float) != 0.0):
-        raise ParameterError(f"profile {path}: doppler must be 0 (quasi-static)")
     paths = tuple(
         PathSpec(delay=float(t), gain_power=float(p)) for t, p in zip(delays, powers)
     )

@@ -4,9 +4,8 @@ The chain implemented here:
 
 * cross-correlation tensor C[r, s, q] between basis columns (direct sums,
   plus closed forms for the OFDM and DFT-precoded bases);
-* the band-limit-then-shift operator that fractional channel delays apply to
-  each correlation sequence;
-* tail energies of the shifted sequences, and the half-sample-shift figure
+* tail energies of the correlation sequences after the band-limited
+  fractional shift a channel delay applies, and the half-sample-shift figure
   of merit per pair (band-limited correlation tail energy, E_BCT).  Every
   shifted tail is evaluated exactly, with no truncation: at half-bandwidth
   1/2 a fractional shift preserves energy, so the tail beyond R equals
@@ -51,8 +50,6 @@ __all__ = [
     "xcorr_tensor",
     "xcorr_ofdm_closed",
     "xcorr_scfdma_closed",
-    "bandlimit_shift",
-    "tail_energy",
     "ebct_all",
     "ebct_bound_all",
     "isi_transfer",
@@ -117,25 +114,27 @@ class S2iPoint:
 
 
 def _cross_lag_matrix(
-    left: np.ndarray, right: np.ndarray, order: str = "C"
+    left: np.ndarray, right: np.ndarray, order: str = "C", pairs=None
 ) -> np.ndarray:
     """Correlations sum_n left*[n, r] right[n - q, s] for q in [-(B-1), B-1].
 
     Returns shape (M_left * M_right, 2B - 1) with pair index r * M_right + s,
     stored in numpy ``order`` ("C": one contiguous lag sequence per pair;
-    "F": one contiguous column per lag).
+    "F": one contiguous column per lag).  ``pairs``, an array of pair
+    indices, keeps only those rows, in that order.
     """
     b = left.shape[0]
     if right.shape[0] != b:
         raise ParameterError("row counts must match")
     m_l, m_r = left.shape[1], right.shape[1]
-    out = np.empty((m_l * m_r, 2 * b - 1), dtype=np.complex128, order=order)
+    rows = m_l * m_r if pairs is None else len(pairs)
+    out = np.empty((rows, 2 * b - 1), dtype=np.complex128, order=order)
     for q in range(-(b - 1), b):
         if q >= 0:
             c = left[q:].conj().T @ right[: b - q]
         else:
             c = left[: b + q].conj().T @ right[-q:]
-        out[:, q + b - 1] = c.ravel()
+        out[:, q + b - 1] = c.ravel() if pairs is None else c.ravel()[pairs]
     return out
 
 
@@ -209,53 +208,6 @@ def xcorr_scfdma_closed(r: int, s: int, q: int, n_len: int, m_active: int) -> co
     ratio = _dirichlet_ratio(kp - lp, np.full_like(kp, n_len - q), n_len)
     total = np.sum(phases * ratio) / (m_active * n_len)
     return complex(np.exp(-2j * np.pi * q * f_c / n_len) * total)
-
-
-def bandlimit_shift(
-    seq: np.ndarray,
-    half_bandwidth: float,
-    shift: float,
-    eval_points: np.ndarray,
-) -> np.ndarray:
-    """Band-limit a lag sequence to |f| <= W, shift by ``shift``, resample.
-
-    ``seq`` lives on the symmetric integer grid -(L-1)/2 .. (L-1)/2 (odd
-    length).  The output at integer n is sum_q seq[q] sinc(2W (q - n -
-    shift)); at W = 0.5 this is the band-limited interpolation of the
-    sequence evaluated at n + shift, so shift = 0 returns the input samples
-    and integer shifts translate them exactly.
-    """
-    seq = np.asarray(seq)
-    if seq.ndim != 1 or seq.size % 2 == 0:
-        raise ParameterError("seq must be 1-D with odd length (symmetric lags)")
-    if not 0.0 < half_bandwidth <= 0.5:
-        raise ParameterError(f"half_bandwidth must be in (0, 0.5], got {half_bandwidth}")
-    half = (seq.size - 1) // 2
-    lags = np.arange(-half, half + 1)
-    pts = np.asarray(eval_points)
-    kernel = _sinc(2.0 * half_bandwidth * (lags[None, :] - pts[:, None] - shift))
-    return kernel @ seq
-
-
-def tail_energy(values: np.ndarray, l: int, origin: int | None = None) -> float:
-    """Energy of a sampled sequence outside the index window [-l, l].
-
-    ``values[k]`` corresponds to index k - origin (default: midpoint).  The
-    provided samples are the truncation; they must reach at least |n| = l.
-    """
-    values = np.asarray(values)
-    if l < 0:
-        raise ParameterError(f"l must be >= 0, got {l}")
-    if origin is None:
-        if values.size % 2 == 0:
-            raise ParameterError("even-length sequence needs an explicit origin")
-        origin = (values.size - 1) // 2
-    n = np.arange(values.size) - origin
-    if n.max() < l and n.min() > -l:
-        raise ParameterError(
-            f"samples reach |n| <= {max(n.max(), -n.min())}, below the window l={l}"
-        )
-    return float(np.sum(np.abs(values[np.abs(n) > l]) ** 2))
 
 
 def _parseval_tails(cmat: np.ndarray, shift: float, radii) -> np.ndarray:
@@ -337,6 +289,24 @@ def _lag_root(cmat: np.ndarray) -> np.ndarray:
     return np.triu(qr[: qr.shape[1]])
 
 
+def _symmetric_lag_root(o: np.ndarray) -> np.ndarray:
+    """Upper triangle R with R^H R = C^H C for the self-correlation C of ``o``.
+
+    Rows of C come in mirrored pairs, C[(s, r), q] = conj(C[(r, s), -q]),
+    so C^H C = G + J conj(G) J with J the lag reversal and G = C1^H C1 for
+    the rows r <= s of C, the diagonal pairs (r, r) scaled by 1/sqrt(2).
+    R1 from the QR of C1 gives G = R1^H R1, and the QR of the stacked
+    [R1; conj(R1) J] gives R.  Both are QR factorizations, so R stays
+    backward stable while the large QR runs on half of C's rows.
+    """
+    m = o.shape[1]
+    r, s = np.triu_indices(m)
+    half = _cross_lag_matrix(o, o, order="F", pairs=r * m + s)
+    half[r == s] *= math.sqrt(0.5)
+    root = _lag_root(half)
+    return _lag_root(np.asfortranarray(np.vstack([root, root[:, ::-1].conj()])))
+
+
 def isi_gram(
     tx: PrefixedBasis,
     rx: PrefixedBasis,
@@ -362,13 +332,18 @@ def isi_gram(
     The normal-equation Gram C^H C is never formed: it squares the condition
     number, and its round-off (about 1e-18 for DPSS at N = 128, M = 121 on
     the mild channel) exceeds the ISI energy of offset d = 2 (2.8e-20).
+    When rx.o_r equals tx.o_t (a zero prefix), the rows of C pair up under
+    lag reversal and the large QR factors only half of them.
     """
     _check_pair(tx, rx)
     if n_blocks < 2:
         raise ParameterError("n_blocks must be >= 2 to include any interferer")
     delays = np.asarray(delays, dtype=float)
     b = tx.block_len
-    root = _lag_root(_cross_lag_matrix(rx.o_r, tx.o_t, order="F"))
+    if np.array_equal(rx.o_r, tx.o_t):
+        root = _symmetric_lag_root(tx.o_t)
+    else:
+        root = _lag_root(_cross_lag_matrix(rx.o_r, tx.o_t, order="F"))
     lags = np.arange(-(b - 1), b)
     n_paths = delays.size
     k_isi = np.zeros((n_paths, n_paths), dtype=np.complex128)
@@ -485,24 +460,38 @@ def s2i_sweep(
     energy by its analytic upper bound gives the lower-bound column.
     Every basis carries a zero prefix of ``prefix_len`` samples;
     m_active = floor(eta * N).
+
+    Each energy depends on a basis O only through its span, the projector
+    P = O O^H: ||O^H T O||_F^2 = tr(P T P T^H) for every transfer operator
+    T, and the bound's tail totals likewise.  DFT precoding is unitary on
+    the OFDM subcarriers, and at M = N every basis spans all of C^N, so the
+    values are computed once per span, on the OFDM basis for every span
+    but DPSS with M < N, and shared by the rows that have it.
     """
+    spans: dict = {}
     rows: list[S2iPoint] = []
     for scheme in schemes:
         scheme = PrecodingScheme(scheme)
         for eta in eta_list:
-            basis = default_basis(scheme, n_len, active_count(eta, n_len))
-            pref = with_prefix(basis, prefix_len, PrefixKind.ZERO)
-            signal, energy = signal_isi_energies(pref, pref, channel, n_blocks)
-            lower = None
-            if include_bound:
-                report = isi_bound(xcorr_tensor(basis), channel, prefix_len)
-                lower = _ratio_db(signal, report.total_bound)
+            m = active_count(eta, n_len)
+            dpss = scheme is PrecodingScheme.DPSS and m < n_len
+            if (dpss, m) not in spans:
+                span = scheme if dpss else PrecodingScheme.OFDM
+                basis = default_basis(span, n_len, m)
+                pref = with_prefix(basis, prefix_len, PrefixKind.ZERO)
+                signal, energy = signal_isi_energies(pref, pref, channel, n_blocks)
+                lower = None
+                if include_bound:
+                    report = isi_bound(xcorr_tensor(basis), channel, prefix_len)
+                    lower = _ratio_db(signal, report.total_bound)
+                spans[dpss, m] = (_ratio_db(signal, energy), lower)
+            s2i, lower = spans[dpss, m]
             rows.append(
                 S2iPoint(
                     scheme=scheme.value,
-                    eta=basis.eta,
+                    eta=m / n_len,
                     tap_model=channel.name,
-                    s2i_db=_ratio_db(signal, energy),
+                    s2i_db=s2i,
                     s2i_lower_bound_db=lower,
                 )
             )

@@ -355,6 +355,14 @@ class TestProfiles:
             PathSpec(delay=-0.1, gain=1.0 + 0j)
         with pytest.raises(ParameterError):
             ChannelSpec((PathSpec(delay=2.0, gain=1.0 + 0j),), max_delay=1.0)
+        # NaN and infinity fail every check, not only the out-of-range values
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                PathSpec(delay=bad, gain=1.0 + 0j)
+            with pytest.raises(ParameterError):
+                PathSpec(delay=1.0, gain_power=bad)
+            with pytest.raises(ParameterError):
+                ChannelSpec((PathSpec(delay=2.0, gain=1.0 + 0j),), max_delay=bad)
 
     def test_profile_file_roundtrip(self, tmp_path):
         path = tmp_path / "chan.txt"
@@ -363,7 +371,6 @@ class TestProfiles:
             "name: bumpy\n"
             "delays_samples: [0, 1.5, 3.25]\n"
             "powers_db: [0, -3, -10]\n"
-            "doppler: 0\n"
             "seed: 5\n"
             "max_delay: 4\n"
         )
@@ -384,17 +391,12 @@ class TestProfiles:
         assert np.allclose(spec.delays, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert np.allclose(spec.powers, np.exp(-1.0 * spec.delays))
 
-    def test_profile_doppler_must_be_zero(self, tmp_path):
+    def test_profile_doppler_is_unknown_key(self, tmp_path):
+        # channels are quasi-static, so a profile has no doppler field
         path = tmp_path / "chan.txt"
-        profile = "delays_samples: [0, 1.5]\ndecay: 0.5\ndoppler: "
-        for doppler in ("0", "[0, 0]", "0.0"):
-            path.write_text(profile + doppler + "\n")
-            spec, _ = load_channel_profile(path)
-            assert np.allclose(spec.delays, [0.0, 1.5])
-        for doppler in ("0.01", "[0, -0.02]"):
-            path.write_text(profile + doppler + "\n")
-            with pytest.raises(ParameterError, match="doppler"):
-                load_channel_profile(path)
+        path.write_text("delays_samples: [0, 1.5]\ndecay: 0.5\ndoppler: 0\n")
+        with pytest.raises(ParameterError, match=r"unknown key\(s\) doppler"):
+            load_channel_profile(path)
 
     def test_profile_unknown_key(self, tmp_path):
         # a misspelt key would otherwise be dropped and its default used

@@ -226,6 +226,25 @@ class TestSerCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("profile,message", [
+        ("delays_samples: [0, 1.5]\ndecay: nan", "gain_power"),
+        ("delays_samples: [0, 1.5]\npowers_db: [0, nan]", "gain_power"),
+        ("delays_samples: [0, nan]\ndecay: 0.5", "path delay"),
+        ("delays_samples: [0, 1.5]\ndecay: 0.5\nmax_delay: nan", "max_delay"),
+        ("delays_samples: [0, 1.5]\ndecay: 0.5\nmax_delay: inf", "max_delay"),
+    ])
+    def test_nan_in_channel_profile_is_error(self, tmp_path, capsys, profile, message):
+        path = tmp_path / "chan.txt"
+        path.write_text(profile + "\n")
+        out = tmp_path / "x.csv"
+        assert run([
+            "ser", "--channel", path, "--n", 9, "--trials", 1, "--snrs", "[20]",
+            "--out", out,
+        ]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message} ")
+        assert not out.exists()
+
+
 class TestScanCommand:
     def test_scan_output(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -20,7 +20,6 @@ from precofdm.channel import (
 from precofdm.errors import ParameterError
 from precofdm.isimetrics import (
     _parseval_tails,
-    bandlimit_shift,
     ebct_all,
     ebct_bound_all,
     half_shift_worst_case_scan,
@@ -30,7 +29,6 @@ from precofdm.isimetrics import (
     isi_transfer,
     s2i_sweep,
     signal_isi_energies,
-    tail_energy,
     xcorr_ofdm_closed,
     xcorr_scfdma_closed,
     xcorr_tensor,
@@ -149,6 +147,49 @@ def parseval_tail_reference(o, r, s, radius, shift=0.5):
             acc += c[qi] * math.sin(math.pi * x) / (math.pi * x)
         window += abs(acc) ** 2
     return total - window
+
+
+def bandlimit_shift(seq, half_bandwidth, shift, eval_points):
+    """Band-limit a lag sequence to |f| <= W, shift by ``shift``, resample.
+
+    ``seq`` lives on the symmetric integer grid -(L-1)/2 .. (L-1)/2 (odd
+    length).  The output at integer n is sum_q seq[q] sinc(2W (q - n -
+    shift)); at W = 0.5 this is the band-limited interpolation of the
+    sequence evaluated at n + shift, so shift = 0 returns the input samples
+    and integer shifts translate them exactly.
+    """
+    seq = np.asarray(seq)
+    if seq.ndim != 1 or seq.size % 2 == 0:
+        raise ParameterError("seq must be 1-D with odd length (symmetric lags)")
+    if not 0.0 < half_bandwidth <= 0.5:
+        raise ParameterError(f"half_bandwidth must be in (0, 0.5], got {half_bandwidth}")
+    half = (seq.size - 1) // 2
+    lags = np.arange(-half, half + 1)
+    x = 2.0 * half_bandwidth * (lags[None, :] - np.asarray(eval_points)[:, None] - shift)
+    kernel = np.sinc(x)
+    kernel[(x == np.round(x)) & (x != 0)] = 0.0
+    return kernel @ seq
+
+
+def tail_energy(values, l, origin=None):
+    """Energy of a sampled sequence outside the index window [-l, l].
+
+    ``values[k]`` corresponds to index k - origin (default: midpoint).  The
+    provided samples are the truncation; they must reach at least |n| = l.
+    """
+    values = np.asarray(values)
+    if l < 0:
+        raise ParameterError(f"l must be >= 0, got {l}")
+    if origin is None:
+        if values.size % 2 == 0:
+            raise ParameterError("even-length sequence needs an explicit origin")
+        origin = (values.size - 1) // 2
+    n = np.arange(values.size) - origin
+    if n.max() < l and n.min() > -l:
+        raise ParameterError(
+            f"samples reach |n| <= {max(n.max(), -n.min())}, below the window l={l}"
+        )
+    return float(np.sum(np.abs(values[np.abs(n) > l]) ** 2))
 
 
 def circ_shift_eval(c, tau, pts, size):
@@ -519,6 +560,73 @@ class TestIsiGramSquareRoot:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+class TestSymmetricLagRoot:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES + ["random"]),
+        n=st.integers(min_value=1, max_value=24),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_root_reproduces_lag_gram(self, scheme, n, data, seed):
+        m = data.draw(st.integers(min_value=1, max_value=n))
+        g = data.draw(st.integers(min_value=0, max_value=n - 1))
+        if scheme == "random":
+            rng = np.random.default_rng(seed)
+            o = rng.standard_normal((n + g, m)) + 1j * rng.standard_normal((n + g, m))
+        else:
+            o = with_prefix(default_basis(scheme, n, m), g, PrefixKind.ZERO).o_t
+        root = isimetrics._symmetric_lag_root(o)
+        cmat = lag_matrix_reference(o, o)
+        assert root.shape[1] == cmat.shape[1]
+        assert np.array_equal(root, np.triu(root))
+        err = np.linalg.norm(root.conj().T @ root - cmat.conj().T @ cmat)
+        assert err <= 64 * np.finfo(float).eps * np.linalg.norm(cmat) ** 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        n=st.integers(min_value=2, max_value=32),
+        data=st.data(),
+    )
+    def test_zero_prefix_gram_matches_full_qr(self, scheme, n, data):
+        # zero prefix: isi_gram takes the symmetric root; the full QR of C
+        # is the reference.  n_blocks = 2 keeps the d = +-1 offsets only.
+        m = data.draw(st.integers(min_value=1, max_value=n))
+        g = data.draw(st.integers(min_value=0, max_value=n - 1))
+        delays = np.array(data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=n + g), min_size=1, max_size=4
+        )))
+        pref = with_prefix(default_basis(scheme, n, m), g, PrefixKind.ZERO)
+        got = isi_gram(pref, pref, delays, n_blocks=2)
+        full = isimetrics._lag_root(
+            isimetrics._cross_lag_matrix(pref.o_r, pref.o_t, order="F")
+        )
+        b = n + g
+        kernels = [sinc_kernel_reference(b, d, delays) for d in (-1, 1)]
+        want = sum((full @ k).conj().T @ (full @ k) for k in kernels)
+        # as in TestIsiGramSquareRoot: energies at round-off level (integer
+        # delays inside the prefix) are compared against that round-off
+        cmat = lag_matrix_reference(pref.o_r, pref.o_t)
+        floor = (
+            32 * np.finfo(float).eps * np.sqrt(np.real(np.trace(want)))
+            * np.linalg.norm(cmat) * np.linalg.norm(kernels)
+        )
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want) + floor
+
+    @pytest.mark.parametrize("kind,uses", [(PrefixKind.ZERO, 1), (PrefixKind.CYCLIC, 0)])
+    def test_symmetric_root_only_when_bases_match(self, kind, uses, monkeypatch):
+        # a cyclic prefix makes o_t differ from o_r, so C has no lag symmetry
+        calls = []
+        root = isimetrics._symmetric_lag_root
+        monkeypatch.setattr(
+            isimetrics, "_symmetric_lag_root", lambda o: calls.append(o) or root(o)
+        )
+        _, pref = make_pair(PrecodingScheme.DFT, 9, 7, 3, kind)
+        isi_gram(pref, pref, np.array([0.5]), n_blocks=2)
+        assert len(calls) == uses
+
+
 class TestParsevalTailProperties:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -640,6 +748,40 @@ class TestS2iSweep:
         for row in rows:
             assert row.s2i_lower_bound_db <= row.s2i_db
             assert row.tap_model == "mild"
+
+    @pytest.mark.parametrize("n,m", [(17, 15), (24, 19)])
+    def test_shared_spans_match_direct_evaluation(self, n, m, monkeypatch):
+        # rows that share a span reuse one computation; each must equal the
+        # value computed directly on its own basis
+        mild = mild_channel_spec()
+        calls = []
+        direct = isimetrics.signal_isi_energies
+
+        def counted(tx, rx, channel, n_blocks):
+            calls.append((tx.base.scheme, tx.base.m_active))
+            return direct(tx, rx, channel, n_blocks)
+
+        monkeypatch.setattr(isimetrics, "signal_isi_energies", counted)
+        rows = s2i_sweep(SCHEMES, [1.0, m / n], mild, n, 16, n_blocks=4)
+        assert calls == [
+            (PrecodingScheme.OFDM, n), (PrecodingScheme.OFDM, m),
+            (PrecodingScheme.DPSS, m),
+        ]
+        assert [(r.scheme, r.eta) for r in rows] == [
+            (s.value, e) for s in SCHEMES for e in (1.0, m / n)
+        ]
+        for row in rows:
+            if row.scheme == "ofdm" or (row.scheme == "dpss" and row.eta < 1):
+                continue
+            basis = default_basis(row.scheme, n, round(row.eta * n))
+            pref = with_prefix(basis, 16, PrefixKind.ZERO)
+            signal, energy = direct(pref, pref, mild, 4)
+            bound = isi_bound(xcorr_tensor(basis), mild, 16).total_bound
+            np.testing.assert_allclose(
+                [row.s2i_db, row.s2i_lower_bound_db],
+                [10 * np.log10(signal / energy), 10 * np.log10(signal / bound)],
+                rtol=1e-12, atol=0,
+            )
 
 
 class TestHalfShiftScan:
