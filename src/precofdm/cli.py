@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -43,7 +42,6 @@ from .waveform import PrecodingScheme, PrefixKind, default_basis, with_prefix
 
 _SCHEME_ALIASES = {
     "ofdm": PrecodingScheme.OFDM,
-    "none": PrecodingScheme.OFDM,
     "dft": PrecodingScheme.DFT,
     "scfdma": PrecodingScheme.DFT,
     "dpss": PrecodingScheme.DPSS,
@@ -61,12 +59,7 @@ def _scheme(name) -> PrecodingScheme:
 
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".12g")
+        return format(float(value), ".12g")  # inf, -inf and nan included
     return str(value)
 
 
@@ -95,7 +88,7 @@ def _as_float_list(value) -> list[float]:
         value = parse_value(value)
     if isinstance(value, (int, float)):
         return [float(value)]
-    if isinstance(value, list):
+    if isinstance(value, list) and value:
         try:
             return [float(v) for v in value]
         except ValueError:
@@ -231,16 +224,6 @@ def cmd_s2i(v) -> None:
             for p in rows
         ],
     )
-    if v.plot_data:
-        stem, ext = os.path.splitext(v.out)
-        write_csv(
-            stem + "_plotdata" + ext,
-            ["figure", "series", "x", "y"],
-            [
-                ("s2i_vs_utilization", p.scheme, 100.0 * p.eta, p.s2i_db)
-                for p in rows
-            ],
-        )
     print(f"wrote {v.out} ({len(rows)} rows)")
 
 
@@ -375,7 +358,7 @@ COMMANDS = {
     ]),
     "s2i": ("signal-to-ISI sweep over utilization", cmd_s2i, "s2i.csv", [
         _SCHEMES, _ETAS, ("channel", _channel, "mild"), ("n", int, 128),
-        _PREFIX, _BLOCKS, ("no-bound", bool, False), ("plot-data", bool, False),
+        _PREFIX, _BLOCKS, ("no-bound", bool, False),
     ]),
     "ser": ("multi-user SER campaign", cmd_ser, "ser.csv", [
         ("preset", str, None), _SCHEMES, _ETAS, ("channel", _channel, None),

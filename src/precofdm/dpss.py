@@ -58,7 +58,6 @@ class DpssSet:
     Arrays are marked read-only so sets can be shared freely.
     """
 
-    params: DpssParams
     sequences: np.ndarray
     eigenvalues: np.ndarray
 
@@ -120,20 +119,14 @@ def compute_dpss(params: DpssParams) -> DpssSet:
     vecs = _fix_signs(np.ascontiguousarray(vecs))
     kernel = sinc_kernel(params.n_len, params.half_bandwidth)
     eigenvalues = np.einsum("nk,nk->k", vecs, kernel @ vecs)
-    return DpssSet(params=params, sequences=vecs, eigenvalues=eigenvalues)
+    return DpssSet(sequences=vecs, eigenvalues=eigenvalues)
 
 
 def dpss_limit_half(n_len: int, count: int) -> DpssSet:
-    """DPSS set in the limit W -> 0.5 from below.
+    """DPSS set in the limit W -> 0.5 from below: ``compute_dpss`` at W = 0.5.
 
-    The commuting tridiagonal matrix is evaluated exactly at W = 0.5, where
-    its eigenvectors are the well-defined limit of the DPSS family even
-    though the sinc kernel itself degenerates to the identity (so all
-    concentration eigenvalues equal 1).  Ordering follows descending
-    tridiagonal eigenvalue, the limit of the concentration ordering.
+    The commuting tridiagonal matrix stays well defined at W = 0.5, and its
+    eigenvectors are the limit of the DPSS family.  The sinc kernel is the
+    identity there, so every eigenvalue is 1 within round-off.
     """
-    params = DpssParams(n_len=n_len, half_bandwidth=0.5, count=count)
-    vecs = _fix_signs(
-        np.ascontiguousarray(_tridiagonal_vectors(n_len, 0.5, count))
-    )
-    return DpssSet(params=params, sequences=vecs, eigenvalues=np.ones(count))
+    return compute_dpss(DpssParams(n_len=n_len, half_bandwidth=0.5, count=count))

@@ -92,9 +92,6 @@ class CrossCorrTensor:
     def lag(self, r: int, s: int, q: int) -> complex:
         return self.values[r, s, q + self.n_len - 1]
 
-    def pair_sequence(self, r: int, s: int) -> np.ndarray:
-        return self.values[r, s, :]
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -118,14 +115,13 @@ def _cross_lag_matrix(
 ) -> np.ndarray:
     """Correlations sum_n left*[n, r] right[n - q, s] for q in [-(B-1), B-1].
 
+    Both inputs have B rows (``_check_pair`` or equal bases ensure it).
     Returns shape (M_left * M_right, 2B - 1) with pair index r * M_right + s,
     stored in numpy ``order`` ("C": one contiguous lag sequence per pair;
     "F": one contiguous column per lag).  ``pairs``, an array of pair
     indices, keeps only those rows, in that order.
     """
     b = left.shape[0]
-    if right.shape[0] != b:
-        raise ParameterError("row counts must match")
     m_l, m_r = left.shape[1], right.shape[1]
     rows = m_l * m_r if pairs is None else len(pairs)
     out = np.empty((rows, 2 * b - 1), dtype=np.complex128, order=order)
@@ -157,6 +153,16 @@ def _dirichlet_ratio(delta: np.ndarray, count: np.ndarray, n_len: int) -> np.nda
     return np.where(delta == 0, count, ratio)
 
 
+def _mirror(r: int, s: int, q: int, n_len: int, m_active: int) -> tuple:
+    """Checked closed-form indices with q >= 0, and whether they were mirrored:
+    C_rs[q] = conj(C_sr[-q])."""
+    if abs(q) > n_len - 1:
+        raise ParameterError(f"|q| must be <= N-1, got q={q}")
+    if not (0 <= r < m_active and 0 <= s < m_active):
+        raise ParameterError("component indices out of range")
+    return (s, r, -q, True) if q < 0 else (r, s, q, False)
+
+
 def xcorr_ofdm_closed(r: int, s: int, q: int, n_len: int, m_active: int) -> complex:
     """Closed-form OFDM correlation entry; r = s uses the analytic limit.
 
@@ -164,16 +170,12 @@ def xcorr_ofdm_closed(r: int, s: int, q: int, n_len: int, m_active: int) -> comp
     C_rs[q >= 0] = exp(-j pi (f_r + f_s) q / N) sin(pi (N-q)(s-r)/N)
                    / (N sin(pi (s-r)/N)).
     """
-    if abs(q) > n_len - 1:
-        raise ParameterError(f"|q| must be <= N-1, got q={q}")
-    if not (0 <= r < m_active and 0 <= s < m_active):
-        raise ParameterError("component indices out of range")
-    if q < 0:
-        return complex(np.conj(xcorr_ofdm_closed(s, r, -q, n_len, m_active)))
+    r, s, q, mirrored = _mirror(r, s, q, n_len, m_active)
     freqs = retained_frequencies(n_len, m_active)
     phase = np.exp(-1j * np.pi * (freqs[r] + freqs[s]) * q / n_len)
     ratio = _dirichlet_ratio(np.array(float(s - r)), np.array(n_len - q), n_len)
-    return complex(phase * ratio / n_len)
+    value = complex(phase * ratio / n_len)
+    return value.conjugate() if mirrored else value
 
 
 def xcorr_scfdma_closed(r: int, s: int, q: int, n_len: int, m_active: int) -> complex:
@@ -189,12 +191,7 @@ def xcorr_scfdma_closed(r: int, s: int, q: int, n_len: int, m_active: int) -> co
     where D is the Dirichlet ratio over N - q terms and f_c the center of
     the occupied subcarrier block.
     """
-    if abs(q) > n_len - 1:
-        raise ParameterError(f"|q| must be <= N-1, got q={q}")
-    if not (0 <= r < m_active and 0 <= s < m_active):
-        raise ParameterError("component indices out of range")
-    if q < 0:
-        return complex(np.conj(xcorr_scfdma_closed(s, r, -q, n_len, m_active)))
+    r, s, q, mirrored = _mirror(r, s, q, n_len, m_active)
     freqs = retained_frequencies(n_len, m_active)
     f_c = float(freqs.mean())
     c_m = (m_active - 1) / 2.0
@@ -207,7 +204,8 @@ def xcorr_scfdma_closed(r: int, s: int, q: int, n_len: int, m_active: int) -> co
     phases = phases * np.exp(-1j * np.pi * (lp + kp) * q / n_len)
     ratio = _dirichlet_ratio(kp - lp, np.full_like(kp, n_len - q), n_len)
     total = np.sum(phases * ratio) / (m_active * n_len)
-    return complex(np.exp(-2j * np.pi * q * f_c / n_len) * total)
+    value = complex(np.exp(-2j * np.pi * q * f_c / n_len) * total)
+    return value.conjugate() if mirrored else value
 
 
 def _parseval_tails(cmat: np.ndarray, shift: float, radii) -> np.ndarray:
@@ -515,8 +513,8 @@ def half_shift_worst_case_scan(
     assumed.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if not np.all((tau_grid > 0.0) & (tau_grid < 1.0)):  # NaN fails too
-        raise ParameterError("tau grid must lie strictly inside (0, 1)")
+    if not (tau_grid.size and np.all((tau_grid > 0.0) & (tau_grid < 1.0))):  # NaN fails
+        raise ParameterError("tau grid must be non-empty and inside (0, 1)")
     seqs = tensor.values[r, s]
     # one (1 x lags) row per pair: the batched product then runs the same
     # vector-matrix kernel as a single pair does, so no digit depends on

@@ -311,6 +311,8 @@ def run_ser(
         raise ParameterError("snr grid must be strictly increasing")
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
+    if base_seed < 0:
+        raise ParameterError(f"base_seed must be >= 0, got {base_seed}")
     basis = cfg.make_basis()
     errors, symbols = sum(
         np.array(run_trial(cfg, channel_spec, basis, snr_grid_db, seed))

@@ -49,14 +49,13 @@ class PrefixKind(str, Enum):
 class WaveformBasis:
     """Effective transmit basis with orthonormal columns.
 
-    ``o_matrix`` is N x M complex; ``eta`` is the utilization M / N.
+    ``o_matrix`` is N x M complex, at utilization M / N.
     """
 
     n_len: int
     m_active: int
     scheme: PrecodingScheme
     o_matrix: np.ndarray
-    eta: float
 
     def __post_init__(self):
         self.o_matrix.flags.writeable = False
@@ -150,11 +149,7 @@ def default_basis(scheme: PrecodingScheme, n_len: int, m_active: int) -> Wavefor
 
     o = o / np.linalg.norm(o, axis=0, keepdims=True)
     return WaveformBasis(
-        n_len=n_len,
-        m_active=m_active,
-        scheme=scheme,
-        o_matrix=np.ascontiguousarray(o),
-        eta=m_active / n_len,
+        n_len=n_len, m_active=m_active, scheme=scheme, o_matrix=np.ascontiguousarray(o)
     )
 
 

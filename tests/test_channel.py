@@ -162,6 +162,12 @@ class TestChannelOperator:
         with pytest.raises(ParameterError):
             op.block(0, 5)
 
+    @pytest.mark.parametrize("length", [23, 25])
+    def test_stream_length_checked(self, length):
+        op = ChannelOperator(two_path_realization())
+        with pytest.raises(ParameterError, match="expected stream of length 24"):
+            op.apply(np.ones(length))
+
     def test_integer_taps_with_prefix_clear_after_removal(self):
         # integer-delay taps only reach rows below the prefix length of the
         # following block, so the receiver-visible part of off-diagonal
@@ -355,6 +361,11 @@ class TestProfiles:
             PathSpec(delay=-0.1, gain=1.0 + 0j)
         with pytest.raises(ParameterError):
             ChannelSpec((PathSpec(delay=2.0, gain=1.0 + 0j),), max_delay=1.0)
+        with pytest.raises(ParameterError, match="at least one path"):
+            ChannelSpec((), max_delay=1.0)
+        for decay in (0.0, -0.5):
+            with pytest.raises(ParameterError, match="decay must be > 0"):
+                exp_profile_spec(decay, np.arange(3.0), max_delay=2.0)
         # NaN and infinity fail every check, not only the out-of-range values
         for bad in (math.nan, math.inf):
             with pytest.raises(ParameterError):
@@ -407,9 +418,14 @@ class TestProfiles:
 
     def test_profile_missing_fields(self, tmp_path):
         path = tmp_path / "chan.txt"
-        path.write_text("delays_samples: [0, 1]\n")
-        with pytest.raises(ParameterError):
-            load_channel_profile(path)
+        for text, message in (
+            ("delays_samples: [0, 1]\n", "needs powers_db or decay"),
+            ("decay: 0.5\n", "missing delays_samples"),
+            ("delays_samples: [0, 1]\npowers_db: [0, -3, -6]\n", "lengths differ"),
+        ):
+            path.write_text(text)
+            with pytest.raises(ParameterError, match=message):
+                load_channel_profile(path)
 
     def test_realization_gain_count_checked(self):
         spec = ChannelSpec((PathSpec(delay=0.0, gain=1.0 + 0j),), 0.0)

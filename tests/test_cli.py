@@ -90,15 +90,17 @@ class TestS2iCommand:
         assert len(lines) == 3
         assert lines[1].split(",")[3] == "inf"
 
-    def test_plot_data_written(self, tmp_path):
-        out = tmp_path / "s2i.csv"
-        run([
-            "s2i", "--schemes", "dft", "--etas", "1.0", "--channel", "integer",
-            "--n", 17, "--blocks", 4, "--out", out, "--no-bound", "--plot-data",
-        ])
-        extra = tmp_path / "s2i_plotdata.csv"
-        assert extra.exists()
-        assert read_lines(extra)[0] == "figure,series,x,y"
+    def test_plot_data_flag_removed(self, tmp_path, capsys):
+        # its file only restated scheme, 100 * eta and s2i_db from the main CSV
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "s2i", "--schemes", "dft", "--etas", "1.0", "--channel", "integer",
+                "--n", 17, "--blocks", 4, "--out", tmp_path / "s2i.csv",
+                "--no-bound", "--plot-data",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --plot-data" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_eta_range_parsing(self, tmp_path):
         out = tmp_path / "s2i.csv"
@@ -191,6 +193,29 @@ class TestSerCommand:
 
     def test_missing_channel_is_error(self, tmp_path):
         assert run(["ser", "--schemes", "ofdm", "--out", tmp_path / "x.csv"]) == 2
+
+    def test_unknown_preset_is_error(self, tmp_path, capsys):
+        assert run([
+            "ser", "--preset", "other", "--delay-spread", "200ns", "--n", 9,
+            "--trials", 1, "--out", tmp_path / "x.csv",
+        ]) == 2
+        assert "unknown preset 'other'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["flag", "profile"])
+    def test_negative_seed_is_error(self, tmp_path, capsys, where):
+        # a seed is an index into the trial seeds, which numpy needs >= 0
+        profile = tmp_path / "chan.txt"
+        seed_line = "seed: -1\n" if where == "profile" else ""
+        profile.write_text("delays_samples: [0, 1.5]\ndecay: 0.5\n" + seed_line)
+        flag = ["--seed", -1] if where == "flag" else []
+        out = tmp_path / "x.csv"
+        assert run([
+            "ser", "--channel", profile, "--n", 9, "--snrs", "[20]", "--trials", 1,
+            "--out", out, *flag,
+        ]) == 2
+        assert capsys.readouterr().err == "error: base_seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == [profile]
 
     @pytest.mark.parametrize("flag,value", [
         ("--threads", "2"), ("--half-len", "full"),
@@ -343,6 +368,18 @@ class TestVerify:
         )
         assert not (tmp_path / "x.csv.manifest.json").exists()
 
+    def test_xcorr_asymmetric_tensor_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        original = cli.xcorr_tensor
+
+        def skewed(basis):
+            tensor = original(basis)
+            values = tensor.values.copy()
+            values[0, 1, 0] += 1e-9
+            return dataclasses.replace(tensor, values=values)
+
+        monkeypatch.setattr(cli, "xcorr_tensor", skewed)
+        self.assert_rejected(tmp_path, capsys, ["xcorr", "--n", 5], "lag symmetry")
+
     def test_scan_bad_tensor_writes_nothing(self, tmp_path, capsys, monkeypatch):
         original = cli.xcorr_tensor
 
@@ -391,12 +428,43 @@ class TestConfigHandling:
         ["s2i", "--etas", "[1.0, x]"],
         ["ser", "--channel", "cdlc200ns", "--snrs", "10,20"],
         ["scan-halfshift", "--taus", "0.25,0.5"],
+        # an empty list would sweep nothing and still write a CSV header
+        ["s2i", "--etas", "[]"],
+        ["ser", "--channel", "cdlc200ns", "--etas", "[]"],
+        ["ser", "--channel", "cdlc200ns", "--snrs", "[]"],
+        ["scan-halfshift", "--taus", "[]"],
     ])
     def test_bad_numeric_list_is_parameter_error(self, tmp_path, capsys, args):
         assert run(args + ["--n", 9, "--out", tmp_path / "x.csv"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "[a, b]" in err and "start:step:stop" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags,config,message", [
+        (["--etas", "1:0:2"], "", "zero step in range '1:0:2'"),
+        (["--etas", "2:1:1"], "", "empty range '2:1:1'"),
+        ([], "n 9", "line 1: expected 'key = value'"),
+        ([], "= 9", "line 1: empty key"),
+        ([], "blocks = abc", "bad value for blocks: 'abc'"),
+    ])
+    def test_malformed_value_or_line_is_error(
+        self, tmp_path, capsys, flags, config, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        out = tmp_path / "x.csv"
+        assert run(["s2i", "--config", cfg, "--n", 9, "--out", out, *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["none", "ofdma"])
+    def test_unknown_scheme_is_error(self, tmp_path, capsys, scheme):
+        # "none" was an undocumented alias of ofdm
+        out = tmp_path / "x.csv"
+        assert run(["basis", "--scheme", scheme, "--n", 9, "--out", out]) == 2
+        assert f"unknown scheme '{scheme}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_channel_name(self, tmp_path):
         assert run([
@@ -414,7 +482,7 @@ class TestCommandTable:
         "bound": ["--scheme", "--n", "--m", "--channel", "--prefix", "--blocks"],
         "s2i": [
             "--schemes", "--etas", "--channel", "--n", "--prefix", "--blocks",
-            "--no-bound", "--plot-data",
+            "--no-bound",
         ],
         "ser": [
             "--preset", "--schemes", "--etas", "--channel", "--delay-spread",

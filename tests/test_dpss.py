@@ -123,3 +123,15 @@ class TestLimitHalf:
     def test_count_validation(self):
         with pytest.raises(ParameterError):
             dpss_limit_half(9, 10)
+
+    @pytest.mark.parametrize("n", [9, 17, 33, 64, 128])
+    def test_is_compute_dpss_at_half(self, n):
+        # one construction: the sequences are compute_dpss's bits, and the
+        # identity kernel at W = 0.5 gives Rayleigh quotients of 1
+        for m in range(1, n + 1) if n <= 33 else (1, n // 2, n - 7, n - 3, n):
+            lim = dpss_limit_half(n, m)
+            assert np.array_equal(
+                lim.sequences, compute_dpss(DpssParams(n, 0.5, m)).sequences
+            )
+            assert lim.eigenvalues.shape == (m,)
+            assert np.max(np.abs(lim.eigenvalues - 1.0)) <= 1e-13

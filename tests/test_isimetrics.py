@@ -125,6 +125,10 @@ class TestClosedForms:
             xcorr_ofdm_closed(0, 0, 9, 9, 9)
         with pytest.raises(ParameterError):
             xcorr_scfdma_closed(0, 0, -9, 9, 9)
+        for closed in (xcorr_ofdm_closed, xcorr_scfdma_closed):
+            for r, s, q in ((7, 0, 0), (0, 7, -3), (-1, 0, 2)):
+                with pytest.raises(ParameterError, match="indices out of range"):
+                    closed(r, s, q, 9, 7)
 
 
 def parseval_tail_reference(o, r, s, radius, shift=0.5):
@@ -261,7 +265,7 @@ class TestTailEnergy:
     def test_half_shift_edge_pair_matches_brute_force(self):
         basis = default_basis(PrecodingScheme.OFDM, 9, 9)
         tensor = xcorr_tensor(basis)
-        c = tensor.pair_sequence(0, 8)
+        c = tensor.values[0, 8]
         trunc = 64 * 9
         pts = np.arange(-trunc, trunc + 1)
         u = bandlimit_shift(c, 0.5, 0.5, pts)
@@ -388,7 +392,7 @@ class TestIsiTransfer:
         for r in range(9):
             for s in range(9):
                 val = bandlimit_shift(
-                    tensor.pair_sequence(r, s), 0.5, tau, np.array([-d * 9])
+                    tensor.values[r, s], 0.5, tau, np.array([-d * 9])
                 )[0]
                 assert beta[r, s] == pytest.approx(val, abs=1e-10)
 
@@ -528,6 +532,17 @@ class TestIsiGramSquareRoot:
                 * np.linalg.norm(cmat) * np.linalg.norm(kernels)
             )
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want) + floor
+
+    @pytest.mark.parametrize("rx_args,n_blocks,message", [
+        ((9, 7, 2), 1, "n_blocks must be >= 2"),
+        ((9, 6, 2), 2, "mismatched shapes"),
+        ((9, 7, 3), 2, "mismatched shapes"),
+    ])
+    def test_bad_inputs_rejected(self, rx_args, n_blocks, message):
+        _, tx = make_pair(PrecodingScheme.OFDM, 9, 7, 2)
+        _, rx = make_pair(PrecodingScheme.OFDM, *rx_args)
+        with pytest.raises(ParameterError, match=message):
+            isi_gram(tx, rx, np.array([0.5]), n_blocks)
 
     def test_dpss_far_offsets_keep_their_digits(self):
         # The +-2-offset ISI energy of DPSS is 5e-20 beside a signal energy
@@ -711,6 +726,13 @@ class TestIsiBound:
             emp = float(np.real(gains.conj() @ gram @ gains))
             assert report.total_bound >= emp
 
+    def test_path_delay_beyond_block_rejected(self):
+        # N + g - floor(tau) < 1: the path skips whole blocks
+        tensor = xcorr_tensor(default_basis(PrecodingScheme.OFDM, 9, 9))
+        spec = ChannelSpec((PathSpec(delay=12.5, gain=1.0 + 0.0j),), 12.5)
+        with pytest.raises(ParameterError, match="too large for N=9, g=2"):
+            isi_bound(tensor, spec, 2)
+
     def test_report_fields(self):
         mild = mild_channel_spec()
         basis, pref = make_pair(PrecodingScheme.DFT, 17, 17, 16)
@@ -804,6 +826,8 @@ class TestHalfShiftScan:
         tensor = xcorr_tensor(default_basis(PrecodingScheme.OFDM, 9, 9))
         with pytest.raises(ParameterError):
             half_shift_worst_case_scan(tensor, 0, 0, np.array([0.0, 0.5]))
+        with pytest.raises(ParameterError, match="non-empty"):
+            half_shift_worst_case_scan(tensor, 0, 0, np.array([]))
 
     @pytest.mark.parametrize("scheme", list(PrecodingScheme))
     def test_all_pairs_at_once_match_pair_by_pair(self, scheme):

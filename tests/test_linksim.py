@@ -124,6 +124,8 @@ class TestBuildFrame:
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             self.cfg(eta=0.0)
+        with pytest.raises(ParameterError, match="prefix_len must be >= 0"):
+            self.cfg(prefix_len=-1)
         for p_delta_db in (-1.0, np.nan, np.inf):
             with pytest.raises(ParameterError):
                 self.cfg(p_delta_db=p_delta_db)
@@ -357,6 +359,11 @@ class TestRunSer:
         # +inf dB is valid: no noise, so the identity channel makes no errors
         noiseless = run_ser(cfg, IDENTITY, [10.0, np.inf], n_trials=2).points[1]
         assert noiseless.ser == 0.0 and noiseless.total_symbols == 2 * 14 * 17
+
+    def test_negative_base_seed_rejected(self):
+        cfg = FrameConfig(scheme=PrecodingScheme.OFDM, eta=1.0, n_len=17, prefix_len=0)
+        with pytest.raises(ParameterError, match="base_seed must be >= 0"):
+            run_ser(cfg, IDENTITY, [10.0], n_trials=2, base_seed=-1)
 
     def test_single_trial_results(self):
         cfg = FrameConfig(scheme=PrecodingScheme.OFDM, eta=1.0, n_len=17, prefix_len=2)

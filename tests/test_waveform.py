@@ -50,7 +50,7 @@ class TestBuildBasis:
         basis = default_basis(scheme, 17, 13)
         o = basis.o_matrix
         assert np.max(np.abs(o.conj().T @ o - np.eye(13))) <= 1e-10
-        assert basis.eta == 13 / 17
+        assert o.shape == (17, 13)
 
     def test_ofdm_columns_are_centered_exponentials(self):
         basis = default_basis(PrecodingScheme.OFDM, 9, 9)
@@ -89,6 +89,8 @@ class TestBuildBasis:
         for scheme in SCHEMES:
             with pytest.raises(ParameterError):
                 default_basis(scheme, 9, 10)
+        with pytest.raises(ParameterError, match="exceeds n_len"):
+            retained_frequencies(9, 10)
 
     @settings(max_examples=20, deadline=None)
     @given(
