@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.fft
@@ -111,48 +112,40 @@ class ChannelRealization:
         self.drawn_gains.flags.writeable = False
         if len(self.drawn_gains) != len(self.spec.paths):
             raise ParameterError("one drawn gain per path required")
-        if self.block_len < 1 or self.n_blocks < 1:
-            raise ParameterError("block_len and n_blocks must be >= 1")
+        layout = (self.block_len, self.n_blocks)
+        if not all(isinstance(k, Integral) and k >= 1 for k in layout):
+            raise ParameterError(f"block_len, n_blocks must be whole, >= 1: {layout}")
 
     @property
     def stream_len(self) -> int:
         return self.block_len * self.n_blocks
 
 
-def _path_kernel(delay: float, half_len: int | None, stream_len: int):
-    """Integer-lag response of one delay tap: (first lag, values).
-
-    ``half_len`` is the truncation half-length around the delay; ``None``
-    keeps every lag that can matter for a stream of ``stream_len`` samples,
-    which makes the streaming form exact.
-    """
-    if float(delay).is_integer():
-        return int(delay), np.ones(1)
-    if half_len is None:
-        lag0 = -(stream_len - 1)
-        lags = np.arange(lag0, stream_len)
-    else:
-        lag0 = math.floor(delay) - half_len
-        lags = np.arange(lag0, math.floor(delay) + half_len + 1)
-    return lag0, np.sinc(lags - delay)
-
-
-def _composite_kernel(realization: ChannelRealization, half_len, stream_len):
+def _composite_kernel(realization: ChannelRealization, half_len: int | None):
     """The channel as one FIR: (first lag, taps).
 
-    Sums ``gain x kernel`` over the paths, in path order, on the union of
-    their lag grids.
+    Each path's window of lags is its delay alone when the delay is an
+    integer (a unit tap), else floor(delay) -+ ``half_len``, or every lag
+    that can matter for the stream when ``half_len`` is ``None``, which
+    makes the streaming form exact.  The sinc kernels of all paths are
+    evaluated at once on the union of the windows, zero outside each
+    window, and summed as ``gain x kernel`` in path order.
     """
-    kernels = [
-        (gain, *_path_kernel(path.delay, half_len, stream_len))
-        for gain, path in zip(realization.drawn_gains, realization.spec.paths)
-    ]
-    lag0 = min(first for _, first, _ in kernels)
-    end = max(first + len(h) for _, first, h in kernels)
-    taps = np.zeros(end - lag0, dtype=np.complex128)
-    for gain, first, h in kernels:
-        taps[first - lag0 : first - lag0 + len(h)] += gain * h
-    return lag0, taps
+    delays = realization.spec.delays
+    floor = np.floor(delays)
+    reach = realization.stream_len - 1 if half_len is None else half_len
+    centre = 0 if half_len is None else floor
+    whole = delays == floor
+    lo = np.where(whole, floor, centre - reach).astype(np.int64)
+    hi = np.where(whole, floor, centre + reach).astype(np.int64)
+    lags = np.arange(lo.min(), hi.max() + 1)
+    inside = (lags >= lo[:, None]) & (lags <= hi[:, None])
+    kernels = np.where(inside, np.sinc(lags - delays[:, None]), 0.0)
+    # a running sum adds the rows strictly in path order (a reduction over a
+    # one-lag grid would sum pairwise); + 0.0 turns a -0.0 into the 0.0 that
+    # summing from zero gives
+    sums = np.add.accumulate(realization.drawn_gains[:, None] * kernels, axis=0)
+    return int(lags[0]), sums[-1] + 0.0
 
 
 class ChannelOperator:
@@ -168,13 +161,11 @@ class ChannelOperator:
         realization: ChannelRealization,
         half_len: int | None = DEFAULT_FIR_HALF_LEN,
     ):
-        if half_len is not None and half_len < 0:
-            raise ParameterError(f"half_len must be >= 0 or None, got {half_len}")
+        if not (half_len is None or isinstance(half_len, Integral) and half_len >= 0):
+            raise ParameterError(f"half_len must be whole, >= 0 or None: {half_len}")
         self.realization = realization
         self.stream_len = realization.stream_len
-        self._lag0, self._taps = _composite_kernel(
-            realization, half_len, self.stream_len
-        )
+        self._lag0, self._taps = _composite_kernel(realization, half_len)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -366,7 +357,6 @@ def load_channel_profile(path) -> tuple[ChannelSpec, int | None]:
     max_delay = float(kv.get("max_delay", delays.max()))
     name = str(kv.get("name", "profile"))
     seed = kv.get("seed")
-    return (
-        ChannelSpec(paths=paths, max_delay=max_delay, name=name),
-        int(seed) if seed is not None else None,
-    )
+    if seed is not None and not isinstance(seed, int):
+        raise ParameterError(f"profile {path}: seed must be an integer, got {seed!r}")
+    return ChannelSpec(paths=paths, max_delay=max_delay, name=name), seed

@@ -396,6 +396,8 @@ def _resolve(args) -> argparse.Namespace:
             value = default(v)
         elif value is not None:
             try:
+                if convert is int and isinstance(value, float):
+                    raise ValueError  # int() would truncate a config's 9.5 to 9
                 value = convert(value)
             except ParameterError:
                 raise

@@ -513,8 +513,9 @@ def half_shift_worst_case_scan(
     assumed.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if not (tau_grid.size and np.all((tau_grid > 0.0) & (tau_grid < 1.0))):  # NaN fails
-        raise ParameterError("tau grid must be non-empty and inside (0, 1)")
+    inside = np.all((tau_grid > 0.0) & (tau_grid < 1.0))  # NaN fails
+    if not (tau_grid.ndim == 1 and tau_grid.size and inside):
+        raise ParameterError("tau grid must be 1-D, non-empty and inside (0, 1)")
     seqs = tensor.values[r, s]
     # one (1 x lags) row per pair: the batched product then runs the same
     # vector-matrix kernel as a single pair does, so no digit depends on

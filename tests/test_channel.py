@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from precofdm import channel
@@ -73,9 +73,13 @@ class TestSincDelayMatrix:
 
     def test_bad_shape(self):
         spec = ChannelSpec((PathSpec(delay=0.1, gain=1.0 + 0.0j),), 1.0)
-        for block_len, n_blocks in ((0, 4), (4, 0)):
-            with pytest.raises(ParameterError):
+        for block_len, n_blocks in (
+            (0, 4), (4, 0), (2.5, 3), (3, 2.5), (math.nan, 3), (3.0, 2),
+        ):
+            with pytest.raises(ParameterError, match="block_len, n_blocks"):
                 realize(spec, 0, block_len=block_len, n_blocks=n_blocks)
+        real = realize(spec, 0, block_len=np.int64(3), n_blocks=np.int64(2))
+        assert real.stream_len == 6
 
 
 def two_path_realization(block_len=8, n_blocks=3):
@@ -179,15 +183,13 @@ class TestChannelOperator:
         assert np.array_equal(blk[g:, :], np.zeros((12, 12 + g)))
 
 
-def per_path_reference(real, half_len):
-    """Stream matrix and a filter from one np.convolve per path.
+def per_path_kernels(real, half_len):
+    """(first lag, kernel, gain) per path, each kernel its own np.sinc call.
 
-    Returns (H, apply) with H[i, j] = sum_p g_p k_p(i - j),
-    where k_p is the unit tap at an integer delay and otherwise the sinc
-    sampled at lags floor(tau) -+ half_len (every lag when ``None``).
+    k_p is the unit tap at an integer delay and otherwise the sinc sampled
+    at lags floor(tau) -+ half_len (every lag of the stream when ``None``).
     """
     n = real.stream_len
-    idx = np.arange(n)
     paths = []
     for gain, path in zip(real.drawn_gains, real.spec.paths):
         tau = path.delay
@@ -198,6 +200,33 @@ def per_path_reference(real, half_len):
             end = n if half_len is None else math.floor(tau) + half_len + 1
             taps = np.sinc(np.arange(lag0, end) - tau)
         paths.append((lag0, taps, gain))
+    return paths
+
+
+def per_path_taps(real, half_len):
+    """The composite FIR (first lag, taps), accumulated path by path.
+
+    Starts from zeros on the union of the windows and adds ``gain x kernel``
+    into each path's slice, in path order.
+    """
+    paths = per_path_kernels(real, half_len)
+    lag0 = min(first for first, _, _ in paths)
+    end = max(first + taps.size for first, taps, _ in paths)
+    out = np.zeros(end - lag0, dtype=np.complex128)
+    for first, taps, gain in paths:
+        out[first - lag0 : first - lag0 + taps.size] += gain * taps
+    return lag0, out
+
+
+def per_path_reference(real, half_len):
+    """Stream matrix and a filter from one np.convolve per path.
+
+    Returns (H, apply) with H[i, j] = sum_p g_p k_p(i - j), k_p as in
+    ``per_path_kernels``.
+    """
+    n = real.stream_len
+    idx = np.arange(n)
+    paths = per_path_kernels(real, half_len)
 
     def apply(x):
         y = np.zeros(n, dtype=complex)
@@ -308,9 +337,67 @@ class TestCompositeFilter:
         ChannelOperator(two_path_realization()).apply(np.ones(24))
         assert len(calls) == 2
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        block_len=st.integers(1, 12),
+        n_blocks=st.integers(1, 3),
+        paths=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(0, 6).map(float),
+                    st.floats(0.0, 6.0, allow_nan=False, allow_infinity=False),
+                ),
+                # fixed gains with a zero part make signed zeros show
+                st.one_of(
+                    st.floats(0.1, 2.0),
+                    st.sampled_from([-1.0 + 0.0j, 1j, -1j, -0.5 - 0.5j, 2.0 + 0.0j]),
+                ),
+            ),
+            min_size=1, max_size=12,
+        ),
+        half_len=st.one_of(st.none(), st.integers(0, 70)),
+        seed=st.integers(0, 2**16),
+    )
+    # twelve fractional paths on the one-lag grid of a one-sample stream: a
+    # reduction over the paths would add them pairwise, not in path order
+    @example(
+        block_len=1, n_blocks=1, paths=[(0.25 + 0.5 * k, 1.0) for k in range(12)],
+        half_len=None, seed=0,
+    )
+    # lags 1 and 2 lie in no window; each gain of -1 leaves a -0.0 there
+    @example(
+        block_len=4, n_blocks=1, paths=[(0.0, -1.0 + 0.0j), (3.0, -1.0 + 0.0j)],
+        half_len=5, seed=0,
+    )
+    def test_taps_bit_identical_to_per_path_sum(
+        self, block_len, n_blocks, paths, half_len, seed
+    ):
+        # the one array evaluation against the per-path slices it replaced,
+        # compared as bytes so that signed zeros count
+        specs = tuple(
+            PathSpec(delay=d, gain=g) if isinstance(g, complex)
+            else PathSpec(delay=d, gain_power=g)
+            for d, g in paths
+        )
+        real = realize(
+            ChannelSpec(specs, max_delay=6.0), seed,
+            block_len=block_len, n_blocks=n_blocks,
+        )
+        op = ChannelOperator(real, half_len=half_len)
+        lag0, ref = per_path_taps(real, half_len)
+        assert op._lag0 == lag0
+        assert op._taps.shape == ref.shape
+        assert np.array_equal(op._taps.view(np.uint8), ref.view(np.uint8))
+
     def test_negative_half_len_rejected(self):
-        with pytest.raises(ParameterError):
-            ChannelOperator(two_path_realization(), half_len=-1)
+        # whole numbers >= 0 (numpy integers too) or None; a fraction, NaN
+        # or a float would put the kernel on a non-integer lag grid
+        real = two_path_realization()
+        for bad in (-1, 2.5, math.nan, 3.0, np.float64(3.0), "3"):
+            with pytest.raises(ParameterError, match="half_len must be whole"):
+                ChannelOperator(real, half_len=bad)
+        for good in (0, 3, np.int64(3), None):
+            ChannelOperator(real, half_len=good)
 
 
 class TestProfiles:

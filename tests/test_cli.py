@@ -217,6 +217,17 @@ class TestSerCommand:
         assert capsys.readouterr().err == "error: base_seed must be >= 0, got -1\n"
         assert list(tmp_path.iterdir()) == [profile]
 
+    def test_fractional_profile_seed_is_error(self, tmp_path, capsys):
+        # int() would record base_seed 7
+        profile = tmp_path / "chan.txt"
+        profile.write_text("delays_samples: [0, 1.5]\ndecay: 0.5\nseed: 7.5\n")
+        assert run([
+            "ser", "--channel", profile, "--n", 9, "--snrs", "[20]", "--trials", 1,
+            "--out", tmp_path / "x.csv",
+        ]) == 2
+        assert "seed must be an integer, got 7.5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [profile]
+
     @pytest.mark.parametrize("flag,value", [
         ("--threads", "2"), ("--half-len", "full"),
     ])
@@ -447,6 +458,8 @@ class TestConfigHandling:
         ([], "n 9", "line 1: expected 'key = value'"),
         ([], "= 9", "line 1: empty key"),
         ([], "blocks = abc", "bad value for blocks: 'abc'"),
+        # int() would run 12 blocks
+        ([], "blocks = 12.5", "bad value for blocks: 12.5"),
     ])
     def test_malformed_value_or_line_is_error(
         self, tmp_path, capsys, flags, config, message

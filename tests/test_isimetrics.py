@@ -828,6 +828,9 @@ class TestHalfShiftScan:
             half_shift_worst_case_scan(tensor, 0, 0, np.array([0.0, 0.5]))
         with pytest.raises(ParameterError, match="non-empty"):
             half_shift_worst_case_scan(tensor, 0, 0, np.array([]))
+        for grid in (0.5, [[0.25, 0.5]]):
+            with pytest.raises(ParameterError, match="1-D"):
+                half_shift_worst_case_scan(tensor, 0, 0, grid)
 
     @pytest.mark.parametrize("scheme", list(PrecodingScheme))
     def test_all_pairs_at_once_match_pair_by_pair(self, scheme):
