@@ -329,6 +329,21 @@ def prefix_length_for(spec: ChannelSpec) -> int:
 _PROFILE_KEYS = {"delays_samples", "powers_db", "decay", "seed", "max_delay", "name"}
 
 
+def _float_array(value) -> np.ndarray:
+    return np.atleast_1d(np.asarray(value, dtype=float))
+
+
+def _profile_field(path, kv: dict, key: str, convert, default=None):
+    """``convert`` of the key's value (or ``default``); ``ParameterError`` if bad."""
+    value = kv.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"profile {path}: {key} must be numeric, got {value!r}"
+        ) from None
+
+
 def load_channel_profile(path) -> tuple[ChannelSpec, int | None]:
     """Read a channel profile file; returns (spec, seed or None).
 
@@ -341,20 +356,22 @@ def load_channel_profile(path) -> tuple[ChannelSpec, int | None]:
         raise ParameterError(f"profile {path}: unknown key(s) {unknown}")
     if "delays_samples" not in kv:
         raise ParameterError(f"profile {path} missing delays_samples")
-    delays = np.atleast_1d(np.asarray(kv["delays_samples"], dtype=float))
+    delays = _profile_field(path, kv, "delays_samples", _float_array)
+    if not delays.size:
+        raise ParameterError(f"profile {path}: delays_samples lists no delay, got []")
     if "powers_db" in kv:
-        powers_db = np.atleast_1d(np.asarray(kv["powers_db"], dtype=float))
+        powers_db = _profile_field(path, kv, "powers_db", _float_array)
         if powers_db.shape != delays.shape:
             raise ParameterError("powers_db and delays_samples lengths differ")
         powers = 10.0 ** (powers_db / 10.0)
     elif "decay" in kv:
-        powers = np.exp(-2.0 * float(kv["decay"]) * delays)
+        powers = np.exp(-2.0 * _profile_field(path, kv, "decay", float) * delays)
     else:
         raise ParameterError(f"profile {path} needs powers_db or decay")
     paths = tuple(
         PathSpec(delay=float(t), gain_power=float(p)) for t, p in zip(delays, powers)
     )
-    max_delay = float(kv.get("max_delay", delays.max()))
+    max_delay = _profile_field(path, kv, "max_delay", float, delays.max())
     name = str(kv.get("name", "profile"))
     seed = kv.get("seed")
     if seed is not None and not isinstance(seed, int):

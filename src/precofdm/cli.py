@@ -4,10 +4,13 @@ Subcommands: dpss, basis, xcorr, ebct, bound, s2i, ser, scan-halfshift.
 Every subcommand is deterministic given its flags, config file, and seed;
 outputs are CSV with a header row, '.' decimals, LF endings, and floats
 printed with 12 significant digits.  Flags override config-file values.
+Each subcommand checks its invariants before it writes anything, and a
+failed check is a ``ParameterError`` (exit code 2) that leaves no file.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -38,7 +41,9 @@ from .isimetrics import (
     xcorr_tensor,
 )
 from .linksim import FrameConfig, run_ser
-from .waveform import PrecodingScheme, PrefixKind, default_basis, with_prefix
+from .waveform import (
+    PrecodingScheme, PrefixKind, _check_orthonormal, default_basis, with_prefix
+)
 
 _SCHEME_ALIASES = {
     "ofdm": PrecodingScheme.OFDM,
@@ -64,10 +69,11 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    """Quotes only a field that holds a comma, a quote or a line break."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(_fmt, row) for row in rows)
 
 
 def _channel(name) -> tuple:
@@ -98,14 +104,6 @@ def _as_float_list(value) -> list[float]:
     )
 
 
-def _verify_basis(o) -> None:
-    """The columns of ``o`` are orthonormal to 1e-10."""
-    gram = o.conj().T @ o
-    err = np.max(np.abs(gram - np.eye(o.shape[1])))
-    if err > 1e-10:
-        raise ParameterError(f"basis orthonormality check failed: {err:.2e}")
-
-
 def _verify_tensor(tensor) -> None:
     sym = tensor.values - np.conj(np.transpose(tensor.values[:, :, ::-1], (1, 0, 2)))
     if np.max(np.abs(sym)) > 1e-12:
@@ -117,8 +115,7 @@ def _verify_tensor(tensor) -> None:
 
 def cmd_dpss(v) -> None:
     dset = compute_dpss(DpssParams(n_len=v.n, half_bandwidth=v.w, count=v.k))
-    if v.verify:
-        _verify_basis(dset.sequences)
+    _check_orthonormal(dset.sequences)
     header = ["order", "eigenvalue"] + [f"c{i}" for i in range(v.n)]
     rows = [
         [l, dset.eigenvalues[l]] + list(dset.sequences[:, l]) for l in range(v.k)
@@ -129,8 +126,7 @@ def cmd_dpss(v) -> None:
 
 def cmd_basis(v) -> None:
     basis = default_basis(v.scheme, v.n, v.m)
-    if v.verify:
-        _verify_basis(basis.o_matrix)
+    _check_orthonormal(basis.o_matrix)
     rows = [
         (c, i, basis.o_matrix[i, c].real, basis.o_matrix[i, c].imag)
         for c in range(v.m)
@@ -143,8 +139,7 @@ def cmd_basis(v) -> None:
 def cmd_xcorr(v) -> None:
     n, m = v.n, v.m
     tensor = xcorr_tensor(default_basis(v.scheme, n, m))
-    if v.verify:
-        _verify_tensor(tensor)
+    _verify_tensor(tensor)
     rows = [
         (r, s, q, tensor.lag(r, s, q).real, tensor.lag(r, s, q).imag)
         for r in range(m)
@@ -158,9 +153,8 @@ def cmd_xcorr(v) -> None:
 def cmd_ebct(v) -> None:
     basis = default_basis(v.scheme, v.n, v.m)
     tensor = xcorr_tensor(basis)
-    if v.verify:
-        _verify_basis(basis.o_matrix)
-        _verify_tensor(tensor)
+    _check_orthonormal(basis.o_matrix)
+    _verify_tensor(tensor)
     values = ebct_all(tensor)
     bounds = ebct_bound_all(tensor)
     rows = [
@@ -178,7 +172,7 @@ def cmd_bound(v) -> None:
     pref = with_prefix(basis, v.prefix, PrefixKind.ZERO)
     signal, empirical = signal_isi_energies(pref, pref, channel, v.blocks)
     total = isi_bound(xcorr_tensor(basis), channel, v.prefix).total_bound
-    if v.verify and total < empirical:
+    if total < empirical:
         raise ParameterError("ISI bound fell below the empirical energy")
     write_csv(
         v.out,
@@ -206,13 +200,12 @@ def cmd_s2i(v) -> None:
         n_blocks=v.blocks,
         include_bound=not v.no_bound,
     )
-    if v.verify:
-        for p in rows:
-            if p.s2i_lower_bound_db is not None and p.s2i_lower_bound_db > p.s2i_db:
-                raise ParameterError(
-                    f"S2I lower bound {p.s2i_lower_bound_db:.6g} dB above "
-                    f"S2I {p.s2i_db:.6g} dB ({p.scheme}, eta={p.eta:.6g})"
-                )
+    for p in rows:
+        if p.s2i_lower_bound_db is not None and p.s2i_lower_bound_db > p.s2i_db:
+            raise ParameterError(
+                f"S2I lower bound {p.s2i_lower_bound_db:.6g} dB above "
+                f"S2I {p.s2i_db:.6g} dB ({p.scheme}, eta={p.eta:.6g})"
+            )
     write_csv(
         v.out,
         ["scheme", "eta", "tap_model", "s2i_db", "s2i_lower_bound_db"],
@@ -258,8 +251,6 @@ def cmd_ser(v) -> None:
                 prefix_len=prefix,
                 p_delta_db=pdelta,
             )
-            if v.verify:
-                _verify_basis(frame.make_basis().base.o_matrix)
             curve = run_ser(frame, channel, snrs, n_trials=trials, base_seed=seed)
             for pt in curve.points:
                 rows.append(
@@ -305,8 +296,7 @@ def cmd_ser(v) -> None:
 
 def cmd_scan_halfshift(v) -> None:
     tensor = xcorr_tensor(default_basis(v.scheme, v.n, v.m))
-    if v.verify:
-        _verify_tensor(tensor)
+    _verify_tensor(tensor)
     r, s = np.divmod(np.arange(v.m * v.m), v.m)
     argmax, curves = half_shift_worst_case_scan(tensor, r, s, v.taus)
     rows = [
@@ -339,7 +329,7 @@ _PREFIX = ("prefix", int, lambda v: prefix_length_for(v.channel[0]))
 _BLOCKS = ("blocks", int, DEFAULT_BLOCK_WINDOW)
 
 # Subcommand: (help line, handler, default output file, options).  The
-# common --config, --verify and --out come first.
+# common --config and --out come first.
 COMMANDS = {
     "dpss": ("export a DPSS set", cmd_dpss, "dpss.csv", [
         _N, ("w", float, 0.5), ("k", int, lambda v: v.n),
@@ -371,7 +361,6 @@ COMMANDS = {
         [_SCHEME, ("n", int, 9), _M, ("taus", _as_float_list, "0.05:0.05:0.95")],
     ),
 }
-_COMMON_HELP = {"verify": "run invariant checks", "out": "output CSV path"}
 
 
 def _resolve(args) -> argparse.Namespace:
@@ -417,15 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_line, handler, out, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="flat key = value config file")
-        options = [("verify", bool, False), ("out", str, out)] + options
+        p.add_argument("--out", help="output CSV path")
         for key, convert, _ in options:
-            flag, help_text = "--" + key, _COMMON_HELP.get(key)
             if convert is bool:
-                p.add_argument(flag, action="store_true", help=help_text)
+                p.add_argument("--" + key, action="store_true")
             else:
                 typed = convert if convert in (int, float) else None
-                p.add_argument(flag, type=typed, help=help_text)
-        p.set_defaults(func=handler, options=options)
+                p.add_argument("--" + key, type=typed)
+        p.set_defaults(func=handler, options=[("out", str, out)] + options)
     return parser
 
 

@@ -31,6 +31,7 @@ from .waveform import (
     PrecodingScheme,
     PrefixKind,
     PrefixedBasis,
+    _check_orthonormal,
     active_count,
     default_basis,
     with_prefix,
@@ -300,6 +301,7 @@ def run_ser(
     noise, so each trial's counts depend only on its seed.  SNR is Es/N0
     referenced to the victim's received per-symbol energy through its own
     effective channel; +inf dB is the noiseless, interference-limited SER.
+    A basis that is not orthonormal to 1e-10 raises ``ParameterError``.
     """
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
     if snr_grid_db.ndim != 1 or snr_grid_db.size == 0:
@@ -314,6 +316,7 @@ def run_ser(
     if base_seed < 0:
         raise ParameterError(f"base_seed must be >= 0, got {base_seed}")
     basis = cfg.make_basis()
+    _check_orthonormal(basis.base.o_matrix)
     errors, symbols = sum(
         np.array(run_trial(cfg, channel_spec, basis, snr_grid_db, seed))
         for seed in range(base_seed, base_seed + n_trials)

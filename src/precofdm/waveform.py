@@ -122,6 +122,14 @@ def active_count(eta: float, n_len: int) -> int:
     return int(math.floor(scaled))
 
 
+def _check_orthonormal(o: np.ndarray) -> None:
+    """The columns of ``o`` are orthonormal to 1e-10, else ``ParameterError``."""
+    gram = o.conj().T @ o
+    err = np.max(np.abs(gram - np.eye(o.shape[1])))
+    if err > 1e-10:
+        raise ParameterError(f"basis orthonormality check failed: {err:.2e}")
+
+
 def default_basis(scheme: PrecodingScheme, n_len: int, m_active: int) -> WaveformBasis:
     """Construct the effective basis O for a scheme at utilization M / N.
 

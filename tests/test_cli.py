@@ -1,6 +1,7 @@
 """Tests for the command-line interface and CSV outputs."""
 
 import argparse
+import csv
 import dataclasses
 import json
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 from precofdm import cli, linksim
+from precofdm.channel import load_channel_profile
 from precofdm.cli import build_parser, main
+from precofdm.errors import ParameterError
 from precofdm.isimetrics import BoundReport, S2iPoint
 
 
@@ -46,7 +49,7 @@ class TestDpssCommand:
 class TestEbctCommand:
     def test_schema_and_row_count(self, tmp_path):
         out = tmp_path / "ebct.csv"
-        assert run(["ebct", "--scheme", "ofdm", "--n", 9, "--m", 9, "--out", out, "--verify"]) == 0
+        assert run(["ebct", "--scheme", "ofdm", "--n", 9, "--m", 9, "--out", out]) == 0
         lines = read_lines(out)
         assert lines[0] == "scheme,N,M,r,s,ebct,bound"
         assert len(lines) == 82
@@ -66,14 +69,14 @@ class TestEbctCommand:
 class TestBasisXcorrCommands:
     def test_basis_long_format(self, tmp_path):
         out = tmp_path / "basis.csv"
-        assert run(["basis", "--scheme", "dft", "--n", 9, "--m", 7, "--out", out, "--verify"]) == 0
+        assert run(["basis", "--scheme", "dft", "--n", 9, "--m", 7, "--out", out]) == 0
         lines = read_lines(out)
         assert lines[0] == "component,sample,re,im"
         assert len(lines) == 1 + 7 * 9
 
     def test_xcorr_long_format(self, tmp_path):
         out = tmp_path / "xcorr.csv"
-        assert run(["xcorr", "--scheme", "ofdm", "--n", 9, "--m", 7, "--out", out, "--verify"]) == 0
+        assert run(["xcorr", "--scheme", "ofdm", "--n", 9, "--m", 7, "--out", out]) == 0
         assert len(read_lines(out)) == 1 + 7 * 7 * 17
 
 
@@ -280,6 +283,48 @@ class TestSerCommand:
         assert capsys.readouterr().err.startswith(f"error: {message} ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("profile,key,value", [
+        ("delays_samples: [0, 1.5]\ndecay: fast", "decay", "'fast'"),
+        ("delays_samples: [0, 1.5]\ndecay: 0.5\nmax_delay: far", "max_delay", "'far'"),
+        ("delays_samples: [0, x]\npowers_db: [0, -3]", "delays_samples", "[0, 'x']"),
+        ("delays_samples: [0, 1.5]\npowers_db: [0, y]", "powers_db", "[0, 'y']"),
+        ("delays_samples: []\npowers_db: []", "delays_samples", "[]"),
+    ], ids=["decay", "max_delay", "delays", "powers", "no-delays"])
+    def test_non_numeric_channel_profile_is_error(
+        self, tmp_path, capsys, profile, key, value
+    ):
+        # the library and the CLI both name the key and its value
+        path = tmp_path / "chan.txt"
+        path.write_text(profile + "\n")
+        with pytest.raises(ParameterError) as exc:
+            load_channel_profile(path)
+        assert f"{key} " in str(exc.value) and f"got {value}" in str(exc.value)
+        assert run([
+            "ser", "--channel", path, "--n", 9, "--trials", 1, "--snrs", "[20]",
+            "--out", tmp_path / "x.csv",
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+
+class TestCsvQuoting:
+    @pytest.mark.parametrize("args", [
+        ["s2i", "--schemes", "ofdm,dpss", "--etas", "[1.0]", "--blocks", 3],
+        ["bound", "--scheme", "dft", "--blocks", 3],
+    ], ids=lambda a: a[0])
+    def test_profile_name_round_trips(self, tmp_path, args):
+        # a comma or a quote in a field must not split it into two
+        path, out = tmp_path / "chan.txt", tmp_path / "x.csv"
+        for name in ("a,b", 'a"b'):
+            path.write_text(f"name: {name}\ndelays_samples: [0, 1.5]\ndecay: 0.5\n")
+            assert run(args + ["--channel", path, "--n", 9, "--out", out]) == 0
+            with open(out, encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows
+            for row in rows:
+                assert None not in row and None not in row.values()
+                assert row["tap_model"] == name
+
 
 class TestScanCommand:
     def test_scan_output(self, tmp_path):
@@ -295,7 +340,7 @@ class TestScanCommand:
 
 
 class TestVerify:
-    """``--verify`` checks every subcommand's output before it is written."""
+    """Every subcommand checks its output before it is written, with no flag."""
 
     PASSING = [
         ["dpss", "--n", 9, "--w", 0.25, "--k", 9],
@@ -310,12 +355,12 @@ class TestVerify:
     @pytest.mark.parametrize("args", PASSING, ids=lambda a: a[0])
     def test_passes_on_correct_output(self, tmp_path, args):
         out = tmp_path / "x.csv"
-        assert run(args + ["--verify", "--out", out]) == 0
+        assert run(args + ["--out", out]) == 0
         assert out.exists()
 
     def assert_rejected(self, tmp_path, capsys, args, message):
         out = tmp_path / "x.csv"
-        assert run(args + ["--verify", "--out", out]) == 2
+        assert run(args + ["--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not out.exists()
@@ -402,6 +447,81 @@ class TestVerify:
         self.assert_rejected(
             tmp_path, capsys, ["scan-halfshift", "--n", 5], "unit-diagonal"
         )
+
+    @staticmethod
+    def skew_cli_basis(monkeypatch):
+        original = cli.default_basis
+
+        def skewed(*args):
+            basis = original(*args)
+            o = basis.o_matrix.copy()
+            o[:, 1] += 1e-6 * o[:, 0]
+            return dataclasses.replace(basis, o_matrix=o)
+
+        monkeypatch.setattr(cli, "default_basis", skewed)
+
+    def test_basis_non_orthonormal_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        self.skew_cli_basis(monkeypatch)
+        self.assert_rejected(tmp_path, capsys, ["basis", "--n", 5], "orthonormality")
+
+    def test_ebct_non_orthonormal_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        self.skew_cli_basis(monkeypatch)
+        self.assert_rejected(tmp_path, capsys, ["ebct", "--n", 5], "orthonormality")
+
+    def test_ebct_asymmetric_tensor_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        original = cli.xcorr_tensor
+
+        def skewed(basis):
+            tensor = original(basis)
+            values = tensor.values.copy()
+            values[1, 0, 2] += 1e-9
+            return dataclasses.replace(tensor, values=values)
+
+        monkeypatch.setattr(cli, "xcorr_tensor", skewed)
+        self.assert_rejected(tmp_path, capsys, ["ebct", "--n", 5], "lag symmetry")
+
+    SMALL = {
+        "dpss": ["--n", 5],
+        "basis": ["--n", 5],
+        "xcorr": ["--n", 5],
+        "ebct": ["--n", 5],
+        "bound": ["--n", 9, "--blocks", 3],
+        "s2i": ["--n", 9, "--etas", "[1.0]", "--blocks", 3],
+        "ser": ["--channel", "cdlc200ns", "--n", 9, "--snrs", "[20]", "--trials", 1],
+        "scan-halfshift": ["--n", 3, "--taus", "[0.5]"],
+    }
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_verify_flag_removed(self, tmp_path, capsys, command):
+        # the checks always run, so there is no switch to turn them on
+        with pytest.raises(SystemExit) as exc:
+            run([command, *self.SMALL[command], "--verify", "--out", tmp_path / "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --verify" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ser_builds_and_checks_each_basis_once(self, tmp_path, monkeypatch):
+        built, checked = [], []
+        build, check = linksim.default_basis, linksim._check_orthonormal
+
+        def counted_build(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def counted_check(o):
+            checked.append(o)
+            check(o)
+
+        monkeypatch.setattr(linksim, "default_basis", counted_build)
+        monkeypatch.setattr(linksim, "_check_orthonormal", counted_check)
+        assert run([
+            "ser", "--channel", "cdlc200ns", "--schemes", "dft,dpss",
+            "--etas", "[1.0, 0.9]", "--n", 17, "--snrs", "[20]", "--trials", 1,
+            "--out", tmp_path / "x.csv",
+        ]) == 0
+        # one build and one check per (scheme, eta)
+        assert len(built) == 4
+        assert [o is b.o_matrix for o, b in zip(checked, built)] == [True] * 4
 
 
 class TestConfigHandling:
@@ -512,7 +632,7 @@ class TestCommandTable:
         assert list(sub.choices) == list(self.OPTIONS)
         for command, options in self.OPTIONS.items():
             found = [s for a in sub.choices[command]._actions for s in a.option_strings]
-            assert found == ["-h", "--help", "--config", "--verify", "--out"] + options
+            assert found == ["-h", "--help", "--config", "--out"] + options
 
     @pytest.mark.parametrize("command", ["dpss", "basis", "xcorr", "ebct", "bound"])
     def test_missing_n_is_error(self, tmp_path, capsys, command):
