@@ -233,8 +233,8 @@ def _spread_channel(text) -> ChannelSpec:
 def cmd_ser(v) -> None:
     if v.preset not in (None, "table1"):  # table1's values are the defaults
         raise ParameterError(f"unknown preset {v.preset!r}")
-    if v.channel is None and v.delay_spread is None:
-        raise ParameterError("give --channel or --delay-spread")
+    if (v.channel is None) == (v.delay_spread is None):
+        raise ParameterError("give exactly one of --channel and --delay-spread")
     channel, profile_seed = v.channel or (_spread_channel(v.delay_spread), None)
     n, trials, snrs, pdelta = v.n, v.trials, v.snrs, v.pdelta
     seed = (profile_seed or 0) if v.seed is None else v.seed

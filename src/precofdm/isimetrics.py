@@ -90,14 +90,14 @@ class CrossCorrTensor:
         self.values.flags.writeable = False
 
     def lag(self, r: int, s: int, q: int) -> complex:
+        _check_index(r, s, q, self.n_len, self.m)
         return self.values[r, s, q + self.n_len - 1]
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-pair and total analytical ISI bound."""
+    """Analytical upper bound on the total ISI energy."""
 
-    per_pair: np.ndarray
     total_bound: float
 
 
@@ -153,13 +153,19 @@ def _dirichlet_ratio(delta: np.ndarray, count: np.ndarray, n_len: int) -> np.nda
     return np.where(delta == 0, count, ratio)
 
 
+def _check_index(r, s, q, n_len: int, m_active: int) -> None:
+    """ParameterError unless |q| <= N-1 and 0 <= r, s < M; r and s may be
+    integer arrays.  numpy would wrap a negative index round silently."""
+    if abs(q) > n_len - 1:
+        raise ParameterError(f"|q| must be <= N-1, got q={q}")
+    if np.any((r < 0) | (r >= m_active) | (s < 0) | (s >= m_active)):
+        raise ParameterError("component indices out of range")
+
+
 def _mirror(r: int, s: int, q: int, n_len: int, m_active: int) -> tuple:
     """Checked closed-form indices with q >= 0, and whether they were mirrored:
     C_rs[q] = conj(C_sr[-q])."""
-    if abs(q) > n_len - 1:
-        raise ParameterError(f"|q| must be <= N-1, got q={q}")
-    if not (0 <= r < m_active and 0 <= s < m_active):
-        raise ParameterError("component indices out of range")
+    _check_index(r, s, q, n_len, m_active)
     return (s, r, -q, True) if q < 0 else (r, s, q, False)
 
 
@@ -243,12 +249,8 @@ def ebct_all(tensor: CrossCorrTensor) -> np.ndarray:
     return _parseval_tails(cmat, 0.5, [n - 1])[0].reshape(m, m)
 
 
-def ebct_bound_all(tensor: CrossCorrTensor) -> np.ndarray:
-    """Alias of ``ebct_all``, kept for callers of the bound name.
-
-    The tail is exact, so the value is its own bound.
-    """
-    return ebct_all(tensor)
+# The tail is exact, so it is its own bound: one function under both names.
+ebct_bound_all = ebct_all
 
 
 def _check_pair(tx: PrefixedBasis, rx: PrefixedBasis):
@@ -360,10 +362,6 @@ def isi_gram(
     return k_isi
 
 
-def _spec_of(channel: ChannelSpec | ChannelRealization) -> ChannelSpec:
-    return channel.spec if isinstance(channel, ChannelRealization) else channel
-
-
 def _quad(gram: np.ndarray, channel: ChannelSpec | ChannelRealization) -> float:
     if isinstance(channel, ChannelRealization):
         g = channel.drawn_gains
@@ -383,9 +381,7 @@ def isi_energy(
     gains; with a spec, returns the statistical form sum_p sigma_p^2
     E_isi(tau_p).
     """
-    spec = _spec_of(channel)
-    gram = isi_gram(tx, rx, spec.delays, n_blocks)
-    return _quad(gram, channel)
+    return signal_isi_energies(tx, rx, channel, n_blocks)[1]
 
 
 def signal_isi_energies(
@@ -398,7 +394,7 @@ def signal_isi_energies(
 
     Their ratio is the signal-to-ISI ratio of the link.
     """
-    spec = _spec_of(channel)
+    spec = channel.spec if isinstance(channel, ChannelRealization) else channel
     k_isi, k_sig = isi_gram(tx, rx, spec.delays, n_blocks, include_signal=True)
     return _quad(k_sig, channel), _quad(k_isi, channel)
 
@@ -430,10 +426,8 @@ def isi_bound(
     n_ps = sorted(groups)
     tails = _parseval_tails(cmat, 0.5, [n_p - 1 for n_p in n_ps])
     weights = np.array([groups[n_p] for n_p in n_ps])
-    per_pair = np.sum(weights[:, None] * tails, axis=0)
-    return BoundReport(
-        per_pair=per_pair.reshape(m, m), total_bound=float(per_pair.sum())
-    )
+    # this summation order fixes the digits of the round-off-dominated DPSS total
+    return BoundReport(float(np.sum(weights[:, None] * tails, axis=0).sum()))
 
 
 def _ratio_db(signal: float, interference: float) -> float:
@@ -516,6 +510,7 @@ def half_shift_worst_case_scan(
     inside = np.all((tau_grid > 0.0) & (tau_grid < 1.0))  # NaN fails
     if not (tau_grid.ndim == 1 and tau_grid.size and inside):
         raise ParameterError("tau grid must be 1-D, non-empty and inside (0, 1)")
+    _check_index(np.asarray(r), np.asarray(s), 0, tensor.n_len, tensor.m)
     seqs = tensor.values[r, s]
     # one (1 x lags) row per pair: the batched product then runs the same
     # vector-matrix kernel as a single pair does, so no digit depends on

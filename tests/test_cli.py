@@ -5,7 +5,6 @@ import csv
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from precofdm import cli, linksim
@@ -197,6 +196,27 @@ class TestSerCommand:
     def test_missing_channel_is_error(self, tmp_path):
         assert run(["ser", "--schemes", "ofdm", "--out", tmp_path / "x.csv"]) == 2
 
+    @pytest.mark.parametrize("flags,config", [
+        (["--channel", "mild", "--delay-spread", "200ns"], None),
+        ([], "channel = mild\ndelay-spread = 200ns\n"),
+        (["--delay-spread", "200ns"], "channel = mild\n"),
+    ], ids=["flags", "config", "flag-and-config"])
+    def test_channel_and_delay_spread_together_is_error(
+        self, tmp_path, capsys, flags, config
+    ):
+        # the run would use the channel and silently ignore the spread
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            flags = flags + ["--config", tmp_path / "run.cfg"]
+        assert run([
+            "ser", *flags, "--n", 9, "--snrs", "[20]", "--trials", 1,
+            "--out", tmp_path / "x.csv",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "give exactly one of --channel and --delay-spread" in err
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.csv.manifest.json").exists()
+
     def test_unknown_preset_is_error(self, tmp_path, capsys):
         assert run([
             "ser", "--preset", "other", "--delay-spread", "200ns", "--n", 9,
@@ -368,7 +388,7 @@ class TestVerify:
     def test_bound_below_empirical_writes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
             cli, "isi_bound",
-            lambda tensor, *a, **kw: BoundReport(np.zeros((tensor.m, tensor.m)), 0.0),
+            lambda tensor, *a, **kw: BoundReport(0.0),
         )
         self.assert_rejected(
             tmp_path, capsys, ["bound", "--n", 24, "--blocks", 3],

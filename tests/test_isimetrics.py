@@ -1,5 +1,6 @@
 """Tests for correlation tensors, tail energies, ISI energies and bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import precofdm
 from precofdm import isimetrics
 
 from precofdm.channel import (
@@ -330,6 +332,11 @@ class TestEbct:
             tensor = xcorr_tensor(default_basis(scheme, 9, 9))
             assert np.array_equal(ebct_bound_all(tensor), ebct_all(tensor))
 
+    def test_bound_all_is_ebct_all(self):
+        # one definition under two names, in the module and the package
+        assert ebct_bound_all is ebct_all
+        assert precofdm.ebct_bound_all is precofdm.ebct_all
+
     def test_bound_deterministic(self):
         tensor = xcorr_tensor(default_basis(PrecodingScheme.DPSS, 9, 9))
         a = ebct_bound_all(tensor)
@@ -457,6 +464,28 @@ class TestIsiEnergy:
         signal, interference = signal_isi_energies(pref, pref, spec, n_blocks=3)
         assert signal == pytest.approx(7.0, abs=1e-10)
         assert interference == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        n=st.integers(min_value=2, max_value=20),
+        kind=st.sampled_from(list(PrefixKind)),
+        delays=st.lists(
+            st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=4
+        ),
+        data=st.data(),
+    )
+    def test_isi_energy_is_second_of_signal_isi_energies(
+        self, scheme, n, kind, delays, data
+    ):
+        m = data.draw(st.integers(min_value=1, max_value=n))
+        g = data.draw(st.integers(min_value=0, max_value=min(4, n - 1)))
+        n_blocks = data.draw(st.integers(min_value=2, max_value=5))
+        spec = exp_profile_spec(0.3, delays, max_delay=max(delays))
+        _, pref = make_pair(scheme, n, m, g, kind)
+        for channel in (spec, realize(spec, data.draw(st.integers(0, 2**16)))):
+            _, energy = signal_isi_energies(pref, pref, channel, n_blocks)
+            assert isi_energy(pref, pref, channel, n_blocks) == energy
 
     def test_gram_quadratic_form_matches_energy(self):
         spec = exp_profile_spec(0.3, np.arange(0.0, 3.0, 0.4), max_delay=3.0)
@@ -697,7 +726,7 @@ class TestParsevalTailProperties:
             expected += path.power * _parseval_tails(cmat, 0.5, [n_p - 1])[0]
         report = isi_bound(tensor, mild, prefix)
         np.testing.assert_allclose(
-            report.per_pair, expected.reshape(m, m), rtol=1e-12, atol=1e-14
+            report.total_bound, expected.sum(), rtol=1e-12, atol=1e-14
         )
 
 
@@ -738,8 +767,8 @@ class TestIsiBound:
         basis, pref = make_pair(PrecodingScheme.DFT, 17, 17, 16)
         _, emp = signal_isi_energies(pref, pref, mild, n_blocks=6)
         report = isi_bound(xcorr_tensor(basis), mild, 16)
-        assert report.per_pair.shape == (17, 17)
-        assert report.total_bound == pytest.approx(report.per_pair.sum(), rel=1e-12)
+        assert [f.name for f in dataclasses.fields(report)] == ["total_bound"]
+        assert type(report.total_bound) is float
         assert report.total_bound >= emp
 
 
@@ -821,6 +850,19 @@ class TestHalfShiftScan:
         assert curve.shape == taus.shape
         assert np.all(curve >= 0.0)
         assert arg in taus
+
+    @pytest.mark.parametrize("r,s,q", [
+        (0, 0, -5), (0, 0, 5), (-1, 0, 0), (0, -1, 0), (5, 0, 0), (0, 5, 4),
+    ])
+    def test_out_of_range_index_is_error(self, r, s, q):
+        # numpy would wrap a negative index round to the other end
+        tensor = xcorr_tensor(default_basis(PrecodingScheme.DPSS, 5, 5))
+        with pytest.raises(ParameterError):
+            tensor.lag(r, s, q)
+        if q == 0:
+            for rows, cols in ((r, s), (np.array([0, r]), np.array([1, s]))):
+                with pytest.raises(ParameterError, match="out of range"):
+                    half_shift_worst_case_scan(tensor, rows, cols, [0.5])
 
     def test_grid_validation(self):
         tensor = xcorr_tensor(default_basis(PrecodingScheme.OFDM, 9, 9))
