@@ -38,12 +38,10 @@ from .isimetrics import (
 )
 from .linksim import (
     FrameConfig,
-    SerCurve,
     SerPoint,
     analytic_qpsk_ser,
     build_frame,
     equalize_and_detect,
-    qpsk_detect,
     qpsk_map,
     run_ser,
     run_trial,

@@ -251,20 +251,25 @@ def cmd_ser(v) -> None:
                 prefix_len=prefix,
                 p_delta_db=pdelta,
             )
-            curve = run_ser(frame, channel, snrs, n_trials=trials, base_seed=seed)
-            for pt in curve.points:
+            points = run_ser(frame, channel, snrs, n_trials=trials, base_seed=seed)
+            for pt in points:
                 rows.append(
                     (
                         scheme.value, frame.m_active / n, pdelta, spread_ns,
                         pt.snr_db, pt.ser, pt.trials, pt.total_symbols,
                     )
                 )
+            # a trial counts 14 x M victim symbols at each point it did not skip
+            per_trial = frame.symbols_per_subframe * frame.m_active
             manifest_runs.append(
                 {
                     "scheme": scheme.value,
                     "eta": frame.m_active / n,
                     "m_active": frame.m_active,
                     "snr_grid_db": list(map(float, snrs)),
+                    "skipped_trials": [
+                        trials - pt.total_symbols // per_trial for pt in points
+                    ],
                 }
             )
     write_csv(

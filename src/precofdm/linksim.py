@@ -14,12 +14,18 @@ victim's effective channel A, its Gram matrix A^H A and the matched-filter
 outputs of the received signal and of the unit-variance noise are formed
 once; each point adds its scaled noise term and solves its own regularized
 system, and errors are counted on the signs of the estimates.
+
+Trials are independent given their seeds, so ``run_ser`` splits its seed
+range into contiguous shares and runs them in forked processes, as many as
+the CPUs it may use hold BLAS thread pools.  The counts are integer sums,
+which do not depend on the order they are added in.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -40,9 +46,7 @@ from .waveform import (
 __all__ = [
     "FrameConfig",
     "SerPoint",
-    "SerCurve",
     "qpsk_map",
-    "qpsk_detect",
     "analytic_qpsk_ser",
     "build_frame",
     "equalize_and_detect",
@@ -106,11 +110,6 @@ class SerPoint:
     total_symbols: int
 
 
-@dataclass(frozen=True)
-class SerCurve:
-    points: list[SerPoint] = field(default_factory=list)
-
-
 def qpsk_map(bits: np.ndarray) -> np.ndarray:
     """Gray-mapped unit-energy QPSK; bit pair 00 -> (1 + j) / sqrt(2)."""
     bits = np.asarray(bits)
@@ -119,15 +118,6 @@ def qpsk_map(bits: np.ndarray) -> np.ndarray:
     pairs = bits.reshape(-1, 2)
     return _QPSK_SCALE * (
         (1.0 - 2.0 * pairs[:, 0]) + 1j * (1.0 - 2.0 * pairs[:, 1])
-    )
-
-
-def qpsk_detect(symbols: np.ndarray) -> np.ndarray:
-    """Quadrant decision onto the unit-energy QPSK constellation."""
-    symbols = np.asarray(symbols)
-    return _QPSK_SCALE * (
-        np.where(symbols.real >= 0, 1.0, -1.0)
-        + 1j * np.where(symbols.imag >= 0, 1.0, -1.0)
     )
 
 
@@ -288,17 +278,97 @@ def run_trial(
     return errors, symbols
 
 
+# The variables BLAS libraries read their thread count from, in this order.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _share_count(n_trials: int) -> int:
+    """Processes to run ``n_trials`` trials in: CPUs over BLAS threads.
+
+    Each process runs its BLAS calls on its own threads, so processes times
+    BLAS threads stays within the CPUs this process may use; threads of one
+    process would contend for the interpreter lock instead.  The BLAS
+    thread count is the first positive integer among ``_BLAS_THREAD_VARS``,
+    else one per CPU, the libraries' default.  At most one process per trial.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    values = (os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARS)
+    blas_threads = next((int(v) for v in values if v.isdecimal() and int(v)), cpus)
+    return max(1, min(n_trials, cpus // blas_threads))
+
+
+def _send_counts(count, seeds: range, sender) -> None:
+    """A forked child's body: sends ``(True, count(seeds))`` or ``(False, exc)``."""
+    try:
+        result = True, count(seeds)
+    except Exception as exc:  # raised again in the parent
+        result = False, exc
+    with sender:
+        sender.send(result)
+
+
+def _split_counts(count, seeds: range, shares: int) -> np.ndarray:
+    """``count(seeds)`` as the sum of ``count`` over ``shares`` contiguous parts.
+
+    The first part runs in this process and every other one in a forked
+    child, which sends its sum back through a one-way pipe; an exception in
+    a child is raised here.  Every child is joined, also when this process's
+    own part raises.  Fork rather than spawn: a child starts with the
+    modules, the basis and the caller's state it needs, at no import cost.
+    """
+    if shares < 2:
+        return count(seeds)
+    import multiprocessing  # here, so that importing or a serial run pays nothing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return count(seeds)
+    context = multiprocessing.get_context("fork")
+    cuts = [len(seeds) * i // shares for i in range(shares + 1)]
+    children, results = [], []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(
+                target=_send_counts, args=(count, seeds[lo:hi], sender)
+            )
+            child.start()
+            sender.close()  # the child's copy is then the only write end
+            children.append((child, receiver))
+        total = count(seeds[: cuts[1]])
+    finally:
+        for child, receiver in children:
+            with receiver:
+                try:
+                    results.append(receiver.recv())
+                except EOFError:  # the child ended without sending
+                    child.join()
+                    results.append((False, RuntimeError(
+                        f"a trial process exited with code {child.exitcode} "
+                        "before it sent its counts"
+                    )))
+            child.join()
+    for ok, value in results:
+        if not ok:
+            raise value
+        total = total + value
+    return total
+
+
 def run_ser(
     cfg: FrameConfig,
     channel_spec: ChannelSpec,
     snr_grid_db,
     n_trials: int = 200,
     base_seed: int = 0,
-) -> SerCurve:
+) -> list[SerPoint]:
     """Victim-user SER over an SNR grid, averaged over seeded trials.
 
     Trial i uses seed base_seed + i for channel phases, payload bits, and
-    noise, so each trial's counts depend only on its seed.  SNR is Es/N0
+    noise, so each trial's counts depend only on its seed, and the result
+    does not depend on how many processes ran the trials (``_share_count``).
+    Returns one ``SerPoint`` per SNR point.  SNR is Es/N0
     referenced to the victim's received per-symbol energy through its own
     effective channel; +inf dB is the noiseless, interference-limited SER.
     A basis that is not orthonormal to 1e-10 raises ``ParameterError``.
@@ -317,18 +387,22 @@ def run_ser(
         raise ParameterError(f"base_seed must be >= 0, got {base_seed}")
     basis = cfg.make_basis()
     _check_orthonormal(basis.base.o_matrix)
-    errors, symbols = sum(
-        np.array(run_trial(cfg, channel_spec, basis, snr_grid_db, seed))
-        for seed in range(base_seed, base_seed + n_trials)
+
+    def count(seeds):
+        return sum(
+            np.array(run_trial(cfg, channel_spec, basis, snr_grid_db, seed))
+            for seed in seeds
+        )
+
+    errors, symbols = _split_counts(
+        count, range(base_seed, base_seed + n_trials), _share_count(n_trials)
     )
-    return SerCurve(
-        points=[
-            SerPoint(
-                snr_db=float(snr_db),
-                ser=int(e) / int(total) if total else float("nan"),
-                trials=n_trials,
-                total_symbols=int(total),
-            )
-            for snr_db, e, total in zip(snr_grid_db, errors, symbols)
-        ]
-    )
+    return [
+        SerPoint(
+            snr_db=float(snr_db),
+            ser=int(e) / int(total) if total else float("nan"),
+            trials=n_trials,
+            total_symbols=int(total),
+        )
+        for snr_db, e, total in zip(snr_grid_db, errors, symbols)
+    ]

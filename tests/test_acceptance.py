@@ -257,9 +257,9 @@ def severe_ser_curves():
                 scheme=scheme, eta=m / 128, n_len=128, prefix_len=g,
                 p_delta_db=p_delta,
             )
-            curve = pf.run_ser(cfg, spec, snrs, n_trials=200, base_seed=0)
+            points = pf.run_ser(cfg, spec, snrs, n_trials=200, base_seed=0)
             curves[(p_delta, scheme, m)] = {
-                pt.snr_db: pt.ser for pt in curve.points
+                pt.snr_db: pt.ser for pt in points
             }
     return curves
 
@@ -312,9 +312,9 @@ def test_criterion_10_awgn_calibration():
     cfg = pf.FrameConfig(
         scheme=PrecodingScheme.OFDM, eta=1.0, n_len=33, prefix_len=0
     )
-    curve = pf.run_ser(cfg, identity, [0.0, 4.0, 8.0, 12.0], n_trials=150, base_seed=7)
+    points = pf.run_ser(cfg, identity, [0.0, 4.0, 8.0, 12.0], n_trials=150, base_seed=7)
     devs = []
-    for pt in curve.points:
+    for pt in points:
         expected = pf.analytic_qpsk_ser(10 ** (pt.snr_db / 10.0))
         sigma = math.sqrt(expected * (1.0 - expected) / pt.total_symbols)
         dev = abs(pt.ser - expected) / sigma

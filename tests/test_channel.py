@@ -298,6 +298,12 @@ class TestCompositeFilter:
         half_len=st.one_of(st.none(), st.integers(0, 70)),
         seed=st.integers(0, 2**16),
     )
+    # the integer path's unit tap falls outside the 2-sample stream and the
+    # other path's sinc is round-off: the reference output is 4.3e-16 in norm
+    @example(
+        block_len=1, n_blocks=2, delays=[2.0, 1.9999999999999991], half_len=None,
+        seed=0,
+    )
     def test_matches_per_path_reference(
         self, block_len, n_blocks, delays, half_len, seed
     ):
@@ -313,7 +319,13 @@ class TestCompositeFilter:
         rng = np.random.default_rng(seed)
         n = real.stream_len
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert_rel_close(op.apply(x), reference_apply(x))
+        # the FFT convolution's round-off scales with the taps and the input,
+        # not with the output, which the stream's ends may cut to round-off
+        ref = reference_apply(x)
+        taps_l1 = np.sum(np.abs(per_path_taps(real, half_len)[1]))
+        assert np.linalg.norm(op.apply(x) - ref) <= 1e-12 * max(
+            np.linalg.norm(ref), taps_l1 * np.linalg.norm(x)
+        )
         assert_rel_close(dense(op), h)
         b = block_len
         for l in range(n_blocks):

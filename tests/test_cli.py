@@ -133,6 +133,29 @@ class TestSerCommand:
         assert manifest["base_seed"] == 9
         assert manifest["trials"] == 3
         assert manifest["runs"][0]["scheme"] == "ofdm"
+        assert manifest["runs"][0]["skipped_trials"] == [0, 0]
+
+    def test_manifest_counts_skipped_trials(self, tmp_path, monkeypatch):
+        # trial seed 4 skips the second SNR point; seed 5 skips both
+        trial = linksim.run_trial
+
+        def skipping(cfg, spec, basis, snrs, seed):
+            errors, symbols = trial(cfg, spec, basis, snrs, seed)
+            skipped = {4: [1], 5: [0, 1]}.get(seed, [])
+            errors[skipped] = symbols[skipped] = 0
+            return errors, symbols
+
+        monkeypatch.setattr(linksim, "run_trial", skipping)
+        out = tmp_path / "ser.csv"
+        assert run([
+            "ser", "--schemes", "ofdm,dpss", "--etas", "[1.0, 0.5]",
+            "--channel", "cdlc200ns", "--n", 16, "--snrs", "[10, 20]",
+            "--trials", 4, "--seed", 3, "--out", out,
+        ]) == 0
+        manifest = json.loads((tmp_path / "ser.csv.manifest.json").read_text())
+        assert [run["skipped_trials"] for run in manifest["runs"]] == [[1, 2]] * 4
+        totals = [int(line.split(",")[-1]) for line in read_lines(out)[1:]]
+        assert totals == [k * 14 * m for m in (16, 8, 16, 8) for k in (3, 2)]
 
     def test_rerun_identical_bytes(self, tmp_path):
         out = tmp_path / "ser.csv"

@@ -1,6 +1,8 @@
 """Tests for QPSK mapping, frame assembly, equalization, and SER runs."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from precofdm.linksim import (
     build_frame,
     draw_payloads,
     equalize_and_detect,
-    qpsk_detect,
     qpsk_map,
     run_ser,
     run_trial,
@@ -32,6 +33,15 @@ from precofdm.linksim import (
 from precofdm.waveform import PrecodingScheme
 
 IDENTITY = ChannelSpec((PathSpec(delay=0.0, gain=1.0 + 0.0j),), 0.0, name="identity")
+
+
+def qpsk_detect(symbols):
+    """Quadrant decision onto the unit-energy QPSK constellation."""
+    symbols = np.asarray(symbols)
+    return (1.0 / math.sqrt(2.0)) * (
+        np.where(symbols.real >= 0, 1.0, -1.0)
+        + 1j * np.where(symbols.imag >= 0, 1.0, -1.0)
+    )
 
 
 class TestQpsk:
@@ -247,8 +257,7 @@ def reference_trial(cfg, spec, basis, snrs, seed):
 class TestRunSer:
     def test_identity_high_snr_error_free(self):
         cfg = FrameConfig(scheme=PrecodingScheme.OFDM, eta=1.0, n_len=33, prefix_len=0)
-        curve = run_ser(cfg, IDENTITY, [40.0], n_trials=20, base_seed=0)
-        pt = curve.points[0]
+        (pt,) = run_ser(cfg, IDENTITY, [40.0], n_trials=20, base_seed=0)
         assert pt.ser == 0.0
         assert pt.total_symbols == 20 * 14 * 33
         assert type(pt.snr_db) is type(pt.ser) is float
@@ -256,8 +265,8 @@ class TestRunSer:
 
     def test_awgn_matches_analytic_curve(self):
         cfg = FrameConfig(scheme=PrecodingScheme.DFT, eta=1.0, n_len=33, prefix_len=0)
-        curve = run_ser(cfg, IDENTITY, [0.0, 4.0, 8.0], n_trials=60, base_seed=3)
-        for pt in curve.points:
+        points = run_ser(cfg, IDENTITY, [0.0, 4.0, 8.0], n_trials=60, base_seed=3)
+        for pt in points:
             expected = analytic_qpsk_ser(10 ** (pt.snr_db / 10.0))
             sigma = math.sqrt(expected * (1 - expected) / pt.total_symbols)
             assert abs(pt.ser - expected) <= 3 * sigma
@@ -357,7 +366,7 @@ class TestRunSer:
             with pytest.raises(ParameterError):
                 run_ser(cfg, IDENTITY, bad, n_trials=2)
         # +inf dB is valid: no noise, so the identity channel makes no errors
-        noiseless = run_ser(cfg, IDENTITY, [10.0, np.inf], n_trials=2).points[1]
+        noiseless = run_ser(cfg, IDENTITY, [10.0, np.inf], n_trials=2)[1]
         assert noiseless.ser == 0.0 and noiseless.total_symbols == 2 * 14 * 17
 
     def test_negative_base_seed_rejected(self):
@@ -382,8 +391,8 @@ class TestRunSer:
             scheme=PrecodingScheme.OFDM, eta=1.0, n_len=33, prefix_len=4,
             p_delta_db=10.0,
         )
-        curve = run_ser(cfg, spec, [30.0, 40.0], n_trials=15, base_seed=2)
-        assert curve.points[-1].ser == 0.0
+        points = run_ser(cfg, spec, [30.0, 40.0], n_trials=15, base_seed=2)
+        assert points[-1].ser == 0.0
 
 
 class TestRunTrialReference:
@@ -437,6 +446,120 @@ class TestFloorOrderingMatchesS2i:
             cfg = FrameConfig(
                 scheme=scheme, eta=eta, n_len=128, prefix_len=g, p_delta_db=10.0
             )
-            curve = run_ser(cfg, spec, [35.0], n_trials=40, base_seed=0)
-            sers[scheme.value] = curve.points[0].ser
+            (pt,) = run_ser(cfg, spec, [35.0], n_trials=40, base_seed=0)
+            sers[scheme.value] = pt.ser
         assert sers["dpss"] < sers["dft"]
+
+
+class TestTrialSplit:
+    """``run_ser``'s seed range split over forked processes."""
+
+    SNRS = [15.0, 25.0, 35.0]
+
+    @staticmethod
+    def campaign():
+        spec = cdlc_channel_spec(1000.0)
+        cfg = FrameConfig(
+            scheme=PrecodingScheme.DFT, eta=1.0, n_len=32,
+            prefix_len=prefix_length_for(spec), p_delta_db=10.0,
+        )
+        return cfg, spec, cfg.make_basis()
+
+    @staticmethod
+    def pin_cpus(monkeypatch, cpus, **threads):
+        for name in linksim._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in threads.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(linksim.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    def test_shares_sum_to_serial_counts(self, shares):
+        cfg, spec, basis = self.campaign()
+        seeds = range(5, 12)  # 7 trials: shares of unequal length
+        ran_here = []
+
+        def count(part):
+            ran_here.append(part)
+            return sum(
+                np.array(run_trial(cfg, spec, basis, self.SNRS, seed)) for seed in part
+            )
+
+        trials = [run_trial(cfg, spec, basis, self.SNRS, seed) for seed in seeds]
+        serial = np.array([sum(e for e, _ in trials), sum(s for _, s in trials)])
+        got = linksim._split_counts(count, seeds, shares)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, serial)
+        # this process ran the first share alone; children ran the others
+        assert ran_here == [seeds[: len(seeds) // shares]]
+        assert multiprocessing.active_children() == []
+
+    def test_child_error_raised_in_parent(self):
+        def count(part):
+            if part[0] != 0:
+                raise ParameterError(f"bad share from seed {part[0]}")
+            return np.zeros((2, 1), dtype=int)
+
+        with pytest.raises(ParameterError, match="bad share from seed 2"):
+            linksim._split_counts(count, range(6), 3)
+        assert multiprocessing.active_children() == []
+
+    def test_child_ended_without_counts_is_error(self):
+        def count(part):
+            if part[0] != 0:
+                os._exit(3)
+            return np.zeros((2, 1), dtype=int)
+
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            linksim._split_counts(count, range(4), 2)
+        assert multiprocessing.active_children() == []
+
+    def test_children_joined_when_own_share_raises(self):
+        def count(part):
+            if part[0] == 0:
+                raise ParameterError("own share")
+            return np.zeros((2, 1), dtype=int)
+
+        with pytest.raises(ParameterError, match="own share"):
+            linksim._split_counts(count, range(6), 3)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus,threads,n_trials,want", [
+        (2, {}, 200, 1),  # BLAS defaults to one thread per CPU
+        (2, {"OMP_NUM_THREADS": "1"}, 200, 2),
+        (4, {"OMP_NUM_THREADS": "1"}, 3, 3),  # at most one process per trial
+        (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 200, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x",
+             "OMP_NUM_THREADS": "1"}, 200, 2),  # the first positive integer
+        (2, {"OMP_NUM_THREADS": "4"}, 200, 1),
+        (1, {"OMP_NUM_THREADS": "1"}, 200, 1),
+    ])
+    def test_share_rule(self, monkeypatch, cpus, threads, n_trials, want):
+        self.pin_cpus(monkeypatch, cpus, **threads)
+        assert linksim._share_count(n_trials) == want
+
+    def test_no_affinity_call_is_serial(self, monkeypatch):
+        self.pin_cpus(monkeypatch, 4, OMP_NUM_THREADS="1")
+        monkeypatch.delattr(linksim.os, "sched_getaffinity")
+        assert linksim._share_count(200) == 1
+
+    def test_single_trial_never_forks(self, monkeypatch):
+        def no_fork(method=None):
+            raise AssertionError("run_ser asked for a process context")
+
+        self.pin_cpus(monkeypatch, 4, OMP_NUM_THREADS="1")
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        cfg = FrameConfig(scheme=PrecodingScheme.OFDM, eta=1.0, n_len=17, prefix_len=0)
+        (pt,) = run_ser(cfg, IDENTITY, [20.0], n_trials=1)
+        assert pt.total_symbols == 14 * 17
+        with pytest.raises(AssertionError, match="process context"):
+            run_ser(cfg, IDENTITY, [20.0], n_trials=2)
+
+    def test_run_ser_same_points_on_one_and_three_cpus(self, monkeypatch):
+        cfg, spec, _ = self.campaign()
+        points = {}
+        for cpus in (1, 3):
+            self.pin_cpus(monkeypatch, cpus, OMP_NUM_THREADS="1")
+            points[cpus] = run_ser(cfg, spec, self.SNRS, n_trials=7, base_seed=5)
+        assert points[1] == points[3]
+        assert multiprocessing.active_children() == []
