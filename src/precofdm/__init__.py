@@ -18,7 +18,7 @@ from .channel import (
     severe_channel_spec,
 )
 from .dpss import DpssParams, DpssSet, compute_dpss, dpss_limit_half
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError
 from .isimetrics import (
     BoundReport,
     CrossCorrTensor,

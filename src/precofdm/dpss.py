@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError
 
 __all__ = ["DpssParams", "DpssSet", "compute_dpss", "dpss_limit_half", "sinc_kernel"]
 
@@ -91,17 +91,12 @@ def _tridiagonal_vectors(n_len: int, half_bandwidth: float, count: int) -> np.nd
     n = np.arange(n_len)
     diag = ((n_len - 1 - 2 * n) / 2.0) ** 2 * np.cos(2.0 * np.pi * half_bandwidth)
     off = n[1:] * (n_len - n[1:]) / 2.0
-    try:
-        if count == n_len:
-            _, vecs = scipy.linalg.eigh_tridiagonal(diag, off)
-        else:
-            _, vecs = scipy.linalg.eigh_tridiagonal(
-                diag, off, select="i", select_range=(n_len - count, n_len - 1)
-            )
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalError(
-            f"tridiagonal eigensolver failed for N={n_len}, W={half_bandwidth}: {exc}"
-        ) from exc
+    if count == n_len:
+        _, vecs = scipy.linalg.eigh_tridiagonal(diag, off)
+    else:
+        _, vecs = scipy.linalg.eigh_tridiagonal(
+            diag, off, select="i", select_range=(n_len - count, n_len - 1)
+        )
     # eigh_tridiagonal returns ascending eigenvalues; most concentrated last.
     return vecs[:, ::-1]
 

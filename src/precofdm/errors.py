@@ -3,7 +3,3 @@
 
 class ParameterError(ValueError):
     """An argument is outside the domain an operation accepts."""
-
-
-class NumericalError(RuntimeError):
-    """A numerical routine failed to converge or produced unusable output."""

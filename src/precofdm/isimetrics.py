@@ -21,15 +21,21 @@ The chain implemented here:
   nearest neighbour block.
 
 Channels are quasi-static: every operation takes one set of path gains.
+
+An S2I sweep runs the energies and the bound of each basis span as
+independent tasks through ``_fork.fork_map``, in forked processes when the
+CPUs of the affinity set hold more than one BLAS thread pool.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack
 
+from ._fork import fork_map
 from .channel import ChannelOperator, ChannelRealization, ChannelSpec
 from .errors import ParameterError
 from .waveform import (
@@ -307,6 +313,38 @@ def _symmetric_lag_root(o: np.ndarray) -> np.ndarray:
     return _lag_root(np.asfortranarray(np.vstack([root, root[:, ::-1].conj()])))
 
 
+def _check_blocks(n_blocks: int) -> None:
+    if n_blocks < 2:
+        raise ParameterError("n_blocks must be >= 2 to include any interferer")
+
+
+def _window_powers(channel: ChannelSpec, n_len: int, prefix_len: int) -> dict:
+    """Path powers summed per tail window N_p = N + g - floor(tau_p).
+
+    A path with N_p < 1 skips whole blocks: ``ParameterError``.
+    """
+    groups: dict[int, float] = {}
+    for path in channel.paths:
+        n_p = n_len + prefix_len - math.floor(path.delay)
+        if n_p < 1:
+            raise ParameterError(
+                f"path delay {path.delay} too large for N={n_len}, g={prefix_len}"
+            )
+        groups[n_p] = groups.get(n_p, 0.0) + path.power
+    return groups
+
+
+def _check_tasks(
+    channel: ChannelSpec, n_len: int, prefix_len: int, n_blocks: int, bound: bool
+) -> None:
+    """Raises here what a span's gram task, or with ``bound`` its bound task,
+    would raise in a forked process: the prefix and the bases are checked
+    where they are built."""
+    _check_blocks(n_blocks)
+    if bound:
+        _window_powers(channel, n_len, prefix_len)
+
+
 def isi_gram(
     tx: PrefixedBasis,
     rx: PrefixedBasis,
@@ -336,8 +374,7 @@ def isi_gram(
     lag reversal and the large QR factors only half of them.
     """
     _check_pair(tx, rx)
-    if n_blocks < 2:
-        raise ParameterError("n_blocks must be >= 2 to include any interferer")
+    _check_blocks(n_blocks)
     delays = np.asarray(delays, dtype=float)
     b = tx.block_len
     if np.array_equal(rx.o_r, tx.o_t):
@@ -415,14 +452,7 @@ def isi_bound(
     """
     m, n = tensor.m, tensor.n_len
     cmat = tensor.values.reshape(m * m, 2 * n - 1)
-    groups: dict[int, float] = {}
-    for path in channel.paths:
-        n_p = n + prefix_len - math.floor(path.delay)
-        if n_p < 1:
-            raise ParameterError(
-                f"path delay {path.delay} too large for N={n}, g={prefix_len}"
-            )
-        groups[n_p] = groups.get(n_p, 0.0) + path.power
+    groups = _window_powers(channel, n, prefix_len)
     n_ps = sorted(groups)
     tails = _parseval_tails(cmat, 0.5, [n_p - 1 for n_p in n_ps])
     weights = np.array([groups[n_p] for n_p in n_ps])
@@ -459,35 +489,50 @@ def s2i_sweep(
     the OFDM subcarriers, and at M = N every basis spans all of C^N, so the
     values are computed once per span, on the OFDM basis for every span
     but DPSS with M < N, and shared by the rows that have it.
+
+    The bases are built here; each span's energies and each span's bound
+    are then separate tasks for ``fork_map``, which may run them in forked
+    processes.  Every check a task would raise runs here first, so a bad
+    argument never starts a process.
     """
-    spans: dict = {}
-    rows: list[S2iPoint] = []
+    spans: dict = {}  # (DPSS with M < N, M) -> (basis, zero-prefixed basis)
+    rows = []  # (scheme, M, span) per row
     for scheme in schemes:
         scheme = PrecodingScheme(scheme)
         for eta in eta_list:
             m = active_count(eta, n_len)
-            dpss = scheme is PrecodingScheme.DPSS and m < n_len
-            if (dpss, m) not in spans:
-                span = scheme if dpss else PrecodingScheme.OFDM
+            key = scheme is PrecodingScheme.DPSS and m < n_len, m
+            if key not in spans:
+                span = scheme if key[0] else PrecodingScheme.OFDM
                 basis = default_basis(span, n_len, m)
-                pref = with_prefix(basis, prefix_len, PrefixKind.ZERO)
-                signal, energy = signal_isi_energies(pref, pref, channel, n_blocks)
-                lower = None
-                if include_bound:
-                    report = isi_bound(xcorr_tensor(basis), channel, prefix_len)
-                    lower = _ratio_db(signal, report.total_bound)
-                spans[dpss, m] = (_ratio_db(signal, energy), lower)
-            s2i, lower = spans[dpss, m]
-            rows.append(
-                S2iPoint(
-                    scheme=scheme.value,
-                    eta=m / n_len,
-                    tap_model=channel.name,
-                    s2i_db=s2i,
-                    s2i_lower_bound_db=lower,
-                )
-            )
-    return rows
+                spans[key] = basis, with_prefix(basis, prefix_len, PrefixKind.ZERO)
+            rows.append((scheme, m, key))
+    _check_tasks(channel, n_len, prefix_len, n_blocks, include_bound)
+
+    def bound(basis):
+        return isi_bound(xcorr_tensor(basis), channel, prefix_len).total_bound
+
+    # every gram task, then every bound task: at N = 64 a gram task costs
+    # about twice a bound task, and the round-robin deal evens the shares
+    tasks = [
+        partial(signal_isi_energies, pref, pref, channel, n_blocks)
+        for _, pref in spans.values()
+    ]
+    if include_bound:
+        tasks += [partial(bound, basis) for basis, _ in spans.values()]
+    results = fork_map(lambda task: task(), tasks)
+    energies = dict(zip(spans, results))
+    lower = {  # empty without the bound tasks
+        key: _ratio_db(energies[key][0], total)
+        for key, total in zip(spans, results[len(spans):])
+    }
+    return [
+        S2iPoint(
+            scheme.value, m / n_len, channel.name,
+            _ratio_db(*energies[key]), lower.get(key),
+        )
+        for scheme, m, key in rows
+    ]
 
 
 def half_shift_worst_case_scan(

@@ -16,21 +16,22 @@ once; each point adds its scaled noise term and solves its own regularized
 system, and errors are counted on the signs of the estimates.
 
 Trials are independent given their seeds, so ``run_ser`` splits its seed
-range into contiguous shares and runs them in forked processes, as many as
-the CPUs it may use hold BLAS thread pools.  The counts are integer sums,
-which do not depend on the order they are added in.
+range into contiguous shares, one per process, and runs them through
+``_fork.fork_map``: as many processes as the CPUs it may use hold BLAS
+thread pools.  The counts are integer sums, which do not depend on the
+order they are added in.
 """
 from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 from scipy.special import erfc
 
+from ._fork import _share_count, fork_map
 from .channel import ChannelOperator, ChannelSpec, realize
 from .errors import ParameterError
 from .waveform import (
@@ -278,84 +279,6 @@ def run_trial(
     return errors, symbols
 
 
-# The variables BLAS libraries read their thread count from, in this order.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _share_count(n_trials: int) -> int:
-    """Processes to run ``n_trials`` trials in: CPUs over BLAS threads.
-
-    Each process runs its BLAS calls on its own threads, so processes times
-    BLAS threads stays within the CPUs this process may use; threads of one
-    process would contend for the interpreter lock instead.  The BLAS
-    thread count is the first positive integer among ``_BLAS_THREAD_VARS``,
-    else one per CPU, the libraries' default.  At most one process per trial.
-    """
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    values = (os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARS)
-    blas_threads = next((int(v) for v in values if v.isdecimal() and int(v)), cpus)
-    return max(1, min(n_trials, cpus // blas_threads))
-
-
-def _send_counts(count, seeds: range, sender) -> None:
-    """A forked child's body: sends ``(True, count(seeds))`` or ``(False, exc)``."""
-    try:
-        result = True, count(seeds)
-    except Exception as exc:  # raised again in the parent
-        result = False, exc
-    with sender:
-        sender.send(result)
-
-
-def _split_counts(count, seeds: range, shares: int) -> np.ndarray:
-    """``count(seeds)`` as the sum of ``count`` over ``shares`` contiguous parts.
-
-    The first part runs in this process and every other one in a forked
-    child, which sends its sum back through a one-way pipe; an exception in
-    a child is raised here.  Every child is joined, also when this process's
-    own part raises.  Fork rather than spawn: a child starts with the
-    modules, the basis and the caller's state it needs, at no import cost.
-    """
-    if shares < 2:
-        return count(seeds)
-    import multiprocessing  # here, so that importing or a serial run pays nothing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return count(seeds)
-    context = multiprocessing.get_context("fork")
-    cuts = [len(seeds) * i // shares for i in range(shares + 1)]
-    children, results = [], []
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(
-                target=_send_counts, args=(count, seeds[lo:hi], sender)
-            )
-            child.start()
-            sender.close()  # the child's copy is then the only write end
-            children.append((child, receiver))
-        total = count(seeds[: cuts[1]])
-    finally:
-        for child, receiver in children:
-            with receiver:
-                try:
-                    results.append(receiver.recv())
-                except EOFError:  # the child ended without sending
-                    child.join()
-                    results.append((False, RuntimeError(
-                        f"a trial process exited with code {child.exitcode} "
-                        "before it sent its counts"
-                    )))
-            child.join()
-    for ok, value in results:
-        if not ok:
-            raise value
-        total = total + value
-    return total
-
-
 def run_ser(
     cfg: FrameConfig,
     channel_spec: ChannelSpec,
@@ -394,8 +317,12 @@ def run_ser(
             for seed in seeds
         )
 
-    errors, symbols = _split_counts(
-        count, range(base_seed, base_seed + n_trials), _share_count(n_trials)
+    # one contiguous range of seeds per process
+    seeds = range(base_seed, base_seed + n_trials)
+    shares = _share_count(n_trials)
+    cuts = [n_trials * i // shares for i in range(shares + 1)]
+    errors, symbols = sum(
+        fork_map(count, [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
     )
     return [
         SerPoint(

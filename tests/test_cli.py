@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
@@ -111,6 +112,39 @@ class TestS2iCommand:
             "integer", "--n", 20, "--blocks", 4, "--out", out, "--no-bound",
         ])
         assert len(read_lines(out)) == 4
+
+
+class TestProcesses:
+    """``bound`` and ``s2i`` run their tasks through ``fork_map``."""
+
+    RUNS = [
+        ["bound", "--scheme", "dpss", "--n", 24, "--m", 22, "--blocks", 3],
+        ["s2i", "--n", 17, "--etas", "[1.0, 0.9]", "--blocks", 3],
+    ]
+
+    @pytest.mark.parametrize("args", RUNS)
+    def test_split_and_serial_write_same_bytes(self, tmp_path, pin_cpus, args):
+        outputs = []
+        for cpus in (1, 2):
+            pin_cpus(cpus, OMP_NUM_THREADS="1")
+            outputs.append(tmp_path / f"cpus{cpus}.csv")
+            assert run(args + ["--out", outputs[-1]]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["bound", "s2i"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", 17, "--blocks", 1], "n_blocks must be >= 2"),
+        (["--n", 9, "--prefix", 0], "too large for N=9, g=0"),  # mild reaches 15
+    ])
+    def test_bad_arguments_fork_nothing(
+        self, tmp_path, capsys, pin_cpus, no_fork, command, flags, message
+    ):
+        pin_cpus(4, OMP_NUM_THREADS="1")
+        out = tmp_path / "x.csv"
+        assert run([command, *flags, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSerCommand:
@@ -700,8 +734,9 @@ class TestCommandTable:
 
     @pytest.mark.parametrize("name,args", CALLS)
     def test_module_globals_looked_up_at_call_time(
-        self, tmp_path, monkeypatch, name, args
+        self, tmp_path, monkeypatch, pin_cpus, name, args
     ):
+        pin_cpus(1)  # one process, so that every call is counted here
         calls = []
         original = getattr(cli, name)
 

@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import precofdm
@@ -801,9 +802,11 @@ class TestS2iSweep:
             assert row.tap_model == "mild"
 
     @pytest.mark.parametrize("n,m", [(17, 15), (24, 19)])
-    def test_shared_spans_match_direct_evaluation(self, n, m, monkeypatch):
+    def test_shared_spans_match_direct_evaluation(self, n, m, monkeypatch, pin_cpus):
         # rows that share a span reuse one computation; each must equal the
-        # value computed directly on its own basis
+        # value computed directly on its own basis.  One process, so that
+        # every call is counted here.
+        pin_cpus(1)
         mild = mild_channel_spec()
         calls = []
         direct = isimetrics.signal_isi_energies
@@ -833,6 +836,61 @@ class TestS2iSweep:
                 [10 * np.log10(signal / energy), 10 * np.log10(signal / bound)],
                 rtol=1e-12, atol=0,
             )
+
+    @given(
+        n=st.integers(5, 24),
+        data=st.data(),
+        include_bound=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(
+        max_examples=12, deadline=None,
+        # the fixture only patches names; every example re-pins each count
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_rows_do_not_depend_on_process_count(
+        self, pin_cpus, n, data, include_bound, seed
+    ):
+        g = data.draw(st.integers(0, n - 1), label="g")
+        schemes = data.draw(
+            st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=3), label="schemes"
+        )
+        etas = data.draw(st.lists(
+            st.integers(1, n).map(lambda m: m / n), min_size=1, max_size=3
+        ), label="etas")
+        rng = np.random.default_rng(seed)
+        delays = np.sort(rng.uniform(0.0, n + g, size=rng.integers(1, 5)))
+        channel = exp_profile_spec(0.2, delays, float(delays[-1]))
+        rows = {}
+        for cpus in (1, 2, 3):
+            pin_cpus(cpus, OMP_NUM_THREADS="1")
+            rows[cpus] = s2i_sweep(
+                schemes, etas, channel, n, g, n_blocks=3, include_bound=include_bound
+            )
+        # dataclass equality compares the floats exactly
+        assert rows[1] == rows[2] == rows[3]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_blocks,delay", [(1, 3.0), (4, 40.0)])
+    def test_bad_arguments_raise_before_any_fork(
+        self, pin_cpus, no_fork, n_blocks, delay
+    ):
+        # N_p = 17 + 4 - 40 < 1 for the long delay
+        pin_cpus(4, OMP_NUM_THREADS="1")
+        channel = exp_profile_spec(0.1, [0.0, delay], delay)
+        with pytest.raises(ParameterError):
+            s2i_sweep(SCHEMES, [1.0, 15 / 17], channel, 17, 4, n_blocks=n_blocks)
+
+    def test_one_task_sweep_never_forks(self, pin_cpus, no_fork):
+        pin_cpus(4, OMP_NUM_THREADS="1")
+        # one span (every scheme spans C^N at M = N) and no bound: one task
+        rows = s2i_sweep(
+            SCHEMES, [1.0], mild_channel_spec(), 17, 16, n_blocks=3,
+            include_bound=False,
+        )
+        assert len(rows) == 3
+        with pytest.raises(AssertionError, match="process context"):
+            s2i_sweep(SCHEMES, [1.0], mild_channel_spec(), 17, 16, n_blocks=3)
 
 
 class TestHalfShiftScan:

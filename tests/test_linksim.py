@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precofdm import linksim
+from precofdm import _fork, linksim
 from precofdm.channel import (
     DEFAULT_FIR_HALF_LEN,
     ChannelOperator,
@@ -452,7 +452,7 @@ class TestFloorOrderingMatchesS2i:
 
 
 class TestTrialSplit:
-    """``run_ser``'s seed range split over forked processes."""
+    """``_fork.fork_map`` and ``run_ser``'s seed range split over it."""
 
     SNRS = [15.0, 25.0, 35.0]
 
@@ -466,15 +466,13 @@ class TestTrialSplit:
         return cfg, spec, cfg.make_basis()
 
     @staticmethod
-    def pin_cpus(monkeypatch, cpus, **threads):
-        for name in linksim._BLAS_THREAD_VARS:
-            monkeypatch.delenv(name, raising=False)
-        for name, value in threads.items():
-            monkeypatch.setenv(name, value)
-        monkeypatch.setattr(linksim.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    def parts(seeds, shares):
+        cuts = [len(seeds) * i // shares for i in range(shares + 1)]
+        return [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
     @pytest.mark.parametrize("shares", [1, 2, 3])
-    def test_shares_sum_to_serial_counts(self, shares):
+    def test_shares_sum_to_serial_counts(self, pin_cpus, shares):
+        pin_cpus(shares, OMP_NUM_THREADS="1")
         cfg, spec, basis = self.campaign()
         seeds = range(5, 12)  # 7 trials: shares of unequal length
         ran_here = []
@@ -487,41 +485,59 @@ class TestTrialSplit:
 
         trials = [run_trial(cfg, spec, basis, self.SNRS, seed) for seed in seeds]
         serial = np.array([sum(e for e, _ in trials), sum(s for _, s in trials)])
-        got = linksim._split_counts(count, seeds, shares)
+        parts = self.parts(seeds, shares)
+        got = sum(_fork.fork_map(count, parts))
         assert got.dtype.kind == "i"
         assert np.array_equal(got, serial)
         # this process ran the first share alone; children ran the others
         assert ran_here == [seeds[: len(seeds) // shares]]
         assert multiprocessing.active_children() == []
 
-    def test_child_error_raised_in_parent(self):
+    def test_child_error_raised_in_parent(self, pin_cpus):
+        pin_cpus(3, OMP_NUM_THREADS="1")
+
         def count(part):
             if part[0] != 0:
                 raise ParameterError(f"bad share from seed {part[0]}")
             return np.zeros((2, 1), dtype=int)
 
         with pytest.raises(ParameterError, match="bad share from seed 2"):
-            linksim._split_counts(count, range(6), 3)
+            _fork.fork_map(count, self.parts(range(6), 3))
         assert multiprocessing.active_children() == []
 
-    def test_child_ended_without_counts_is_error(self):
+    def test_child_ended_without_counts_is_error(self, pin_cpus):
+        pin_cpus(2, OMP_NUM_THREADS="1")
+
         def count(part):
             if part[0] != 0:
                 os._exit(3)
             return np.zeros((2, 1), dtype=int)
 
         with pytest.raises(RuntimeError, match="exited with code 3"):
-            linksim._split_counts(count, range(4), 2)
+            _fork.fork_map(count, self.parts(range(4), 2))
         assert multiprocessing.active_children() == []
 
-    def test_children_joined_when_own_share_raises(self):
+    def test_children_joined_when_own_share_raises(self, pin_cpus):
+        pin_cpus(3, OMP_NUM_THREADS="1")
+
         def count(part):
             if part[0] == 0:
                 raise ParameterError("own share")
             return np.zeros((2, 1), dtype=int)
 
         with pytest.raises(ParameterError, match="own share"):
-            linksim._split_counts(count, range(6), 3)
+            _fork.fork_map(count, self.parts(range(6), 3))
+        assert multiprocessing.active_children() == []
+
+    def test_round_robin_results_in_item_order(self, pin_cpus):
+        pin_cpus(3, OMP_NUM_THREADS="1")
+        got = _fork.fork_map(lambda x: (x, os.getpid()), range(7))
+        assert [x for x, _ in got] == list(range(7))
+        pids = [pid for _, pid in got]
+        # share k holds items k, k + 3, ...; share 0 runs in this process
+        assert pids[0::3] == [os.getpid()] * 3
+        assert len({*pids[1::3], *pids[2::3]} - {os.getpid()}) == 2
+        assert pids[1] == pids[4] and pids[2] == pids[5]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus,threads,n_trials,want", [
@@ -534,32 +550,28 @@ class TestTrialSplit:
         (2, {"OMP_NUM_THREADS": "4"}, 200, 1),
         (1, {"OMP_NUM_THREADS": "1"}, 200, 1),
     ])
-    def test_share_rule(self, monkeypatch, cpus, threads, n_trials, want):
-        self.pin_cpus(monkeypatch, cpus, **threads)
-        assert linksim._share_count(n_trials) == want
+    def test_share_rule(self, pin_cpus, cpus, threads, n_trials, want):
+        pin_cpus(cpus, **threads)
+        assert _fork._share_count(n_trials) == want
 
-    def test_no_affinity_call_is_serial(self, monkeypatch):
-        self.pin_cpus(monkeypatch, 4, OMP_NUM_THREADS="1")
-        monkeypatch.delattr(linksim.os, "sched_getaffinity")
-        assert linksim._share_count(200) == 1
+    def test_no_affinity_call_is_serial(self, monkeypatch, pin_cpus):
+        pin_cpus(4, OMP_NUM_THREADS="1")
+        monkeypatch.delattr(_fork.os, "sched_getaffinity")
+        assert _fork._share_count(200) == 1
 
-    def test_single_trial_never_forks(self, monkeypatch):
-        def no_fork(method=None):
-            raise AssertionError("run_ser asked for a process context")
-
-        self.pin_cpus(monkeypatch, 4, OMP_NUM_THREADS="1")
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    def test_single_trial_never_forks(self, pin_cpus, no_fork):
+        pin_cpus(4, OMP_NUM_THREADS="1")
         cfg = FrameConfig(scheme=PrecodingScheme.OFDM, eta=1.0, n_len=17, prefix_len=0)
         (pt,) = run_ser(cfg, IDENTITY, [20.0], n_trials=1)
         assert pt.total_symbols == 14 * 17
         with pytest.raises(AssertionError, match="process context"):
             run_ser(cfg, IDENTITY, [20.0], n_trials=2)
 
-    def test_run_ser_same_points_on_one_and_three_cpus(self, monkeypatch):
+    def test_run_ser_same_points_on_one_and_three_cpus(self, pin_cpus):
         cfg, spec, _ = self.campaign()
         points = {}
         for cpus in (1, 3):
-            self.pin_cpus(monkeypatch, cpus, OMP_NUM_THREADS="1")
+            pin_cpus(cpus, OMP_NUM_THREADS="1")
             points[cpus] = run_ser(cfg, spec, self.SNRS, n_trials=7, base_seed=5)
         assert points[1] == points[3]
         assert multiprocessing.active_children() == []
