@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._fork import fork_map
 from .channel import (
     DEFAULT_FIR_HALF_LEN,
     ChannelSpec,
@@ -32,7 +31,6 @@ from .dpss import DpssParams, compute_dpss
 from .errors import ParameterError
 from .isimetrics import (
     DEFAULT_BLOCK_WINDOW,
-    _check_tasks,
     _ratio_db,
     ebct_all,
     ebct_bound_all,
@@ -172,11 +170,8 @@ def cmd_bound(v) -> None:
     channel, _ = v.channel
     basis = default_basis(v.scheme, v.n, v.m)
     pref = with_prefix(basis, v.prefix, PrefixKind.ZERO)
-    _check_tasks(channel, v.n, v.prefix, v.blocks, bound=True)
-    (signal, empirical), total = fork_map(lambda task: task(), [
-        lambda: signal_isi_energies(pref, pref, channel, v.blocks),
-        lambda: isi_bound(xcorr_tensor(basis), channel, v.prefix).total_bound,
-    ])
+    signal, empirical = signal_isi_energies(pref, pref, channel, v.blocks)
+    total = isi_bound(xcorr_tensor(basis), channel, v.prefix).total_bound
     if total < empirical:
         raise ParameterError("ISI bound fell below the empirical energy")
     write_csv(

@@ -334,17 +334,6 @@ def _window_powers(channel: ChannelSpec, n_len: int, prefix_len: int) -> dict:
     return groups
 
 
-def _check_tasks(
-    channel: ChannelSpec, n_len: int, prefix_len: int, n_blocks: int, bound: bool
-) -> None:
-    """Raises here what a span's gram task, or with ``bound`` its bound task,
-    would raise in a forked process: the prefix and the bases are checked
-    where they are built."""
-    _check_blocks(n_blocks)
-    if bound:
-        _window_powers(channel, n_len, prefix_len)
-
-
 def isi_gram(
     tx: PrefixedBasis,
     rx: PrefixedBasis,
@@ -507,7 +496,9 @@ def s2i_sweep(
                 basis = default_basis(span, n_len, m)
                 spans[key] = basis, with_prefix(basis, prefix_len, PrefixKind.ZERO)
             rows.append((scheme, m, key))
-    _check_tasks(channel, n_len, prefix_len, n_blocks, include_bound)
+    _check_blocks(n_blocks)
+    if include_bound:
+        _window_powers(channel, n_len, prefix_len)
 
     def bound(basis):
         return isi_bound(xcorr_tensor(basis), channel, prefix_len).total_bound

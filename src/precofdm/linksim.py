@@ -15,11 +15,10 @@ outputs of the received signal and of the unit-variance noise are formed
 once; each point adds its scaled noise term and solves its own regularized
 system, and errors are counted on the signs of the estimates.
 
-Trials are independent given their seeds, so ``run_ser`` splits its seed
-range into contiguous shares, one per process, and runs them through
-``_fork.fork_map``: as many processes as the CPUs it may use hold BLAS
-thread pools.  The counts are integer sums, which do not depend on the
-order they are added in.
+Trials are independent given their seeds, so ``run_ser`` deals its seeds
+to processes through ``_fork.fork_map``: as many processes as the CPUs it
+may use hold BLAS thread pools.  The counts are integer sums, which do not
+depend on the order they are added in.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import erfc
 
-from ._fork import _share_count, fork_map
+from ._fork import fork_map
 from .channel import ChannelOperator, ChannelSpec, realize
 from .errors import ParameterError
 from .waveform import (
@@ -290,7 +289,7 @@ def run_ser(
 
     Trial i uses seed base_seed + i for channel phases, payload bits, and
     noise, so each trial's counts depend only on its seed, and the result
-    does not depend on how many processes ran the trials (``_share_count``).
+    does not depend on how many processes ran the trials (``fork_map``).
     Returns one ``SerPoint`` per SNR point.  SNR is Es/N0
     referenced to the victim's received per-symbol energy through its own
     effective channel; +inf dB is the noiseless, interference-limited SER.
@@ -311,19 +310,10 @@ def run_ser(
     basis = cfg.make_basis()
     _check_orthonormal(basis.base.o_matrix)
 
-    def count(seeds):
-        return sum(
-            np.array(run_trial(cfg, channel_spec, basis, snr_grid_db, seed))
-            for seed in seeds
-        )
-
-    # one contiguous range of seeds per process
-    seeds = range(base_seed, base_seed + n_trials)
-    shares = _share_count(n_trials)
-    cuts = [n_trials * i // shares for i in range(shares + 1)]
-    errors, symbols = sum(
-        fork_map(count, [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
-    )
+    errors, symbols = sum(fork_map(
+        lambda seed: np.array(run_trial(cfg, channel_spec, basis, snr_grid_db, seed)),
+        range(base_seed, base_seed + n_trials),
+    ))
     return [
         SerPoint(
             snr_db=float(snr_db),

@@ -115,7 +115,7 @@ class TestS2iCommand:
 
 
 class TestProcesses:
-    """``bound`` and ``s2i`` run their tasks through ``fork_map``."""
+    """``s2i`` runs its tasks through ``fork_map``; ``bound`` runs serially."""
 
     RUNS = [
         ["bound", "--scheme", "dpss", "--n", 24, "--m", 22, "--blocks", 3],
@@ -131,6 +131,12 @@ class TestProcesses:
             assert run(args + ["--out", outputs[-1]]) == 0
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
         assert multiprocessing.active_children() == []
+
+    def test_bound_never_forks(self, tmp_path, pin_cpus, no_fork):
+        pin_cpus(4, OMP_NUM_THREADS="1")
+        out = tmp_path / "bound.csv"
+        assert run(self.RUNS[0] + ["--out", out]) == 0
+        assert len(read_lines(out)) == 2
 
     @pytest.mark.parametrize("command", ["bound", "s2i"])
     @pytest.mark.parametrize("flags,message", [

@@ -452,7 +452,7 @@ class TestFloorOrderingMatchesS2i:
 
 
 class TestTrialSplit:
-    """``_fork.fork_map`` and ``run_ser``'s seed range split over it."""
+    """``_fork.fork_map`` and ``run_ser``'s seeds dealt over it."""
 
     SNRS = [15.0, 25.0, 35.0]
 
@@ -465,11 +465,6 @@ class TestTrialSplit:
         )
         return cfg, spec, cfg.make_basis()
 
-    @staticmethod
-    def parts(seeds, shares):
-        cuts = [len(seeds) * i // shares for i in range(shares + 1)]
-        return [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-
     @pytest.mark.parametrize("shares", [1, 2, 3])
     def test_shares_sum_to_serial_counts(self, pin_cpus, shares):
         pin_cpus(shares, OMP_NUM_THREADS="1")
@@ -477,56 +472,53 @@ class TestTrialSplit:
         seeds = range(5, 12)  # 7 trials: shares of unequal length
         ran_here = []
 
-        def count(part):
-            ran_here.append(part)
-            return sum(
-                np.array(run_trial(cfg, spec, basis, self.SNRS, seed)) for seed in part
-            )
+        def count(seed):
+            ran_here.append(seed)
+            return np.array(run_trial(cfg, spec, basis, self.SNRS, seed))
 
         trials = [run_trial(cfg, spec, basis, self.SNRS, seed) for seed in seeds]
         serial = np.array([sum(e for e, _ in trials), sum(s for _, s in trials)])
-        parts = self.parts(seeds, shares)
-        got = sum(_fork.fork_map(count, parts))
+        got = sum(_fork.fork_map(count, seeds))
         assert got.dtype.kind == "i"
         assert np.array_equal(got, serial)
         # this process ran the first share alone; children ran the others
-        assert ran_here == [seeds[: len(seeds) // shares]]
+        assert ran_here == list(seeds[::shares])
         assert multiprocessing.active_children() == []
 
     def test_child_error_raised_in_parent(self, pin_cpus):
         pin_cpus(3, OMP_NUM_THREADS="1")
 
-        def count(part):
-            if part[0] != 0:
-                raise ParameterError(f"bad share from seed {part[0]}")
+        def count(seed):  # share k holds seeds k and k + 3
+            if seed % 3 == 2:
+                raise ParameterError(f"bad share from seed {seed}")
             return np.zeros((2, 1), dtype=int)
 
         with pytest.raises(ParameterError, match="bad share from seed 2"):
-            _fork.fork_map(count, self.parts(range(6), 3))
+            _fork.fork_map(count, range(6))
         assert multiprocessing.active_children() == []
 
     def test_child_ended_without_counts_is_error(self, pin_cpus):
         pin_cpus(2, OMP_NUM_THREADS="1")
 
-        def count(part):
-            if part[0] != 0:
+        def count(seed):
+            if seed % 2:
                 os._exit(3)
             return np.zeros((2, 1), dtype=int)
 
         with pytest.raises(RuntimeError, match="exited with code 3"):
-            _fork.fork_map(count, self.parts(range(4), 2))
+            _fork.fork_map(count, range(4))
         assert multiprocessing.active_children() == []
 
     def test_children_joined_when_own_share_raises(self, pin_cpus):
         pin_cpus(3, OMP_NUM_THREADS="1")
 
-        def count(part):
-            if part[0] == 0:
+        def count(seed):
+            if seed == 0:
                 raise ParameterError("own share")
             return np.zeros((2, 1), dtype=int)
 
         with pytest.raises(ParameterError, match="own share"):
-            _fork.fork_map(count, self.parts(range(6), 3))
+            _fork.fork_map(count, range(6))
         assert multiprocessing.active_children() == []
 
     def test_round_robin_results_in_item_order(self, pin_cpus):
