@@ -9,6 +9,7 @@ matrix blocks; both forms sample the same taps, so they agree to round-off.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -26,6 +27,7 @@ __all__ = [
     "ChannelRealization",
     "ChannelOperator",
     "realize",
+    "fir_lags",
     "exp_profile_spec",
     "mild_channel_spec",
     "severe_channel_spec",
@@ -73,6 +75,8 @@ class ChannelSpec:
     name: str = "custom"
 
     def __post_init__(self):
+        # a tuple keeps the spec hashable, as the kernel cache needs
+        object.__setattr__(self, "paths", tuple(self.paths))
         if not self.paths:
             raise ParameterError("channel needs at least one path")
         worst = max(p.delay for p in self.paths)
@@ -121,19 +125,21 @@ class ChannelRealization:
         return self.block_len * self.n_blocks
 
 
-def _composite_kernel(realization: ChannelRealization, half_len: int | None):
-    """The channel as one FIR: (first lag, taps).
+@functools.lru_cache(maxsize=8)
+def _path_kernels(spec: ChannelSpec, stream_len: int, half_len: int | None):
+    """Per-path sinc kernels on the FIR's lag grid: (first lag, rows).
 
     Each path's window of lags is its delay alone when the delay is an
     integer (a unit tap), else floor(delay) -+ ``half_len``, or every lag
     that can matter for the stream when ``half_len`` is ``None``, which
     makes the streaming form exact.  The sinc kernels of all paths are
     evaluated at once on the union of the windows, zero outside each
-    window, and summed as ``gain x kernel`` in path order.
+    window.  They depend only on the delays and the layout, which every
+    trial of a run shares, so they are cached, read-only.
     """
-    delays = realization.spec.delays
+    delays = spec.delays
     floor = np.floor(delays)
-    reach = realization.stream_len - 1 if half_len is None else half_len
+    reach = stream_len - 1 if half_len is None else half_len
     centre = 0 if half_len is None else floor
     whole = delays == floor
     lo = np.where(whole, floor, centre - reach).astype(np.int64)
@@ -141,11 +147,29 @@ def _composite_kernel(realization: ChannelRealization, half_len: int | None):
     lags = np.arange(lo.min(), hi.max() + 1)
     inside = (lags >= lo[:, None]) & (lags <= hi[:, None])
     kernels = np.where(inside, np.sinc(lags - delays[:, None]), 0.0)
+    kernels.flags.writeable = False
+    return int(lags[0]), kernels
+
+
+def fir_lags(
+    spec: ChannelSpec, stream_len: int, half_len: int | None = DEFAULT_FIR_HALF_LEN
+) -> tuple[int, int]:
+    """First and last lag of the FIR that ``ChannelOperator`` builds for
+    ``spec`` on a stream of ``stream_len`` samples.  With a whole
+    ``half_len`` they do not depend on the stream length."""
+    lag0, kernels = _path_kernels(spec, stream_len, half_len)
+    return lag0, lag0 + kernels.shape[1] - 1
+
+
+def _composite_kernel(realization: ChannelRealization, half_len: int | None):
+    """The channel as one FIR: (first lag, taps), ``gain x kernel`` summed
+    over the paths in path order."""
+    lag0, kernels = _path_kernels(realization.spec, realization.stream_len, half_len)
     # a running sum adds the rows strictly in path order (a reduction over a
     # one-lag grid would sum pairwise); + 0.0 turns a -0.0 into the 0.0 that
     # summing from zero gives
     sums = np.add.accumulate(realization.drawn_gains[:, None] * kernels, axis=0)
-    return int(lags[0]), sums[-1] + 0.0
+    return lag0, sums[-1] + 0.0
 
 
 class ChannelOperator:
@@ -227,16 +251,17 @@ def realize(
     """Draw path gains: fixed gains pass through, powers get a random phase.
 
     One phase per path per realization (quasi-static), uniform on [0, 2 pi),
-    from ``default_rng(seed)`` in path order.
+    from ``default_rng(seed)`` in path order, drawn in one call.
     """
     rng = np.random.default_rng(seed)
-    gains = np.empty(len(spec.paths), dtype=np.complex128)
-    for i, path in enumerate(spec.paths):
-        if path.gain is not None:
-            gains[i] = path.gain
-        else:
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            gains[i] = np.sqrt(path.gain_power) * np.exp(1j * phase)
+    drawn = np.array([path.gain is None for path in spec.paths])
+    gains = np.array(
+        [0.0 if path.gain is None else path.gain for path in spec.paths],
+        dtype=np.complex128,
+    )
+    powers = np.array([path.gain_power for path in spec.paths if path.gain is None])
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=len(powers))
+    gains[drawn] = np.sqrt(powers) * np.exp(1j * phases)
     return ChannelRealization(
         spec=spec, drawn_gains=gains, block_len=block_len, n_blocks=n_blocks
     )

@@ -7,13 +7,16 @@ payloads, streams the frame through the channel, adds noise calibrated to
 the victim's received signal power, and detects the victim's symbols with a
 one-shot MMSE equalizer built from genie channel knowledge.  Residual
 interference from the adjacent subframes is left untouched: it is the
-quantity under study.
+quantity under study.  Only the blocks whose samples the channel's FIR
+carries into the victim subframe are built and filtered; the others cannot
+change a victim sample.
 
 Within a trial only the noise level changes between SNR points, so the
 victim's effective channel A, its Gram matrix A^H A and the matched-filter
 outputs of the received signal and of the unit-variance noise are formed
 once; each point adds its scaled noise term and solves its own regularized
-system, and errors are counted on the signs of the estimates.
+system by Cholesky (by LU where that system is not positive definite), and
+errors are counted on the signs of the estimates.
 
 Trials are independent given their seeds, so ``run_ser`` deals its seeds
 to processes through ``_fork.fork_map``: as many processes as the CPUs it
@@ -28,10 +31,11 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.special import erfc
 
 from ._fork import fork_map
-from .channel import ChannelOperator, ChannelSpec, realize
+from .channel import ChannelOperator, ChannelSpec, fir_lags, realize
 from .errors import ParameterError
 from .waveform import (
     PrecodingScheme,
@@ -134,12 +138,18 @@ def draw_payloads(cfg: FrameConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def build_frame(
-    cfg: FrameConfig, basis: PrefixedBasis, payloads: np.ndarray
+    cfg: FrameConfig,
+    basis: PrefixedBasis,
+    payloads: np.ndarray,
+    start: int = 0,
+    stop: int | None = None,
 ) -> np.ndarray:
     """Assemble the transmit stream: per-symbol O_t i with subframe powers.
 
     Subframes other than the victim's are scaled by 10^(p_delta_db / 20).
-    ``payloads`` is (n_symbols, m_active), as ``draw_payloads`` returns.
+    ``payloads`` is (n_symbols, m_active), as ``draw_payloads`` returns;
+    only blocks ``start`` to ``stop`` (a slice, default the whole frame)
+    are built.
     """
     payloads = np.asarray(payloads)
     if payloads.shape != (cfg.n_symbols, cfg.m_active):
@@ -147,8 +157,8 @@ def build_frame(
             f"payloads must be {(cfg.n_symbols, cfg.m_active)}, got {payloads.shape}"
         )
     scale = 10.0 ** (cfg.p_delta_db / 20.0)
-    blocks = payloads @ basis.o_t.T
-    subframe = np.arange(cfg.n_symbols) // cfg.symbols_per_subframe
+    blocks = payloads[start:stop] @ basis.o_t.T
+    subframe = np.arange(cfg.n_symbols)[start:stop] // cfg.symbols_per_subframe
     gains = np.where(subframe == cfg.victim_subframe, 1.0, scale)
     return (gains[:, None] * blocks).ravel()
 
@@ -166,11 +176,13 @@ def equalize_and_detect(
     ``gram`` is A^H A for an effective channel A (M x M); ``matched`` holds
     the matched-filter outputs A^H z, one (M, K) block of K received vectors
     per entry of ``noise_vars``.  Point p solves
-    (gram + noise_vars[p] I) x = matched[p]; the points are solved in one
-    call, and one by one only if that call fails.  Returns one entry per
-    point: the Gray bits of the decisions, shape (K, M, 2), first bit the
-    sign of I and second that of Q as ``qpsk_map`` reads them; or ``None``
-    where the system is singular or the solution is not finite.
+    (gram + noise_vars[p] I) x = matched[p] by Cholesky (LAPACK zposv, which
+    reads the upper triangle), or by LU where that system is not positive
+    definite, as zero forcing (a zero noise variance) can leave it.
+    Returns one entry per point: the Gray bits of the decisions, shape
+    (K, M, 2), first bit the sign of I and second that of Q as ``qpsk_map``
+    reads them; or ``None`` where the system is singular or the solution is
+    not finite.
     """
     noise_vars = np.asarray(noise_vars, dtype=float).reshape(-1)
     m = gram.shape[0]
@@ -182,18 +194,22 @@ def equalize_and_detect(
             f"need an (M, M) gram and (points, M, K) matched outputs for "
             f"{len(noise_vars)} noise variances, got {gram.shape} and {matched.shape}"
         )
-    systems = np.repeat(gram[None], len(noise_vars), axis=0)
     diag = np.arange(m)
-    systems[:, diag, diag] += noise_vars[:, None]
-    try:
-        estimates = list(np.linalg.solve(systems, matched))
-    except np.linalg.LinAlgError:
-        estimates = []
-        for system, rhs in zip(systems, matched):
+
+    def system(n0):
+        shifted = np.array(gram, order="F")
+        shifted[diag, diag] += n0
+        return shifted
+
+    estimates = []
+    for n0, rhs in zip(noise_vars, matched):
+        _, est, info = lapack.zposv(system(n0), rhs, overwrite_a=True)
+        if info > 0:
             try:
-                estimates.append(np.linalg.solve(system, rhs))
+                est = np.linalg.solve(system(n0), rhs)
             except np.linalg.LinAlgError:
-                estimates.append(None)
+                est = None
+        estimates.append(est)
     return [
         _gray_bits(est.T) if est is not None and np.all(np.isfinite(est)) else None
         for est in estimates
@@ -235,29 +251,35 @@ def run_trial(
     symbols, one int entry per SNR point.  Draws come from
     ``default_rng(seed)`` in a fixed order: channel phases, payload bits,
     noise.  The noise is drawn once at unit variance and scaled per point.
+    The channel is realized (same gains) on the window of blocks that
+    reach the victim subframe, and only that window is built and filtered.
     A skipped SNR point (singular MMSE system or a non-finite solution)
     reports zero errors and zero symbols.
     """
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
     rng = np.random.default_rng(seed)
-    block_len = basis.block_len
-    realization = realize(
-        channel_spec, rng, block_len=block_len, n_blocks=cfg.n_symbols
-    )
+    b = basis.block_len
+    lo = cfg.victim_subframe * cfg.symbols_per_subframe
+    hi = lo + cfg.symbols_per_subframe
+    # only blocks [start, stop) reach the victim's: output sample t reads
+    # inputs t - last ... t - first (last >= 0, as no delay is negative), and
+    # lag 0 keeps the victim's own blocks where every lag is positive
+    first, last = fir_lags(channel_spec, cfg.n_symbols * b)
+    start = max(0, (lo * b - last) // b)
+    stop = min(cfg.n_symbols, (hi * b - 1 - min(first, 0)) // b + 1)
+    realization = realize(channel_spec, rng, block_len=b, n_blocks=stop - start)
     payloads = draw_payloads(cfg, rng)
     op = ChannelOperator(realization)
-    y = op.apply(build_frame(cfg, basis, payloads))
-
-    victim = cfg.victim_subframe
-    lo = victim * cfg.symbols_per_subframe
-    hi = lo + cfg.symbols_per_subframe
-    y_victim = y[lo * block_len : hi * block_len].reshape(
-        cfg.symbols_per_subframe, block_len
+    y = op.apply(build_frame(cfg, basis, payloads, start, stop))
+    y_victim = y[(lo - start) * b : (hi - start) * b].reshape(
+        cfg.symbols_per_subframe, b
     )
     noise_unit = (
         rng.standard_normal(y_victim.shape) + 1j * rng.standard_normal(y_victim.shape)
     ) / math.sqrt(2.0)
-    gram, signal, noise = _normal_equations(basis, op, lo, y_victim, noise_unit)
+    gram, signal, noise = _normal_equations(
+        basis, op, lo - start, y_victim, noise_unit
+    )
     es = float(np.real(np.trace(gram))) / cfg.m_active
     n0 = es / 10.0 ** (snr_grid_db / 10.0)
     matched = signal + np.sqrt(n0)[:, None, None] * noise
@@ -273,7 +295,8 @@ def run_trial(
                 "solution not finite", seed, snr_grid_db[i],
             )
             continue
-        errors[i] = np.count_nonzero(np.any(bits != sent_bits, axis=-1))
+        wrong = bits != sent_bits
+        errors[i] = np.count_nonzero(wrong[..., 0] | wrong[..., 1])
         symbols[i] = sent.size
     return errors, symbols
 

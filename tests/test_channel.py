@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from precofdm import channel
 from precofdm.channel import (
+    DEFAULT_FIR_HALF_LEN,
     ChannelOperator,
     ChannelRealization,
     ChannelSpec,
@@ -412,6 +413,65 @@ class TestCompositeFilter:
             ChannelOperator(real, half_len=good)
 
 
+class TestPathKernelCache:
+    @staticmethod
+    def spec():
+        return ChannelSpec(
+            (PathSpec(0.0, gain_power=1.0), PathSpec(1.25, gain_power=0.5),
+             PathSpec(3.0, gain_power=0.25), PathSpec(4.6, gain_power=0.1)),
+            max_delay=5.0,
+        )
+
+    @pytest.mark.parametrize("half_len", [None, 0, 7, DEFAULT_FIR_HALF_LEN])
+    def test_cached_taps_bit_equal_to_uncached(self, half_len):
+        real = realize(self.spec(), 4, block_len=9, n_blocks=3)
+        warm = ChannelOperator(real, half_len=half_len)  # fills the cache
+        cached = ChannelOperator(real, half_len=half_len)
+        lag0, kernels = channel._path_kernels.__wrapped__(
+            real.spec, real.stream_len, half_len
+        )
+        fresh = np.add.accumulate(real.drawn_gains[:, None] * kernels, axis=0)[-1] + 0.0
+        assert warm._lag0 == cached._lag0 == lag0
+        for taps in (warm._taps, cached._taps):
+            assert np.array_equal(taps.view(np.uint8), fresh.view(np.uint8))
+
+    def test_exact_kernels_keyed_by_stream_length(self):
+        spec = self.spec()
+        channel._path_kernels.cache_clear()
+        short = ChannelOperator(realize(spec, 0, block_len=5, n_blocks=2), half_len=None)
+        long = ChannelOperator(realize(spec, 0, block_len=5, n_blocks=3), half_len=None)
+        assert channel._path_kernels.cache_info().misses == 2
+        # every lag of each stream: -(n - 1) ... n - 1 for the fractional paths
+        assert (short._lag0, short._taps.size) == (-9, 19)
+        assert (long._lag0, long._taps.size) == (-14, 29)
+        for op in (short, long):
+            lag0, ref = per_path_taps(op.realization, None)
+            assert op._lag0 == lag0 and np.array_equal(op._taps, ref)
+
+    def test_cached_kernels_read_only(self):
+        lag0, kernels = channel._path_kernels(self.spec(), 20, 3)
+        assert not kernels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kernels[0, 0] = 2.0
+        assert channel.fir_lags(self.spec(), 20, 3) == (lag0, lag0 + kernels.shape[1] - 1)
+
+    def test_path_list_spec_hashable(self):
+        # the kernel cache hashes the spec, so a list of paths becomes a tuple
+        paths = [PathSpec(0.5, gain_power=1.0), PathSpec(2.0, gain=1j)]
+        spec = ChannelSpec(paths, max_delay=2.0)
+        assert spec == ChannelSpec(tuple(paths), max_delay=2.0)
+        op = ChannelOperator(realize(spec, 0, block_len=4, n_blocks=2), half_len=3)
+        assert op.apply(np.ones(8)).shape == (8,)
+
+    def test_fir_lags_span_the_taps(self):
+        # whole half_len: the same lags for every stream length
+        spec = cdlc_channel_spec(1000.0)
+        for n_blocks in (1, 16, 42):
+            op = ChannelOperator(realize(spec, 1, block_len=145, n_blocks=n_blocks))
+            assert channel.fir_lags(spec, op.stream_len) == (-64, 80)
+            assert (op._lag0, op._lag0 + op._taps.size - 1) == (-64, 80)
+
+
 class TestProfiles:
     def test_exp_profile_gain_magnitudes(self):
         real = realize(exp_profile_spec(0.5, np.arange(0.0, 3.0, 0.5), max_delay=2.5), 9)
@@ -445,6 +505,29 @@ class TestProfiles:
         assert builtin_channel_spec("mild").name == "mild"
         with pytest.raises(ParameterError):
             builtin_channel_spec("nonsense")
+
+    def test_phases_drawn_in_one_call(self):
+        # fixed gains between drawn ones: the gains and the generator state
+        # after the draw equal those of one scalar draw per drawn path
+        spec = ChannelSpec(
+            (PathSpec(0.0, gain=0.5 - 0.5j), PathSpec(0.4, gain_power=1.0),
+             PathSpec(1.0, gain=-1.0 + 0.0j), PathSpec(2.5, gain_power=0.3),
+             PathSpec(3.0, gain_power=0.01), PathSpec(4.0, gain=1j)),
+            max_delay=4.0,
+        )
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            gains = realize(spec, rng).drawn_gains
+            ref_rng = np.random.default_rng(seed)
+            ref = np.empty(len(spec.paths), dtype=np.complex128)
+            for i, path in enumerate(spec.paths):
+                if path.gain is not None:
+                    ref[i] = path.gain
+                else:
+                    phase = ref_rng.uniform(0.0, 2.0 * np.pi)
+                    ref[i] = np.sqrt(path.gain_power) * np.exp(1j * phase)
+            assert np.array_equal(gains.view(np.uint8), ref.view(np.uint8))
+            assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
     def test_fixed_gain_passthrough(self):
         spec = ChannelSpec((PathSpec(delay=1.0, gain=0.3 - 0.4j),), 1.0)

@@ -126,6 +126,18 @@ class TestBuildFrame:
         rows = np.stack([qpsk_map(row) for row in bits])
         assert np.array_equal(draw_payloads(cfg, np.random.default_rng(7)), rows)
 
+    def test_block_range_is_slice_of_frame(self):
+        # a run of blocks straddling both subframe edges, and the tail
+        cfg = self.cfg(p_delta_db=10.0)
+        basis = cfg.make_basis()
+        payloads = draw_payloads(cfg, np.random.default_rng(3))
+        frame = build_frame(cfg, basis, payloads)
+        b = basis.block_len
+        for start, stop in ((10, 31), (0, 42), (40, None)):
+            part = build_frame(cfg, basis, payloads, start, stop)
+            end = None if stop is None else stop * b
+            assert np.allclose(part, frame[start * b : end], rtol=0, atol=1e-14)
+
     def test_payload_shape_checked(self):
         cfg = self.cfg()
         with pytest.raises(ParameterError):
@@ -195,14 +207,70 @@ class TestEqualizeAndDetect:
             assert np.array_equal(bits, gray_bits(est.T))
 
     def test_singular_point_is_none(self):
-        # a zero Gram matrix is singular without noise and n0 I with it; the
-        # singular point fails the stacked solve, so the points go one by one
+        # a zero Gram matrix is singular without noise and n0 I with it: the
+        # first point fails Cholesky and then LU, the second is solved
         out = equalize_and_detect(
             np.zeros((4, 4), dtype=complex), np.ones((2, 4, 3), dtype=complex),
             [0.0, 1e-3],
         )
         assert out[0] is None
         assert np.array_equal(out[1], np.zeros((3, 4, 2), dtype=bool))
+
+    @staticmethod
+    def lu_route(gram, rhs, n0):
+        """Decisions of one LU solve of gram + n0 I; None as for a skipped point."""
+        system = gram.copy()
+        system[np.diag_indices_from(system)] += n0
+        try:
+            est = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        return gray_bits(est.T) if np.all(np.isfinite(est)) else None
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 40),
+        k=st.integers(1, 14),
+        n0=st.one_of(st.just(0.0), st.floats(1e-8, 1e3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cholesky_decisions_equal_lu(self, m, k, n0, seed):
+        # a full-rank A gives a Hermitian positive definite gram + n0 I,
+        # which Cholesky solves; LU of the same system decides alike
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        gram = a.conj().T @ a
+        rhs = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        (bits,) = equalize_and_detect(gram, rhs[None], [n0])
+        assert np.array_equal(bits, self.lu_route(gram, rhs, n0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 24),
+        k=st.integers(1, 14),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_deficient_zero_forcing_as_lu(self, m, k, data, seed):
+        # zero columns of A (all of them: a zero gram) leave gram singular at
+        # n0 = 0; Cholesky stops at an exact zero pivot, and the point gets
+        # what LU gives it: skipped
+        zero = data.draw(st.sets(st.integers(0, m - 1), min_size=1), label="zero")
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        a[:, sorted(zero)] = 0.0
+        gram = a.conj().T @ a
+        rhs = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        out = equalize_and_detect(gram, rhs[None], [0.0])
+        assert out == [self.lu_route(gram, rhs, 0.0)] == [None]
+
+    def test_indefinite_point_solved_by_lu(self):
+        # Cholesky refuses a Hermitian matrix with a negative eigenvalue; the
+        # point falls back to LU instead of being skipped
+        gram = np.diag([2.0, -1.0, 0.5]).astype(complex)
+        rhs = np.array([[1.0 - 1.0j], [1.0 + 1.0j], [-1.0 + 1.0j]])
+        (bits,) = equalize_and_detect(gram, rhs[None], [0.0])
+        assert np.array_equal(bits, gray_bits(np.linalg.solve(gram, rhs).T))
 
     def test_shapes_checked(self):
         gram = np.eye(4, dtype=complex)
@@ -309,32 +377,52 @@ class TestRunSer:
         assert errors.tolist() == [201, 0, 0, 0]
         assert all(symbols.tolist() == [14 * 121] * 4 for _, symbols in trials)
 
+    def test_error_counts_pinned_ill_conditioned(self):
+        # as the DFT pin above over 0:5:40 dB and zero forcing at inf dB,
+        # where the MMSE systems are worst conditioned
+        spec = cdlc_channel_spec(1000.0)
+        cfg = FrameConfig(
+            scheme=PrecodingScheme.DFT, eta=1.0, n_len=128,
+            prefix_len=prefix_length_for(spec), p_delta_db=10.0,
+        )
+        basis = cfg.make_basis()
+        snrs = [*np.arange(0.0, 41.0, 5.0), np.inf]
+        trials = [run_trial(cfg, spec, basis, snrs, seed) for seed in range(20)]
+        errors = sum(errors for errors, _ in trials)
+        assert errors.tolist() == [12444, 5864, 1251, 89, 36, 38, 41, 40, 41, 40]
+        assert all(symbols.tolist() == [14 * 128] * 10 for _, symbols in trials)
+
     def test_failed_point_skipped_alone(self, monkeypatch, caplog):
-        # the solver fails at the second SNR point only: that point reports
-        # zero symbols and the others keep the counts of an undisturbed run
+        # the second SNR point is not positive definite for Cholesky and
+        # singular for LU: that point alone reports zero symbols, and the
+        # others keep the counts of an undisturbed run
         cfg = FrameConfig(scheme=PrecodingScheme.DFT, eta=1.0, n_len=24, prefix_len=4)
         spec = cdlc_channel_spec(200.0)
         snrs = [5.0, 10.0, 20.0]
         basis = cfg.make_basis()
         clean = run_trial(cfg, spec, basis, snrs, seed=11)
-        solve = np.linalg.solve
+        zposv = linksim.lapack.zposv
         calls = []
 
-        def singular_second(a, b):
-            # the stacked call fails as a singular member makes it fail, and
-            # of the points solved one by one the second is singular
-            calls.append(a.ndim)
-            if a.ndim == 3 or calls.count(2) == 2:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
+        def cholesky_fails_second(a, b, **kwargs):
+            calls.append("cholesky")
+            c, x, info = zposv(a, b, **kwargs)
+            return (c, x, 2) if calls.count("cholesky") == 2 else (c, x, info)
 
-        monkeypatch.setattr(linksim.np.linalg, "solve", singular_second)
+        def lu_singular(a, b):
+            calls.append("lu")
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(linksim.lapack, "zposv", cholesky_fails_second)
+        monkeypatch.setattr(linksim.np.linalg, "solve", lu_singular)
         with caplog.at_level("WARNING", logger="precofdm.linksim"):
             skipped = run_trial(cfg, spec, basis, snrs, seed=11)
-        assert calls == [3, 2, 2, 2]
+        assert calls == ["cholesky", "cholesky", "lu", "cholesky"]
         assert skipped[0].tolist() == [clean[0][0], 0, clean[0][2]]
         assert skipped[1].tolist() == [14 * 24, 0, 14 * 24]
         assert "skipped at 10.0 dB" in caplog.text
+        assert "skipped at 5.0 dB" not in caplog.text
+        assert "skipped at 20.0 dB" not in caplog.text
 
     def test_noise_calibration(self):
         # measured noise power against the configured SNR, via the internals
@@ -421,6 +509,81 @@ class TestRunTrialReference:
         errors, symbols = run_trial(cfg, spec, basis, snrs, seed)
         assert errors.tolist() == reference_trial(cfg, spec, basis, snrs, seed)
         assert symbols.tolist() == [14 * m_active] * len(snrs)
+
+
+class TestVictimWindow:
+    """``run_trial`` filters only the blocks that reach the victim's."""
+
+    MIXED = ChannelSpec(
+        tuple(
+            PathSpec(delay=d, gain_power=10 ** (p / 10))
+            for d, p in ((0.0, 0), (1.5, -3), (3.0, -6), (4.25, -9))
+        ),
+        4.25,
+        name="mixed",
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_len=st.integers(8, 32),
+        scheme=st.sampled_from(list(PrecodingScheme)),
+        mixed=st.booleans(),
+        p_delta_db=st.sampled_from([0.0, 10.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_window_matches_whole_frame(self, n_len, scheme, mixed, p_delta_db, seed):
+        spec = self.MIXED if mixed else cdlc_channel_spec(1000.0)
+        cfg = FrameConfig(
+            scheme=scheme, eta=1.0, n_len=n_len,
+            prefix_len=min(prefix_length_for(spec), n_len - 1),
+            p_delta_db=p_delta_db,
+        )
+        basis = cfg.make_basis()
+        seen = []
+        normal_equations = linksim._normal_equations
+
+        def spy(basis, op, l, received, noise):
+            seen.append((op, l, received))
+            return normal_equations(basis, op, l, received, noise)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linksim, "_normal_equations", spy)
+            run_trial(cfg, spec, basis, [20.0], seed)
+        ((op, l, received),) = seen
+
+        # the whole frame through the whole-frame operator, same draws
+        rng = np.random.default_rng(seed)
+        b = basis.block_len
+        real = realize(spec, rng, block_len=b, n_blocks=cfg.n_symbols)
+        x = build_frame(cfg, basis, draw_payloads(cfg, rng))
+        full = ChannelOperator(real)
+        ref = full.apply(x)[14 * b : 28 * b].reshape(14, b)
+        taps_l1 = np.sum(np.abs(full._taps))
+        assert np.linalg.norm(received - ref) <= 1e-12 * max(
+            np.linalg.norm(ref), taps_l1 * np.linalg.norm(x)
+        )
+        assert np.array_equal(op.block(l, l), full.block(14, 14))
+        assert np.array_equal(op.realization.drawn_gains, real.drawn_gains)
+        # the FIR reaches past one block here, so the window holds the
+        # victim's 14 blocks, more than one neighbour and less than the frame
+        assert 16 < op.realization.n_blocks < cfg.n_symbols
+
+    def test_table1_window_is_sixteen_blocks(self, monkeypatch):
+        spec = cdlc_channel_spec(1000.0)
+        cfg = FrameConfig(
+            scheme=PrecodingScheme.DFT, eta=1.0, n_len=128,
+            prefix_len=prefix_length_for(spec),
+        )
+        applied = []
+        apply = ChannelOperator.apply
+
+        def spy(op, x):
+            applied.append(op.realization.n_blocks)
+            return apply(op, x)
+
+        monkeypatch.setattr(ChannelOperator, "apply", spy)
+        run_trial(cfg, spec, cfg.make_basis(), [20.0], seed=0)
+        assert applied == [16]
 
 
 class TestFloorOrderingMatchesS2i:
