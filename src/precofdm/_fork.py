@@ -48,8 +48,8 @@ def fork_map(func, items) -> list:
     joined, also when this process's own share raises.  Fork rather than
     spawn: a child starts with the modules and the caller's state it needs,
     at no import cost, and nothing but the results is pickled.  Below two
-    shares, or without the ``fork`` start method, the items run here in
-    order and ``multiprocessing`` is never imported.
+    shares the items run here in order and ``multiprocessing`` is never
+    imported.
     """
     items = list(items)
     shares = _share_count(len(items))
@@ -57,8 +57,6 @@ def fork_map(func, items) -> list:
         return [func(x) for x in items]
     import multiprocessing  # here, so that importing or a serial run pays nothing
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [func(x) for x in items]
     context = multiprocessing.get_context("fork")
     children, results = [], []
     try:

@@ -108,7 +108,7 @@ def _verify_tensor(tensor) -> None:
     sym = tensor.values - np.conj(np.transpose(tensor.values[:, :, ::-1], (1, 0, 2)))
     if np.max(np.abs(sym)) > 1e-12:
         raise ParameterError("tensor lag symmetry check failed")
-    diag = np.array([tensor.lag(r, r, 0) for r in range(tensor.m)])
+    diag = np.diagonal(tensor.values[:, :, tensor.n_len - 1])
     if np.max(np.abs(diag - 1.0)) > 1e-10:
         raise ParameterError("tensor unit-diagonal check failed")
 
@@ -126,7 +126,6 @@ def cmd_dpss(v) -> None:
 
 def cmd_basis(v) -> None:
     basis = default_basis(v.scheme, v.n, v.m)
-    _check_orthonormal(basis.o_matrix)
     rows = [
         (c, i, basis.o_matrix[i, c].real, basis.o_matrix[i, c].imag)
         for c in range(v.m)
@@ -141,19 +140,17 @@ def cmd_xcorr(v) -> None:
     tensor = xcorr_tensor(default_basis(v.scheme, n, m))
     _verify_tensor(tensor)
     rows = [
-        (r, s, q, tensor.lag(r, s, q).real, tensor.lag(r, s, q).imag)
+        (r, s, q, c.real, c.imag)
         for r in range(m)
         for s in range(m)
-        for q in range(-(n - 1), n)
+        for q, c in zip(range(-(n - 1), n), tensor.values[r, s])
     ]
     write_csv(v.out, ["r", "s", "q", "re", "im"], rows)
     print(f"wrote {v.out} ({m * m * (2 * n - 1)} entries)")
 
 
 def cmd_ebct(v) -> None:
-    basis = default_basis(v.scheme, v.n, v.m)
-    tensor = xcorr_tensor(basis)
-    _check_orthonormal(basis.o_matrix)
+    tensor = xcorr_tensor(default_basis(v.scheme, v.n, v.m))
     _verify_tensor(tensor)
     values = ebct_all(tensor)
     bounds = ebct_bound_all(tensor)

@@ -15,8 +15,8 @@ Within a trial only the noise level changes between SNR points, so the
 victim's effective channel A, its Gram matrix A^H A and the matched-filter
 outputs of the received signal and of the unit-variance noise are formed
 once; each point adds its scaled noise term and solves its own regularized
-system by Cholesky (by LU where that system is not positive definite), and
-errors are counted on the signs of the estimates.
+system by Cholesky (a point Cholesky cannot factor is skipped), and errors
+are counted on the signs of the estimates.
 
 Trials are independent given their seeds, so ``run_ser`` deals its seeds
 to processes through ``_fork.fork_map``: as many processes as the CPUs it
@@ -41,7 +41,6 @@ from .waveform import (
     PrecodingScheme,
     PrefixKind,
     PrefixedBasis,
-    _check_orthonormal,
     active_count,
     default_basis,
     with_prefix,
@@ -177,12 +176,12 @@ def equalize_and_detect(
     the matched-filter outputs A^H z, one (M, K) block of K received vectors
     per entry of ``noise_vars``.  Point p solves
     (gram + noise_vars[p] I) x = matched[p] by Cholesky (LAPACK zposv, which
-    reads the upper triangle), or by LU where that system is not positive
-    definite, as zero forcing (a zero noise variance) can leave it.
+    reads the upper triangle).
     Returns one entry per point: the Gray bits of the decisions, shape
     (K, M, 2), first bit the sign of I and second that of Q as ``qpsk_map``
-    reads them; or ``None`` where the system is singular or the solution is
-    not finite.
+    reads them; or ``None`` where Cholesky fails (the system is not
+    positive definite: for A^H A + n0 I, singular to working precision) or
+    the solution is not finite.
     """
     noise_vars = np.asarray(noise_vars, dtype=float).reshape(-1)
     m = gram.shape[0]
@@ -195,33 +194,23 @@ def equalize_and_detect(
             f"{len(noise_vars)} noise variances, got {gram.shape} and {matched.shape}"
         )
     diag = np.arange(m)
-
-    def system(n0):
-        shifted = np.array(gram, order="F")
-        shifted[diag, diag] += n0
-        return shifted
-
-    estimates = []
+    decisions = []
     for n0, rhs in zip(noise_vars, matched):
-        _, est, info = lapack.zposv(system(n0), rhs, overwrite_a=True)
-        if info > 0:
-            try:
-                est = np.linalg.solve(system(n0), rhs)
-            except np.linalg.LinAlgError:
-                est = None
-        estimates.append(est)
-    return [
-        _gray_bits(est.T) if est is not None and np.all(np.isfinite(est)) else None
-        for est in estimates
-    ]
+        system = np.array(gram, order="F")
+        system[diag, diag] += n0
+        _, est, info = lapack.zposv(system, rhs, overwrite_a=True)
+        ok = info == 0 and np.all(np.isfinite(est))
+        decisions.append(_gray_bits(est.T) if ok else None)
+    return decisions
 
 
 def _normal_equations(
-    basis: PrefixedBasis, op: ChannelOperator, l: int, received, noise
+    basis: PrefixedBasis, op: ChannelOperator, received, noise
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A^H A and the matched-filter outputs A^H O_r^H y of two block stacks.
 
-    A = O_r^H H_{l,l} O_t is the effective channel of block l; ``received``
+    A = O_r^H H_{l,l} O_t is the effective channel of every block l, as
+    H_{l,l'} depends only on l - l' (read here as H_{0,0}); ``received``
     and ``noise`` hold one block per row.  O_r is zero on the prefix rows,
     so only the rows past the prefix enter, and conj(A) is formed as
     O^T conj(H O_t) without conjugating O.  The channel block is freed as
@@ -229,7 +218,7 @@ def _normal_equations(
     """
     g = basis.prefix_len
     o = basis.base.o_matrix
-    a_conj = o.T @ np.conj(op.block(l, l)[g:] @ basis.o_t)
+    a_conj = o.T @ np.conj(op.block(0, 0)[g:] @ basis.o_t)
     a_h = a_conj.T
 
     def matched(rows):
@@ -277,9 +266,7 @@ def run_trial(
     noise_unit = (
         rng.standard_normal(y_victim.shape) + 1j * rng.standard_normal(y_victim.shape)
     ) / math.sqrt(2.0)
-    gram, signal, noise = _normal_equations(
-        basis, op, lo - start, y_victim, noise_unit
-    )
+    gram, signal, noise = _normal_equations(basis, op, y_victim, noise_unit)
     es = float(np.real(np.trace(gram))) / cfg.m_active
     n0 = es / 10.0 ** (snr_grid_db / 10.0)
     matched = signal + np.sqrt(n0)[:, None, None] * noise
@@ -331,7 +318,6 @@ def run_ser(
     if base_seed < 0:
         raise ParameterError(f"base_seed must be >= 0, got {base_seed}")
     basis = cfg.make_basis()
-    _check_orthonormal(basis.base.o_matrix)
 
     errors, symbols = sum(fork_map(
         lambda seed: np.array(run_trial(cfg, channel_spec, basis, snr_grid_db, seed)),

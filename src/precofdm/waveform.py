@@ -136,7 +136,8 @@ def default_basis(scheme: PrecodingScheme, n_len: int, m_active: int) -> Wavefor
     OFDM keeps the M centermost subcarriers of the centered DFT; DFT
     precoding produces M Dirichlet pulses at centered time shifts; DPSS uses
     the first M sequences of the W -> 0.5- set.  Columns are renormalized to
-    unit norm to pin orthonormality numerically.
+    unit norm to pin orthonormality numerically, and then checked: columns
+    that are not orthonormal to 1e-10 raise ``ParameterError``.
     """
     if not 1 <= m_active <= n_len:
         raise ParameterError(f"need 1 <= m_active <= n_len, got {m_active}, {n_len}")
@@ -156,6 +157,7 @@ def default_basis(scheme: PrecodingScheme, n_len: int, m_active: int) -> Wavefor
         o = dpss_limit_half(n_len, m_active).sequences.astype(np.complex128)
 
     o = o / np.linalg.norm(o, axis=0, keepdims=True)
+    _check_orthonormal(o)
     return WaveformBasis(
         n_len=n_len, m_active=m_active, scheme=scheme, o_matrix=np.ascontiguousarray(o)
     )

@@ -8,7 +8,7 @@ import multiprocessing
 
 import pytest
 
-from precofdm import cli, linksim
+from precofdm import cli, linksim, waveform
 from precofdm.channel import load_channel_profile
 from precofdm.cli import build_parser, main
 from precofdm.errors import ParameterError
@@ -472,41 +472,6 @@ class TestVerify:
             "S2I lower bound 30.5 dB above S2I 30 dB (dpss",
         )
 
-    def test_dpss_non_orthonormal_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        original = cli.compute_dpss
-
-        def skewed(params):
-            dset = original(params)
-            seqs = dset.sequences.copy()
-            seqs[:, 1] += 1e-6 * seqs[:, 0]
-            return dataclasses.replace(dset, sequences=seqs)
-
-        monkeypatch.setattr(cli, "compute_dpss", skewed)
-        self.assert_rejected(
-            tmp_path, capsys, ["dpss", "--n", 9, "--w", 0.25, "--k", 4],
-            "orthonormality",
-        )
-
-    def test_ser_non_orthonormal_basis_writes_nothing(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        original = linksim.default_basis
-
-        def skewed(*args):
-            basis = original(*args)
-            o = basis.o_matrix.copy()
-            o[:, 1] += 1e-6 * o[:, 0]
-            return dataclasses.replace(basis, o_matrix=o)
-
-        monkeypatch.setattr(linksim, "default_basis", skewed)
-        self.assert_rejected(
-            tmp_path, capsys,
-            ["ser", "--channel", "cdlc200ns", "--n", 9, "--snrs", "[20]",
-             "--trials", 1],
-            "orthonormality",
-        )
-        assert not (tmp_path / "x.csv.manifest.json").exists()
-
     def test_xcorr_asymmetric_tensor_writes_nothing(self, tmp_path, capsys, monkeypatch):
         original = cli.xcorr_tensor
 
@@ -530,26 +495,6 @@ class TestVerify:
         self.assert_rejected(
             tmp_path, capsys, ["scan-halfshift", "--n", 5], "unit-diagonal"
         )
-
-    @staticmethod
-    def skew_cli_basis(monkeypatch):
-        original = cli.default_basis
-
-        def skewed(*args):
-            basis = original(*args)
-            o = basis.o_matrix.copy()
-            o[:, 1] += 1e-6 * o[:, 0]
-            return dataclasses.replace(basis, o_matrix=o)
-
-        monkeypatch.setattr(cli, "default_basis", skewed)
-
-    def test_basis_non_orthonormal_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        self.skew_cli_basis(monkeypatch)
-        self.assert_rejected(tmp_path, capsys, ["basis", "--n", 5], "orthonormality")
-
-    def test_ebct_non_orthonormal_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        self.skew_cli_basis(monkeypatch)
-        self.assert_rejected(tmp_path, capsys, ["ebct", "--n", 5], "orthonormality")
 
     def test_ebct_asymmetric_tensor_writes_nothing(self, tmp_path, capsys, monkeypatch):
         original = cli.xcorr_tensor
@@ -583,9 +528,39 @@ class TestVerify:
         assert "unrecognized arguments: --verify" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_skewed_basis_writes_nothing(self, tmp_path, capsys, monkeypatch, command):
+        # column 1 leans on column 0 in the columns default_basis builds,
+        # which renormalizing does not undo, and in the sequences dpss
+        # exports (it builds no basis): each is checked before any write
+        def skewed(o):
+            o = o.copy()
+            o[:, 1] += 1e-6 * o[:, 0]
+            return o
+
+        def skewed_set(dset):
+            return dataclasses.replace(dset, sequences=skewed(dset.sequences))
+
+        dft_columns = waveform._centered_dft_columns
+        limit_half, compute_dpss = waveform.dpss_limit_half, cli.compute_dpss
+        monkeypatch.setattr(
+            waveform, "_centered_dft_columns", lambda *a: skewed(dft_columns(*a))
+        )
+        monkeypatch.setattr(
+            waveform, "dpss_limit_half", lambda *a: skewed_set(limit_half(*a))
+        )
+        monkeypatch.setattr(cli, "compute_dpss", lambda p: skewed_set(compute_dpss(p)))
+        for scheme in ("ofdm", "dft", "dpss"):
+            with pytest.raises(ParameterError, match="orthonormality"):
+                waveform.default_basis(scheme, 5, 4)
+        self.assert_rejected(
+            tmp_path, capsys, [command, *self.SMALL[command]], "orthonormality"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_ser_builds_and_checks_each_basis_once(self, tmp_path, monkeypatch):
         built, checked = [], []
-        build, check = linksim.default_basis, linksim._check_orthonormal
+        build, check = linksim.default_basis, waveform._check_orthonormal
 
         def counted_build(*args):
             built.append(build(*args))
@@ -596,7 +571,7 @@ class TestVerify:
             check(o)
 
         monkeypatch.setattr(linksim, "default_basis", counted_build)
-        monkeypatch.setattr(linksim, "_check_orthonormal", counted_check)
+        monkeypatch.setattr(waveform, "_check_orthonormal", counted_check)
         assert run([
             "ser", "--channel", "cdlc200ns", "--schemes", "dft,dpss",
             "--etas", "[1.0, 0.9]", "--n", 17, "--snrs", "[20]", "--trials", 1,

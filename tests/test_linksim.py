@@ -208,7 +208,7 @@ class TestEqualizeAndDetect:
 
     def test_singular_point_is_none(self):
         # a zero Gram matrix is singular without noise and n0 I with it: the
-        # first point fails Cholesky and then LU, the second is solved
+        # first point fails Cholesky, the second is solved
         out = equalize_and_detect(
             np.zeros((4, 4), dtype=complex), np.ones((2, 4, 3), dtype=complex),
             [0.0, 1e-3],
@@ -253,8 +253,8 @@ class TestEqualizeAndDetect:
     )
     def test_rank_deficient_zero_forcing_as_lu(self, m, k, data, seed):
         # zero columns of A (all of them: a zero gram) leave gram singular at
-        # n0 = 0; Cholesky stops at an exact zero pivot, and the point gets
-        # what LU gives it: skipped
+        # n0 = 0; Cholesky stops at an exact zero pivot, and the point is
+        # skipped, as LU would skip it
         zero = data.draw(st.sets(st.integers(0, m - 1), min_size=1), label="zero")
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -264,13 +264,32 @@ class TestEqualizeAndDetect:
         out = equalize_and_detect(gram, rhs[None], [0.0])
         assert out == [self.lu_route(gram, rhs, 0.0)] == [None]
 
-    def test_indefinite_point_solved_by_lu(self):
-        # Cholesky refuses a Hermitian matrix with a negative eigenvalue; the
-        # point falls back to LU instead of being skipped
+    def test_indefinite_point_skipped(self, monkeypatch, caplog):
+        # Cholesky refuses a Hermitian matrix with a negative eigenvalue,
+        # which LU would solve: the point is None, beside a solved one
         gram = np.diag([2.0, -1.0, 0.5]).astype(complex)
         rhs = np.array([[1.0 - 1.0j], [1.0 + 1.0j], [-1.0 + 1.0j]])
-        (bits,) = equalize_and_detect(gram, rhs[None], [0.0])
-        assert np.array_equal(bits, gray_bits(np.linalg.solve(gram, rhs).T))
+        out = equalize_and_detect(gram, np.stack([rhs, rhs]), [0.0, 2.0])
+        assert out[0] is None
+        assert np.array_equal(out[1], gray_bits(rhs.T))
+        # a trial whose genie Gram has a negative diagonal entry skips the
+        # point and logs it
+        cfg = FrameConfig(scheme=PrecodingScheme.DFT, eta=1.0, n_len=24, prefix_len=4)
+        normal_equations = linksim._normal_equations
+
+        def indefinite(*args):
+            gram, signal, noise = normal_equations(*args)
+            gram = gram.copy()
+            gram[0, 0] *= -1.0
+            return gram, signal, noise
+
+        monkeypatch.setattr(linksim, "_normal_equations", indefinite)
+        with caplog.at_level("WARNING", logger="precofdm.linksim"):
+            errors, symbols = run_trial(
+                cfg, cdlc_channel_spec(200.0), cfg.make_basis(), [40.0], seed=3
+            )
+        assert errors.tolist() == symbols.tolist() == [0]
+        assert "trial seed 3 skipped at 40.0 dB" in caplog.text
 
     def test_shapes_checked(self):
         gram = np.eye(4, dtype=complex)
@@ -393,9 +412,9 @@ class TestRunSer:
         assert all(symbols.tolist() == [14 * 128] * 10 for _, symbols in trials)
 
     def test_failed_point_skipped_alone(self, monkeypatch, caplog):
-        # the second SNR point is not positive definite for Cholesky and
-        # singular for LU: that point alone reports zero symbols, and the
-        # others keep the counts of an undisturbed run
+        # Cholesky fails at the second SNR point, which is not solved any
+        # other way: that point alone reports zero symbols, and the others
+        # keep the counts of an undisturbed run
         cfg = FrameConfig(scheme=PrecodingScheme.DFT, eta=1.0, n_len=24, prefix_len=4)
         spec = cdlc_channel_spec(200.0)
         snrs = [5.0, 10.0, 20.0]
@@ -409,15 +428,11 @@ class TestRunSer:
             c, x, info = zposv(a, b, **kwargs)
             return (c, x, 2) if calls.count("cholesky") == 2 else (c, x, info)
 
-        def lu_singular(a, b):
-            calls.append("lu")
-            raise np.linalg.LinAlgError("Singular matrix")
-
         monkeypatch.setattr(linksim.lapack, "zposv", cholesky_fails_second)
-        monkeypatch.setattr(linksim.np.linalg, "solve", lu_singular)
+        monkeypatch.setattr(linksim.np.linalg, "solve", lambda *a: calls.append("lu"))
         with caplog.at_level("WARNING", logger="precofdm.linksim"):
             skipped = run_trial(cfg, spec, basis, snrs, seed=11)
-        assert calls == ["cholesky", "cholesky", "lu", "cholesky"]
+        assert calls == ["cholesky", "cholesky", "cholesky"]
         assert skipped[0].tolist() == [clean[0][0], 0, clean[0][2]]
         assert skipped[1].tolist() == [14 * 24, 0, 14 * 24]
         assert "skipped at 10.0 dB" in caplog.text
@@ -542,14 +557,14 @@ class TestVictimWindow:
         seen = []
         normal_equations = linksim._normal_equations
 
-        def spy(basis, op, l, received, noise):
-            seen.append((op, l, received))
-            return normal_equations(basis, op, l, received, noise)
+        def spy(basis, op, received, noise):
+            seen.append((op, received))
+            return normal_equations(basis, op, received, noise)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linksim, "_normal_equations", spy)
             run_trial(cfg, spec, basis, [20.0], seed)
-        ((op, l, received),) = seen
+        ((op, received),) = seen
 
         # the whole frame through the whole-frame operator, same draws
         rng = np.random.default_rng(seed)
@@ -562,7 +577,7 @@ class TestVictimWindow:
         assert np.linalg.norm(received - ref) <= 1e-12 * max(
             np.linalg.norm(ref), taps_l1 * np.linalg.norm(x)
         )
-        assert np.array_equal(op.block(l, l), full.block(14, 14))
+        assert np.array_equal(op.block(0, 0), full.block(14, 14))
         assert np.array_equal(op.realization.drawn_gains, real.drawn_gains)
         # the FIR reaches past one block here, so the window holds the
         # victim's 14 blocks, more than one neighbour and less than the frame
