@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
 from .configio import load_kv_file
@@ -209,28 +208,73 @@ class ChannelOperator:
         if not (0 <= l < nb and 0 <= l_prime < nb):
             raise ParameterError(f"block indices ({l}, {l_prime}) out of range {nb}")
         b = self.realization.block_len
-        base = (l - l_prime) * b
-        return scipy.linalg.toeplitz(
-            _taps_at(self._lag0, self._taps, base + np.arange(b)),
-            _taps_at(self._lag0, self._taps, base - np.arange(b)),
-        )
+        return _stream_block(self._lag0, self._taps, b, (l - l_prime) * b)
+
+
+def _stream_block(lag0: int, taps: np.ndarray, block_len: int, base: int):
+    """A block of an FIR's stream matrix: entry (i, j) is the tap at lag
+    ``base + i - j``, for the FIR whose taps start at ``lag0``."""
+    lags = np.arange(block_len)
+    return scipy.linalg.toeplitz(
+        _taps_at(lag0, taps, base + lags), _taps_at(lag0, taps, base - lags)
+    )
+
+
+def _path_blocks(spec: ChannelSpec, block_len: int, stream_len: int):
+    """Each path's unit-gain (0, 0) block of the stream matrix, in path order.
+
+    Weighted by a realization's gains and summed, they give that
+    realization's ``ChannelOperator(realization).block(0, 0)`` on a stream
+    of ``stream_len`` samples, to round-off.  The blocks are real: the
+    kernels are sinc samples.
+    """
+    lag0, kernels = _path_kernels(spec, stream_len, DEFAULT_FIR_HALF_LEN)
+    for kernel in kernels:
+        yield _stream_block(lag0, kernel, block_len, 0)
 
 
 def _fft_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Full linear convolution of a 1-D stream with complex FIR taps.
 
-    These are the steps ``scipy.signal.fftconvolve`` takes for such input,
-    so the result is the same to the bit: a length-1 operand multiplies
-    directly; otherwise both are transformed at the next fast complex FFT
-    length.  Spelling them out keeps ``scipy.signal`` (about 40 MB of
-    resident memory and 400 modules) out of the package's imports.
+    The result is bit-equal to ``scipy.signal.fftconvolve``'s for such
+    input, as these are its steps on ``numpy.fft``: a length-1 operand
+    multiplies directly; otherwise both are transformed at the next fast
+    complex FFT length (``_good_size``), a real operand by a real FFT whose
+    second half is the conjugate mirror of the first, as ``scipy.fft``
+    transforms real input.  Spelling them out keeps ``scipy.signal`` (about
+    40 MB of resident memory) and ``scipy.fft`` out of the package's imports.
     """
     if len(x) == 1 or len(taps) == 1:
         return x * taps
     n = len(x) + len(taps) - 1
-    size = [scipy.fft.next_fast_len(n, False)]
-    spectrum = scipy.fft.fftn(x, size, axes=[0]) * scipy.fft.fftn(taps, size, axes=[0])
-    return scipy.fft.ifftn(spectrum, size, axes=[0])[:n]
+    size = _good_size(n)
+    spectrum = _spectrum(x, size) * _spectrum(taps, size)
+    return np.fft.ifft(spectrum, size)[:n]
+
+
+def _good_size(n: int) -> int:
+    """The least 11-smooth length >= n, as ``scipy.fft.next_fast_len(n, False)``
+    picks for a complex FFT."""
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _spectrum(a: np.ndarray, size: int) -> np.ndarray:
+    """The ``size``-point FFT of ``a``; for real ``a`` a real FFT and the
+    conjugate mirror of its first half."""
+    if np.iscomplexobj(a):
+        return np.fft.fft(a, size)
+    half = np.fft.rfft(a, size)
+    out = np.empty(size, dtype=np.complex128)
+    out[: len(half)] = half
+    out[len(half) :] = np.conj(half[size - len(half) : 0 : -1])
+    return out
 
 
 def _taps_at(lag0: int, taps: np.ndarray, lags: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .isimetrics import (
     DEFAULT_BLOCK_WINDOW,
     _ratio_db,
     ebct_all,
-    ebct_bound_all,
+    ebct_bound_all,  # not called here, but perfbench's tracer wraps cli.ebct_bound_all
     half_shift_worst_case_scan,
     isi_bound,
     s2i_sweep,
@@ -152,10 +152,11 @@ def cmd_xcorr(v) -> None:
 def cmd_ebct(v) -> None:
     tensor = xcorr_tensor(default_basis(v.scheme, v.n, v.m))
     _verify_tensor(tensor)
+    # the exact tail is its own bound (ebct_bound_all is ebct_all), so one
+    # array fills both columns
     values = ebct_all(tensor)
-    bounds = ebct_bound_all(tensor)
     rows = [
-        (v.scheme.value, v.n, v.m, r, s, values[r, s], bounds[r, s])
+        (v.scheme.value, v.n, v.m, r, s, values[r, s], values[r, s])
         for r in range(v.m)
         for s in range(v.m)
     ]

@@ -11,31 +11,36 @@ quantity under study.  Only the blocks whose samples the channel's FIR
 carries into the victim subframe are built and filtered; the others cannot
 change a victim sample.
 
-Within a trial only the noise level changes between SNR points, so the
-victim's effective channel A, its Gram matrix A^H A and the matched-filter
-outputs of the received signal and of the unit-variance noise are formed
-once; each point adds its scaled noise term and solves its own regularized
-system by Cholesky (a point Cholesky cannot factor is skipped), and errors
-are counted on the signs of the estimates.
+The victim's effective channel A = O_r^H H O_t is linear in the path
+gains, A = sum_p g_p A_p, and only the gains change between the trials of
+a run.  So the per-path matrices conj(A_p) are built once per run, as one
+(paths, M * M) stack, and a trial forms conj(A) as one gain contraction of
+that stack.  Within a trial only the noise level changes between SNR
+points, so A, its Gram matrix A^H A and the matched-filter outputs of the
+received signal and of the unit-variance noise are formed once; each point
+adds its scaled noise term and solves its own regularized system by
+Cholesky (a point Cholesky cannot factor is skipped), and errors are
+counted on the signs of the estimates.
 
 Trials are independent given their seeds, so ``run_ser`` deals its seeds
 to processes through ``_fork.fork_map``: as many processes as the CPUs it
-may use hold BLAS thread pools.  The counts are integer sums, which do not
-depend on the order they are added in.
+may use hold BLAS thread pools.  The path stack is built before the
+processes fork, so they share it.  The counts are integer sums, which do
+not depend on the order they are added in.
 """
 from __future__ import annotations
 
 import logging
 import math
+import mmap
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.special import erfc
+from scipy.linalg import blas, lapack
 
 from ._fork import fork_map
-from .channel import ChannelOperator, ChannelSpec, fir_lags, realize
+from .channel import ChannelOperator, ChannelSpec, _path_blocks, fir_lags, realize
 from .errors import ParameterError
 from .waveform import (
     PrecodingScheme,
@@ -126,6 +131,9 @@ def qpsk_map(bits: np.ndarray) -> np.ndarray:
 
 def analytic_qpsk_ser(snr_lin: float) -> float:
     """Symbol error rate of Gray QPSK in AWGN at Es/N0 = snr_lin."""
+    # imported here, as only this check needs scipy.special (some 5 MB)
+    from scipy.special import erfc
+
     p = 0.5 * erfc(math.sqrt(snr_lin / 2.0))
     return 2.0 * p - p * p
 
@@ -205,26 +213,92 @@ def equalize_and_detect(
 
 
 def _normal_equations(
-    basis: PrefixedBasis, op: ChannelOperator, received, noise
+    basis: PrefixedBasis, a_conj: np.ndarray, received, noise
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A^H A and the matched-filter outputs A^H O_r^H y of two block stacks.
 
-    A = O_r^H H_{l,l} O_t is the effective channel of every block l, as
-    H_{l,l'} depends only on l - l' (read here as H_{0,0}); ``received``
-    and ``noise`` hold one block per row.  O_r is zero on the prefix rows,
-    so only the rows past the prefix enter, and conj(A) is formed as
-    O^T conj(H O_t) without conjugating O.  The channel block is freed as
-    soon as H O_t exists, which keeps a trial's peak heap small.
+    ``a_conj`` is conj(A), A = O_r^H H_{l,l} O_t the effective channel of
+    every block l, as H_{l,l'} depends only on l - l'; a trial forms it
+    from the run's path stack (``_path_stack``).  ``received`` and
+    ``noise`` hold one block per row.  O_r is zero on the prefix rows, so
+    only the rows past the prefix enter, and O^T conj(rows) stands for
+    O_r^H rows without conjugating O.  A^H A comes from BLAS zherk on
+    A^H = conj(A)^T, a view: its upper triangle, which is all that zposv
+    reads in ``equalize_and_detect``; the lower triangle is zero.
     """
     g = basis.prefix_len
     o = basis.base.o_matrix
-    a_conj = o.T @ np.conj(op.block(0, 0)[g:] @ basis.o_t)
     a_h = a_conj.T
 
     def matched(rows):
         return a_h @ (np.conj(rows[:, g:]) @ o).conj().T
 
-    return a_h @ a_conj.conj(), matched(received), matched(noise)
+    return blas.zherk(1.0, a_h), matched(received), matched(noise)
+
+
+def _build_path_stack(
+    basis: PrefixedBasis, channel_spec: ChannelSpec, stream_len: int
+) -> np.ndarray:
+    """conj(A_p) = O^T conj(H_p[g:] O_t) of every path p, one row each.
+
+    H_p is path p's unit-gain channel block on a stream of ``stream_len``
+    samples (``channel._path_blocks``), so a realization's conj(A) is
+    conj(gains) @ stack, reshaped to M x M.  H_p is real, so conj(H_p O_t)
+    is H_p conj(O_t), one real product on the float64 view of conj(O_t).
+    The stack is an anonymous memory map of its own, not a malloc chunk:
+    freeing it returns its pages, where a freed heap chunk this large
+    stays resident and the next run's stack need not fit the hole it left.
+    """
+    g = basis.prefix_len
+    o = basis.base.o_matrix
+    m = o.shape[1]
+    paths = len(channel_spec.paths)
+    pages = mmap.mmap(-1, paths * m * m * 16, access=mmap.ACCESS_COPY)
+    stack = np.frombuffer(pages, dtype=np.complex128).reshape(paths, m * m)
+    o_t_conj = np.conj(basis.o_t).view(np.float64)
+    blocks = _path_blocks(channel_spec, basis.block_len, stream_len)
+    for row, h in zip(stack, blocks):
+        np.matmul(o.T, (h[g:] @ o_t_conj).view(np.complex128), out=row.reshape(m, m))
+    stack.flags.writeable = False
+    return stack
+
+
+# The last path stack built and its key: the basis itself (held here, so
+# that no other basis can take its id), the channel spec and the stream length.
+_path_stack_slot: dict = {}
+
+
+def _path_stack(
+    basis: PrefixedBasis, channel_spec: ChannelSpec, stream_len: int
+) -> np.ndarray:
+    """``_build_path_stack``'s result, built once for a run's trials.
+
+    One slot: a call with another key frees the stack it holds before it
+    builds the new one, so at most one stack is alive.
+    """
+    held = _path_stack_slot.get("key")
+    if held is None or held[0] is not basis or held[1:] != (channel_spec, stream_len):
+        _path_stack_slot.clear()
+        stack = _build_path_stack(basis, channel_spec, stream_len)
+        _path_stack_slot.update(key=(basis, channel_spec, stream_len), stack=stack)
+    return _path_stack_slot["stack"]
+
+
+def _trial_window(
+    cfg: FrameConfig, channel_spec: ChannelSpec, block_len: int
+) -> tuple[int, int, int, int]:
+    """The victim's blocks [lo, hi) and the blocks [start, stop) that reach
+    them through the channel's FIR."""
+    b = block_len
+    lo = cfg.victim_subframe * cfg.symbols_per_subframe
+    hi = lo + cfg.symbols_per_subframe
+    # output sample t reads inputs t - last ... t - first (last >= 0, as no
+    # delay is negative), and lag 0 keeps the victim's own blocks where
+    # every lag is positive
+    first, last = fir_lags(channel_spec, cfg.n_symbols * b)
+    start = max(0, (lo * b - last) // b)
+    stop = min(cfg.n_symbols, (hi * b - 1 - min(first, 0)) // b + 1)
+    return lo, hi, start, stop
 
 
 def run_trial(
@@ -248,26 +322,21 @@ def run_trial(
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
     rng = np.random.default_rng(seed)
     b = basis.block_len
-    lo = cfg.victim_subframe * cfg.symbols_per_subframe
-    hi = lo + cfg.symbols_per_subframe
-    # only blocks [start, stop) reach the victim's: output sample t reads
-    # inputs t - last ... t - first (last >= 0, as no delay is negative), and
-    # lag 0 keeps the victim's own blocks where every lag is positive
-    first, last = fir_lags(channel_spec, cfg.n_symbols * b)
-    start = max(0, (lo * b - last) // b)
-    stop = min(cfg.n_symbols, (hi * b - 1 - min(first, 0)) // b + 1)
+    lo, hi, start, stop = _trial_window(cfg, channel_spec, b)
     realization = realize(channel_spec, rng, block_len=b, n_blocks=stop - start)
     payloads = draw_payloads(cfg, rng)
-    op = ChannelOperator(realization)
-    y = op.apply(build_frame(cfg, basis, payloads, start, stop))
+    y = ChannelOperator(realization).apply(build_frame(cfg, basis, payloads, start, stop))
     y_victim = y[(lo - start) * b : (hi - start) * b].reshape(
         cfg.symbols_per_subframe, b
     )
     noise_unit = (
         rng.standard_normal(y_victim.shape) + 1j * rng.standard_normal(y_victim.shape)
     ) / math.sqrt(2.0)
-    gram, signal, noise = _normal_equations(basis, op, y_victim, noise_unit)
-    es = float(np.real(np.trace(gram))) / cfg.m_active
+    m = cfg.m_active
+    stack = _path_stack(basis, channel_spec, realization.stream_len)
+    a_conj = (np.conj(realization.drawn_gains) @ stack).reshape(m, m)
+    gram, signal, noise = _normal_equations(basis, a_conj, y_victim, noise_unit)
+    es = float(np.real(np.trace(gram))) / m
     n0 = es / 10.0 ** (snr_grid_db / 10.0)
     matched = signal + np.sqrt(n0)[:, None, None] * noise
     sent = payloads[lo:hi]
@@ -318,7 +387,10 @@ def run_ser(
     if base_seed < 0:
         raise ParameterError(f"base_seed must be >= 0, got {base_seed}")
     basis = cfg.make_basis()
-
+    # the path stack is built here, before the trials fork, so that every
+    # process reads this one
+    _, _, start, stop = _trial_window(cfg, channel_spec, basis.block_len)
+    _path_stack(basis, channel_spec, (stop - start) * basis.block_len)
     errors, symbols = sum(fork_map(
         lambda seed: np.array(run_trial(cfg, channel_spec, basis, snr_grid_db, seed)),
         range(base_seed, base_seed + n_trials),

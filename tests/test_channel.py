@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -275,13 +276,22 @@ class TestFftConvolve:
         assert np.array_equal(got, want)
 
     def test_package_import_leaves_out_scipy_signal(self):
-        # scipy.signal costs some 40 MB of resident memory and 400 modules
-        code = "import sys, precofdm.cli; print('scipy.signal' in sys.modules)"
+        # scipy.signal costs some 40 MB of resident memory and 400 modules,
+        # scipy.fft and scipy.special some 5 MB more
+        code = (
+            "import sys, precofdm.cli; print([name in sys.modules for name in "
+            "('scipy.signal', 'scipy.fft', 'scipy.special')])"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             check=True,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[False, False, False]"
+
+    def test_good_size_is_scipy_next_fast_len(self):
+        # scipy.fft is the oracle here only; the package uses numpy.fft
+        for n in range(1, 20001):
+            assert channel._good_size(n) == scipy.fft.next_fast_len(n, False), n
 
 
 class TestCompositeFilter:

@@ -58,6 +58,16 @@ class TestEbctCommand:
         # both columns hold the exact tail
         assert all(line.split(",")[5] == line.split(",")[6] for line in lines[1:])
 
+    def test_tails_evaluated_once(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("ebct_all", "ebct_bound_all"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda t, name=name, f=original: calls.append(name) or f(t)
+            )
+        assert run(["ebct", "--n", 5, "--out", tmp_path / "ebct.csv"]) == 0
+        assert calls == ["ebct_all"]
+
     def test_twelve_significant_digits(self, tmp_path):
         out = tmp_path / "ebct.csv"
         run(["ebct", "--scheme", "dpss", "--n", 9, "--m", 9, "--out", out])
@@ -708,7 +718,6 @@ class TestCommandTable:
         ("signal_isi_energies", ["bound", "--n", 24, "--blocks", 3]),
         ("isi_bound", ["bound", "--n", 24, "--blocks", 3]),
         ("ebct_all", ["ebct", "--n", 5]),
-        ("ebct_bound_all", ["ebct", "--n", 5]),
         ("half_shift_worst_case_scan", ["scan-halfshift", "--n", 3, "--taus", "[0.5]"]),
         ("write_csv", ["dpss", "--n", 5]),
     ]

@@ -30,7 +30,7 @@ from precofdm.linksim import (
     run_ser,
     run_trial,
 )
-from precofdm.waveform import PrecodingScheme
+from precofdm.waveform import PrecodingScheme, PrefixKind, default_basis, with_prefix
 
 IDENTITY = ChannelSpec((PathSpec(delay=0.0, gain=1.0 + 0.0j),), 0.0, name="identity")
 
@@ -554,17 +554,23 @@ class TestVictimWindow:
             p_delta_db=p_delta_db,
         )
         basis = cfg.make_basis()
-        seen = []
+        ops, seen = [], []
+        apply = ChannelOperator.apply
         normal_equations = linksim._normal_equations
 
-        def spy(basis, op, received, noise):
-            seen.append((op, received))
-            return normal_equations(basis, op, received, noise)
+        def apply_spy(op, x):
+            ops.append(op)
+            return apply(op, x)
+
+        def spy(basis, a_conj, received, noise):
+            seen.append(received)
+            return normal_equations(basis, a_conj, received, noise)
 
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ChannelOperator, "apply", apply_spy)
             patch.setattr(linksim, "_normal_equations", spy)
             run_trial(cfg, spec, basis, [20.0], seed)
-        ((op, received),) = seen
+        ((op,), (received,)) = ops, seen
 
         # the whole frame through the whole-frame operator, same draws
         rng = np.random.default_rng(seed)
@@ -627,6 +633,89 @@ class TestFloorOrderingMatchesS2i:
             (pt,) = run_ser(cfg, spec, [35.0], n_trials=40, base_seed=0)
             sers[scheme.value] = pt.ser
         assert sers["dpss"] < sers["dft"]
+
+
+class TestPathStack:
+    """The per-path matrices a run builds once, and each trial contracts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_len=st.integers(4, 24),
+        m_frac=st.floats(0.3, 1.0),
+        scheme=st.sampled_from(list(PrecodingScheme)),
+        prefix_len=st.integers(0, 6),
+        n_blocks=st.integers(1, 3),
+        delays=st.lists(
+            st.one_of(
+                st.integers(0, 6).map(float),
+                st.floats(0.0, 6.0, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1, max_size=6,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_contraction_is_effective_channel(
+        self, n_len, m_frac, scheme, prefix_len, n_blocks, delays, seed
+    ):
+        m = max(1, round(m_frac * n_len))
+        basis = with_prefix(
+            default_basis(scheme, n_len, m), min(prefix_len, n_len - 1),
+            PrefixKind.CYCLIC,
+        )
+        spec = ChannelSpec(
+            tuple(PathSpec(delay=d, gain_power=1.0 / (1 + i)) for i, d in enumerate(delays)),
+            max(delays),
+        )
+        real = realize(spec, seed, block_len=basis.block_len, n_blocks=n_blocks)
+        stack = linksim._build_path_stack(basis, spec, real.stream_len)
+        assert stack.shape == (len(delays), m * m)
+        a = np.conj(np.conj(real.drawn_gains) @ stack).reshape(m, m)
+        h = ChannelOperator(real).block(0, 0)
+        want = basis.o_r.conj().T @ h @ basis.o_t
+        # A can cancel to round-off (one path at delay 3, N = 4, M = 1 gives
+        # |A| = 6e-17), so the block's norm, which |A| / |O_t| never exceeds,
+        # sets the scale there
+        scale = max(np.linalg.norm(want), np.linalg.norm(h))
+        assert np.linalg.norm(a - want) <= 1e-12 * scale
+
+    def test_run_ser_builds_once_in_parent(self, pin_cpus, monkeypatch, tmp_path):
+        pin_cpus(3, OMP_NUM_THREADS="1")
+        spec = cdlc_channel_spec(1000.0)
+        cfg = FrameConfig(
+            scheme=PrecodingScheme.DPSS, eta=0.75, n_len=24,
+            prefix_len=prefix_length_for(spec),
+        )
+        builds = tmp_path / "builds"
+        build = linksim._build_path_stack
+
+        def spy(*args):
+            # a file, as a forked child's list would die with it
+            with open(builds, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return build(*args)
+
+        monkeypatch.setattr(linksim, "_build_path_stack", spy)
+        first = run_ser(cfg, spec, [20.0], n_trials=7, base_seed=1)
+        assert builds.read_text().split() == [str(os.getpid())]
+        assert multiprocessing.active_children() == []
+        # each run makes its own basis, so the next run builds once more, and
+        # the slot then holds that run's stack alone
+        assert run_ser(cfg, spec, [20.0], n_trials=7, base_seed=1) == first
+        assert builds.read_text().split() == [str(os.getpid())] * 2
+        assert set(linksim._path_stack_slot) == {"key", "stack"}
+
+    def test_one_slot(self):
+        spec = cdlc_channel_spec(200.0)
+        cfg = FrameConfig(scheme=PrecodingScheme.DFT, eta=1.0, n_len=16, prefix_len=4)
+        bases = cfg.make_basis(), cfg.make_basis()
+        stacks = [linksim._path_stack(basis, spec, 60) for basis in bases]
+        # an equal basis that is another object is another key
+        assert stacks[0] is not stacks[1]
+        assert np.array_equal(stacks[0], stacks[1])
+        assert linksim._path_stack(bases[1], spec, 60) is stacks[1]
+        assert linksim._path_stack_slot["key"][0] is bases[1]
+        assert not stacks[1].flags.writeable
+        linksim._path_stack_slot.clear()
 
 
 class TestTrialSplit:
