@@ -32,12 +32,13 @@ from .errors import ParameterError
 from .isimetrics import (
     DEFAULT_BLOCK_WINDOW,
     _ratio_db,
+    _span_energies,
     ebct_all,
     ebct_bound_all,  # not called here, but perfbench's tracer wraps cli.ebct_bound_all
     half_shift_worst_case_scan,
-    isi_bound,
+    isi_bound,  # not called here, but perfbench's tracer wraps cli.isi_bound
     s2i_sweep,
-    signal_isi_energies,
+    signal_isi_energies,  # not called here, but perfbench's tracer wraps it in cli
     xcorr_tensor,
 )
 from .linksim import FrameConfig, run_ser
@@ -166,10 +167,8 @@ def cmd_ebct(v) -> None:
 
 def cmd_bound(v) -> None:
     channel, _ = v.channel
-    basis = default_basis(v.scheme, v.n, v.m)
-    pref = with_prefix(basis, v.prefix, PrefixKind.ZERO)
-    signal, empirical = signal_isi_energies(pref, pref, channel, v.blocks)
-    total = isi_bound(xcorr_tensor(basis), channel, v.prefix).total_bound
+    pref = with_prefix(default_basis(v.scheme, v.n, v.m), v.prefix, PrefixKind.ZERO)
+    signal, empirical, total = _span_energies(pref, channel, v.blocks, True)
     if total < empirical:
         raise ParameterError("ISI bound fell below the empirical energy")
     write_csv(

@@ -18,19 +18,19 @@ The chain implemented here:
   is factored once into a triangle R with R^H R = C^H C, and each block
   offset multiplies R by the paths' sinc kernels.  C^H C itself is never
   formed, because its round-off would swamp the DPSS energies beyond the
-  nearest neighbour block.
+  nearest neighbour block.  The bound's tails are a quadratic form in the
+  lag sequences, so the same R also gives the bound's total over all pairs.
 
 Channels are quasi-static: every operation takes one set of path gains.
 
-An S2I sweep runs the energies and the bound of each basis span as
-independent tasks through ``_fork.fork_map``, in forked processes when the
-CPUs of the affinity set hold more than one BLAS thread pool.
+An S2I sweep runs one task per basis span through ``_fork.fork_map``, in
+forked processes when the CPUs of the affinity set hold more than one BLAS
+thread pool; each task takes the span's energies and its bound from one R.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -228,8 +228,10 @@ def _parseval_tails(cmat: np.ndarray, shift: float, radii) -> np.ndarray:
     interpolant sampled at the shifted integers.  At half-bandwidth 1/2 the
     shift is unitary, so sum_n |y(n + shift)|^2 = ||C||^2 and the tail beyond
     radius R is ||C||^2 - sum_{|n| <= R} |y(n + shift)|^2 for any shift.  One
-    sinc product over the widest window serves every radius.  Returns shape
-    (len(radii),) + cmat.shape[:-1].
+    sinc product over the widest window serves every radius.  A row may be
+    any lag sequence, not only a correlation of two basis columns: the rows
+    of a lag root R with R^H R = C^H C give the same tail total as C's.
+    Returns shape (len(radii),) + cmat.shape[:-1].
     """
     n_len = (cmat.shape[-1] + 1) // 2
     lags = np.arange(-(n_len - 1), n_len)
@@ -334,6 +336,41 @@ def _window_powers(channel: ChannelSpec, n_len: int, prefix_len: int) -> dict:
     return groups
 
 
+def _gram_root(tx: PrefixedBasis, rx: PrefixedBasis) -> np.ndarray:
+    """Upper triangle R of at most 2B - 1 rows with R^H R = C^H C for the
+    (M_r M_t) x (2B - 1) lag-correlation matrix C of the two bases.
+
+    When rx.o_r equals tx.o_t (a zero prefix), the rows of C pair up under
+    lag reversal and the large QR factors only half of them.
+    """
+    if np.array_equal(rx.o_r, tx.o_t):
+        return _symmetric_lag_root(tx.o_t)
+    return _lag_root(_cross_lag_matrix(rx.o_r, tx.o_t, order="F"))
+
+
+def _offset_grams(
+    root: np.ndarray, block_len: int, delays: np.ndarray, n_blocks: int,
+    include_signal: bool,
+) -> tuple:
+    """(K_isi, K_sig or None) from the root: sum (R k_d)^H (R k_d) over the
+    offsets d != 0 and at d = 0, with k_d the paths' sinc kernels."""
+    b = block_len
+    lags = np.arange(-(b - 1), b)
+    n_paths = delays.size
+    k_isi = np.zeros((n_paths, n_paths), dtype=np.complex128)
+    k_sig = np.zeros((n_paths, n_paths), dtype=np.complex128)
+    for d in range(-(n_blocks - 1), n_blocks):
+        if d == 0 and not include_signal:
+            continue
+        kernel = _sinc(lags[:, None] + d * b - delays[None, :])
+        u = root @ kernel
+        if d == 0:
+            k_sig += u.conj().T @ u
+        else:
+            k_isi += u.conj().T @ u
+    return k_isi, k_sig if include_signal else None
+
+
 def isi_gram(
     tx: PrefixedBasis,
     rx: PrefixedBasis,
@@ -359,33 +396,14 @@ def isi_gram(
     The normal-equation Gram C^H C is never formed: it squares the condition
     number, and its round-off (about 1e-18 for DPSS at N = 128, M = 121 on
     the mild channel) exceeds the ISI energy of offset d = 2 (2.8e-20).
-    When rx.o_r equals tx.o_t (a zero prefix), the rows of C pair up under
-    lag reversal and the large QR factors only half of them.
     """
     _check_pair(tx, rx)
     _check_blocks(n_blocks)
     delays = np.asarray(delays, dtype=float)
-    b = tx.block_len
-    if np.array_equal(rx.o_r, tx.o_t):
-        root = _symmetric_lag_root(tx.o_t)
-    else:
-        root = _lag_root(_cross_lag_matrix(rx.o_r, tx.o_t, order="F"))
-    lags = np.arange(-(b - 1), b)
-    n_paths = delays.size
-    k_isi = np.zeros((n_paths, n_paths), dtype=np.complex128)
-    k_sig = np.zeros((n_paths, n_paths), dtype=np.complex128)
-    for d in range(-(n_blocks - 1), n_blocks):
-        if d == 0 and not include_signal:
-            continue
-        kernel = _sinc(lags[:, None] + d * b - delays[None, :])
-        u = root @ kernel
-        if d == 0:
-            k_sig += u.conj().T @ u
-        else:
-            k_isi += u.conj().T @ u
-    if include_signal:
-        return k_isi, k_sig
-    return k_isi
+    k_isi, k_sig = _offset_grams(
+        _gram_root(tx, rx), tx.block_len, delays, n_blocks, include_signal
+    )
+    return (k_isi, k_sig) if include_signal else k_isi
 
 
 def _quad(gram: np.ndarray, channel: ChannelSpec | ChannelRealization) -> float:
@@ -425,6 +443,17 @@ def signal_isi_energies(
     return _quad(k_sig, channel), _quad(k_isi, channel)
 
 
+def _tail_total(cmat: np.ndarray, groups: dict) -> float:
+    """Power-weighted half-shift tails of the rows of ``cmat`` (lag sequences
+    on |q| <= N-1), summed: each N_p group of ``_window_powers`` weights the
+    tails beyond N_p - 1, and one sinc product serves every N_p."""
+    n_ps = sorted(groups)
+    tails = _parseval_tails(cmat, 0.5, [n_p - 1 for n_p in n_ps])
+    weights = np.array([groups[n_p] for n_p in n_ps])
+    # this summation order fixes the digits of the round-off-dominated DPSS total
+    return float(np.sum(weights[:, None] * tails, axis=0).sum())
+
+
 def isi_bound(
     tensor: CrossCorrTensor,
     channel: ChannelSpec,
@@ -441,12 +470,36 @@ def isi_bound(
     """
     m, n = tensor.m, tensor.n_len
     cmat = tensor.values.reshape(m * m, 2 * n - 1)
-    groups = _window_powers(channel, n, prefix_len)
-    n_ps = sorted(groups)
-    tails = _parseval_tails(cmat, 0.5, [n_p - 1 for n_p in n_ps])
-    weights = np.array([groups[n_p] for n_p in n_ps])
-    # this summation order fixes the digits of the round-off-dominated DPSS total
-    return BoundReport(float(np.sum(weights[:, None] * tails, axis=0).sum()))
+    return BoundReport(_tail_total(cmat, _window_powers(channel, n, prefix_len)))
+
+
+def _span_energies(
+    pref: PrefixedBasis,
+    channel: ChannelSpec,
+    n_blocks: int,
+    include_bound: bool,
+) -> tuple:
+    """(signal energy, ISI energy, ISI bound or None) of a zero-prefixed basis.
+
+    The energies are those of ``signal_isi_energies(pref, pref, ...)`` and
+    the bound is ``isi_bound``'s total, all from one lag root R.  The tail
+    is a quadratic form in the lag sequence and R^H R = C^H C, so the tail
+    total over the pairs (r, s) of C equals the tail total over the rows of
+    R.  The zero prefix makes every lag |q| > N-1 an exact zero column of C,
+    hence of R, so the 2N - 1 middle columns of R carry every tail.  Rows
+    of R are not correlation sequences, but each row's tail is still
+    non-negative in exact arithmetic, so the per-row clamp stays valid.
+    """
+    _check_blocks(n_blocks)
+    root = _gram_root(pref, pref)
+    delays = np.asarray(channel.delays, dtype=float)
+    k_isi, k_sig = _offset_grams(root, pref.block_len, delays, n_blocks, True)
+    bound = None
+    if include_bound:
+        n, g = pref.base.n_len, pref.prefix_len
+        groups = _window_powers(channel, n, g)
+        bound = _tail_total(root[:, g : g + 2 * n - 1], groups)
+    return _quad(k_sig, channel), _quad(k_isi, channel), bound
 
 
 def _ratio_db(signal: float, interference: float) -> float:
@@ -479,12 +532,16 @@ def s2i_sweep(
     values are computed once per span, on the OFDM basis for every span
     but DPSS with M < N, and shared by the rows that have it.
 
-    The bases are built here; each span's energies and each span's bound
-    are then separate tasks for ``fork_map``, which may run them in forked
-    processes.  Every check a task would raise runs here first, so a bad
-    argument never starts a process.
+    The bases are built here, and each span is one task for ``fork_map``,
+    which may run the tasks in forked processes.  A task factors the span's
+    lag root R once and takes both energies and the bound from it: the
+    bound's tail total over the M^2 pair rows of C equals the one over the
+    at most 2B - 1 rows of R (sum_rs tail(C_rs) = sum_i tail(R_i), as
+    R^H R = C^H C), so no sweep builds the correlation tensor.  Every check
+    a task would raise runs here first, so a bad argument never starts a
+    process.
     """
-    spans: dict = {}  # (DPSS with M < N, M) -> (basis, zero-prefixed basis)
+    spans: dict = {}  # (DPSS with M < N, M) -> zero-prefixed basis
     rows = []  # (scheme, M, span) per row
     for scheme in schemes:
         scheme = PrecodingScheme(scheme)
@@ -494,36 +551,25 @@ def s2i_sweep(
             if key not in spans:
                 span = scheme if key[0] else PrecodingScheme.OFDM
                 basis = default_basis(span, n_len, m)
-                spans[key] = basis, with_prefix(basis, prefix_len, PrefixKind.ZERO)
+                spans[key] = with_prefix(basis, prefix_len, PrefixKind.ZERO)
             rows.append((scheme, m, key))
     _check_blocks(n_blocks)
     if include_bound:
         _window_powers(channel, n_len, prefix_len)
 
-    def bound(basis):
-        return isi_bound(xcorr_tensor(basis), channel, prefix_len).total_bound
-
-    # every gram task, then every bound task: at N = 64 a gram task costs
-    # about twice a bound task, and the round-robin deal evens the shares
-    tasks = [
-        partial(signal_isi_energies, pref, pref, channel, n_blocks)
-        for _, pref in spans.values()
-    ]
-    if include_bound:
-        tasks += [partial(bound, basis) for basis, _ in spans.values()]
-    results = fork_map(lambda task: task(), tasks)
+    results = fork_map(
+        lambda pref: _span_energies(pref, channel, n_blocks, include_bound),
+        spans.values(),
+    )
     energies = dict(zip(spans, results))
-    lower = {  # empty without the bound tasks
-        key: _ratio_db(energies[key][0], total)
-        for key, total in zip(spans, results[len(spans):])
-    }
-    return [
-        S2iPoint(
-            scheme.value, m / n_len, channel.name,
-            _ratio_db(*energies[key]), lower.get(key),
-        )
-        for scheme, m, key in rows
-    ]
+    points = []
+    for scheme, m, key in rows:
+        signal, isi, bound = energies[key]
+        lower = None if bound is None else _ratio_db(signal, bound)
+        points.append(S2iPoint(
+            scheme.value, m / n_len, channel.name, _ratio_db(signal, isi), lower
+        ))
+    return points
 
 
 def half_shift_worst_case_scan(

@@ -8,11 +8,11 @@ import multiprocessing
 
 import pytest
 
-from precofdm import cli, linksim, waveform
+from precofdm import cli, isimetrics, linksim, waveform
 from precofdm.channel import load_channel_profile
 from precofdm.cli import build_parser, main
 from precofdm.errors import ParameterError
-from precofdm.isimetrics import BoundReport, S2iPoint
+from precofdm.isimetrics import S2iPoint
 
 
 def run(args):
@@ -122,6 +122,29 @@ class TestS2iCommand:
             "integer", "--n", 20, "--blocks", 4, "--out", out, "--no-bound",
         ])
         assert len(read_lines(out)) == 4
+
+    def test_bound_and_s2i_print_the_same_lower_bound(self, tmp_path, monkeypatch):
+        def refuse(basis):
+            raise AssertionError("xcorr_tensor called")
+
+        # neither command builds the correlation tensor
+        monkeypatch.setattr(cli, "xcorr_tensor", refuse)
+        monkeypatch.setattr(isimetrics, "xcorr_tensor", refuse)
+        bound_csv, s2i_csv = tmp_path / "bound.csv", tmp_path / "s2i.csv"
+        assert run([
+            "bound", "--scheme", "dpss", "--n", 24, "--m", 21, "--channel", "mild",
+            "--out", bound_csv,
+        ]) == 0
+        assert run([
+            "s2i", "--schemes", "dpss", "--etas", "[0.875]", "--n", 24,
+            "--channel", "mild", "--out", s2i_csv,
+        ]) == 0
+        with open(bound_csv, encoding="utf-8") as fh:
+            (bound_row,) = csv.DictReader(fh)
+        with open(s2i_csv, encoding="utf-8") as fh:
+            (s2i_row,) = csv.DictReader(fh)
+        assert bound_row["s2i_lower_bound_db"] == s2i_row["s2i_lower_bound_db"]
+        assert bound_row["s2i_db"] == s2i_row["s2i_db"]
 
 
 class TestProcesses:
@@ -459,10 +482,13 @@ class TestVerify:
         assert not out.exists()
 
     def test_bound_below_empirical_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(
-            cli, "isi_bound",
-            lambda tensor, *a, **kw: BoundReport(0.0),
-        )
+        per_span = cli._span_energies
+
+        def no_bound(*args):
+            signal, isi, _ = per_span(*args)
+            return signal, isi, 0.0
+
+        monkeypatch.setattr(cli, "_span_energies", no_bound)
         self.assert_rejected(
             tmp_path, capsys, ["bound", "--n", 24, "--blocks", 3],
             "ISI bound fell below the empirical energy",
@@ -715,8 +741,8 @@ class TestCommandTable:
     CALLS = [
         ("default_basis", ["basis", "--n", 5]),
         ("xcorr_tensor", ["xcorr", "--n", 5]),
-        ("signal_isi_energies", ["bound", "--n", 24, "--blocks", 3]),
-        ("isi_bound", ["bound", "--n", 24, "--blocks", 3]),
+        ("_span_energies", ["bound", "--n", 24, "--blocks", 3]),
+        ("s2i_sweep", ["s2i", "--n", 17, "--etas", "[1.0]", "--blocks", 3]),
         ("ebct_all", ["ebct", "--n", 5]),
         ("half_shift_worst_case_scan", ["scan-halfshift", "--n", 3, "--taus", "[0.5]"]),
         ("write_csv", ["dpss", "--n", 5]),

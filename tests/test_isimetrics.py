@@ -809,13 +809,13 @@ class TestS2iSweep:
         pin_cpus(1)
         mild = mild_channel_spec()
         calls = []
-        direct = isimetrics.signal_isi_energies
+        per_span = isimetrics._span_energies
 
-        def counted(tx, rx, channel, n_blocks):
-            calls.append((tx.base.scheme, tx.base.m_active))
-            return direct(tx, rx, channel, n_blocks)
+        def counted(pref, *args):
+            calls.append((pref.base.scheme, pref.base.m_active))
+            return per_span(pref, *args)
 
-        monkeypatch.setattr(isimetrics, "signal_isi_energies", counted)
+        monkeypatch.setattr(isimetrics, "_span_energies", counted)
         rows = s2i_sweep(SCHEMES, [1.0, m / n], mild, n, 16, n_blocks=4)
         assert calls == [
             (PrecodingScheme.OFDM, n), (PrecodingScheme.OFDM, m),
@@ -829,7 +829,7 @@ class TestS2iSweep:
                 continue
             basis = default_basis(row.scheme, n, round(row.eta * n))
             pref = with_prefix(basis, 16, PrefixKind.ZERO)
-            signal, energy = direct(pref, pref, mild, 4)
+            signal, energy = signal_isi_energies(pref, pref, mild, 4)
             bound = isi_bound(xcorr_tensor(basis), mild, 16).total_bound
             np.testing.assert_allclose(
                 [row.s2i_db, row.s2i_lower_bound_db],
@@ -883,14 +883,83 @@ class TestS2iSweep:
 
     def test_one_task_sweep_never_forks(self, pin_cpus, no_fork):
         pin_cpus(4, OMP_NUM_THREADS="1")
-        # one span (every scheme spans C^N at M = N) and no bound: one task
-        rows = s2i_sweep(
-            SCHEMES, [1.0], mild_channel_spec(), 17, 16, n_blocks=3,
-            include_bound=False,
-        )
-        assert len(rows) == 3
+        # one span (every scheme spans C^N at M = N): one task, with or
+        # without the bound, which comes from the same task
+        for include_bound in (False, True):
+            rows = s2i_sweep(
+                SCHEMES, [1.0], mild_channel_spec(), 17, 16, n_blocks=3,
+                include_bound=include_bound,
+            )
+            assert len(rows) == 3
+        # three spans are three tasks
         with pytest.raises(AssertionError, match="process context"):
-            s2i_sweep(SCHEMES, [1.0], mild_channel_spec(), 17, 16, n_blocks=3)
+            s2i_sweep(SCHEMES, [1.0, 15 / 17], mild_channel_spec(), 17, 16, n_blocks=3)
+
+    @pytest.mark.parametrize("include_bound", [False, True])
+    def test_one_fork_map_item_per_span(self, monkeypatch, include_bound):
+        seen = []
+
+        def serial(func, items):
+            items = list(items)
+            seen.append(len(items))
+            return [func(x) for x in items]
+
+        monkeypatch.setattr(isimetrics, "fork_map", serial)
+        # spans: OFDM at M = 17, 15 and 13, DPSS at 15 and 13
+        rows = s2i_sweep(
+            SCHEMES, [1.0, 15 / 17, 13 / 17], mild_channel_spec(), 17, 16,
+            n_blocks=3, include_bound=include_bound,
+        )
+        assert seen == [5]
+        assert len(rows) == 9
+        assert all((r.s2i_lower_bound_db is not None) == include_bound for r in rows)
+
+    def test_no_correlation_tensor_on_sweep_path(self, monkeypatch):
+        def refuse(basis):
+            raise AssertionError("xcorr_tensor called")
+
+        monkeypatch.setattr(isimetrics, "xcorr_tensor", refuse)
+        rows = s2i_sweep(SCHEMES, [1.0, 15 / 17], mild_channel_spec(), 17, 16, n_blocks=3)
+        assert all(r.s2i_lower_bound_db <= r.s2i_db for r in rows)
+
+
+class TestRootBound:
+    """The bound total from the lag root R against ``isi_bound`` on the tensor:
+    sum_rs tail(C_rs) = sum_i tail(R_i) because R^H R = C^H C."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        n=st.integers(5, 40),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_root_bound_matches_tensor_bound(self, scheme, n, data, seed):
+        m = data.draw(st.integers(1, n), label="m")
+        g = data.draw(st.integers(0, n - 1), label="g")
+        rng = np.random.default_rng(seed)
+        delays = np.sort(rng.uniform(0.0, n + g, size=rng.integers(1, 6)))
+        channel = exp_profile_spec(rng.uniform(0.05, 1.0), delays, float(delays[-1]))
+        basis = default_basis(scheme, n, m)
+        pref = with_prefix(basis, g, PrefixKind.ZERO)
+        tensor = xcorr_tensor(basis)
+        _, isi, root_bound = isimetrics._span_energies(pref, channel, 3, True)
+        tensor_bound = isi_bound(tensor, channel, g).total_bound
+        floor = 64 * np.finfo(float).eps * np.sum(np.abs(tensor.values) ** 2)
+        assert abs(root_bound - tensor_bound) <= floor
+        # the root's rows, tailed at each path's own fractional shift, bound
+        # the windowed ISI energy.  At the half shift they need not: with
+        # DPSS N = 27, M = 17, g = 3 and one path at 0.58 both routes give
+        # 2.69e-11 against an ISI energy of 2.96e-11.
+        rows = isimetrics._gram_root(pref, pref)[:, g : g + 2 * n - 1]
+        own = sum(
+            path.power * _parseval_tails(
+                rows, path.delay % 1.0, [n + g - math.floor(path.delay) - 1]
+            ).sum()
+            for path in channel.paths
+        )
+        if own > floor:
+            assert own >= isi
 
 
 class TestHalfShiftScan:
