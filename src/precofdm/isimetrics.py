@@ -12,14 +12,15 @@ The chain implemented here:
   ||C||^2 minus the energy of the 2R + 1 shifted samples inside the window
   (Laakso et al., "Splitting the unit delay", IEEE SP Mag. 1996);
 * exact ISI transfer matrices and energies for prefixed transmit/receive
-  bases over realized channels, the matching analytical upper bound per
+  bases over realized channels, the analytical half-shift ISI bound per
   channel, and signal-to-ISI sweeps across utilization.  The energies come
   from a square-root lag Gram: the lag-correlation matrix C of the two bases
-  is factored once into a triangle R with R^H R = C^H C, and each block
-  offset multiplies R by the paths' sinc kernels.  C^H C itself is never
-  formed, because its round-off would swamp the DPSS energies beyond the
-  nearest neighbour block.  The bound's tails are a quadratic form in the
-  lag sequences, so the same R also gives the bound's total over all pairs.
+  is factored once into a triangle R with R^H R = C^H C, on 2N - 1 lags
+  with a zero prefix and 2B - 1 otherwise, and each block offset
+  multiplies R by the paths' sinc kernels.  C^H C itself is never formed,
+  because its round-off would swamp the DPSS energies beyond the nearest
+  neighbour block.  The bound's tails are a quadratic form in the lag
+  sequences, so the same R also gives the bound's total over all pairs.
 
 Channels are quasi-static: every operation takes one set of path gains.
 
@@ -102,7 +103,7 @@ class CrossCorrTensor:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Analytical upper bound on the total ISI energy."""
+    """Half-shift tail total of ``isi_bound``, the analytical ISI bound."""
 
     total_bound: float
 
@@ -337,38 +338,28 @@ def _window_powers(channel: ChannelSpec, n_len: int, prefix_len: int) -> dict:
 
 
 def _gram_root(tx: PrefixedBasis, rx: PrefixedBasis) -> np.ndarray:
-    """Upper triangle R of at most 2B - 1 rows with R^H R = C^H C for the
-    (M_r M_t) x (2B - 1) lag-correlation matrix C of the two bases.
+    """Upper triangle R with R^H R = C^H C for the (M_r M_t) x (2B - 1)
+    lag-correlation matrix C of the two bases; R's lags are centred on 0.
 
-    When rx.o_r equals tx.o_t (a zero prefix), the rows of C pair up under
-    lag reversal and the large QR factors only half of them.
+    When rx.o_r equals tx.o_t (a zero prefix), every lag |q| > N-1 is a zero
+    column of C, so R spans the un-prefixed basis' 2N - 1 lags, and the
+    large QR factors half of C's rows, which pair up under lag reversal.
+    Otherwise R spans all 2B - 1 lags.
     """
     if np.array_equal(rx.o_r, tx.o_t):
-        return _symmetric_lag_root(tx.o_t)
+        return _symmetric_lag_root(rx.o_r[rx.prefix_len:])
     return _lag_root(_cross_lag_matrix(rx.o_r, tx.o_t, order="F"))
 
 
-def _offset_grams(
-    root: np.ndarray, block_len: int, delays: np.ndarray, n_blocks: int,
-    include_signal: bool,
-) -> tuple:
-    """(K_isi, K_sig or None) from the root: sum (R k_d)^H (R k_d) over the
-    offsets d != 0 and at d = 0, with k_d the paths' sinc kernels."""
-    b = block_len
-    lags = np.arange(-(b - 1), b)
-    n_paths = delays.size
-    k_isi = np.zeros((n_paths, n_paths), dtype=np.complex128)
-    k_sig = np.zeros((n_paths, n_paths), dtype=np.complex128)
-    for d in range(-(n_blocks - 1), n_blocks):
-        if d == 0 and not include_signal:
-            continue
-        kernel = _sinc(lags[:, None] + d * b - delays[None, :])
-        u = root @ kernel
-        if d == 0:
-            k_sig += u.conj().T @ u
-        else:
-            k_isi += u.conj().T @ u
-    return k_isi, k_sig if include_signal else None
+def _offset_products(root: np.ndarray, block_len: int, delays: np.ndarray, offsets):
+    """Yield (d, U) per block offset d: U is real (paths, 2W), with complex
+    view (R k_d)^T for the paths' sinc kernels k_d on R's lags.  The kernels
+    are real, so U is one real GEMM with the float view of R^T."""
+    w = root.shape[1]
+    lags = np.arange(-(w // 2), w // 2 + 1)
+    root_t = np.ascontiguousarray(root.T).view(np.float64)
+    for d in offsets:
+        yield d, _sinc(lags[None, :] + d * block_len - delays[:, None]) @ root_t
 
 
 def isi_gram(
@@ -390,9 +381,10 @@ def isi_gram(
     With C the (M_r M_t) x (2B - 1) lag-correlation matrix of the bases and
     k_d the sinc kernels of the paths at offset d, the vectorized beta_{p,d}
     is column p of C k_d, so K sums (C k_d)^H (C k_d) over d.  C is factored
-    once into a triangle R of at most 2B - 1 rows with R^H R = C^H C (QR,
-    backward stable; Golub & Van Loan, Matrix Computations, 5.3), and each
-    offset costs R k_d on 2B - 1 rows instead of C k_d on M_r M_t rows.
+    once into a triangle R with R^H R = C^H C (QR, backward stable; Golub &
+    Van Loan, Matrix Computations, 5.3), and each offset costs R k_d on at
+    most 2B - 1 rows instead of C k_d on M_r M_t rows.  R's width is 2N - 1
+    with a zero prefix, whose lags |q| > N-1 are zero in C, else 2B - 1.
     The normal-equation Gram C^H C is never formed: it squares the condition
     number, and its round-off (about 1e-18 for DPSS at N = 128, M = 121 on
     the mild channel) exceeds the ISI energy of offset d = 2 (2.8e-20).
@@ -400,10 +392,12 @@ def isi_gram(
     _check_pair(tx, rx)
     _check_blocks(n_blocks)
     delays = np.asarray(delays, dtype=float)
-    k_isi, k_sig = _offset_grams(
-        _gram_root(tx, rx), tx.block_len, delays, n_blocks, include_signal
-    )
-    return (k_isi, k_sig) if include_signal else k_isi
+    offsets = [d for d in range(1 - n_blocks, n_blocks) if d or include_signal]
+    k = np.zeros((2, delays.size, delays.size), dtype=np.complex128)  # ISI, signal
+    for d, u in _offset_products(_gram_root(tx, rx), tx.block_len, delays, offsets):
+        u = u.view(np.complex128)
+        k[0 if d else 1] += u.conj() @ u.T
+    return (k[0], k[1]) if include_signal else k[0]
 
 
 def _quad(gram: np.ndarray, channel: ChannelSpec | ChannelRealization) -> float:
@@ -459,14 +453,15 @@ def isi_bound(
     channel: ChannelSpec,
     prefix_len: int,
 ) -> BoundReport:
-    """Analytical upper bound on the total ISI energy of a channel.
+    """Half-shift tail total: the analytical ISI bound of a channel.
 
-    Each path acts like a half-sample shift at worst (verified empirically
-    by the scan operation, never assumed silently), displaced by its integer
-    part, so its per-pair contribution is capped by the exact
-    shifted-correlation tail energy beyond N_p - 1 with
-    N_p = N + g - floor(tau_p).  Path powers weight the terms; paths that
-    share N_p share one tail, and one sinc product serves every N_p.
+    Each path is taken as a half-sample shift displaced by its integer part,
+    so its per-pair contribution is the exact shifted-correlation tail
+    energy beyond N_p - 1 with N_p = N + g - floor(tau_p).  Path powers
+    weight the terms; paths that share N_p share one tail, and one sinc
+    product serves every N_p.  The half shift is not the worst fractional
+    delay for every pair (see ``half_shift_worst_case_scan``), so the total
+    can fall below the ISI energy; ``bound`` and ``s2i`` check for this.
     """
     m, n = tensor.m, tensor.n_len
     cmat = tensor.values.reshape(m * m, 2 * n - 1)
@@ -479,27 +474,32 @@ def _span_energies(
     n_blocks: int,
     include_bound: bool,
 ) -> tuple:
-    """(signal energy, ISI energy, ISI bound or None) of a zero-prefixed basis.
+    """(signal energy, ISI energy, half-shift tail total or None) of a
+    zero-prefixed basis, all from one lag root R.
 
-    The energies are those of ``signal_isi_energies(pref, pref, ...)`` and
-    the bound is ``isi_bound``'s total, all from one lag root R.  The tail
-    is a quadratic form in the lag sequence and R^H R = C^H C, so the tail
-    total over the pairs (r, s) of C equals the tail total over the rows of
-    R.  The zero prefix makes every lag |q| > N-1 an exact zero column of C,
-    hence of R, so the 2N - 1 middle columns of R carry every tail.  Rows
-    of R are not correlation sequences, but each row's tail is still
-    non-negative in exact arithmetic, so the per-row clamp stays valid.
+    The energies are ``signal_isi_energies(pref, pref, ...)``'s, read per
+    path as sum_i |(R k_d)_{ip}|^2 and weighted by the path powers, with no
+    P x P Gram.  The tail total is ``isi_bound``'s: the tail is a quadratic
+    form in the lag sequence and R^H R = C^H C, so the total over the pairs
+    (r, s) of C equals the one over the rows of R.  A row of R is not a
+    correlation sequence, but its tail is still non-negative in exact
+    arithmetic, so the per-row clamp stays valid.
     """
     _check_blocks(n_blocks)
     root = _gram_root(pref, pref)
     delays = np.asarray(channel.delays, dtype=float)
-    k_isi, k_sig = _offset_grams(root, pref.block_len, delays, n_blocks, True)
+    offsets = range(1 - n_blocks, n_blocks)
+    energies = {
+        d: np.einsum("pi,pi->p", u, u)
+        for d, u in _offset_products(root, pref.block_len, delays, offsets)
+    }
+    signal = energies.pop(0)
+    isi = sum(energies.values())
     bound = None
     if include_bound:
-        n, g = pref.base.n_len, pref.prefix_len
-        groups = _window_powers(channel, n, g)
-        bound = _tail_total(root[:, g : g + 2 * n - 1], groups)
-    return _quad(k_sig, channel), _quad(k_isi, channel), bound
+        groups = _window_powers(channel, pref.base.n_len, pref.prefix_len)
+        bound = _tail_total(root, groups)
+    return float(channel.powers @ signal), float(channel.powers @ isi), bound
 
 
 def _ratio_db(signal: float, interference: float) -> float:
@@ -517,11 +517,11 @@ def s2i_sweep(
     n_blocks: int = DEFAULT_BLOCK_WINDOW,
     include_bound: bool = True,
 ) -> list[S2iPoint]:
-    """Signal-to-ISI ratio (dB) per (scheme, eta), with the analytic lower bound.
+    """Signal-to-ISI ratio (dB) per (scheme, eta), with the half-shift bound.
 
     S2I is the received desired-signal energy over the ISI energy, both
-    statistical under unit per-component symbol energy; replacing the ISI
-    energy by its analytic upper bound gives the lower-bound column.
+    statistical under unit per-component symbol energy; the lower-bound
+    column replaces the ISI energy by ``isi_bound``'s half-shift total.
     Every basis carries a zero prefix of ``prefix_len`` samples;
     m_active = floor(eta * N).
 
@@ -534,12 +534,12 @@ def s2i_sweep(
 
     The bases are built here, and each span is one task for ``fork_map``,
     which may run the tasks in forked processes.  A task factors the span's
-    lag root R once and takes both energies and the bound from it: the
-    bound's tail total over the M^2 pair rows of C equals the one over the
-    at most 2B - 1 rows of R (sum_rs tail(C_rs) = sum_i tail(R_i), as
-    R^H R = C^H C), so no sweep builds the correlation tensor.  Every check
-    a task would raise runs here first, so a bad argument never starts a
-    process.
+    lag root R once, on the basis' own 2N - 1 lags, and takes the per-path
+    energies and the bound from it: the bound's tail total over the M^2
+    pair rows of C equals the one over the at most 2N - 1 rows of R
+    (sum_rs tail(C_rs) = sum_i tail(R_i), as R^H R = C^H C), so no sweep
+    builds the correlation tensor or a path Gram.  Every check a task would
+    raise runs here first, so a bad argument never starts a process.
     """
     spans: dict = {}  # (DPSS with M < N, M) -> zero-prefixed basis
     rows = []  # (scheme, M, span) per row

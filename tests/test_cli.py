@@ -494,6 +494,25 @@ class TestVerify:
             "ISI bound fell below the empirical energy",
         )
 
+    def test_half_shift_bound_below_isi_writes_nothing(self, tmp_path, capsys):
+        # One path at fraction 0.58: the half-shift tail total is not an upper
+        # bound there (DPSS N = 27, M = 17, g = 3: 2.69e-11 against an ISI
+        # energy of 2.96e-11), and both commands refuse to write it.
+        profile = tmp_path / "one.txt"
+        profile.write_text("delays_samples: [0.5799065]\npowers_db: [0]\n")
+        self.assert_rejected(
+            tmp_path, capsys,
+            ["bound", "--scheme", "dpss", "--n", 27, "--m", 17, "--prefix", 3,
+             "--channel", profile],
+            "ISI bound fell below the empirical energy",
+        )
+        self.assert_rejected(
+            tmp_path, capsys,
+            ["s2i", "--schemes", "dpss", "--etas", "[0.63]", "--n", 27,
+             "--prefix", 3, "--channel", profile],
+            "S2I lower bound",
+        )
+
     def test_s2i_lower_bound_above_value_writes_nothing(
         self, tmp_path, capsys, monkeypatch
     ):

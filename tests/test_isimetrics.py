@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import multiprocessing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -659,6 +660,64 @@ class TestSymmetricLagRoot:
         )
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want) + floor
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        n=st.integers(min_value=1, max_value=32),
+        data=st.data(),
+    )
+    def test_zero_prefix_root_covers_the_basis_lags(self, scheme, n, data):
+        # the g zero prefix rows make the outer g lags on each side of the
+        # (2B - 1)-lag C exact zeros, so the root spans the middle 2N - 1
+        m = data.draw(st.integers(min_value=1, max_value=n))
+        g = data.draw(st.integers(min_value=0, max_value=n - 1))
+        pref = with_prefix(default_basis(scheme, n, m), g, PrefixKind.ZERO)
+        root = isimetrics._gram_root(pref, pref)
+        cmat = isimetrics._cross_lag_matrix(pref.o_r, pref.o_t)
+        assert cmat.shape[1] == 2 * (n + g) - 1
+        assert not np.any(cmat[:, :g]) and not np.any(cmat[:, 2 * n - 1 + g :])
+        middle = cmat[:, g : g + 2 * n - 1]
+        assert root.shape[1] == 2 * n - 1
+        err = np.linalg.norm(root.conj().T @ root - middle.conj().T @ middle)
+        assert err <= 64 * np.finfo(float).eps * np.linalg.norm(cmat) ** 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        n=st.integers(min_value=2, max_value=32),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_span_energies_match_full_root_grams(self, scheme, n, data, seed):
+        # per-path energies on the 2N - 1 lag root against the diagonal of
+        # isi_gram's Grams on the QR of the whole (2B - 1)-lag C
+        m = data.draw(st.integers(min_value=1, max_value=n))
+        g = data.draw(st.integers(min_value=0, max_value=n - 1))
+        n_blocks = data.draw(st.integers(min_value=2, max_value=4))
+        rng = np.random.default_rng(seed)
+        delays = np.sort(rng.uniform(0.0, n + g, size=rng.integers(1, 6)))
+        channel = exp_profile_spec(rng.uniform(0.05, 1.0), delays, float(delays[-1]))
+        pref = with_prefix(default_basis(scheme, n, m), g, PrefixKind.ZERO)
+        got = isimetrics._span_energies(pref, channel, n_blocks, False)[:2]
+        full = isimetrics._lag_root(
+            isimetrics._cross_lag_matrix(pref.o_r, pref.o_t, order="F")
+        )
+        with mock.patch.object(isimetrics, "_gram_root", lambda tx, rx: full):
+            grams = isi_gram(pref, pref, delays, n_blocks, include_signal=True)
+        cmat = lag_matrix_reference(pref.o_r, pref.o_t)
+        b = n + g
+        isi_offsets = [d for d in range(1 - n_blocks, n_blocks) if d != 0]
+        for value, gram, offsets in zip(got, grams[::-1], ([0], isi_offsets)):
+            want = float(channel.powers @ np.real(np.diag(gram)))
+            kernels = [sinc_kernel_reference(b, d, delays) for d in offsets]
+            # as in test_zero_prefix_gram_matches_full_qr, weighted by the powers
+            floor = (
+                32 * np.finfo(float).eps * np.sqrt(np.real(np.trace(gram)))
+                * np.linalg.norm(cmat) * np.linalg.norm(kernels)
+                * np.linalg.norm(channel.powers)
+            )
+            assert abs(value - want) <= 1e-12 * abs(want) + floor
+
     @pytest.mark.parametrize("kind,uses", [(PrefixKind.ZERO, 1), (PrefixKind.CYCLIC, 0)])
     def test_symmetric_root_only_when_bases_match(self, kind, uses, monkeypatch):
         # a cyclic prefix makes o_t differ from o_r, so C has no lag symmetry
@@ -951,7 +1010,7 @@ class TestRootBound:
         # the windowed ISI energy.  At the half shift they need not: with
         # DPSS N = 27, M = 17, g = 3 and one path at 0.58 both routes give
         # 2.69e-11 against an ISI energy of 2.96e-11.
-        rows = isimetrics._gram_root(pref, pref)[:, g : g + 2 * n - 1]
+        rows = isimetrics._gram_root(pref, pref)
         own = sum(
             path.power * _parseval_tails(
                 rows, path.delay % 1.0, [n + g - math.floor(path.delay) - 1]
