@@ -26,7 +26,8 @@ Channels are quasi-static: every operation takes one set of path gains.
 
 An S2I sweep runs one task per basis span through ``_fork.fork_map``, in
 forked processes when the CPUs of the affinity set hold more than one BLAS
-thread pool; each task takes the span's energies and its bound from one R.
+thread pool; each task takes the span's energies and its bound from one R
+(in closed form at M = N), and the tasks are dealt largest first.
 """
 from __future__ import annotations
 
@@ -483,10 +484,15 @@ def _span_energies(
     form in the lag sequence and R^H R = C^H C, so the total over the pairs
     (r, s) of C equals the one over the rows of R.  A row of R is not a
     correlation sequence, but its tail is still non-negative in exact
-    arithmetic, so the per-row clamp stays valid.
+    arithmetic, so the per-row clamp stays valid.  At M = N, O O^H = I and
+    C^H C[q, q'] = tr(S_q^H S_q') = (N - |q|) delta_qq' for shifts S_q, so R
+    is diag(sqrt(N - |q|)), unfactored: the callers' ``default_basis`` checks
+    O orthonormal to 1e-10, while ``_gram_root`` serves any bases.
     """
     _check_blocks(n_blocks)
-    root = _gram_root(pref, pref)
+    n = pref.base.n_len
+    root = (np.diag(np.sqrt(n - np.abs(np.arange(1 - n, n))) + 0j)
+            if pref.base.m_active == n else _gram_root(pref, pref))
     delays = np.asarray(channel.delays, dtype=float)
     offsets = range(1 - n_blocks, n_blocks)
     energies = {
@@ -538,7 +544,9 @@ def s2i_sweep(
     energies and the bound from it: the bound's tail total over the M^2
     pair rows of C equals the one over the at most 2N - 1 rows of R
     (sum_rs tail(C_rs) = sum_i tail(R_i), as R^H R = C^H C), so no sweep
-    builds the correlation tensor or a path Gram.  Every check a task would
+    builds the correlation tensor or a path Gram; at M = N, R is in closed
+    form.  The tasks go largest first (M < N by descending M, then M = N),
+    so ``fork_map``'s round-robin shares balance.  Every check a task would
     raise runs here first, so a bad argument never starts a process.
     """
     spans: dict = {}  # (DPSS with M < N, M) -> zero-prefixed basis
@@ -557,6 +565,7 @@ def s2i_sweep(
     if include_bound:
         _window_powers(channel, n_len, prefix_len)
 
+    spans = dict(sorted(spans.items(), key=lambda kv: (kv[0][1] == n_len, -kv[0][1])))
     results = fork_map(
         lambda pref: _span_energies(pref, channel, n_blocks, include_bound),
         spans.values(),

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import precofdm
-from precofdm import isimetrics
+from precofdm import cli, isimetrics
 
 from precofdm.channel import (
     ChannelSpec,
@@ -876,9 +876,10 @@ class TestS2iSweep:
 
         monkeypatch.setattr(isimetrics, "_span_energies", counted)
         rows = s2i_sweep(SCHEMES, [1.0, m / n], mild, n, 16, n_blocks=4)
+        # dealt largest first: the M < N spans, then the M = N span
         assert calls == [
-            (PrecodingScheme.OFDM, n), (PrecodingScheme.OFDM, m),
-            (PrecodingScheme.DPSS, m),
+            (PrecodingScheme.OFDM, m), (PrecodingScheme.DPSS, m),
+            (PrecodingScheme.OFDM, n),
         ]
         assert [(r.scheme, r.eta) for r in rows] == [
             (s.value, e) for s in SCHEMES for e in (1.0, m / n)
@@ -960,7 +961,7 @@ class TestS2iSweep:
 
         def serial(func, items):
             items = list(items)
-            seen.append(len(items))
+            seen.append([(p.base.scheme, p.base.m_active) for p in items])
             return [func(x) for x in items]
 
         monkeypatch.setattr(isimetrics, "fork_map", serial)
@@ -969,7 +970,10 @@ class TestS2iSweep:
             SCHEMES, [1.0, 15 / 17, 13 / 17], mild_channel_spec(), 17, 16,
             n_blocks=3, include_bound=include_bound,
         )
-        assert seen == [5]
+        # dealt largest first, so that round-robin shares balance: the M < N
+        # spans by descending M, then the closed-form M = N span
+        ofdm, dpss = PrecodingScheme.OFDM, PrecodingScheme.DPSS
+        assert seen == [[(ofdm, 15), (dpss, 15), (ofdm, 13), (dpss, 13), (ofdm, 17)]]
         assert len(rows) == 9
         assert all((r.s2i_lower_bound_db is not None) == include_bound for r in rows)
 
@@ -1019,6 +1023,69 @@ class TestRootBound:
         )
         if own > floor:
             assert own >= isi
+
+
+class TestSquareSpanRoot:
+    """At M = N the basis spans C^N, so C^H C = diag(N - |q|) over the 2N - 1
+    lags and ``_span_energies`` takes R = diag(sqrt(N - |q|)) unfactored."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        n=st.integers(min_value=2, max_value=32),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_closed_form_matches_qr_route(self, scheme, n, data, seed):
+        g = data.draw(st.integers(min_value=0, max_value=n - 1), label="g")
+        n_blocks = data.draw(st.integers(min_value=2, max_value=4), label="blocks")
+        rng = np.random.default_rng(seed)
+        delays = np.sort(rng.uniform(0.0, n + g, size=rng.integers(1, 6)))
+        channel = exp_profile_spec(rng.uniform(0.05, 1.0), delays, float(delays[-1]))
+        basis = default_basis(scheme, n, n)
+        pref = with_prefix(basis, g, PrefixKind.ZERO)
+        # the identity itself, on the un-prefixed basis
+        cmat = lag_matrix_reference(basis.o_matrix, basis.o_matrix)
+        root = np.diag(np.sqrt(n - np.abs(np.arange(1 - n, n))))
+        err = np.linalg.norm(root.T @ root - cmat.conj().T @ cmat)
+        assert err <= 64 * np.finfo(float).eps * np.linalg.norm(cmat) ** 2
+        # energies against the QR route, floor as in
+        # test_span_energies_match_full_root_grams
+        signal, isi, bound = isimetrics._span_energies(pref, channel, n_blocks, True)
+        want = signal_isi_energies(pref, pref, channel, n_blocks)
+        grams = isi_gram(pref, pref, delays, n_blocks, include_signal=True)
+        pref_cmat = lag_matrix_reference(pref.o_r, pref.o_t)
+        b = n + g
+        isi_offsets = [d for d in range(1 - n_blocks, n_blocks) if d != 0]
+        for value, ref, gram, offsets in zip(
+            (signal, isi), want, grams[::-1], ([0], isi_offsets)
+        ):
+            kernels = [sinc_kernel_reference(b, d, delays) for d in offsets]
+            floor = (
+                32 * np.finfo(float).eps * np.sqrt(np.real(np.trace(gram)))
+                * np.linalg.norm(pref_cmat) * np.linalg.norm(kernels)
+                * np.linalg.norm(channel.powers)
+            )
+            assert abs(value - ref) <= 1e-12 * abs(ref) + floor
+        # the bound against the tensor's, floor as in TestRootBound
+        tensor = xcorr_tensor(basis)
+        tensor_bound = isi_bound(tensor, channel, g).total_bound
+        floor = 64 * np.finfo(float).eps * np.sum(np.abs(tensor.values) ** 2)
+        assert abs(bound - tensor_bound) <= floor
+
+    def test_square_spans_factor_nothing(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lag matrix built or factored")
+
+        monkeypatch.setattr(isimetrics, "_cross_lag_matrix", refuse)
+        monkeypatch.setattr(isimetrics, "_lag_root", refuse)
+        rows = s2i_sweep(SCHEMES, [1.0], mild_channel_spec(), 17, 16, n_blocks=3)
+        assert len(rows) == 3
+        for scheme in ("ofdm", "dft", "dpss"):
+            assert cli.main([
+                "bound", "--scheme", scheme, "--n", "17", "--m", "17",
+                "--blocks", "3", "--out", str(tmp_path / f"{scheme}.csv"),
+            ]) == 0
 
 
 class TestHalfShiftScan:
