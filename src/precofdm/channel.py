@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-import scipy.linalg
 
 from .configio import load_kv_file
 from .errors import ParameterError
@@ -212,23 +211,25 @@ class ChannelOperator:
 
 
 def _stream_block(lag0: int, taps: np.ndarray, block_len: int, base: int):
-    """A block of an FIR's stream matrix: entry (i, j) is the tap at lag
-    ``base + i - j``, for the FIR whose taps start at ``lag0``."""
+    """A block of an FIR's stream matrix, as one gather of its taps: entry
+    (i, j) is the tap at lag ``base + i - j`` of the FIR whose taps start at
+    ``lag0``, and zero at a lag off the FIR."""
     lags = np.arange(block_len)
-    return scipy.linalg.toeplitz(
-        _taps_at(lag0, taps, base + lags), _taps_at(lag0, taps, base - lags)
-    )
+    idx = base - lag0 + np.subtract.outer(lags, lags)
+    on_fir = (idx >= 0) & (idx < len(taps))
+    return np.where(on_fir, taps[idx.clip(0, len(taps) - 1)], 0)
 
 
-def _path_blocks(spec: ChannelSpec, block_len: int, stream_len: int):
+def _path_blocks(spec: ChannelSpec, block_len: int):
     """Each path's unit-gain (0, 0) block of the stream matrix, in path order.
 
+    They are read on a one-block stream: with a whole ``half_len`` the
+    kernels, and so the blocks, are the same on a stream of any length.
     Weighted by a realization's gains and summed, they give that
-    realization's ``ChannelOperator(realization).block(0, 0)`` on a stream
-    of ``stream_len`` samples, to round-off.  The blocks are real: the
-    kernels are sinc samples.
+    realization's ``ChannelOperator(realization).block(0, 0)``, to
+    round-off.  The blocks are real: the kernels are sinc samples.
     """
-    lag0, kernels = _path_kernels(spec, stream_len, DEFAULT_FIR_HALF_LEN)
+    lag0, kernels = _path_kernels(spec, block_len, DEFAULT_FIR_HALF_LEN)
     for kernel in kernels:
         yield _stream_block(lag0, kernel, block_len, 0)
 
@@ -274,15 +275,6 @@ def _spectrum(a: np.ndarray, size: int) -> np.ndarray:
     out = np.empty(size, dtype=np.complex128)
     out[: len(half)] = half
     out[len(half) :] = np.conj(half[size - len(half) : 0 : -1])
-    return out
-
-
-def _taps_at(lag0: int, taps: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """Taps of an FIR starting at ``lag0``, read at ``lags`` (zero outside)."""
-    out = np.zeros(lags.shape, dtype=taps.dtype)
-    idx = lags - lag0
-    ok = (idx >= 0) & (idx < len(taps))
-    out[ok] = taps[idx[ok]]
     return out
 
 

@@ -45,6 +45,8 @@ def parse_value(text: str):
     m = _RANGE_RE.match(text)
     if m:
         start, step, stop = (float(g) for g in m.groups())
+        if not np.all(np.isfinite((start, step, stop))):
+            raise ParameterError(f"non-finite bound in range {text!r}")
         if step == 0:
             raise ParameterError(f"zero step in range {text!r}")
         n = int(np.floor((stop - start) / step + 1e-9)) + 1

@@ -131,10 +131,7 @@ def qpsk_map(bits: np.ndarray) -> np.ndarray:
 
 def analytic_qpsk_ser(snr_lin: float) -> float:
     """Symbol error rate of Gray QPSK in AWGN at Es/N0 = snr_lin."""
-    # imported here, as only this check needs scipy.special (some 5 MB)
-    from scipy.special import erfc
-
-    p = 0.5 * erfc(math.sqrt(snr_lin / 2.0))
+    p = 0.5 * math.erfc(math.sqrt(snr_lin / 2.0))
     return 2.0 * p - p * p
 
 
@@ -236,13 +233,11 @@ def _normal_equations(
     return blas.zherk(1.0, a_h), matched(received), matched(noise)
 
 
-def _build_path_stack(
-    basis: PrefixedBasis, channel_spec: ChannelSpec, stream_len: int
-) -> np.ndarray:
+def _build_path_stack(basis: PrefixedBasis, channel_spec: ChannelSpec) -> np.ndarray:
     """conj(A_p) = O^T conj(H_p[g:] O_t) of every path p, one row each.
 
-    H_p is path p's unit-gain channel block on a stream of ``stream_len``
-    samples (``channel._path_blocks``), so a realization's conj(A) is
+    H_p is path p's unit-gain (0, 0) channel block (``channel._path_blocks``),
+    the same on a stream of any length, so a realization's conj(A) is
     conj(gains) @ stack, reshaped to M x M.  H_p is real, so conj(H_p O_t)
     is H_p conj(O_t), one real product on the float64 view of conj(O_t).
     The stack is an anonymous memory map of its own, not a malloc chunk:
@@ -256,7 +251,7 @@ def _build_path_stack(
     pages = mmap.mmap(-1, paths * m * m * 16, access=mmap.ACCESS_COPY)
     stack = np.frombuffer(pages, dtype=np.complex128).reshape(paths, m * m)
     o_t_conj = np.conj(basis.o_t).view(np.float64)
-    blocks = _path_blocks(channel_spec, basis.block_len, stream_len)
+    blocks = _path_blocks(channel_spec, basis.block_len)
     for row, h in zip(stack, blocks):
         np.matmul(o.T, (h[g:] @ o_t_conj).view(np.complex128), out=row.reshape(m, m))
     stack.flags.writeable = False
@@ -264,23 +259,21 @@ def _build_path_stack(
 
 
 # The last path stack built and its key: the basis itself (held here, so
-# that no other basis can take its id), the channel spec and the stream length.
+# that no other basis can take its id) and the channel spec.
 _path_stack_slot: dict = {}
 
 
-def _path_stack(
-    basis: PrefixedBasis, channel_spec: ChannelSpec, stream_len: int
-) -> np.ndarray:
+def _path_stack(basis: PrefixedBasis, channel_spec: ChannelSpec) -> np.ndarray:
     """``_build_path_stack``'s result, built once for a run's trials.
 
     One slot: a call with another key frees the stack it holds before it
     builds the new one, so at most one stack is alive.
     """
     held = _path_stack_slot.get("key")
-    if held is None or held[0] is not basis or held[1:] != (channel_spec, stream_len):
+    if held is None or held[0] is not basis or held[1] != channel_spec:
         _path_stack_slot.clear()
-        stack = _build_path_stack(basis, channel_spec, stream_len)
-        _path_stack_slot.update(key=(basis, channel_spec, stream_len), stack=stack)
+        stack = _build_path_stack(basis, channel_spec)
+        _path_stack_slot.update(key=(basis, channel_spec), stack=stack)
     return _path_stack_slot["stack"]
 
 
@@ -294,8 +287,8 @@ def _trial_window(
     hi = lo + cfg.symbols_per_subframe
     # output sample t reads inputs t - last ... t - first (last >= 0, as no
     # delay is negative), and lag 0 keeps the victim's own blocks where
-    # every lag is positive
-    first, last = fir_lags(channel_spec, cfg.n_symbols * b)
+    # every lag is positive; the lags are the same on a stream of any length
+    first, last = fir_lags(channel_spec, b)
     start = max(0, (lo * b - last) // b)
     stop = min(cfg.n_symbols, (hi * b - 1 - min(first, 0)) // b + 1)
     return lo, hi, start, stop
@@ -333,7 +326,7 @@ def run_trial(
         rng.standard_normal(y_victim.shape) + 1j * rng.standard_normal(y_victim.shape)
     ) / math.sqrt(2.0)
     m = cfg.m_active
-    stack = _path_stack(basis, channel_spec, realization.stream_len)
+    stack = _path_stack(basis, channel_spec)
     a_conj = (np.conj(realization.drawn_gains) @ stack).reshape(m, m)
     gram, signal, noise = _normal_equations(basis, a_conj, y_victim, noise_unit)
     es = float(np.real(np.trace(gram))) / m
@@ -389,8 +382,7 @@ def run_ser(
     basis = cfg.make_basis()
     # the path stack is built here, before the trials fork, so that every
     # process reads this one
-    _, _, start, stop = _trial_window(cfg, channel_spec, basis.block_len)
-    _path_stack(basis, channel_spec, (stop - start) * basis.block_len)
+    _path_stack(basis, channel_spec)
     errors, symbols = sum(fork_map(
         lambda seed: np.array(run_trial(cfg, channel_spec, basis, snr_grid_db, seed)),
         range(base_seed, base_seed + n_trials),

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,45 @@ def one_path_operator(delay, block_len, n_blocks=1):
     return ChannelOperator(
         realize(spec, 0, block_len=block_len, n_blocks=n_blocks), half_len=None
     )
+
+
+def taps_at(lag0, taps, lags):
+    """Taps of an FIR starting at ``lag0``, read at ``lags`` (zero outside)."""
+    out = np.zeros(lags.shape, dtype=taps.dtype)
+    idx = lags - lag0
+    ok = (idx >= 0) & (idx < len(taps))
+    out[ok] = taps[idx[ok]]
+    return out
+
+
+class TestStreamBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lag0=st.integers(-80, 80),
+        n_taps=st.integers(1, 40),
+        complex_taps=st.booleans(),
+        block_len=st.integers(1, 30),
+        base=st.integers(-160, 160),
+        seed=st.integers(0, 2**16),
+    )
+    # blocks wholly past and wholly before the FIR, and one that holds it
+    @example(lag0=0, n_taps=5, complex_taps=False, block_len=3, base=40, seed=0)
+    @example(lag0=0, n_taps=5, complex_taps=True, block_len=3, base=-40, seed=0)
+    @example(lag0=-2, n_taps=5, complex_taps=True, block_len=12, base=0, seed=0)
+    def test_gather_is_toeplitz_of_tap_reads(
+        self, lag0, n_taps, complex_taps, block_len, base, seed
+    ):
+        rng = np.random.default_rng(seed)
+        taps = rng.standard_normal(n_taps)
+        if complex_taps:
+            taps = taps + 1j * rng.standard_normal(n_taps)
+        lags = np.arange(block_len)
+        want = scipy.linalg.toeplitz(
+            taps_at(lag0, taps, base + lags), taps_at(lag0, taps, base - lags)
+        )
+        got = channel._stream_block(lag0, taps, block_len, base)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestSincDelayMatrix:
@@ -458,6 +498,17 @@ class TestPathKernelCache:
             lag0, ref = per_path_taps(op.realization, None)
             assert op._lag0 == lag0 and np.array_equal(op._taps, ref)
 
+    @pytest.mark.parametrize("half_len", [0, 7, DEFAULT_FIR_HALF_LEN])
+    def test_whole_half_len_kernels_same_on_any_stream(self, half_len):
+        # so the SER path stack can read its blocks on a one-block stream
+        b = 145
+        for spec in (self.spec(), cdlc_channel_spec(1000.0)):
+            lag0, ref = channel._path_kernels.__wrapped__(spec, b, half_len)
+            for stream_len in (1, 16 * b, 42 * b):
+                got = channel._path_kernels.__wrapped__(spec, stream_len, half_len)
+                assert got[0] == lag0
+                assert np.array_equal(got[1].view(np.uint8), ref.view(np.uint8))
+
     def test_cached_kernels_read_only(self):
         lag0, kernels = channel._path_kernels(self.spec(), 20, 3)
         assert not kernels.flags.writeable
@@ -593,6 +644,12 @@ class TestProfiles:
         assert seed is None
         assert np.allclose(spec.delays, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert np.allclose(spec.powers, np.exp(-1.0 * spec.delays))
+
+    def test_profile_non_finite_range_bound(self, tmp_path):
+        path = tmp_path / "chan.txt"
+        path.write_text("delays_samples: 1e400:1:2\ndecay: 0.5\n")
+        with pytest.raises(ParameterError, match="non-finite bound in range"):
+            load_channel_profile(path)
 
     def test_profile_doppler_is_unknown_key(self, tmp_path):
         # channels are quasi-static, so a profile has no doppler field

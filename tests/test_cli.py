@@ -11,6 +11,7 @@ import pytest
 from precofdm import cli, isimetrics, linksim, waveform
 from precofdm.channel import load_channel_profile
 from precofdm.cli import build_parser, main
+from precofdm.configio import parse_value
 from precofdm.errors import ParameterError
 from precofdm.isimetrics import S2iPoint
 
@@ -703,6 +704,35 @@ class TestConfigHandling:
         assert run(["s2i", "--config", cfg, "--n", 9, "--out", out, *flags]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "1e400:1:2", "-1e400:1:2", "0:1e400:2", "0:-1e400:2", "0:1:1e400",
+        "0:1:-1e400",
+    ])
+    def test_non_finite_range_bound_is_error(self, text):
+        # an infinite start or stop overflowed int(), and an infinite step
+        # gave the one value 0 * inf = nan
+        with pytest.raises(ParameterError, match="non-finite bound in range"):
+            parse_value(text)
+
+    @pytest.mark.parametrize("args,config,text", [
+        (["s2i", "--n", 16, "--etas", "1e400:1:2"], "", "1e400:1:2"),
+        (["scan-halfshift", "--scheme", "ofdm", "--n", 9, "--taus=-1e400:1:0.5"],
+         "", "-1e400:1:0.5"),
+        (["ser", "--channel", "cdlc200ns", "--snrs=1e400:1:2"], "", "1e400:1:2"),
+        (["s2i", "--n", 16], "etas: 1e400:1:2", "1e400:1:2"),
+        (["ser", "--channel", "chan.txt", "--n", 16], "", "1e400:1:2"),
+    ])
+    def test_non_finite_range_exits_2(
+        self, tmp_path, monkeypatch, capsys, args, config, text
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "chan.txt").write_text("delays_samples: 1e400:1:2\ndecay: 0.5\n")
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        assert run([*args, "--config", "run.cfg", "--out", "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: non-finite bound in range {text!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chan.txt", "run.cfg"]
 
     @pytest.mark.parametrize("scheme", ["none", "ofdma"])
     def test_unknown_scheme_is_error(self, tmp_path, capsys, scheme):

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precofdm import _fork, linksim
+from precofdm import _fork, channel, linksim
 from precofdm.channel import (
     DEFAULT_FIR_HALF_LEN,
     ChannelOperator,
     ChannelSpec,
     PathSpec,
     cdlc_channel_spec,
+    fir_lags,
     prefix_length_for,
     realize,
 )
@@ -80,6 +81,16 @@ class TestQpsk:
         expected = analytic_qpsk_ser(snr_lin)
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs(ser - expected) <= 3 * sigma
+
+    def test_analytic_ser_matches_scipy_erfc(self):
+        # scipy.special is the oracle here only; the package uses math.erfc
+        from scipy.special import erfc
+
+        for snr_db in [0.0, 4.0, 8.0, 12.0, *np.arange(-20.0, 20.25, 0.25)]:
+            snr_lin = 10 ** (snr_db / 10.0)
+            p = 0.5 * erfc(math.sqrt(snr_lin / 2.0))
+            want = 2.0 * p - p * p
+            assert abs(analytic_qpsk_ser(snr_lin) - want) <= 1e-13 * want, snr_db
 
 
 class TestBuildFrame:
@@ -606,6 +617,33 @@ class TestVictimWindow:
         run_trial(cfg, spec, cfg.make_basis(), [20.0], seed=0)
         assert applied == [16]
 
+    @pytest.mark.parametrize("spec", [
+        cdlc_channel_spec(200.0), cdlc_channel_spec(1000.0), MIXED,
+    ])
+    @pytest.mark.parametrize("n_len", [8, 16, 32, 128])
+    def test_window_same_from_one_block(self, monkeypatch, spec, n_len):
+        # the window reads the FIR's lags on one block; on the whole frame
+        # they, and so the window, are the same
+        cfg = FrameConfig(
+            scheme=PrecodingScheme.DFT, eta=1.0, n_len=n_len,
+            prefix_len=min(prefix_length_for(spec), n_len - 1),
+        )
+        b = cfg.make_basis().block_len
+        window = linksim._trial_window(cfg, spec, b)
+        monkeypatch.setattr(
+            linksim, "fir_lags", lambda spec, _: fir_lags(spec, cfg.n_symbols * b)
+        )
+        assert linksim._trial_window(cfg, spec, b) == window
+
+    def test_run_holds_two_kernel_entries(self, pin_cpus, no_fork):
+        # the stack and the window share the one-block entry; the trials'
+        # operators read the window's
+        pin_cpus(1, OMP_NUM_THREADS="1")
+        cfg = FrameConfig(scheme=PrecodingScheme.DFT, eta=1.0, n_len=16, prefix_len=4)
+        channel._path_kernels.cache_clear()
+        run_ser(cfg, self.MIXED, [20.0], n_trials=2)
+        assert channel._path_kernels.cache_info().currsize == 2
+
 
 class TestFloorOrderingMatchesS2i:
     def test_high_snr_ordering(self):
@@ -667,7 +705,7 @@ class TestPathStack:
             max(delays),
         )
         real = realize(spec, seed, block_len=basis.block_len, n_blocks=n_blocks)
-        stack = linksim._build_path_stack(basis, spec, real.stream_len)
+        stack = linksim._build_path_stack(basis, spec)
         assert stack.shape == (len(delays), m * m)
         a = np.conj(np.conj(real.drawn_gains) @ stack).reshape(m, m)
         h = ChannelOperator(real).block(0, 0)
@@ -708,11 +746,11 @@ class TestPathStack:
         spec = cdlc_channel_spec(200.0)
         cfg = FrameConfig(scheme=PrecodingScheme.DFT, eta=1.0, n_len=16, prefix_len=4)
         bases = cfg.make_basis(), cfg.make_basis()
-        stacks = [linksim._path_stack(basis, spec, 60) for basis in bases]
+        stacks = [linksim._path_stack(basis, spec) for basis in bases]
         # an equal basis that is another object is another key
         assert stacks[0] is not stacks[1]
         assert np.array_equal(stacks[0], stacks[1])
-        assert linksim._path_stack(bases[1], spec, 60) is stacks[1]
+        assert linksim._path_stack(bases[1], spec) is stacks[1]
         assert linksim._path_stack_slot["key"][0] is bases[1]
         assert not stacks[1].flags.writeable
         linksim._path_stack_slot.clear()
