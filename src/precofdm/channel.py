@@ -159,15 +159,14 @@ def fir_lags(
     return lag0, lag0 + kernels.shape[1] - 1
 
 
-def _composite_kernel(realization: ChannelRealization, half_len: int | None):
-    """The channel as one FIR: (first lag, taps), ``gain x kernel`` summed
-    over the paths in path order."""
-    lag0, kernels = _path_kernels(realization.spec, realization.stream_len, half_len)
+def _composite_taps(gains: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """The taps of one FIR, ``gain x kernel`` summed over the paths in path
+    order."""
     # a running sum adds the rows strictly in path order (a reduction over a
     # one-lag grid would sum pairwise); + 0.0 turns a -0.0 into the 0.0 that
     # summing from zero gives
-    sums = np.add.accumulate(realization.drawn_gains[:, None] * kernels, axis=0)
-    return lag0, sums[-1] + 0.0
+    sums = np.add.accumulate(gains[:, None] * kernels, axis=0)
+    return sums[-1] + 0.0
 
 
 class ChannelOperator:
@@ -187,19 +186,15 @@ class ChannelOperator:
             raise ParameterError(f"half_len must be whole, >= 0 or None: {half_len}")
         self.realization = realization
         self.stream_len = realization.stream_len
-        self._lag0, self._taps = _composite_kernel(realization, half_len)
+        self._lag0, kernels = _path_kernels(realization.spec, self.stream_len, half_len)
+        self._taps = _composite_taps(realization.drawn_gains, kernels)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        n, lag0 = self.stream_len, self._lag0
+        n = self.stream_len
         if x.shape != (n,):
             raise ParameterError(f"expected stream of length {n}, got {x.shape}")
-        y = np.zeros(n, dtype=np.complex128)
-        conv = _fft_convolve(x, self._taps)
-        lo, hi = max(0, lag0), min(n, lag0 + len(conv))
-        if hi > lo:  # the filter may miss the stream; keep slices non-negative
-            y[lo:hi] += conv[lo - lag0 : hi - lag0]
-        return y
+        return _filter(x, self._lag0, self._taps)
 
     def block(self, l: int, l_prime: int) -> np.ndarray:
         """The (l, l') block of the stream matrix, shape block_len x block_len."""
@@ -208,6 +203,18 @@ class ChannelOperator:
             raise ParameterError(f"block indices ({l}, {l_prime}) out of range {nb}")
         b = self.realization.block_len
         return _stream_block(self._lag0, self._taps, b, (l - l_prime) * b)
+
+
+def _filter(x: np.ndarray, lag0: int, taps: np.ndarray) -> np.ndarray:
+    """The stream ``x`` through the FIR whose taps start at lag ``lag0``,
+    cut to the length of ``x``."""
+    n = len(x)
+    y = np.zeros(n, dtype=np.complex128)
+    conv = _fft_convolve(x, taps)
+    lo, hi = max(0, lag0), min(n, lag0 + len(conv))
+    if hi > lo:  # the filter may miss the stream; keep slices non-negative
+        y[lo:hi] += conv[lo - lag0 : hi - lag0]
+    return y
 
 
 def _stream_block(lag0: int, taps: np.ndarray, block_len: int, base: int):
@@ -289,18 +296,32 @@ def realize(
     One phase per path per realization (quasi-static), uniform on [0, 2 pi),
     from ``default_rng(seed)`` in path order, drawn in one call.
     """
-    rng = np.random.default_rng(seed)
+    gains = _draw_gains(_gain_table(spec), np.random.default_rng(seed))
+    return ChannelRealization(
+        spec=spec, drawn_gains=gains, block_len=block_len, n_blocks=n_blocks
+    )
+
+
+def _gain_table(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``realize`` reads of a spec: which paths draw a phase, the fixed
+    gains (zero where a phase is drawn) and the drawn paths' amplitudes."""
     drawn = np.array([path.gain is None for path in spec.paths])
-    gains = np.array(
+    fixed = np.array(
         [0.0 if path.gain is None else path.gain for path in spec.paths],
         dtype=np.complex128,
     )
     powers = np.array([path.gain_power for path in spec.paths if path.gain is None])
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=len(powers))
-    gains[drawn] = np.sqrt(powers) * np.exp(1j * phases)
-    return ChannelRealization(
-        spec=spec, drawn_gains=gains, block_len=block_len, n_blocks=n_blocks
-    )
+    return drawn, fixed, np.sqrt(powers)
+
+
+def _draw_gains(table, rng: np.random.Generator) -> np.ndarray:
+    """Path gains of one realization from a ``_gain_table``: one phase per
+    drawn path, uniform on [0, 2 pi), in path order, drawn in one call."""
+    drawn, fixed, amplitudes = table
+    gains = fixed.copy()
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=len(amplitudes))
+    gains[drawn] = amplitudes * np.exp(1j * phases)
+    return gains
 
 
 def exp_profile_spec(

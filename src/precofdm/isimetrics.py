@@ -27,7 +27,8 @@ Channels are quasi-static: every operation takes one set of path gains.
 An S2I sweep runs one task per basis span through ``_fork.fork_map``, in
 forked processes when the CPUs of the affinity set hold more than one BLAS
 thread pool; each task takes the span's energies and its bound from one R
-(in closed form at M = N), and the tasks are dealt largest first.
+(in closed form at M = N, a diagonal that scales the kernels' columns),
+and the tasks are dealt largest first.
 """
 from __future__ import annotations
 
@@ -355,9 +356,16 @@ def _gram_root(tx: PrefixedBasis, rx: PrefixedBasis) -> np.ndarray:
 def _offset_products(root: np.ndarray, block_len: int, delays: np.ndarray, offsets):
     """Yield (d, U) per block offset d: U is real (paths, 2W), with complex
     view (R k_d)^T for the paths' sinc kernels k_d on R's lags.  The kernels
-    are real, so U is one real GEMM with the float view of R^T."""
-    w = root.shape[1]
+    are real, so U is one real GEMM with the float view of R^T.  A real 1-D
+    ``root`` is the diagonal of R: it scales the kernels' columns, the same
+    bits as the GEMM on the diagonal matrix, with zero imaginary slots."""
+    w = root.shape[-1]
     lags = np.arange(-(w // 2), w // 2 + 1)
+    if root.ndim == 1:
+        for d in offsets:
+            kernel = _sinc(lags[None, :] + d * block_len - delays[:, None])
+            yield d, (kernel * root).astype(np.complex128).view(np.float64)
+        return
     root_t = np.ascontiguousarray(root.T).view(np.float64)
     for d in offsets:
         yield d, _sinc(lags[None, :] + d * block_len - delays[:, None]) @ root_t
@@ -487,12 +495,15 @@ def _span_energies(
     arithmetic, so the per-row clamp stays valid.  At M = N, O O^H = I and
     C^H C[q, q'] = tr(S_q^H S_q') = (N - |q|) delta_qq' for shifts S_q, so R
     is diag(sqrt(N - |q|)), unfactored: the callers' ``default_basis`` checks
-    O orthonormal to 1e-10, while ``_gram_root`` serves any bases.
+    O orthonormal to 1e-10, while ``_gram_root`` serves any bases.  The
+    offsets then scale the kernels by that diagonal, and the tail total
+    reads it as a matrix.
     """
     _check_blocks(n_blocks)
     n = pref.base.n_len
-    root = (np.diag(np.sqrt(n - np.abs(np.arange(1 - n, n))) + 0j)
-            if pref.base.m_active == n else _gram_root(pref, pref))
+    square = pref.base.m_active == n
+    root = (np.sqrt(n - np.abs(np.arange(1 - n, n))) if square
+            else _gram_root(pref, pref))
     delays = np.asarray(channel.delays, dtype=float)
     offsets = range(1 - n_blocks, n_blocks)
     energies = {
@@ -504,7 +515,7 @@ def _span_energies(
     bound = None
     if include_bound:
         groups = _window_powers(channel, pref.base.n_len, pref.prefix_len)
-        bound = _tail_total(root, groups)
+        bound = _tail_total(np.diag(root + 0j) if square else root, groups)
     return float(channel.powers @ signal), float(channel.powers @ isi), bound
 
 

@@ -14,19 +14,29 @@ change a victim sample.
 The victim's effective channel A = O_r^H H O_t is linear in the path
 gains, A = sum_p g_p A_p, and only the gains change between the trials of
 a run.  So the per-path matrices conj(A_p) are built once per run, as one
-(paths, M * M) stack, and a trial forms conj(A) as one gain contraction of
-that stack.  Within a trial only the noise level changes between SNR
-points, so A, its Gram matrix A^H A and the matched-filter outputs of the
-received signal and of the unit-variance noise are formed once; each point
-adds its scaled noise term and solves its own regularized system by
+(paths, M * M) stack.  Within a trial only the noise level changes between
+SNR points, so A, its Gram matrix A^H A and the matched-filter outputs of
+the received signal and of the unit-variance noise are formed once; each
+point adds its scaled noise term and solves its own regularized system by
 Cholesky (a point Cholesky cannot factor is skipped), and errors are
 counted on the signs of the estimates.
 
-Trials are independent given their seeds, so ``run_ser`` deals its seeds
-to processes through ``_fork.fork_map``: as many processes as the CPUs it
-may use hold BLAS thread pools.  The path stack is built before the
-processes fork, so they share it.  The counts are integer sums, which do
-not depend on the order they are added in.
+A run's trials go in fixed blocks of ``_BLOCK_SEEDS`` consecutive seeds.
+A block makes each seed's draws, then forms conj(A) of all its seeds as
+one product of their conjugate gains with the path stack, so the stack is
+read once per block rather than once per trial.  Everything that does not
+change between trials (the window, the FIR kernels, the gain table, the
+path stack) is built once per run, and the trials reuse one conj(A) block,
+one Gram matrix and one MMSE system: glibc returns freed temporaries of
+that size (256 KB at M = 128) to the OS, and each trial would fault them
+in again.
+
+Blocks are independent given their seeds, so ``run_ser`` deals them to
+processes through ``_fork.fork_map``: as many processes as the CPUs it
+may use hold BLAS thread pools.  The run's constants are built before the
+processes fork, so they share them.  A block is the same whichever
+process runs it, and the counts are integer sums, which do not depend on
+the order they are added in.
 """
 from __future__ import annotations
 
@@ -40,7 +50,18 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from ._fork import fork_map
-from .channel import ChannelOperator, ChannelSpec, _path_blocks, fir_lags, realize
+from .channel import (
+    DEFAULT_FIR_HALF_LEN,
+    ChannelSpec,
+    _composite_taps,
+    _draw_gains,
+    _filter,
+    _gain_table,
+    _path_blocks,
+    _path_kernels,
+    fir_lags,
+    realize,  # not called here, but perfbench's tracer wraps linksim.realize
+)
 from .errors import ParameterError
 from .waveform import (
     PrecodingScheme,
@@ -65,6 +86,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _QPSK_SCALE = 1.0 / math.sqrt(2.0)
+
+# Seeds per block of trials: a block's conj(A) rows, one M x M complex
+# matrix per seed, then take 1 MB at M = 128.
+_BLOCK_SEEDS = 4
 
 
 @dataclass(frozen=True)
@@ -160,11 +185,20 @@ def build_frame(
         raise ParameterError(
             f"payloads must be {(cfg.n_symbols, cfg.m_active)}, got {payloads.shape}"
         )
+    return _frame(basis, payloads[start:stop], _symbol_gains(cfg)[start:stop])
+
+
+def _symbol_gains(cfg: FrameConfig) -> np.ndarray:
+    """Each frame symbol's amplitude: 1 in the victim's subframe, else
+    10^(p_delta_db / 20)."""
     scale = 10.0 ** (cfg.p_delta_db / 20.0)
-    blocks = payloads[start:stop] @ basis.o_t.T
-    subframe = np.arange(cfg.n_symbols)[start:stop] // cfg.symbols_per_subframe
-    gains = np.where(subframe == cfg.victim_subframe, 1.0, scale)
-    return (gains[:, None] * blocks).ravel()
+    subframe = np.arange(cfg.n_symbols) // cfg.symbols_per_subframe
+    return np.where(subframe == cfg.victim_subframe, 1.0, scale)
+
+
+def _frame(basis: PrefixedBasis, payloads: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """The stream of consecutive payload rows, row l scaled by ``gains[l]``."""
+    return (gains[:, None] * (payloads @ basis.o_t.T)).ravel()
 
 
 def _gray_bits(symbols: np.ndarray) -> np.ndarray:
@@ -198,10 +232,18 @@ def equalize_and_detect(
             f"need an (M, M) gram and (points, M, K) matched outputs for "
             f"{len(noise_vars)} noise variances, got {gram.shape} and {matched.shape}"
         )
-    diag = np.arange(m)
+    return _solve_points(
+        gram, matched, noise_vars, np.empty((m, m), dtype=np.complex128, order="F")
+    )
+
+
+def _solve_points(gram, matched, noise_vars, system: np.ndarray) -> list:
+    """``equalize_and_detect``'s decisions, each point's system written into
+    ``system`` (M x M, complex, Fortran order), which zposv factors in place."""
+    diag = np.arange(len(system))
     decisions = []
     for n0, rhs in zip(noise_vars, matched):
-        system = np.array(gram, order="F")
+        np.copyto(system, gram)
         system[diag, diag] += n0
         _, est, info = lapack.zposv(system, rhs, overwrite_a=True)
         ok = info == 0 and np.all(np.isfinite(est))
@@ -210,7 +252,7 @@ def equalize_and_detect(
 
 
 def _normal_equations(
-    basis: PrefixedBasis, a_conj: np.ndarray, received, noise
+    basis: PrefixedBasis, a_conj: np.ndarray, received, noise, gram: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A^H A and the matched-filter outputs A^H O_r^H y of two block stacks.
 
@@ -220,8 +262,10 @@ def _normal_equations(
     ``noise`` hold one block per row.  O_r is zero on the prefix rows, so
     only the rows past the prefix enter, and O^T conj(rows) stands for
     O_r^H rows without conjugating O.  A^H A comes from BLAS zherk on
-    A^H = conj(A)^T, a view: its upper triangle, which is all that zposv
-    reads in ``equalize_and_detect``; the lower triangle is zero.
+    A^H = conj(A)^T, a view, written in place into ``gram`` (M x M,
+    complex, Fortran order): its upper triangle, which is all that zposv
+    reads in ``equalize_and_detect``; the lower triangle keeps what ``gram``
+    held.
     """
     g = basis.prefix_len
     o = basis.base.o_matrix
@@ -230,7 +274,8 @@ def _normal_equations(
     def matched(rows):
         return a_h @ (np.conj(rows[:, g:]) @ o).conj().T
 
-    return blas.zherk(1.0, a_h), matched(received), matched(noise)
+    gram = blas.zherk(1.0, a_h, c=gram, overwrite_c=1)
+    return gram, matched(received), matched(noise)
 
 
 def _build_path_stack(basis: PrefixedBasis, channel_spec: ChannelSpec) -> np.ndarray:
@@ -294,6 +339,88 @@ def _trial_window(
     return lo, hi, start, stop
 
 
+class _SerRun:
+    """One run's constants, built once before its trials fork, and the
+    workspaces that its blocks of trials write into.
+
+    The constants are the victim's window, the FIR kernels on it, what the
+    gain draws read of the channel spec, the symbols' amplitudes, the SNR
+    points' linear values and the path stack.  The workspaces are a block's
+    conj(A) rows, one Gram matrix and one MMSE system (both Fortran order,
+    as zherk and zposv write them in place), which every trial reuses.
+    """
+
+    def __init__(self, cfg, channel_spec, basis, snr_grid_db):
+        b, m = basis.block_len, cfg.m_active
+        self.cfg, self.basis, self.snr_grid_db = cfg, basis, snr_grid_db
+        self.snr_lin = 10.0 ** (snr_grid_db / 10.0)
+        self.window = _trial_window(cfg, channel_spec, b)
+        start, stop = self.window[2:]
+        self.lag0, self.kernels = _path_kernels(
+            channel_spec, (stop - start) * b, DEFAULT_FIR_HALF_LEN
+        )
+        self.gain_table = _gain_table(channel_spec)
+        self.symbol_gains = _symbol_gains(cfg)[start:stop]
+        self.stack = _path_stack(basis, channel_spec)
+        self.a_conj = np.empty((_BLOCK_SEEDS, m * m), dtype=np.complex128)
+        self.gram = np.zeros((m, m), dtype=np.complex128, order="F")
+        self.system = np.empty((m, m), dtype=np.complex128, order="F")
+
+
+def _run_block(run: _SerRun, seeds) -> np.ndarray:
+    """Counts of a block of at most ``_BLOCK_SEEDS`` seeded trials: one
+    (errors, symbols) pair of int rows per seed, an entry per SNR point.
+
+    Each seed draws from ``default_rng(seed)`` in a fixed order: channel
+    phases, payload bits, noise.  Its channel filters the window of blocks
+    that reach the victim subframe.  Then conj(A) of every seed of the block
+    is one product of their conjugate gains with the path stack, and each
+    seed forms its normal equations and solves its points.
+    """
+    cfg, basis = run.cfg, run.basis
+    lo, hi, start, stop = run.window
+    b, m = basis.block_len, cfg.m_active
+    trials = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        gains = _draw_gains(run.gain_table, rng)
+        payloads = draw_payloads(cfg, rng)
+        x = _frame(basis, payloads[start:stop], run.symbol_gains)
+        y = _filter(x, run.lag0, _composite_taps(gains, run.kernels))
+        y_victim = y[(lo - start) * b : (hi - start) * b].reshape(
+            cfg.symbols_per_subframe, b
+        )
+        noise_unit = (
+            rng.standard_normal(y_victim.shape)
+            + 1j * rng.standard_normal(y_victim.shape)
+        ) / math.sqrt(2.0)
+        trials.append((seed, gains, payloads[lo:hi], y_victim, noise_unit))
+    a_rows = run.a_conj[: len(trials)]
+    np.matmul(np.conj([gains for _, gains, *_ in trials]), run.stack, out=a_rows)
+    counts = np.zeros((len(trials), 2, len(run.snr_grid_db)), dtype=int)
+    for (seed, _, sent, y_victim, noise_unit), a_conj, (errors, symbols) in zip(
+        trials, a_rows, counts
+    ):
+        gram, signal, noise = _normal_equations(
+            basis, a_conj.reshape(m, m), y_victim, noise_unit, run.gram
+        )
+        es = float(np.real(np.trace(gram))) / m
+        n0 = es / run.snr_lin
+        matched = signal + np.sqrt(n0)[:, None, None] * noise
+        sent_bits = _gray_bits(sent)
+        for i, bits in enumerate(_solve_points(gram, matched, n0, run.system)):
+            if bits is None:
+                log.warning(
+                    "trial seed %d skipped at %.1f dB: MMSE system singular or "
+                    "solution not finite", seed, run.snr_grid_db[i],
+                )
+                continue
+            wrong = bits != sent_bits
+            errors[i] = np.count_nonzero(wrong[..., 0] | wrong[..., 1])
+            symbols[i] = sent.size
+    return counts
+
+
 def run_trial(
     cfg: FrameConfig,
     channel_spec: ChannelSpec,
@@ -310,43 +437,11 @@ def run_trial(
     The channel is realized (same gains) on the window of blocks that
     reach the victim subframe, and only that window is built and filtered.
     A skipped SNR point (singular MMSE system or a non-finite solution)
-    reports zero errors and zero symbols.
+    reports zero errors and zero symbols.  This is ``run_ser``'s block of
+    trials for the one seed.
     """
-    snr_grid_db = np.asarray(snr_grid_db, dtype=float)
-    rng = np.random.default_rng(seed)
-    b = basis.block_len
-    lo, hi, start, stop = _trial_window(cfg, channel_spec, b)
-    realization = realize(channel_spec, rng, block_len=b, n_blocks=stop - start)
-    payloads = draw_payloads(cfg, rng)
-    y = ChannelOperator(realization).apply(build_frame(cfg, basis, payloads, start, stop))
-    y_victim = y[(lo - start) * b : (hi - start) * b].reshape(
-        cfg.symbols_per_subframe, b
-    )
-    noise_unit = (
-        rng.standard_normal(y_victim.shape) + 1j * rng.standard_normal(y_victim.shape)
-    ) / math.sqrt(2.0)
-    m = cfg.m_active
-    stack = _path_stack(basis, channel_spec)
-    a_conj = (np.conj(realization.drawn_gains) @ stack).reshape(m, m)
-    gram, signal, noise = _normal_equations(basis, a_conj, y_victim, noise_unit)
-    es = float(np.real(np.trace(gram))) / m
-    n0 = es / 10.0 ** (snr_grid_db / 10.0)
-    matched = signal + np.sqrt(n0)[:, None, None] * noise
-    sent = payloads[lo:hi]
-    sent_bits = _gray_bits(sent)
-
-    errors = np.zeros(len(snr_grid_db), dtype=int)
-    symbols = np.zeros_like(errors)
-    for i, bits in enumerate(equalize_and_detect(gram, matched, n0)):
-        if bits is None:
-            log.warning(
-                "trial seed %d skipped at %.1f dB: MMSE system singular or "
-                "solution not finite", seed, snr_grid_db[i],
-            )
-            continue
-        wrong = bits != sent_bits
-        errors[i] = np.count_nonzero(wrong[..., 0] | wrong[..., 1])
-        symbols[i] = sent.size
+    run = _SerRun(cfg, channel_spec, basis, np.asarray(snr_grid_db, dtype=float))
+    ((errors, symbols),) = _run_block(run, [seed])
     return errors, symbols
 
 
@@ -360,12 +455,17 @@ def run_ser(
     """Victim-user SER over an SNR grid, averaged over seeded trials.
 
     Trial i uses seed base_seed + i for channel phases, payload bits, and
-    noise, so each trial's counts depend only on its seed, and the result
-    does not depend on how many processes ran the trials (``fork_map``).
-    Returns one ``SerPoint`` per SNR point.  SNR is Es/N0
-    referenced to the victim's received per-symbol energy through its own
-    effective channel; +inf dB is the noiseless, interference-limited SER.
-    A basis that is not orthonormal to 1e-10 raises ``ParameterError``.
+    noise.  The trials run in fixed blocks of ``_BLOCK_SEEDS`` consecutive
+    seeds (the last block may be shorter), each block forming the
+    effective channels of its seeds in one product with the path stack, so
+    each trial's counts depend only on its seed and its block, and the
+    result does not depend on how many processes ran the blocks
+    (``fork_map``).  The run's constants and its workspaces are built once,
+    before the blocks fork.  Returns one ``SerPoint`` per SNR point.  SNR
+    is Es/N0 referenced to the victim's received per-symbol energy through
+    its own effective channel; +inf dB is the noiseless,
+    interference-limited SER.  A basis that is not orthonormal to 1e-10
+    raises ``ParameterError``.
     """
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
     if snr_grid_db.ndim != 1 or snr_grid_db.size == 0:
@@ -379,14 +479,14 @@ def run_ser(
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     if base_seed < 0:
         raise ParameterError(f"base_seed must be >= 0, got {base_seed}")
-    basis = cfg.make_basis()
-    # the path stack is built here, before the trials fork, so that every
-    # process reads this one
-    _path_stack(basis, channel_spec)
-    errors, symbols = sum(fork_map(
-        lambda seed: np.array(run_trial(cfg, channel_spec, basis, snr_grid_db, seed)),
-        range(base_seed, base_seed + n_trials),
-    ))
+    # the run, with its path stack, is built here, before the blocks fork,
+    # so that every process reads this one
+    run = _SerRun(cfg, channel_spec, cfg.make_basis(), snr_grid_db)
+    end = base_seed + n_trials
+    errors, symbols = np.concatenate(fork_map(
+        lambda first: _run_block(run, range(first, min(first + _BLOCK_SEEDS, end))),
+        range(base_seed, end, _BLOCK_SEEDS),
+    )).sum(axis=0)
     return [
         SerPoint(
             snr_db=float(snr_db),

@@ -211,15 +211,16 @@ class TestSerCommand:
 
     def test_manifest_counts_skipped_trials(self, tmp_path, monkeypatch):
         # trial seed 4 skips the second SNR point; seed 5 skips both
-        trial = linksim.run_trial
+        block = linksim._run_block
 
-        def skipping(cfg, spec, basis, snrs, seed):
-            errors, symbols = trial(cfg, spec, basis, snrs, seed)
-            skipped = {4: [1], 5: [0, 1]}.get(seed, [])
-            errors[skipped] = symbols[skipped] = 0
-            return errors, symbols
+        def skipping(run, seeds):
+            counts = block(run, seeds)
+            for (errors, symbols), seed in zip(counts, seeds):
+                skipped = {4: [1], 5: [0, 1]}.get(seed, [])
+                errors[skipped] = symbols[skipped] = 0
+            return counts
 
-        monkeypatch.setattr(linksim, "run_trial", skipping)
+        monkeypatch.setattr(linksim, "_run_block", skipping)
         out = tmp_path / "ser.csv"
         assert run([
             "ser", "--schemes", "ofdm,dpss", "--etas", "[1.0, 0.5]",

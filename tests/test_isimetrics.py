@@ -1073,6 +1073,36 @@ class TestSquareSpanRoot:
         floor = 64 * np.finfo(float).eps * np.sum(np.abs(tensor.values) ** 2)
         assert abs(bound - tensor_bound) <= floor
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=64),
+        g=st.integers(min_value=0, max_value=16),
+        delays=st.lists(
+            st.one_of(
+                st.integers(0, 20).map(float),
+                st.floats(0.0, 20.0, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1, max_size=8,
+        ),
+        n_blocks=st.integers(min_value=2, max_value=5),
+    )
+    def test_diagonal_root_scales_as_dense_gemm(self, n, g, delays, n_blocks):
+        # the M = N route scales each offset's kernel columns by the
+        # diagonal; the GEMM on the dense diagonal root gives the same bits,
+        # and so do the per-path energies summed from them
+        scale = np.sqrt(n - np.abs(np.arange(1 - n, n)))
+        delays = np.array(delays)
+        offsets = range(1 - n_blocks, n_blocks)
+        scaled = isimetrics._offset_products(scale, n + g, delays, offsets)
+        dense = isimetrics._offset_products(np.diag(scale + 0j), n + g, delays, offsets)
+        for (d, u), (d_dense, u_dense) in zip(scaled, dense, strict=True):
+            assert d == d_dense
+            assert u.shape == u_dense.shape == (len(delays), 2 * (2 * n - 1))
+            assert np.array_equal(u, u_dense)
+            assert not np.any(u[:, 1::2])
+            energies = np.einsum("pi,pi->p", u, u)
+            assert energies.tobytes() == np.einsum("pi,pi->p", u_dense, u_dense).tobytes()
+
     def test_square_spans_factor_nothing(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
             raise AssertionError("lag matrix built or factored")

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from precofdm import _fork, channel, linksim
@@ -565,23 +565,23 @@ class TestVictimWindow:
             p_delta_db=p_delta_db,
         )
         basis = cfg.make_basis()
-        ops, seen = [], []
-        apply = ChannelOperator.apply
+        firs, seen = [], []
+        fir_filter = linksim._filter
         normal_equations = linksim._normal_equations
 
-        def apply_spy(op, x):
-            ops.append(op)
-            return apply(op, x)
+        def filter_spy(x, lag0, taps):
+            firs.append((x, lag0, taps))
+            return fir_filter(x, lag0, taps)
 
-        def spy(basis, a_conj, received, noise):
+        def spy(basis, a_conj, received, noise, gram):
             seen.append(received)
-            return normal_equations(basis, a_conj, received, noise)
+            return normal_equations(basis, a_conj, received, noise, gram)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ChannelOperator, "apply", apply_spy)
+            patch.setattr(linksim, "_filter", filter_spy)
             patch.setattr(linksim, "_normal_equations", spy)
             run_trial(cfg, spec, basis, [20.0], seed)
-        ((op,), (received,)) = ops, seen
+        (((window, lag0, taps),), (received,)) = firs, seen
 
         # the whole frame through the whole-frame operator, same draws
         rng = np.random.default_rng(seed)
@@ -594,11 +594,14 @@ class TestVictimWindow:
         assert np.linalg.norm(received - ref) <= 1e-12 * max(
             np.linalg.norm(ref), taps_l1 * np.linalg.norm(x)
         )
-        assert np.array_equal(op.block(0, 0), full.block(14, 14))
-        assert np.array_equal(op.realization.drawn_gains, real.drawn_gains)
+        # the window's FIR is the whole frame's, tap for tap: the same gains
+        # on the same kernels
+        assert lag0 == full._lag0
+        assert np.array_equal(taps, full._taps)
         # the FIR reaches past one block here, so the window holds the
         # victim's 14 blocks, more than one neighbour and less than the frame
-        assert 16 < op.realization.n_blocks < cfg.n_symbols
+        assert len(window) % b == 0
+        assert 16 < len(window) // b < cfg.n_symbols
 
     def test_table1_window_is_sixteen_blocks(self, monkeypatch):
         spec = cdlc_channel_spec(1000.0)
@@ -606,15 +609,16 @@ class TestVictimWindow:
             scheme=PrecodingScheme.DFT, eta=1.0, n_len=128,
             prefix_len=prefix_length_for(spec),
         )
+        basis = cfg.make_basis()
         applied = []
-        apply = ChannelOperator.apply
+        fir_filter = linksim._filter
 
-        def spy(op, x):
-            applied.append(op.realization.n_blocks)
-            return apply(op, x)
+        def spy(x, lag0, taps):
+            applied.append(len(x) / basis.block_len)
+            return fir_filter(x, lag0, taps)
 
-        monkeypatch.setattr(ChannelOperator, "apply", spy)
-        run_trial(cfg, spec, cfg.make_basis(), [20.0], seed=0)
+        monkeypatch.setattr(linksim, "_filter", spy)
+        run_trial(cfg, spec, basis, [20.0], seed=0)
         assert applied == [16]
 
     @pytest.mark.parametrize("spec", [
@@ -857,12 +861,15 @@ class TestTrialSplit:
         assert _fork._share_count(200) == 1
 
     def test_single_trial_never_forks(self, pin_cpus, no_fork):
+        # one block of seeds is one task, which runs here; a second block
+        # forks
         pin_cpus(4, OMP_NUM_THREADS="1")
         cfg = FrameConfig(scheme=PrecodingScheme.OFDM, eta=1.0, n_len=17, prefix_len=0)
-        (pt,) = run_ser(cfg, IDENTITY, [20.0], n_trials=1)
-        assert pt.total_symbols == 14 * 17
+        for n_trials in (1, linksim._BLOCK_SEEDS):
+            (pt,) = run_ser(cfg, IDENTITY, [20.0], n_trials=n_trials)
+            assert pt.total_symbols == n_trials * 14 * 17
         with pytest.raises(AssertionError, match="process context"):
-            run_ser(cfg, IDENTITY, [20.0], n_trials=2)
+            run_ser(cfg, IDENTITY, [20.0], n_trials=linksim._BLOCK_SEEDS + 1)
 
     def test_run_ser_same_points_on_one_and_three_cpus(self, pin_cpus):
         cfg, spec, _ = self.campaign()
@@ -872,3 +879,104 @@ class TestTrialSplit:
             points[cpus] = run_ser(cfg, spec, self.SNRS, n_trials=7, base_seed=5)
         assert points[1] == points[3]
         assert multiprocessing.active_children() == []
+
+
+class TestSeedBlocks:
+    """``run_ser`` runs its trials in fixed blocks of ``_BLOCK_SEEDS`` seeds."""
+
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        scheme=st.sampled_from(list(PrecodingScheme)),
+        n_len=st.integers(8, 32),
+        data=st.data(),
+        mixed=st.booleans(),
+        snrs=st.lists(st.sampled_from([0.0, 10.0, 20.0, 30.0]), max_size=3, unique=True),
+        base_seed=st.integers(0, 2**16),
+        n_trials=st.integers(1, 3 * linksim._BLOCK_SEEDS + 1),
+    )
+    def test_blocks_sum_to_trials_on_any_cpu_count(
+        self, pin_cpus, scheme, n_len, data, mixed, snrs, base_seed, n_trials
+    ):
+        spec = TestVictimWindow.MIXED if mixed else cdlc_channel_spec(200.0)
+        m_active = data.draw(st.integers(max(1, n_len // 2), n_len), label="m_active")
+        cfg = FrameConfig(
+            scheme=scheme, eta=m_active / n_len, n_len=n_len,
+            prefix_len=min(prefix_length_for(spec), n_len - 1), p_delta_db=10.0,
+        )
+        snrs = [*sorted(snrs), np.inf]
+        points = {}
+        for cpus in (1, 3):
+            pin_cpus(cpus, OMP_NUM_THREADS="1")
+            points[cpus] = run_ser(cfg, spec, snrs, n_trials=n_trials, base_seed=base_seed)
+        assert points[1] == points[3]
+        assert multiprocessing.active_children() == []
+        basis = cfg.make_basis()
+        trials = [
+            run_trial(cfg, spec, basis, snrs, seed)
+            for seed in range(base_seed, base_seed + n_trials)
+        ]
+        errors = sum(e for e, _ in trials)
+        symbols = sum(s for _, s in trials)
+        assert [pt.total_symbols for pt in points[1]] == symbols.tolist()
+        assert [pt.ser for pt in points[1]] == (errors / symbols).tolist()
+        assert all(pt.trials == n_trials for pt in points[1])
+
+    def test_skip_in_block_is_that_seed_alone(self, pin_cpus, monkeypatch, caplog):
+        # a Gram with a negative diagonal entry at the block's second seed:
+        # that seed alone skips the point, the others keep their counts
+        pin_cpus(1, OMP_NUM_THREADS="1")
+        cfg = FrameConfig(scheme=PrecodingScheme.DFT, eta=1.0, n_len=24, prefix_len=4)
+        spec = cdlc_channel_spec(200.0)
+        k = linksim._BLOCK_SEEDS
+        seeds = range(3, 3 + k)
+        run = linksim._SerRun(cfg, spec, cfg.make_basis(), np.array([40.0]))
+        clean = linksim._run_block(run, seeds)
+        normal_equations = linksim._normal_equations
+        calls = []
+
+        def indefinite(*args):
+            gram, signal, noise = normal_equations(*args)
+            assert gram is args[-1]  # zherk wrote into the workspace
+            calls.append(gram)
+            if len(calls) % k == 2:
+                gram = gram.copy()
+                gram[0, 0] *= -1.0
+            return gram, signal, noise
+
+        monkeypatch.setattr(linksim, "_normal_equations", indefinite)
+        with caplog.at_level("WARNING", logger="precofdm.linksim"):
+            skipped = linksim._run_block(run, seeds)
+            (pt,) = run_ser(cfg, spec, [40.0], n_trials=k, base_seed=3)
+        assert skipped[1].tolist() == [[0], [0]]
+        assert np.array_equal(np.delete(skipped, 1, axis=0), np.delete(clean, 1, axis=0))
+        assert clean[:, 1].tolist() == [[14 * 24]] * k
+        assert pt.total_symbols == (k - 1) * 14 * 24
+        assert pt.ser == (clean.sum(axis=0)[0, 0] - clean[1, 0, 0]) / pt.total_symbols
+        assert caplog.text.count("trial seed 4 skipped at 40.0 dB") == 2
+        for seed in (3, 5, 6):
+            assert f"trial seed {seed} skipped" not in caplog.text
+        # every seed of both blocks wrote its Gram into the run's one workspace
+        assert all(gram is run.gram for gram in calls[:k])
+        assert len({id(gram) for gram in calls[k:]}) == 1
+
+    def test_blocks_are_fixed_by_seed(self, pin_cpus, monkeypatch):
+        # blocks of _BLOCK_SEEDS consecutive seeds from base_seed, the last
+        # one short, whatever the process count
+        k = linksim._BLOCK_SEEDS
+        block = linksim._run_block
+        cfg = FrameConfig(scheme=PrecodingScheme.OFDM, eta=1.0, n_len=17, prefix_len=0)
+        for cpus in (1, 2):
+            pin_cpus(cpus, OMP_NUM_THREADS="1")
+            seen = []
+            # in this process, or in each child until it sends its results
+            monkeypatch.setattr(
+                linksim, "_run_block",
+                lambda run, seeds: seen.append(list(seeds)) or block(run, seeds),
+            )
+            (pt,) = run_ser(cfg, IDENTITY, [20.0], n_trials=2 * k + 1, base_seed=7)
+            assert pt.total_symbols == (2 * k + 1) * 14 * 17
+            want = [list(range(7, 7 + k)), list(range(7 + k, 7 + 2 * k)), [7 + 2 * k]]
+            assert seen == want[::cpus]
