@@ -161,12 +161,12 @@ def fir_lags(
 
 def _composite_taps(gains: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """The taps of one FIR, ``gain x kernel`` summed over the paths in path
-    order."""
+    order; of one FIR per row for a stack of gain rows."""
     # a running sum adds the rows strictly in path order (a reduction over a
     # one-lag grid would sum pairwise); + 0.0 turns a -0.0 into the 0.0 that
     # summing from zero gives
-    sums = np.add.accumulate(gains[:, None] * kernels, axis=0)
-    return sums[-1] + 0.0
+    sums = np.add.accumulate(gains[..., None] * kernels, axis=-2)
+    return sums[..., -1, :] + 0.0
 
 
 class ChannelOperator:
@@ -207,13 +207,14 @@ class ChannelOperator:
 
 def _filter(x: np.ndarray, lag0: int, taps: np.ndarray) -> np.ndarray:
     """The stream ``x`` through the FIR whose taps start at lag ``lag0``,
-    cut to the length of ``x``."""
-    n = len(x)
-    y = np.zeros(n, dtype=np.complex128)
+    cut to the length of ``x``.  Streams and taps run along the last axis:
+    a stack of streams goes through a stack of FIRs, one FIR per stream."""
+    n = x.shape[-1]
     conv = _fft_convolve(x, taps)
-    lo, hi = max(0, lag0), min(n, lag0 + len(conv))
+    y = np.zeros((*conv.shape[:-1], n), dtype=np.complex128)
+    lo, hi = max(0, lag0), min(n, lag0 + conv.shape[-1])
     if hi > lo:  # the filter may miss the stream; keep slices non-negative
-        y[lo:hi] += conv[lo - lag0 : hi - lag0]
+        y[..., lo:hi] += conv[..., lo - lag0 : hi - lag0]
     return y
 
 
@@ -242,22 +243,25 @@ def _path_blocks(spec: ChannelSpec, block_len: int):
 
 
 def _fft_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Full linear convolution of a 1-D stream with complex FIR taps.
+    """Full linear convolution of a stream with complex FIR taps, along the
+    last axis, which other axes stack.
 
-    The result is bit-equal to ``scipy.signal.fftconvolve``'s for such
+    The result is bit-equal to ``scipy.signal.fftconvolve``'s for 1-D
     input, as these are its steps on ``numpy.fft``: a length-1 operand
     multiplies directly; otherwise both are transformed at the next fast
     complex FFT length (``_good_size``), a real operand by a real FFT whose
     second half is the conjugate mirror of the first, as ``scipy.fft``
-    transforms real input.  Spelling them out keeps ``scipy.signal`` (about
+    transforms real input.  Each row of a stack transforms to the same bits
+    as it would alone.  Spelling the steps out keeps ``scipy.signal`` (about
     40 MB of resident memory) and ``scipy.fft`` out of the package's imports.
     """
-    if len(x) == 1 or len(taps) == 1:
+    if x.shape[-1] == 1 or taps.shape[-1] == 1:
         return x * taps
-    n = len(x) + len(taps) - 1
+    n = x.shape[-1] + taps.shape[-1] - 1
     size = _good_size(n)
-    spectrum = _spectrum(x, size) * _spectrum(taps, size)
-    return np.fft.ifft(spectrum, size)[:n]
+    spectrum = _spectrum(x, size)
+    spectrum *= _spectrum(taps, size)
+    return np.fft.ifft(spectrum, size, out=spectrum)[..., :n]
 
 
 def _good_size(n: int) -> int:
@@ -274,14 +278,15 @@ def _good_size(n: int) -> int:
 
 
 def _spectrum(a: np.ndarray, size: int) -> np.ndarray:
-    """The ``size``-point FFT of ``a``; for real ``a`` a real FFT and the
-    conjugate mirror of its first half."""
+    """The ``size``-point FFT of ``a`` along its last axis; for real ``a`` a
+    real FFT and the conjugate mirror of its first half."""
     if np.iscomplexobj(a):
         return np.fft.fft(a, size)
     half = np.fft.rfft(a, size)
-    out = np.empty(size, dtype=np.complex128)
-    out[: len(half)] = half
-    out[len(half) :] = np.conj(half[size - len(half) : 0 : -1])
+    h = half.shape[-1]
+    out = np.empty((*a.shape[:-1], size), dtype=np.complex128)
+    out[..., :h] = half
+    out[..., h:] = np.conj(half[..., size - h : 0 : -1])
     return out
 
 

@@ -267,6 +267,11 @@ def cmd_ser(v) -> None:
                     "skipped_trials": [
                         trials - pt.total_symbols // per_trial for pt in points
                     ],
+                    # the victim's errors at each of its subframe's positions,
+                    # one list per SNR point; each sums to the CSV's count
+                    "errors_by_position": [
+                        list(pt.errors_by_position) for pt in points
+                    ],
                 }
             )
     write_csv(

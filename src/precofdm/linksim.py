@@ -18,17 +18,20 @@ a run.  So the per-path matrices conj(A_p) are built once per run, as one
 SNR points, so A, its Gram matrix A^H A and the matched-filter outputs of
 the received signal and of the unit-variance noise are formed once; each
 point adds its scaled noise term and solves its own regularized system by
-Cholesky (a point Cholesky cannot factor is skipped), and errors are
-counted on the signs of the estimates.
+Cholesky (a point Cholesky cannot factor is skipped), writing its
+estimates in place, and errors are counted on their signs against the
+sent symbols', by position in the victim's subframe.
 
-A run's trials go in fixed blocks of ``_BLOCK_SEEDS`` consecutive seeds.
-A block makes each seed's draws, then forms conj(A) of all its seeds as
-one product of their conjugate gains with the path stack, so the stack is
-read once per block rather than once per trial.  Everything that does not
-change between trials (the window, the FIR kernels, the gain table, the
-path stack) is built once per run, and the trials reuse one conj(A) block,
-one Gram matrix and one MMSE system: glibc returns freed temporaries of
-that size (256 KB at M = 128) to the OS, and each trial would fault them
+A run's trials go in fixed blocks of ``_BLOCK_SEEDS`` consecutive seeds,
+which work as stacks (``_run_block``), so that the path stack is read
+once per block rather than once per trial.  Every BLAS and LAPACK call of
+a trial, and of the path stack, goes to scipy's library: numpy's OpenBLAS
+keeps a thread pool of its own, and with BLAS threads unpinned the two
+pools would spin against each other.  What does not change between trials
+(the window, the FIR kernels, the gain table, the path stack) is built
+once per run, and the blocks reuse the run's workspaces (``_SerRun``),
+which BLAS and LAPACK write in place: glibc returns freed temporaries of
+their size (256 KB at M = 128) to the OS, and each trial would fault them
 in again.
 
 Blocks are independent given their seeds, so ``run_ser`` deals them to
@@ -44,6 +47,7 @@ import logging
 import math
 import mmap
 from dataclasses import dataclass
+from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
@@ -137,10 +141,14 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class SerPoint:
+    """One SNR point of a run; ``errors_by_position`` holds the victim's
+    symbol errors at each of the 14 positions of its subframe."""
+
     snr_db: float
     ser: float
     trials: int
     total_symbols: int
+    errors_by_position: tuple[int, ...] = ()
 
 
 def qpsk_map(bits: np.ndarray) -> np.ndarray:
@@ -148,10 +156,9 @@ def qpsk_map(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.size % 2:
         raise ParameterError("qpsk_map needs an even number of bits")
-    pairs = bits.reshape(-1, 2)
-    return _QPSK_SCALE * (
-        (1.0 - 2.0 * pairs[:, 0]) + 1j * (1.0 - 2.0 * pairs[:, 1])
-    )
+    # each pair's I and Q level, side by side as a complex number's parts
+    levels = _QPSK_SCALE * (1.0 - 2.0 * bits.reshape(-1, 2))
+    return levels.view(np.complex128).reshape(-1)
 
 
 def analytic_qpsk_ser(snr_lin: float) -> float:
@@ -196,9 +203,35 @@ def _symbol_gains(cfg: FrameConfig) -> np.ndarray:
     return np.where(subframe == cfg.victim_subframe, 1.0, scale)
 
 
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` written into ``out`` (C order) by scipy's BLAS: dgemm for a
+    float64 ``out``, else zgemm.
+
+    Row-major C = A B is column-major C^T = B^T A^T.  An operand in C order
+    goes in as its transpose, a Fortran-order view; one in Fortran order
+    goes in as it is, transposed by BLAS.  So no operand is copied.
+    """
+    def transposed(x):  # x^T as BLAS reads it: an array and its trans flag
+        return (x.T, 0) if x.flags.c_contiguous else (x, 1)
+
+    gemm = blas.dgemm if out.dtype == np.float64 else blas.zgemm
+    (bt, trans_bt), (at, trans_at) = transposed(b), transposed(a)
+    c = gemm(1.0, bt, at, trans_a=trans_bt, trans_b=trans_at, c=out.T, overwrite_c=1)
+    return c.T
+
+
 def _frame(basis: PrefixedBasis, payloads: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """The stream of consecutive payload rows, row l scaled by ``gains[l]``."""
-    return (gains[:, None] * (payloads @ basis.o_t.T)).ravel()
+    """The stream of consecutive payload rows, row l scaled by ``gains[l]``.
+
+    ``payloads`` is (..., rows, M); leading axes stack streams, all built
+    by one product with O_t.
+    """
+    *lead, rows, m = payloads.shape
+    flat = np.ascontiguousarray(payloads, dtype=np.complex128).reshape(-1, m)
+    symbols = np.empty((len(flat), basis.block_len), dtype=np.complex128)
+    symbols = _gemm(flat, basis.o_t.T, symbols).reshape(*lead, rows, -1)
+    np.multiply(gains[:, None], symbols, out=symbols)
+    return symbols.reshape(*lead, -1)
 
 
 def _gray_bits(symbols: np.ndarray) -> np.ndarray:
@@ -213,9 +246,9 @@ def equalize_and_detect(
 
     ``gram`` is A^H A for an effective channel A (M x M); ``matched`` holds
     the matched-filter outputs A^H z, one (M, K) block of K received vectors
-    per entry of ``noise_vars``.  Point p solves
-    (gram + noise_vars[p] I) x = matched[p] by Cholesky (LAPACK zposv, which
-    reads the upper triangle).
+    per entry of ``noise_vars``, each >= 0 and finite (0 is zero forcing).
+    Point p solves (gram + noise_vars[p] I) x = matched[p] by Cholesky
+    (LAPACK zposv, which reads the upper triangle).
     Returns one entry per point: the Gray bits of the decisions, shape
     (K, M, 2), first bit the sign of I and second that of Q as ``qpsk_map``
     reads them; or ``None`` where Cholesky fails (the system is not
@@ -232,50 +265,58 @@ def equalize_and_detect(
             f"need an (M, M) gram and (points, M, K) matched outputs for "
             f"{len(noise_vars)} noise variances, got {gram.shape} and {matched.shape}"
         )
-    return _solve_points(
-        gram, matched, noise_vars, np.empty((m, m), dtype=np.complex128, order="F")
+    # comparisons, not their negations, so that NaN fails them
+    if not np.all((noise_vars >= 0) & (noise_vars < np.inf)):
+        raise ParameterError(
+            f"noise variances must be finite and >= 0, got {noise_vars}"
+        )
+    estimates = np.empty((len(noise_vars), matched.shape[2], m), dtype=np.complex128)
+    rhs = estimates.transpose(0, 2, 1)
+    rhs[...] = matched
+    solved = _solve_points(
+        gram, rhs, noise_vars, np.empty((m, m), dtype=np.complex128, order="F")
     )
+    return [_gray_bits(est) if ok else None for est, ok in zip(estimates, solved)]
 
 
-def _solve_points(gram, matched, noise_vars, system: np.ndarray) -> list:
-    """``equalize_and_detect``'s decisions, each point's system written into
-    ``system`` (M x M, complex, Fortran order), which zposv factors in place."""
-    diag = np.arange(len(system))
-    decisions = []
-    for n0, rhs in zip(noise_vars, matched):
+def _solve_points(gram, rhs, noise_vars, system: np.ndarray) -> np.ndarray:
+    """Solve (gram + noise_vars[p] I) x = rhs[p] at every point p, x written
+    over ``rhs[p]`` (M x K, complex, Fortran order).
+
+    Each point's system is written into ``system`` (M x M, complex, Fortran
+    order), which zposv factors in place, reading its upper triangle.
+    Returns whether each point was solved: Cholesky factored its system and
+    the solution is finite.
+    """
+    diagonal = system.reshape(-1, order="F")[:: len(system) + 1]  # a view
+    factored = np.zeros(len(rhs), dtype=bool)
+    for p, (n0, b) in enumerate(zip(noise_vars, rhs)):
         np.copyto(system, gram)
-        system[diag, diag] += n0
-        _, est, info = lapack.zposv(system, rhs, overwrite_a=True)
-        ok = info == 0 and np.all(np.isfinite(est))
-        decisions.append(_gray_bits(est.T) if ok else None)
-    return decisions
+        diagonal += n0
+        _, _, info = lapack.zposv(system, b, overwrite_a=True, overwrite_b=True)
+        factored[p] = info == 0
+    return factored & np.isfinite(rhs).all(axis=(1, 2))
 
 
 def _normal_equations(
-    basis: PrefixedBasis, a_conj: np.ndarray, received, noise, gram: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A^H A and the matched-filter outputs A^H O_r^H y of two block stacks.
+    a_conj: np.ndarray, t: np.ndarray, gram: np.ndarray, matched: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A^H A and the matched-filter outputs A^H t of one trial, written in
+    place into ``gram`` (M x M) and ``matched`` (M x K), both complex and in
+    Fortran order.
 
-    ``a_conj`` is conj(A), A = O_r^H H_{l,l} O_t the effective channel of
-    every block l, as H_{l,l'} depends only on l - l'; a trial forms it
-    from the run's path stack (``_path_stack``).  ``received`` and
-    ``noise`` hold one block per row.  O_r is zero on the prefix rows, so
-    only the rows past the prefix enter, and O^T conj(rows) stands for
-    O_r^H rows without conjugating O.  A^H A comes from BLAS zherk on
-    A^H = conj(A)^T, a view, written in place into ``gram`` (M x M,
-    complex, Fortran order): its upper triangle, which is all that zposv
-    reads in ``equalize_and_detect``; the lower triangle keeps what ``gram``
-    held.
+    ``a_conj`` is conj(A) in C order, A = O_r^H H_{l,l} O_t the effective
+    channel of every block l, as H_{l,l'} depends only on l - l'; a trial
+    forms it from the run's path stack (``_path_stack``).  So
+    A^H = conj(A)^T is a Fortran-order view, which BLAS zherk and zgemm
+    read as it is.  ``t`` (M x K, Fortran order) holds O_r^H of K received
+    blocks.  zherk writes the upper triangle of A^H A, which is all that
+    zposv reads in ``_solve_points``; the lower triangle keeps what
+    ``gram`` held.
     """
-    g = basis.prefix_len
-    o = basis.base.o_matrix
     a_h = a_conj.T
-
-    def matched(rows):
-        return a_h @ (np.conj(rows[:, g:]) @ o).conj().T
-
     gram = blas.zherk(1.0, a_h, c=gram, overwrite_c=1)
-    return gram, matched(received), matched(noise)
+    return gram, blas.zgemm(1.0, a_h, t, c=matched, overwrite_c=1)
 
 
 def _build_path_stack(basis: PrefixedBasis, channel_spec: ChannelSpec) -> np.ndarray:
@@ -291,14 +332,16 @@ def _build_path_stack(basis: PrefixedBasis, channel_spec: ChannelSpec) -> np.nda
     """
     g = basis.prefix_len
     o = basis.base.o_matrix
-    m = o.shape[1]
+    n, m = o.shape
     paths = len(channel_spec.paths)
     pages = mmap.mmap(-1, paths * m * m * 16, access=mmap.ACCESS_COPY)
     stack = np.frombuffer(pages, dtype=np.complex128).reshape(paths, m * m)
     o_t_conj = np.conj(basis.o_t).view(np.float64)
+    h_o = np.empty((n, 2 * m))
     blocks = _path_blocks(channel_spec, basis.block_len)
     for row, h in zip(stack, blocks):
-        np.matmul(o.T, (h[g:] @ o_t_conj).view(np.complex128), out=row.reshape(m, m))
+        _gemm(h[g:], o_t_conj, h_o)
+        _gemm(o.T, h_o.view(np.complex128), row.reshape(m, m))
     stack.flags.writeable = False
     return stack
 
@@ -345,13 +388,18 @@ class _SerRun:
 
     The constants are the victim's window, the FIR kernels on it, what the
     gain draws read of the channel spec, the symbols' amplitudes, the SNR
-    points' linear values and the path stack.  The workspaces are a block's
-    conj(A) rows, one Gram matrix and one MMSE system (both Fortran order,
-    as zherk and zposv write them in place), which every trial reuses.
+    points' linear values and the path stack.  The workspaces hold a
+    block's window payloads, its received and unit-noise rows past the
+    prefix (conjugated) and their products with O, and its conj(A) rows;
+    one Gram matrix, one matched-filter block, one MMSE system (Fortran
+    order, as zherk, zgemm and zposv write them in place) and one
+    (symbols, M) matrix of estimates per SNR point serve every trial in
+    turn.
     """
 
     def __init__(self, cfg, channel_spec, basis, snr_grid_db):
-        b, m = basis.block_len, cfg.m_active
+        b, m, n = basis.block_len, cfg.m_active, cfg.n_len
+        k, rows = _BLOCK_SEEDS, 2 * cfg.symbols_per_subframe
         self.cfg, self.basis, self.snr_grid_db = cfg, basis, snr_grid_db
         self.snr_lin = 10.0 ** (snr_grid_db / 10.0)
         self.window = _trial_window(cfg, channel_spec, b)
@@ -362,62 +410,88 @@ class _SerRun:
         self.gain_table = _gain_table(channel_spec)
         self.symbol_gains = _symbol_gains(cfg)[start:stop]
         self.stack = _path_stack(basis, channel_spec)
-        self.a_conj = np.empty((_BLOCK_SEEDS, m * m), dtype=np.complex128)
+        self.a_conj = np.empty((k, m * m), dtype=np.complex128)
+        self.payloads = np.empty((k, stop - start, m), dtype=np.complex128)
+        self.rows = np.empty((k, rows, n), dtype=np.complex128)
+        self.rows_o = np.empty((k, rows, m), dtype=np.complex128)
+        self.estimates = np.empty(
+            (len(snr_grid_db), cfg.symbols_per_subframe, m), dtype=np.complex128
+        )
         self.gram = np.zeros((m, m), dtype=np.complex128, order="F")
+        self.matched = np.empty((m, rows), dtype=np.complex128, order="F")
         self.system = np.empty((m, m), dtype=np.complex128, order="F")
 
 
 def _run_block(run: _SerRun, seeds) -> np.ndarray:
-    """Counts of a block of at most ``_BLOCK_SEEDS`` seeded trials: one
-    (errors, symbols) pair of int rows per seed, an entry per SNR point.
+    """Counts of a block of at most ``_BLOCK_SEEDS`` seeded trials: for each
+    seed, its victim symbol errors and detected symbols by SNR point and
+    position in the subframe, an int array (seeds, 2, points, symbols).
 
     Each seed draws from ``default_rng(seed)`` in a fixed order: channel
-    phases, payload bits, noise.  Its channel filters the window of blocks
-    that reach the victim subframe.  Then conj(A) of every seed of the block
-    is one product of their conjugate gains with the path stack, and each
-    seed forms its normal equations and solves its points.
+    phases, payload bits, noise.  Then the block works on its seeds as
+    stacks: one product with O_t builds every seed's window of blocks that
+    reach the victim subframe, one batched FFT filters each through its own
+    channel, one product with O takes O_r^H of every received and
+    unit-noise row, and one product of the conjugate gains with the path
+    stack forms every conj(A).  Each seed then forms its normal equations,
+    solves its points into the run's estimates, and counts the errors of
+    all its points in one sign comparison against its sent symbols.
     """
     cfg, basis = run.cfg, run.basis
     lo, hi, start, stop = run.window
-    b, m = basis.block_len, cfg.m_active
-    trials = []
-    for seed in seeds:
+    b, g, m = basis.block_len, basis.prefix_len, cfg.m_active
+    sym = cfg.symbols_per_subframe
+    seeds = list(seeds)
+    k = len(seeds)
+    gains = np.empty((k, len(run.gain_table[0])), dtype=np.complex128)
+    payloads, rows = run.payloads[:k], run.rows[:k]
+    for seed, gains_i, payloads_i, rows_i in zip(seeds, gains, payloads, rows):
         rng = np.random.default_rng(seed)
-        gains = _draw_gains(run.gain_table, rng)
-        payloads = draw_payloads(cfg, rng)
-        x = _frame(basis, payloads[start:stop], run.symbol_gains)
-        y = _filter(x, run.lag0, _composite_taps(gains, run.kernels))
-        y_victim = y[(lo - start) * b : (hi - start) * b].reshape(
-            cfg.symbols_per_subframe, b
-        )
-        noise_unit = (
-            rng.standard_normal(y_victim.shape)
-            + 1j * rng.standard_normal(y_victim.shape)
-        ) / math.sqrt(2.0)
-        trials.append((seed, gains, payloads[lo:hi], y_victim, noise_unit))
-    a_rows = run.a_conj[: len(trials)]
-    np.matmul(np.conj([gains for _, gains, *_ in trials]), run.stack, out=a_rows)
-    counts = np.zeros((len(trials), 2, len(run.snr_grid_db)), dtype=int)
-    for (seed, _, sent, y_victim, noise_unit), a_conj, (errors, symbols) in zip(
-        trials, a_rows, counts
+        gains_i[:] = _draw_gains(run.gain_table, rng)
+        payloads_i[:] = draw_payloads(cfg, rng)[start:stop]
+        # the unit-variance noise (re + j im) / sqrt(2) past the prefix,
+        # conjugated, written as its parts: dividing by the real sqrt(2)
+        # rounds each part as multiplying it by 1 / sqrt(2) does
+        re, im = rng.standard_normal((2, sym, b))[..., g:]
+        noise = rows_i[sym:].view(np.float64).reshape(sym, -1, 2)
+        np.multiply(re, _QPSK_SCALE, out=noise[..., 0])
+        np.multiply(im, -_QPSK_SCALE, out=noise[..., 1])
+    x = _frame(basis, payloads, run.symbol_gains)
+    y = _filter(x, run.lag0, _composite_taps(gains, run.kernels))
+    y_victim = y[:, (lo - start) * b : (hi - start) * b].reshape(k, sym, b)
+    np.conj(y_victim[..., g:], out=rows[:, :sym])
+    # O^T conj(rows) stands for O_r^H rows without conjugating O: O_r is
+    # zero on the prefix rows, so only the rows past the prefix enter
+    rows_o = run.rows_o[:k]
+    _gemm(rows.reshape(-1, cfg.n_len), basis.base.o_matrix, rows_o.reshape(-1, m))
+    np.conj(rows_o, out=rows_o)
+    a_conj = _gemm(np.conj(gains), run.stack, run.a_conj[:k])
+    counts = np.zeros((k, 2, len(run.snr_lin), sym), dtype=int)
+    rhs = run.estimates.transpose(0, 2, 1)  # each point's M x symbols
+    sent = payloads[:, lo - start : hi - start]
+    for seed, a_i, t, sent_i, (errors, symbols) in zip(
+        seeds, a_conj, rows_o, sent, counts
     ):
-        gram, signal, noise = _normal_equations(
-            basis, a_conj.reshape(m, m), y_victim, noise_unit, run.gram
+        gram, matched = _normal_equations(
+            a_i.reshape(m, m), t.T, run.gram, run.matched
         )
         es = float(np.real(np.trace(gram))) / m
         n0 = es / run.snr_lin
-        matched = signal + np.sqrt(n0)[:, None, None] * noise
-        sent_bits = _gray_bits(sent)
-        for i, bits in enumerate(_solve_points(gram, matched, n0, run.system)):
-            if bits is None:
-                log.warning(
-                    "trial seed %d skipped at %.1f dB: MMSE system singular or "
-                    "solution not finite", seed, run.snr_grid_db[i],
-                )
-                continue
-            wrong = bits != sent_bits
-            errors[i] = np.count_nonzero(wrong[..., 0] | wrong[..., 1])
-            symbols[i] = sent.size
+        np.multiply(np.sqrt(n0)[:, None, None], matched[:, sym:], out=rhs)
+        np.add(matched[:, :sym], rhs, out=rhs)
+        solved = _solve_points(gram, rhs, n0, run.system)
+        # a symbol is wrong where the sign of its I or of its Q differs from
+        # the sent one's: where its two flags, read as one 2-byte integer, are
+        # not 0
+        negative = run.estimates.view(np.float64) < 0
+        flips = negative != (sent_i.view(np.float64) < 0)
+        errors[solved] = np.count_nonzero(flips.view(np.uint16), axis=-1)[solved]
+        symbols[solved] = m
+        for snr_db in run.snr_grid_db[~solved]:
+            log.warning(
+                "trial seed %d skipped at %.1f dB: MMSE system singular or "
+                "solution not finite", seed, snr_db,
+            )
     return counts
 
 
@@ -441,7 +515,7 @@ def run_trial(
     trials for the one seed.
     """
     run = _SerRun(cfg, channel_spec, basis, np.asarray(snr_grid_db, dtype=float))
-    ((errors, symbols),) = _run_block(run, [seed])
+    errors, symbols = _run_block(run, [seed])[0].sum(axis=-1)
     return errors, symbols
 
 
@@ -475,10 +549,11 @@ def run_ser(
         raise ParameterError(f"snr grid needs dB values above -inf, got {snr_grid_db}")
     if not np.all(snr_grid_db[1:] > snr_grid_db[:-1]):
         raise ParameterError("snr grid must be strictly increasing")
-    if n_trials < 1:
-        raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
-    if base_seed < 0:
-        raise ParameterError(f"base_seed must be >= 0, got {base_seed}")
+    for name, value, least in (("n_trials", n_trials, 1), ("base_seed", base_seed, 0)):
+        if not isinstance(value, Integral):
+            raise ParameterError(f"{name} must be a whole number, got {value!r}")
+        if value < least:
+            raise ParameterError(f"{name} must be >= {least}, got {value}")
     # the run, with its path stack, is built here, before the blocks fork,
     # so that every process reads this one
     run = _SerRun(cfg, channel_spec, cfg.make_basis(), snr_grid_db)
@@ -490,9 +565,10 @@ def run_ser(
     return [
         SerPoint(
             snr_db=float(snr_db),
-            ser=int(e) / int(total) if total else float("nan"),
+            ser=int(e.sum()) / int(total) if total else float("nan"),
             trials=n_trials,
             total_symbols=int(total),
+            errors_by_position=tuple(map(int, e)),
         )
-        for snr_db, e, total in zip(snr_grid_db, errors, symbols)
+        for snr_db, e, total in zip(snr_grid_db, errors, symbols.sum(axis=-1))
     ]

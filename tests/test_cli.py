@@ -231,6 +231,38 @@ class TestSerCommand:
         assert [run["skipped_trials"] for run in manifest["runs"]] == [[1, 2]] * 4
         totals = [int(line.split(",")[-1]) for line in read_lines(out)[1:]]
         assert totals == [k * 14 * m for m in (16, 8, 16, 8) for k in (3, 2)]
+        # a skipped point's errors leave the positions' counts too
+        self.check_errors_by_position(out, manifest)
+
+    @staticmethod
+    def check_errors_by_position(out, manifest):
+        """Each row's symbol errors, ser x total_symbols, are the sum of its
+        run's 14 per-position counts at that SNR point."""
+        rows = list(csv.DictReader(open(out, encoding="utf-8")))
+        positions = [
+            counts for run in manifest["runs"] for counts in run["errors_by_position"]
+        ]
+        assert len(positions) == len(rows)
+        for row, counts in zip(rows, positions):
+            assert len(counts) == 14 and all(type(c) is int and c >= 0 for c in counts)
+            total = int(row["total_symbols"])
+            errors = round(float(row["ser"]) * total) if total else 0
+            assert sum(counts) == errors, (row, counts)
+            if total:
+                assert format(sum(counts) / total, ".12g") == row["ser"]
+
+    def test_errors_by_position_sum_to_csv(self, tmp_path):
+        # DFT at eta 1 on the 1000 ns channel with a 10 dB offset errs at the
+        # subframe's edges, next to the high-power neighbours
+        out = tmp_path / "ser.csv"
+        assert run([
+            "ser", "--schemes", "dft,ofdm", "--etas", "[1.0, 0.75]",
+            "--delay-spread", "1000ns", "--n", 32, "--pdelta", 10,
+            "--snrs", "[10, 30, inf]", "--trials", 6, "--out", out,
+        ]) == 0
+        manifest = json.loads((tmp_path / "ser.csv.manifest.json").read_text())
+        self.check_errors_by_position(out, manifest)
+        assert any(sum(c) for r in manifest["runs"] for c in r["errors_by_position"])
 
     def test_rerun_identical_bytes(self, tmp_path):
         out = tmp_path / "ser.csv"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from precofdm import _fork, channel, linksim
 from precofdm.channel import (
@@ -289,10 +290,10 @@ class TestEqualizeAndDetect:
         normal_equations = linksim._normal_equations
 
         def indefinite(*args):
-            gram, signal, noise = normal_equations(*args)
+            gram, matched = normal_equations(*args)
             gram = gram.copy()
             gram[0, 0] *= -1.0
-            return gram, signal, noise
+            return gram, matched
 
         monkeypatch.setattr(linksim, "_normal_equations", indefinite)
         with caplog.at_level("WARNING", logger="precofdm.linksim"):
@@ -320,6 +321,31 @@ class TestEqualizeAndDetect:
         out = equalize_and_detect(np.eye(4, dtype=complex), matched, [0.1, 0.1, 0.1])
         assert out[1] is None
         assert out[0] is not None and out[2] is not None
+
+    @pytest.mark.parametrize("noise_var", [-2.0, np.nan, np.inf])
+    def test_negative_or_non_finite_noise_rejected(self, noise_var):
+        gram = np.eye(3, dtype=complex)
+        with pytest.raises(ParameterError, match="noise variances must be finite"):
+            equalize_and_detect(gram, np.ones((2, 3, 1)), [0.1, noise_var])
+        # 0 is zero forcing: the identity passes the matched outputs through
+        (bits,) = equalize_and_detect(gram, np.full((1, 3, 1), -1.0 - 1.0j), [0.0])
+        assert bits.all()
+
+    def test_points_solved_in_place(self):
+        # zposv writes each point's solution over its right-hand side, a
+        # Fortran-order (M, K) view, so no point allocates its estimates
+        rng = np.random.default_rng(8)
+        m, k = 5, 3
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        gram = np.asfortranarray(a.conj().T @ a)
+        estimates = rng.standard_normal((2, k, m)) + 1j * rng.standard_normal((2, k, m))
+        rhs = estimates.transpose(0, 2, 1)
+        want = [np.linalg.solve(gram + n0 * np.eye(m), b) for n0, b in zip((0.0, 1.0), rhs)]
+        system = np.empty((m, m), dtype=complex, order="F")
+        solved = linksim._solve_points(gram, rhs, [0.0, 1.0], system)
+        assert solved.tolist() == [True, True]
+        for got, ref in zip(rhs, want):
+            assert np.allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
 def reference_trial(cfg, spec, basis, snrs, seed):
@@ -488,6 +514,20 @@ class TestRunSer:
         with pytest.raises(ParameterError, match="base_seed must be >= 0"):
             run_ser(cfg, IDENTITY, [10.0], n_trials=2, base_seed=-1)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"n_trials": 2.5}, "n_trials"),
+        ({"n_trials": 2.0}, "n_trials"),
+        ({"base_seed": 1.5}, "base_seed"),
+        ({"base_seed": "1"}, "base_seed"),
+    ])
+    def test_trials_and_seed_must_be_whole(self, kwargs, name):
+        cfg = FrameConfig(scheme=PrecodingScheme.OFDM, eta=1.0, n_len=17, prefix_len=0)
+        with pytest.raises(ParameterError, match=f"{name} must be a whole number"):
+            run_ser(cfg, IDENTITY, [10.0], **{"n_trials": 2, **kwargs})
+        # numpy integers are whole numbers
+        (pt,) = run_ser(cfg, IDENTITY, [10.0], n_trials=np.int64(2), base_seed=np.int32(1))
+        assert pt.trials == 2
+
     def test_single_trial_results(self):
         cfg = FrameConfig(scheme=PrecodingScheme.OFDM, eta=1.0, n_len=17, prefix_len=2)
         spec = cdlc_channel_spec(200.0)
@@ -570,38 +610,46 @@ class TestVictimWindow:
         normal_equations = linksim._normal_equations
 
         def filter_spy(x, lag0, taps):
-            firs.append((x, lag0, taps))
-            return fir_filter(x, lag0, taps)
+            y = fir_filter(x, lag0, taps)
+            firs.append((x, lag0, taps, y))
+            return y
 
-        def spy(basis, a_conj, received, noise, gram):
-            seen.append(received)
-            return normal_equations(basis, a_conj, received, noise, gram)
+        def spy(a_conj, t, gram, matched):
+            seen.append(t.copy())
+            return normal_equations(a_conj, t, gram, matched)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linksim, "_filter", filter_spy)
             patch.setattr(linksim, "_normal_equations", spy)
             run_trial(cfg, spec, basis, [20.0], seed)
-        (((window, lag0, taps),), (received,)) = firs, seen
+        (((window, lag0, taps, y),), (t,)) = firs, seen
+        # one trial is a stack of one stream through one FIR
+        assert window.shape[0] == taps.shape[0] == y.shape[0] == 1
+        b = basis.block_len
+        start = linksim._trial_window(cfg, spec, b)[2]
+        received = y[0, (14 - start) * b : (28 - start) * b].reshape(14, b)
 
         # the whole frame through the whole-frame operator, same draws
         rng = np.random.default_rng(seed)
-        b = basis.block_len
         real = realize(spec, rng, block_len=b, n_blocks=cfg.n_symbols)
         x = build_frame(cfg, basis, draw_payloads(cfg, rng))
         full = ChannelOperator(real)
         ref = full.apply(x)[14 * b : 28 * b].reshape(14, b)
         taps_l1 = np.sum(np.abs(full._taps))
-        assert np.linalg.norm(received - ref) <= 1e-12 * max(
-            np.linalg.norm(ref), taps_l1 * np.linalg.norm(x)
-        )
+        tol = 1e-12 * max(np.linalg.norm(ref), taps_l1 * np.linalg.norm(x))
+        assert np.linalg.norm(received - ref) <= tol
+        # the normal equations get O_r^H of those rows; O_r has orthonormal
+        # columns, so it keeps the same bound
+        assert t.shape == (cfg.m_active, 28)
+        assert np.linalg.norm(t[:, :14] - basis.o_r.conj().T @ ref.T) <= tol
         # the window's FIR is the whole frame's, tap for tap: the same gains
         # on the same kernels
         assert lag0 == full._lag0
-        assert np.array_equal(taps, full._taps)
+        assert np.array_equal(taps[0], full._taps)
         # the FIR reaches past one block here, so the window holds the
         # victim's 14 blocks, more than one neighbour and less than the frame
-        assert len(window) % b == 0
-        assert 16 < len(window) // b < cfg.n_symbols
+        assert window.shape[-1] % b == 0
+        assert 16 < window.shape[-1] // b < cfg.n_symbols
 
     def test_table1_window_is_sixteen_blocks(self, monkeypatch):
         spec = cdlc_channel_spec(1000.0)
@@ -614,12 +662,12 @@ class TestVictimWindow:
         fir_filter = linksim._filter
 
         def spy(x, lag0, taps):
-            applied.append(len(x) / basis.block_len)
+            applied.append((len(x), x.shape[-1] / basis.block_len))
             return fir_filter(x, lag0, taps)
 
         monkeypatch.setattr(linksim, "_filter", spy)
         run_trial(cfg, spec, basis, [20.0], seed=0)
-        assert applied == [16]
+        assert applied == [(1, 16)]
 
     @pytest.mark.parametrize("spec", [
         cdlc_channel_spec(200.0), cdlc_channel_spec(1000.0), MIXED,
@@ -881,6 +929,88 @@ class TestTrialSplit:
         assert multiprocessing.active_children() == []
 
 
+def per_seed_counts(run, seed):
+    """One seed's victim errors by SNR point and subframe position, and its
+    symbols by SNR point, on the per-seed route that ``_run_block`` stacks.
+
+    The seed's own stream goes through ``channel._filter`` alone, its conj(A)
+    is its own product with the path stack, the received and noise rows
+    take two matched-filter products, each point one zposv of the full
+    system, and the decisions are ``linksim._gray_bits`` against the sent
+    symbols'.
+    """
+    cfg, basis = run.cfg, run.basis
+    lo, hi, start, stop = run.window
+    b, g, m = basis.block_len, basis.prefix_len, cfg.m_active
+    rng = np.random.default_rng(seed)
+    gains = channel._draw_gains(run.gain_table, rng)
+    payloads = draw_payloads(cfg, rng)
+    x = (run.symbol_gains[:, None] * (payloads[start:stop] @ basis.o_t.T)).ravel()
+    y = channel._filter(x, run.lag0, channel._composite_taps(gains, run.kernels))
+    y_victim = y[(lo - start) * b : (hi - start) * b].reshape(14, b)
+    noise = (
+        rng.standard_normal(y_victim.shape) + 1j * rng.standard_normal(y_victim.shape)
+    ) / math.sqrt(2.0)
+    a_h = (np.conj(gains) @ run.stack).reshape(m, m).T
+    o = basis.base.o_matrix
+
+    def matched(rows):
+        return a_h @ (np.conj(rows[:, g:]) @ o).conj().T
+
+    gram = a_h @ a_h.conj().T
+    es = float(np.real(np.trace(gram))) / m
+    sent = linksim._gray_bits(payloads[lo:hi])
+    errors, symbols = np.zeros((len(run.snr_lin), 14), dtype=int), []
+    for point, snr_lin in enumerate(run.snr_lin):
+        n0 = es / snr_lin
+        rhs = matched(y_victim) + math.sqrt(n0) * matched(noise)
+        _, est, info = lapack.zposv(gram + n0 * np.eye(m), rhs)
+        if info != 0 or not np.all(np.isfinite(est)):
+            symbols.append(0)
+            continue
+        wrong = linksim._gray_bits(est.T) != sent
+        errors[point] = np.count_nonzero(wrong.any(axis=-1), axis=-1)
+        symbols.append(14 * m)
+    return errors, np.array(symbols)
+
+
+class TestStackedBlock:
+    """``_run_block``'s stacked seeds against the per-seed route."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme=st.sampled_from(list(PrecodingScheme)),
+        n_len=st.integers(4, 32),
+        data=st.data(),
+        mixed=st.booleans(),
+        p_delta_db=st.sampled_from([0.0, 10.0]),
+        snrs=st.lists(st.sampled_from([0.0, 10.0, 20.0, 30.0]), max_size=3, unique=True),
+        base_seed=st.integers(0, 2**16),
+        n_trials=st.integers(1, 3 * linksim._BLOCK_SEEDS + 1),
+    )
+    def test_counts_equal_per_seed_reference(
+        self, scheme, n_len, data, mixed, p_delta_db, snrs, base_seed, n_trials
+    ):
+        spec = TestVictimWindow.MIXED if mixed else cdlc_channel_spec(1000.0)
+        m_active = data.draw(st.integers(1, n_len), label="m_active")
+        cfg = FrameConfig(
+            scheme=scheme, eta=m_active / n_len, n_len=n_len,
+            prefix_len=min(prefix_length_for(spec), n_len - 1), p_delta_db=p_delta_db,
+        )
+        snrs = np.array([*sorted(snrs), np.inf])
+        points = run_ser(cfg, spec, snrs, n_trials=n_trials, base_seed=base_seed)
+        run = linksim._SerRun(cfg, spec, cfg.make_basis(), snrs)
+        refs = [per_seed_counts(run, seed) for seed in range(base_seed, base_seed + n_trials)]
+        errors = sum(e for e, _ in refs)
+        symbols = sum(s for _, s in refs)
+        assert [pt.total_symbols for pt in points] == symbols.tolist()
+        assert [list(pt.errors_by_position) for pt in points] == errors.tolist()
+        assert all(
+            pt.ser == (e.sum() / s if s else pt.ser)
+            for pt, e, s in zip(points, errors, symbols)
+        )
+
+
 class TestSeedBlocks:
     """``run_ser`` runs its trials in fixed blocks of ``_BLOCK_SEEDS`` seeds."""
 
@@ -938,23 +1068,28 @@ class TestSeedBlocks:
         calls = []
 
         def indefinite(*args):
-            gram, signal, noise = normal_equations(*args)
-            assert gram is args[-1]  # zherk wrote into the workspace
+            gram, matched = normal_equations(*args)
+            # zherk and zgemm wrote into the workspaces
+            assert gram is args[2] and matched is args[3]
             calls.append(gram)
             if len(calls) % k == 2:
                 gram = gram.copy()
                 gram[0, 0] *= -1.0
-            return gram, signal, noise
+            return gram, matched
 
         monkeypatch.setattr(linksim, "_normal_equations", indefinite)
         with caplog.at_level("WARNING", logger="precofdm.linksim"):
             skipped = linksim._run_block(run, seeds)
             (pt,) = run_ser(cfg, spec, [40.0], n_trials=k, base_seed=3)
-        assert skipped[1].tolist() == [[0], [0]]
+        # (seeds, errors and symbols, points, victim positions)
+        assert skipped.shape == clean.shape == (k, 2, 1, 14)
+        assert skipped[1].tolist() == [[[0] * 14]] * 2
         assert np.array_equal(np.delete(skipped, 1, axis=0), np.delete(clean, 1, axis=0))
-        assert clean[:, 1].tolist() == [[14 * 24]] * k
+        assert clean[:, 1].tolist() == [[[24] * 14]] * k
         assert pt.total_symbols == (k - 1) * 14 * 24
-        assert pt.ser == (clean.sum(axis=0)[0, 0] - clean[1, 0, 0]) / pt.total_symbols
+        kept = np.delete(clean, 1, axis=0)[:, 0, 0].sum(axis=0)
+        assert pt.errors_by_position == tuple(kept.tolist())
+        assert pt.ser == kept.sum() / pt.total_symbols
         assert caplog.text.count("trial seed 4 skipped at 40.0 dB") == 2
         for seed in (3, 5, 6):
             assert f"trial seed {seed} skipped" not in caplog.text
