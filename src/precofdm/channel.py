@@ -9,15 +9,13 @@ matrix blocks; both forms sample the same taps, so they agree to round-off.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .configio import load_kv_file
-from .errors import ParameterError
+from .errors import ParameterError, check_whole
 
 __all__ = [
     "PathSpec",
@@ -25,7 +23,6 @@ __all__ = [
     "ChannelRealization",
     "ChannelOperator",
     "realize",
-    "fir_lags",
     "exp_profile_spec",
     "mild_channel_spec",
     "severe_channel_spec",
@@ -73,7 +70,7 @@ class ChannelSpec:
     name: str = "custom"
 
     def __post_init__(self):
-        # a tuple keeps the spec hashable, as the kernel cache needs
+        # a tuple, so that the frozen spec is immutable and hashable
         object.__setattr__(self, "paths", tuple(self.paths))
         if not self.paths:
             raise ParameterError("channel needs at least one path")
@@ -114,16 +111,14 @@ class ChannelRealization:
         self.drawn_gains.flags.writeable = False
         if len(self.drawn_gains) != len(self.spec.paths):
             raise ParameterError("one drawn gain per path required")
-        layout = (self.block_len, self.n_blocks)
-        if not all(isinstance(k, Integral) and k >= 1 for k in layout):
-            raise ParameterError(f"block_len, n_blocks must be whole, >= 1: {layout}")
+        check_whole("block_len", self.block_len, 1)
+        check_whole("n_blocks", self.n_blocks, 1)
 
     @property
     def stream_len(self) -> int:
         return self.block_len * self.n_blocks
 
 
-@functools.lru_cache(maxsize=8)
 def _path_kernels(spec: ChannelSpec, stream_len: int, half_len: int | None):
     """Per-path sinc kernels on the FIR's lag grid: (first lag, rows).
 
@@ -132,8 +127,8 @@ def _path_kernels(spec: ChannelSpec, stream_len: int, half_len: int | None):
     that can matter for the stream when ``half_len`` is ``None``, which
     makes the streaming form exact.  The sinc kernels of all paths are
     evaluated at once on the union of the windows, zero outside each
-    window.  They depend only on the delays and the layout, which every
-    trial of a run shares, so they are cached, read-only.
+    window.  With a whole ``half_len`` they are the same for any
+    ``stream_len``.  They are read-only: an SER run's blocks share them.
     """
     delays = spec.delays
     floor = np.floor(delays)
@@ -147,16 +142,6 @@ def _path_kernels(spec: ChannelSpec, stream_len: int, half_len: int | None):
     kernels = np.where(inside, np.sinc(lags - delays[:, None]), 0.0)
     kernels.flags.writeable = False
     return int(lags[0]), kernels
-
-
-def fir_lags(
-    spec: ChannelSpec, stream_len: int, half_len: int | None = DEFAULT_FIR_HALF_LEN
-) -> tuple[int, int]:
-    """First and last lag of the FIR that ``ChannelOperator`` builds for
-    ``spec`` on a stream of ``stream_len`` samples.  With a whole
-    ``half_len`` they do not depend on the stream length."""
-    lag0, kernels = _path_kernels(spec, stream_len, half_len)
-    return lag0, lag0 + kernels.shape[1] - 1
 
 
 def _composite_taps(gains: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -182,8 +167,8 @@ class ChannelOperator:
         realization: ChannelRealization,
         half_len: int | None = DEFAULT_FIR_HALF_LEN,
     ):
-        if not (half_len is None or isinstance(half_len, Integral) and half_len >= 0):
-            raise ParameterError(f"half_len must be whole, >= 0 or None: {half_len}")
+        if half_len is not None:
+            check_whole("half_len", half_len, 0)
         self.realization = realization
         self.stream_len = realization.stream_len
         self._lag0, kernels = _path_kernels(realization.spec, self.stream_len, half_len)
@@ -226,20 +211,6 @@ def _stream_block(lag0: int, taps: np.ndarray, block_len: int, base: int):
     idx = base - lag0 + np.subtract.outer(lags, lags)
     on_fir = (idx >= 0) & (idx < len(taps))
     return np.where(on_fir, taps[idx.clip(0, len(taps) - 1)], 0)
-
-
-def _path_blocks(spec: ChannelSpec, block_len: int):
-    """Each path's unit-gain (0, 0) block of the stream matrix, in path order.
-
-    They are read on a one-block stream: with a whole ``half_len`` the
-    kernels, and so the blocks, are the same on a stream of any length.
-    Weighted by a realization's gains and summed, they give that
-    realization's ``ChannelOperator(realization).block(0, 0)``, to
-    round-off.  The blocks are real: the kernels are sinc samples.
-    """
-    lag0, kernels = _path_kernels(spec, block_len, DEFAULT_FIR_HALF_LEN)
-    for kernel in kernels:
-        yield _stream_block(lag0, kernel, block_len, 0)
 
 
 def _fft_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Values may be scalars, quoted or bare strings, bracketed lists
 ``[a, b, c]``, or MATLAB-style ranges ``start:step:stop`` (stop inclusive
-up to rounding).  ``#`` starts a comment.
+up to rounding) of at most 10^6 values.  ``#`` starts a comment.
 """
 from __future__ import annotations
 
@@ -13,6 +13,10 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = ["parse_value", "parse_kv_text", "load_kv_file"]
+
+# The most values a range may hold: a larger one is almost surely a typo,
+# and one of 10^10 values would ask for hundreds of GB.
+_MAX_RANGE_VALUES = 10**6
 
 _RANGE_RE = re.compile(
     r"^\s*([-+0-9.eE]+)\s*:\s*([-+0-9.eE]+)\s*:\s*([-+0-9.eE]+)\s*$"
@@ -49,10 +53,15 @@ def parse_value(text: str):
             raise ParameterError(f"non-finite bound in range {text!r}")
         if step == 0:
             raise ParameterError(f"zero step in range {text!r}")
-        n = int(np.floor((stop - start) / step + 1e-9)) + 1
-        if n < 1:
+        # a float, which may overflow to inf, checked before int() and arange
+        count = np.floor((stop - start) / step + 1e-9) + 1
+        if count < 1:
             raise ParameterError(f"empty range {text!r}")
-        return list(start + step * np.arange(n))
+        if not count <= _MAX_RANGE_VALUES:  # NaN fails too
+            raise ParameterError(
+                f"range {text!r} holds more than {_MAX_RANGE_VALUES} values"
+            )
+        return list(start + step * np.arange(int(count)))
     return _scalar(text)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ParameterError
+from .errors import ParameterError, check_whole
 
 __all__ = ["DpssParams", "DpssSet", "compute_dpss", "dpss_limit_half", "sinc_kernel"]
 
@@ -37,13 +37,13 @@ class DpssParams:
     count: int
 
     def __post_init__(self):
-        if self.n_len < 1:
-            raise ParameterError(f"n_len must be positive, got {self.n_len}")
+        check_whole("n_len", self.n_len, 1)
+        check_whole("count", self.count, 1)
         if not 0.0 < self.half_bandwidth <= 0.5:
             raise ParameterError(
                 f"half_bandwidth must be in (0, 0.5], got {self.half_bandwidth}"
             )
-        if not 1 <= self.count <= self.n_len:
+        if self.count > self.n_len:
             raise ParameterError(
                 f"count must be in [1, n_len={self.n_len}], got {self.count}"
             )

@@ -40,7 +40,7 @@ from scipy.linalg import lapack
 
 from ._fork import fork_map
 from .channel import ChannelOperator, ChannelRealization, ChannelSpec
-from .errors import ParameterError
+from .errors import ParameterError, check_whole
 from .waveform import (
     PrecodingScheme,
     PrefixKind,
@@ -319,8 +319,7 @@ def _symmetric_lag_root(o: np.ndarray) -> np.ndarray:
 
 
 def _check_blocks(n_blocks: int) -> None:
-    if n_blocks < 2:
-        raise ParameterError("n_blocks must be >= 2 to include any interferer")
+    check_whole("n_blocks", n_blocks, 2)  # fewer blocks hold no interferer
 
 
 def _window_powers(channel: ChannelSpec, n_len: int, prefix_len: int) -> dict:

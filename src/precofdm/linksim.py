@@ -28,11 +28,12 @@ once per block rather than once per trial.  Every BLAS and LAPACK call of
 a trial, and of the path stack, goes to scipy's library: numpy's OpenBLAS
 keeps a thread pool of its own, and with BLAS threads unpinned the two
 pools would spin against each other.  What does not change between trials
-(the window, the FIR kernels, the gain table, the path stack) is built
-once per run, and the blocks reuse the run's workspaces (``_SerRun``),
-which BLAS and LAPACK write in place: glibc returns freed temporaries of
-their size (256 KB at M = 128) to the OS, and each trial would fault them
-in again.
+(the FIR kernels, evaluated once, the window, the gain table, the path
+stack) is built once per run and held by the run (``_SerRun``), not by
+the module, so none of it outlives the run.  The blocks reuse the run's
+workspaces, which BLAS and LAPACK write in place: glibc returns freed
+temporaries of their size (256 KB at M = 128) to the OS, and each trial
+would fault them in again.
 
 Blocks are independent given their seeds, so ``run_ser`` deals them to
 processes through ``_fork.fork_map``: as many processes as the CPUs it
@@ -47,7 +48,6 @@ import logging
 import math
 import mmap
 from dataclasses import dataclass
-from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
@@ -61,12 +61,11 @@ from .channel import (
     _draw_gains,
     _filter,
     _gain_table,
-    _path_blocks,
     _path_kernels,
-    fir_lags,
+    _stream_block,
     realize,  # not called here, but perfbench's tracer wraps linksim.realize
 )
-from .errors import ParameterError
+from .errors import ParameterError, check_whole
 from .waveform import (
     PrecodingScheme,
     PrefixKind,
@@ -115,8 +114,7 @@ class FrameConfig:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ParameterError(f"eta must be in (0, 1], got {self.eta}")
-        if self.prefix_len < 0:
-            raise ParameterError("prefix_len must be >= 0")
+        check_whole("prefix_len", self.prefix_len, 0)
         if not 0 <= self.p_delta_db < math.inf:  # NaN fails too
             raise ParameterError(
                 f"p_delta_db must be finite and >= 0, got {self.p_delta_db}"
@@ -174,25 +172,19 @@ def draw_payloads(cfg: FrameConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def build_frame(
-    cfg: FrameConfig,
-    basis: PrefixedBasis,
-    payloads: np.ndarray,
-    start: int = 0,
-    stop: int | None = None,
+    cfg: FrameConfig, basis: PrefixedBasis, payloads: np.ndarray
 ) -> np.ndarray:
     """Assemble the transmit stream: per-symbol O_t i with subframe powers.
 
     Subframes other than the victim's are scaled by 10^(p_delta_db / 20).
-    ``payloads`` is (n_symbols, m_active), as ``draw_payloads`` returns;
-    only blocks ``start`` to ``stop`` (a slice, default the whole frame)
-    are built.
+    ``payloads`` is (n_symbols, m_active), as ``draw_payloads`` returns.
     """
     payloads = np.asarray(payloads)
     if payloads.shape != (cfg.n_symbols, cfg.m_active):
         raise ParameterError(
             f"payloads must be {(cfg.n_symbols, cfg.m_active)}, got {payloads.shape}"
         )
-    return _frame(basis, payloads[start:stop], _symbol_gains(cfg)[start:stop])
+    return _frame(basis, payloads, _symbol_gains(cfg))
 
 
 def _symbol_gains(cfg: FrameConfig) -> np.ndarray:
@@ -307,7 +299,7 @@ def _normal_equations(
 
     ``a_conj`` is conj(A) in C order, A = O_r^H H_{l,l} O_t the effective
     channel of every block l, as H_{l,l'} depends only on l - l'; a trial
-    forms it from the run's path stack (``_path_stack``).  So
+    forms it from the run's path stack (``_build_path_stack``).  So
     A^H = conj(A)^T is a Fortran-order view, which BLAS zherk and zgemm
     read as it is.  ``t`` (M x K, Fortran order) holds O_r^H of K received
     blocks.  zherk writes the upper triangle of A^H A, which is all that
@@ -319,64 +311,48 @@ def _normal_equations(
     return gram, blas.zgemm(1.0, a_h, t, c=matched, overwrite_c=1)
 
 
-def _build_path_stack(basis: PrefixedBasis, channel_spec: ChannelSpec) -> np.ndarray:
+def _build_path_stack(
+    basis: PrefixedBasis, lag0: int, kernels: np.ndarray
+) -> np.ndarray:
     """conj(A_p) = O^T conj(H_p[g:] O_t) of every path p, one row each.
 
-    H_p is path p's unit-gain (0, 0) channel block (``channel._path_blocks``),
-    the same on a stream of any length, so a realization's conj(A) is
-    conj(gains) @ stack, reshaped to M x M.  H_p is real, so conj(H_p O_t)
-    is H_p conj(O_t), one real product on the float64 view of conj(O_t).
-    The stack is an anonymous memory map of its own, not a malloc chunk:
-    freeing it returns its pages, where a freed heap chunk this large
-    stays resident and the next run's stack need not fit the hole it left.
+    H_p is path p's unit-gain (0, 0) channel block, one gather of its
+    kernel (a row of ``kernels``, whose first lag is ``lag0``), so a
+    realization's conj(A) is conj(gains) @ stack, reshaped to M x M.  H_p
+    is real (sinc samples), so conj(H_p O_t) is H_p conj(O_t), one real
+    product on the float64 view of conj(O_t).  The stack is an anonymous
+    memory map of its own, not a malloc chunk: freeing it returns its
+    pages, where a freed heap chunk this large stays resident and the next
+    run's stack need not fit the hole it left.
     """
     g = basis.prefix_len
     o = basis.base.o_matrix
     n, m = o.shape
-    paths = len(channel_spec.paths)
+    paths = len(kernels)
     pages = mmap.mmap(-1, paths * m * m * 16, access=mmap.ACCESS_COPY)
     stack = np.frombuffer(pages, dtype=np.complex128).reshape(paths, m * m)
     o_t_conj = np.conj(basis.o_t).view(np.float64)
     h_o = np.empty((n, 2 * m))
-    blocks = _path_blocks(channel_spec, basis.block_len)
-    for row, h in zip(stack, blocks):
+    for row, kernel in zip(stack, kernels):
+        h = _stream_block(lag0, kernel, basis.block_len, 0)
         _gemm(h[g:], o_t_conj, h_o)
         _gemm(o.T, h_o.view(np.complex128), row.reshape(m, m))
     stack.flags.writeable = False
     return stack
 
 
-# The last path stack built and its key: the basis itself (held here, so
-# that no other basis can take its id) and the channel spec.
-_path_stack_slot: dict = {}
-
-
-def _path_stack(basis: PrefixedBasis, channel_spec: ChannelSpec) -> np.ndarray:
-    """``_build_path_stack``'s result, built once for a run's trials.
-
-    One slot: a call with another key frees the stack it holds before it
-    builds the new one, so at most one stack is alive.
-    """
-    held = _path_stack_slot.get("key")
-    if held is None or held[0] is not basis or held[1] != channel_spec:
-        _path_stack_slot.clear()
-        stack = _build_path_stack(basis, channel_spec)
-        _path_stack_slot.update(key=(basis, channel_spec), stack=stack)
-    return _path_stack_slot["stack"]
-
-
 def _trial_window(
-    cfg: FrameConfig, channel_spec: ChannelSpec, block_len: int
+    cfg: FrameConfig, lag0: int, kernels: np.ndarray, block_len: int
 ) -> tuple[int, int, int, int]:
     """The victim's blocks [lo, hi) and the blocks [start, stop) that reach
-    them through the channel's FIR."""
+    them through the FIR whose per-path kernels start at lag ``lag0``."""
     b = block_len
     lo = cfg.victim_subframe * cfg.symbols_per_subframe
     hi = lo + cfg.symbols_per_subframe
     # output sample t reads inputs t - last ... t - first (last >= 0, as no
     # delay is negative), and lag 0 keeps the victim's own blocks where
-    # every lag is positive; the lags are the same on a stream of any length
-    first, last = fir_lags(channel_spec, b)
+    # every lag is positive
+    first, last = lag0, lag0 + kernels.shape[1] - 1
     start = max(0, (lo * b - last) // b)
     stop = min(cfg.n_symbols, (hi * b - 1 - min(first, 0)) // b + 1)
     return lo, hi, start, stop
@@ -386,9 +362,10 @@ class _SerRun:
     """One run's constants, built once before its trials fork, and the
     workspaces that its blocks of trials write into.
 
-    The constants are the victim's window, the FIR kernels on it, what the
-    gain draws read of the channel spec, the symbols' amplitudes, the SNR
-    points' linear values and the path stack.  The workspaces hold a
+    The constants are the per-path FIR kernels (evaluated once: at a whole
+    half-length they are one block's on any stream), the victim's window,
+    what the gain draws read of the channel spec, the symbols' amplitudes,
+    the SNR points' linear values and the path stack.  The workspaces hold a
     block's window payloads, its received and unit-noise rows past the
     prefix (conjugated) and their products with O, and its conj(A) rows;
     one Gram matrix, one matched-filter block, one MMSE system (Fortran
@@ -402,14 +379,12 @@ class _SerRun:
         k, rows = _BLOCK_SEEDS, 2 * cfg.symbols_per_subframe
         self.cfg, self.basis, self.snr_grid_db = cfg, basis, snr_grid_db
         self.snr_lin = 10.0 ** (snr_grid_db / 10.0)
-        self.window = _trial_window(cfg, channel_spec, b)
+        self.lag0, self.kernels = _path_kernels(channel_spec, b, DEFAULT_FIR_HALF_LEN)
+        self.window = _trial_window(cfg, self.lag0, self.kernels, b)
         start, stop = self.window[2:]
-        self.lag0, self.kernels = _path_kernels(
-            channel_spec, (stop - start) * b, DEFAULT_FIR_HALF_LEN
-        )
         self.gain_table = _gain_table(channel_spec)
         self.symbol_gains = _symbol_gains(cfg)[start:stop]
-        self.stack = _path_stack(basis, channel_spec)
+        self.stack = _build_path_stack(basis, self.lag0, self.kernels)
         self.a_conj = np.empty((k, m * m), dtype=np.complex128)
         self.payloads = np.empty((k, stop - start, m), dtype=np.complex128)
         self.rows = np.empty((k, rows, n), dtype=np.complex128)
@@ -549,11 +524,8 @@ def run_ser(
         raise ParameterError(f"snr grid needs dB values above -inf, got {snr_grid_db}")
     if not np.all(snr_grid_db[1:] > snr_grid_db[:-1]):
         raise ParameterError("snr grid must be strictly increasing")
-    for name, value, least in (("n_trials", n_trials, 1), ("base_seed", base_seed, 0)):
-        if not isinstance(value, Integral):
-            raise ParameterError(f"{name} must be a whole number, got {value!r}")
-        if value < least:
-            raise ParameterError(f"{name} must be >= {least}, got {value}")
+    check_whole("n_trials", n_trials, 1)
+    check_whole("base_seed", base_seed, 0)
     # the run, with its path stack, is built here, before the blocks fork,
     # so that every process reads this one
     run = _SerRun(cfg, channel_spec, cfg.make_basis(), snr_grid_db)

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .dpss import dpss_limit_half
-from .errors import ParameterError
+from .errors import ParameterError, check_whole
 
 __all__ = [
     "PrecodingScheme",
@@ -137,9 +137,12 @@ def default_basis(scheme: PrecodingScheme, n_len: int, m_active: int) -> Wavefor
     precoding produces M Dirichlet pulses at centered time shifts; DPSS uses
     the first M sequences of the W -> 0.5- set.  Columns are renormalized to
     unit norm to pin orthonormality numerically, and then checked: columns
-    that are not orthonormal to 1e-10 raise ``ParameterError``.
+    that are not orthonormal to 1e-10 raise ``ParameterError``, as do
+    sizes that are not whole numbers.
     """
-    if not 1 <= m_active <= n_len:
+    check_whole("n_len", n_len, 1)
+    check_whole("m_active", m_active, 1)
+    if m_active > n_len:
         raise ParameterError(f"need 1 <= m_active <= n_len, got {m_active}, {n_len}")
     scheme = PrecodingScheme(scheme)
 
@@ -167,8 +170,7 @@ def with_prefix(
     base: WaveformBasis, prefix_len: int, prefix_kind: PrefixKind = PrefixKind.CYCLIC
 ) -> PrefixedBasis:
     """Extend a basis by a guard prefix of ``prefix_len`` samples."""
-    if prefix_len < 0:
-        raise ParameterError(f"prefix_len must be >= 0, got {prefix_len}")
+    check_whole("prefix_len", prefix_len, 0)
     if prefix_len >= base.n_len:
         raise ParameterError(
             f"prefix_len {prefix_len} must be shorter than the symbol ({base.n_len})"

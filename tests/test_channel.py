@@ -115,10 +115,14 @@ class TestSincDelayMatrix:
 
     def test_bad_shape(self):
         spec = ChannelSpec((PathSpec(delay=0.1, gain=1.0 + 0.0j),), 1.0)
-        for block_len, n_blocks in (
-            (0, 4), (4, 0), (2.5, 3), (3, 2.5), (math.nan, 3), (3.0, 2),
+        for block_len, n_blocks, message in (
+            (0, 4, "block_len must be >= 1"), (4, 0, "n_blocks must be >= 1"),
+            (2.5, 3, "block_len must be a whole number"),
+            (3, 2.5, "n_blocks must be a whole number"),
+            (math.nan, 3, "block_len must be a whole number"),
+            (3.0, 2, "block_len must be a whole number"),
         ):
-            with pytest.raises(ParameterError, match="block_len, n_blocks"):
+            with pytest.raises(ParameterError, match=message):
                 realize(spec, 0, block_len=block_len, n_blocks=n_blocks)
         real = realize(spec, 0, block_len=np.int64(3), n_blocks=np.int64(2))
         assert real.stream_len == 6
@@ -456,14 +460,20 @@ class TestCompositeFilter:
         # whole numbers >= 0 (numpy integers too) or None; a fraction, NaN
         # or a float would put the kernel on a non-integer lag grid
         real = two_path_realization()
-        for bad in (-1, 2.5, math.nan, 3.0, np.float64(3.0), "3"):
-            with pytest.raises(ParameterError, match="half_len must be whole"):
+        with pytest.raises(ParameterError, match="half_len must be >= 0, got -1"):
+            ChannelOperator(real, half_len=-1)
+        for bad in (2.5, math.nan, 3.0, np.float64(3.0), "3"):
+            with pytest.raises(ParameterError, match="half_len must be a whole number"):
                 ChannelOperator(real, half_len=bad)
         for good in (0, 3, np.int64(3), None):
             ChannelOperator(real, half_len=good)
 
 
 class TestPathKernelCache:
+    """The per-path kernels: no module cache, so each call evaluates them
+    afresh, read-only, and a caller that reuses them (an SER run, for its
+    trials) holds them itself."""
+
     @staticmethod
     def spec():
         return ChannelSpec(
@@ -474,23 +484,25 @@ class TestPathKernelCache:
 
     @pytest.mark.parametrize("half_len", [None, 0, 7, DEFAULT_FIR_HALF_LEN])
     def test_cached_taps_bit_equal_to_uncached(self, half_len):
+        # taps summed from kernels held across calls are the bits of every
+        # operator's own evaluation and of the per-path sum
         real = realize(self.spec(), 4, block_len=9, n_blocks=3)
-        warm = ChannelOperator(real, half_len=half_len)  # fills the cache
-        cached = ChannelOperator(real, half_len=half_len)
-        lag0, kernels = channel._path_kernels.__wrapped__(
-            real.spec, real.stream_len, half_len
-        )
-        fresh = np.add.accumulate(real.drawn_gains[:, None] * kernels, axis=0)[-1] + 0.0
-        assert warm._lag0 == cached._lag0 == lag0
-        for taps in (warm._taps, cached._taps):
-            assert np.array_equal(taps.view(np.uint8), fresh.view(np.uint8))
+        lag0, held = channel._path_kernels(real.spec, real.stream_len, half_len)
+        again = channel._path_kernels(real.spec, real.stream_len, half_len)
+        assert again[1] is not held and again[0] == lag0
+        assert np.array_equal(again[1].view(np.uint8), held.view(np.uint8))
+        taps = channel._composite_taps(real.drawn_gains, held)
+        ref_lag0, ref = per_path_taps(real, half_len)
+        assert lag0 == ref_lag0
+        assert np.array_equal(taps.view(np.uint8), ref.view(np.uint8))
+        for op in (ChannelOperator(real, half_len=half_len) for _ in range(2)):
+            assert op._lag0 == lag0
+            assert np.array_equal(op._taps.view(np.uint8), taps.view(np.uint8))
 
     def test_exact_kernels_keyed_by_stream_length(self):
         spec = self.spec()
-        channel._path_kernels.cache_clear()
         short = ChannelOperator(realize(spec, 0, block_len=5, n_blocks=2), half_len=None)
         long = ChannelOperator(realize(spec, 0, block_len=5, n_blocks=3), half_len=None)
-        assert channel._path_kernels.cache_info().misses == 2
         # every lag of each stream: -(n - 1) ... n - 1 for the fractional paths
         assert (short._lag0, short._taps.size) == (-9, 19)
         assert (long._lag0, long._taps.size) == (-14, 29)
@@ -500,12 +512,13 @@ class TestPathKernelCache:
 
     @pytest.mark.parametrize("half_len", [0, 7, DEFAULT_FIR_HALF_LEN])
     def test_whole_half_len_kernels_same_on_any_stream(self, half_len):
-        # so the SER path stack can read its blocks on a one-block stream
+        # so an SER run evaluates its kernels once, on one block, for its
+        # window, its path stack and every trial's filter
         b = 145
         for spec in (self.spec(), cdlc_channel_spec(1000.0)):
-            lag0, ref = channel._path_kernels.__wrapped__(spec, b, half_len)
+            lag0, ref = channel._path_kernels(spec, b, half_len)
             for stream_len in (1, 16 * b, 42 * b):
-                got = channel._path_kernels.__wrapped__(spec, stream_len, half_len)
+                got = channel._path_kernels(spec, stream_len, half_len)
                 assert got[0] == lag0
                 assert np.array_equal(got[1].view(np.uint8), ref.view(np.uint8))
 
@@ -514,22 +527,27 @@ class TestPathKernelCache:
         assert not kernels.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             kernels[0, 0] = 2.0
-        assert channel.fir_lags(self.spec(), 20, 3) == (lag0, lag0 + kernels.shape[1] - 1)
+        # one row per path on the union of the windows: 0, 1.25 -+ 3, 3 and
+        # 4.6 -+ 3 reach lags -2 ... 7
+        assert (lag0, kernels.shape) == (-2, (4, 10))
 
     def test_path_list_spec_hashable(self):
-        # the kernel cache hashes the spec, so a list of paths becomes a tuple
+        # a list of paths becomes a tuple, so the frozen spec hashes
         paths = [PathSpec(0.5, gain_power=1.0), PathSpec(2.0, gain=1j)]
         spec = ChannelSpec(paths, max_delay=2.0)
         assert spec == ChannelSpec(tuple(paths), max_delay=2.0)
+        assert hash(spec) == hash(ChannelSpec(tuple(paths), max_delay=2.0))
         op = ChannelOperator(realize(spec, 0, block_len=4, n_blocks=2), half_len=3)
         assert op.apply(np.ones(8)).shape == (8,)
 
     def test_fir_lags_span_the_taps(self):
-        # whole half_len: the same lags for every stream length
+        # whole half_len: the FIR's first and last lag are the same for every
+        # stream length, so an SER run reads its window from one block's
         spec = cdlc_channel_spec(1000.0)
+        lag0, kernels = channel._path_kernels(spec, 145, DEFAULT_FIR_HALF_LEN)
+        assert (lag0, lag0 + kernels.shape[1] - 1) == (-64, 80)
         for n_blocks in (1, 16, 42):
             op = ChannelOperator(realize(spec, 1, block_len=145, n_blocks=n_blocks))
-            assert channel.fir_lags(spec, op.stream_len) == (-64, 80)
             assert (op._lag0, op._lag0 + op._taps.size - 1) == (-64, 80)
 
 

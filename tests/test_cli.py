@@ -748,6 +748,30 @@ class TestConfigHandling:
         with pytest.raises(ParameterError, match="non-finite bound in range"):
             parse_value(text)
 
+    @pytest.mark.parametrize("text", ["-1e308:1e-308:1e308", "0:1:1000000"])
+    def test_range_of_over_a_million_values_is_error(self, text):
+        # the count is a float, checked before int() and arange: the first
+        # one's is inf, which overflowed int()
+        with pytest.raises(
+            ParameterError, match=f"^range '{text}' holds more than 1000000 values$"
+        ):
+            parse_value(text)
+
+    def test_range_of_a_million_values_accepted(self):
+        values = parse_value("0:1:999999")
+        assert len(values) == 10**6
+        assert values[0] == 0.0 and values[-1] == 999999.0
+
+    def test_overflowing_range_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        args = ["s2i", "--n", 16, "--etas=-1e308:1e-308:1e308", "--out", "x.csv"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: range '-1e308:1e-308:1e308' holds more than 1000000 values\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("args,config,text", [
         (["s2i", "--n", 16, "--etas", "1e400:1:2"], "", "1e400:1:2"),
         (["scan-halfshift", "--scheme", "ofdm", "--n", 9, "--taus=-1e400:1:0.5"],

@@ -1,8 +1,12 @@
 """Tests for QPSK mapping, frame assembly, equalization, and SER runs."""
 
+import gc
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +21,6 @@ from precofdm.channel import (
     ChannelSpec,
     PathSpec,
     cdlc_channel_spec,
-    fir_lags,
     prefix_length_for,
     realize,
 )
@@ -137,18 +140,6 @@ class TestBuildFrame:
         bits = np.random.default_rng(7).integers(0, 2, size=(42, 32))
         rows = np.stack([qpsk_map(row) for row in bits])
         assert np.array_equal(draw_payloads(cfg, np.random.default_rng(7)), rows)
-
-    def test_block_range_is_slice_of_frame(self):
-        # a run of blocks straddling both subframe edges, and the tail
-        cfg = self.cfg(p_delta_db=10.0)
-        basis = cfg.make_basis()
-        payloads = draw_payloads(cfg, np.random.default_rng(3))
-        frame = build_frame(cfg, basis, payloads)
-        b = basis.block_len
-        for start, stop in ((10, 31), (0, 42), (40, None)):
-            part = build_frame(cfg, basis, payloads, start, stop)
-            end = None if stop is None else stop * b
-            assert np.allclose(part, frame[start * b : end], rtol=0, atol=1e-14)
 
     def test_payload_shape_checked(self):
         cfg = self.cfg()
@@ -626,7 +617,7 @@ class TestVictimWindow:
         # one trial is a stack of one stream through one FIR
         assert window.shape[0] == taps.shape[0] == y.shape[0] == 1
         b = basis.block_len
-        start = linksim._trial_window(cfg, spec, b)[2]
+        start = linksim._trial_window(cfg, *one_block_kernels(spec, b), b)[2]
         received = y[0, (14 - start) * b : (28 - start) * b].reshape(14, b)
 
         # the whole frame through the whole-frame operator, same draws
@@ -673,28 +664,40 @@ class TestVictimWindow:
         cdlc_channel_spec(200.0), cdlc_channel_spec(1000.0), MIXED,
     ])
     @pytest.mark.parametrize("n_len", [8, 16, 32, 128])
-    def test_window_same_from_one_block(self, monkeypatch, spec, n_len):
-        # the window reads the FIR's lags on one block; on the whole frame
-        # they, and so the window, are the same
+    def test_window_same_from_one_block(self, spec, n_len):
+        # the window reads the FIR's lags from one block's kernels; the
+        # whole frame's FIR has the same lags, and so the same window
         cfg = FrameConfig(
             scheme=PrecodingScheme.DFT, eta=1.0, n_len=n_len,
             prefix_len=min(prefix_length_for(spec), n_len - 1),
         )
         b = cfg.make_basis().block_len
-        window = linksim._trial_window(cfg, spec, b)
-        monkeypatch.setattr(
-            linksim, "fir_lags", lambda spec, _: fir_lags(spec, cfg.n_symbols * b)
-        )
-        assert linksim._trial_window(cfg, spec, b) == window
+        window = linksim._trial_window(cfg, *one_block_kernels(spec, b), b)
+        full = ChannelOperator(realize(spec, 0, block_len=b, n_blocks=cfg.n_symbols))
+        assert linksim._trial_window(cfg, full._lag0, full._taps[None], b) == window
 
-    def test_run_holds_two_kernel_entries(self, pin_cpus, no_fork):
-        # the stack and the window share the one-block entry; the trials'
-        # operators read the window's
-        pin_cpus(1, OMP_NUM_THREADS="1")
+    def test_run_evaluates_kernels_once(self, pin_cpus, monkeypatch, tmp_path):
+        # one evaluation feeds the window, the path stack and every block's
+        # filter, serially and when the blocks fork
+        calls = tmp_path / "calls"
+        path_kernels = linksim._path_kernels
+
+        def spy(*args):
+            # a file, as a forked child's list would die with it
+            with open(calls, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return path_kernels(*args)
+
+        monkeypatch.setattr(linksim, "_path_kernels", spy)
         cfg = FrameConfig(scheme=PrecodingScheme.DFT, eta=1.0, n_len=16, prefix_len=4)
-        channel._path_kernels.cache_clear()
-        run_ser(cfg, self.MIXED, [20.0], n_trials=2)
-        assert channel._path_kernels.cache_info().currsize == 2
+        want = None
+        for cpus in (1, 3):
+            pin_cpus(cpus, OMP_NUM_THREADS="1")
+            calls.write_text("")
+            points = run_ser(cfg, self.MIXED, [20.0, np.inf], n_trials=9)
+            assert calls.read_text().split() == [str(os.getpid())]
+            assert want is None or points == want
+            want = points
 
 
 class TestFloorOrderingMatchesS2i:
@@ -757,8 +760,11 @@ class TestPathStack:
             max(delays),
         )
         real = realize(spec, seed, block_len=basis.block_len, n_blocks=n_blocks)
-        stack = linksim._build_path_stack(basis, spec)
+        stack = linksim._build_path_stack(
+            basis, *one_block_kernels(spec, basis.block_len)
+        )
         assert stack.shape == (len(delays), m * m)
+        assert not stack.flags.writeable
         a = np.conj(np.conj(real.drawn_gains) @ stack).reshape(m, m)
         h = ChannelOperator(real).block(0, 0)
         want = basis.o_r.conj().T @ h @ basis.o_t
@@ -788,24 +794,78 @@ class TestPathStack:
         first = run_ser(cfg, spec, [20.0], n_trials=7, base_seed=1)
         assert builds.read_text().split() == [str(os.getpid())]
         assert multiprocessing.active_children() == []
-        # each run makes its own basis, so the next run builds once more, and
-        # the slot then holds that run's stack alone
+        # each run builds its own, once more
         assert run_ser(cfg, spec, [20.0], n_trials=7, base_seed=1) == first
         assert builds.read_text().split() == [str(os.getpid())] * 2
-        assert set(linksim._path_stack_slot) == {"key", "stack"}
 
-    def test_one_slot(self):
-        spec = cdlc_channel_spec(200.0)
-        cfg = FrameConfig(scheme=PrecodingScheme.DFT, eta=1.0, n_len=16, prefix_len=4)
-        bases = cfg.make_basis(), cfg.make_basis()
-        stacks = [linksim._path_stack(basis, spec) for basis in bases]
-        # an equal basis that is another object is another key
-        assert stacks[0] is not stacks[1]
-        assert np.array_equal(stacks[0], stacks[1])
-        assert linksim._path_stack(bases[1], spec) is stacks[1]
-        assert linksim._path_stack_slot["key"][0] is bases[1]
-        assert not stacks[1].flags.writeable
-        linksim._path_stack_slot.clear()
+    def test_stack_freed_when_run_returns(self, pin_cpus, monkeypatch):
+        # nothing outside the run holds its stack, forked or not
+        built = []
+        build = linksim._build_path_stack
+
+        def spy(*args):
+            stack = build(*args)
+            built.append(weakref.ref(stack))
+            return stack
+
+        monkeypatch.setattr(linksim, "_build_path_stack", spy)
+        spec = cdlc_channel_spec(1000.0)
+        cfg = FrameConfig(
+            scheme=PrecodingScheme.DFT, eta=1.0, n_len=32,
+            prefix_len=prefix_length_for(spec),
+        )
+        for cpus in (1, 2):
+            pin_cpus(cpus, OMP_NUM_THREADS="1")
+            run_ser(cfg, spec, [20.0], n_trials=5)
+            gc.collect()
+            assert built[-1]() is None
+        assert len(built) == 2
+
+
+class TestRunsIndependent:
+    """Nothing of a run outlives it, so no run changes another's points."""
+
+    SNRS = [10.0, 30.0, np.inf]
+
+    @staticmethod
+    def runs():
+        cdlc = cdlc_channel_spec(1000.0)
+        return {
+            "a": (FrameConfig(
+                scheme=PrecodingScheme.DPSS, eta=0.75, n_len=24,
+                prefix_len=prefix_length_for(cdlc), p_delta_db=10.0,
+            ), cdlc),
+            "b": (FrameConfig(
+                scheme=PrecodingScheme.DFT, eta=1.0, n_len=32, prefix_len=4,
+            ), TestVictimWindow.MIXED),
+        }
+
+    def test_a_b_a_same_as_each_alone(self, pin_cpus):
+        # each run alone is a fresh interpreter's only run
+        code = (
+            "import sys, test_linksim as t\n"
+            "cfg, spec = t.TestRunsIndependent.runs()[sys.argv[1]]\n"
+            "print(repr(t.run_ser(cfg, spec, t.TestRunsIndependent.SNRS,"
+            " n_trials=6, base_seed=3)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(linksim.__file__))
+        env = {
+            **os.environ, "OMP_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join([os.path.dirname(__file__), src]),
+        }
+        alone = {
+            key: subprocess.run(
+                [sys.executable, "-c", code, key], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout.strip()
+            for key in ("a", "b")
+        }
+        pin_cpus(1, OMP_NUM_THREADS="1")
+        runs = self.runs()
+        for key in ("a", "b", "a"):
+            cfg, spec = runs[key]
+            points = run_ser(cfg, spec, self.SNRS, n_trials=6, base_seed=3)
+            assert repr(points) == alone[key]
 
 
 class TestTrialSplit:
@@ -927,6 +987,11 @@ class TestTrialSplit:
             points[cpus] = run_ser(cfg, spec, self.SNRS, n_trials=7, base_seed=5)
         assert points[1] == points[3]
         assert multiprocessing.active_children() == []
+
+
+def one_block_kernels(spec, block_len):
+    """The FIR's first lag and per-path kernels, as an SER run evaluates them."""
+    return channel._path_kernels(spec, block_len, DEFAULT_FIR_HALF_LEN)
 
 
 def per_seed_counts(run, seed):

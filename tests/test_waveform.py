@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precofdm.dpss import dpss_limit_half
+from precofdm.channel import mild_channel_spec
+from precofdm.dpss import DpssParams, compute_dpss, dpss_limit_half
 from precofdm.errors import ParameterError
+from precofdm.isimetrics import s2i_sweep
+from precofdm.linksim import FrameConfig
 from precofdm.waveform import (
     PrecodingScheme,
     PrefixKind,
@@ -185,3 +188,51 @@ class TestActiveCount:
     def test_count_outside_one_to_n_rejected(self, eta, n):
         with pytest.raises(ParameterError):
             active_count(eta, n)
+
+
+class TestWholeSizes:
+    """Sizes and counts are whole numbers: Python or numpy integers."""
+
+    @staticmethod
+    def basis():
+        return default_basis(PrecodingScheme.OFDM, 16, 16)
+
+    @staticmethod
+    def sweep(**kw):
+        return s2i_sweep(
+            [PrecodingScheme.OFDM], [1.0], mild_channel_spec(), 16,
+            **{"prefix_len": 2, "include_bound": False, **kw},
+        )
+
+    @pytest.mark.parametrize("call,name", [
+        # a 16 x 16 basis labelled m_active=15.5
+        (lambda: default_basis("ofdm", 16, 15.5), "m_active"),
+        # "orthonormality check failed"
+        (lambda: default_basis("ofdm", 16.5, 16), "n_len"),
+        # TypeError from a float slice or zeros shape
+        (lambda: with_prefix(TestWholeSizes.basis(), 2.5), "prefix_len"),
+        (lambda: FrameConfig(
+            scheme=PrecodingScheme.OFDM, n_len=16, prefix_len=2.5
+        ).make_basis(), "prefix_len"),
+        (lambda: TestWholeSizes.sweep(prefix_len=2.5), "prefix_len"),
+        (lambda: TestWholeSizes.sweep(n_blocks=3.5), "n_blocks"),
+        # a bare ValueError from scipy about select_range
+        (lambda: DpssParams(16.5, 0.4, 3), "n_len"),
+        (lambda: DpssParams(16, 0.4, 3.0), "count"),
+    ], ids=[
+        "default_basis-m", "default_basis-n", "with_prefix", "FrameConfig",
+        "s2i_sweep-prefix", "s2i_sweep-blocks", "DpssParams-n", "DpssParams-count",
+    ])
+    def test_fraction_is_parameter_error(self, call, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be a whole number"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        n, m, g = np.int64(16), np.int64(15), np.int64(2)
+        basis = default_basis("ofdm", n, m)
+        assert basis.o_matrix.shape == (16, 15)
+        assert with_prefix(basis, g).o_t.shape == (18, 15)
+        cfg = FrameConfig(scheme=PrecodingScheme.OFDM, n_len=n, prefix_len=g)
+        assert cfg.make_basis().block_len == 18
+        assert len(self.sweep(prefix_len=g, n_blocks=np.int64(3))) == 1
+        assert compute_dpss(DpssParams(n, 0.4, np.int64(3))).sequences.shape == (16, 3)
