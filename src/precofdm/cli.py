@@ -31,8 +31,8 @@ from .dpss import DpssParams, compute_dpss
 from .errors import ParameterError
 from .isimetrics import (
     DEFAULT_BLOCK_WINDOW,
+    _group_energies,
     _ratio_db,
-    _span_energies,
     ebct_all,
     ebct_bound_all,  # not called here, but perfbench's tracer wraps cli.ebct_bound_all
     half_shift_worst_case_scan,
@@ -168,7 +168,7 @@ def cmd_ebct(v) -> None:
 def cmd_bound(v) -> None:
     channel, _ = v.channel
     pref = with_prefix(default_basis(v.scheme, v.n, v.m), v.prefix, PrefixKind.ZERO)
-    signal, empirical, total = _span_energies(pref, channel, v.blocks, True)
+    ((signal, empirical, total),) = _group_energies([pref], channel, v.blocks, True)
     if total < empirical:
         raise ParameterError("ISI bound fell below the empirical energy")
     write_csv(

@@ -24,11 +24,14 @@ The chain implemented here:
 
 Channels are quasi-static: every operation takes one set of path gains.
 
-An S2I sweep runs one task per basis span through ``_fork.fork_map``, in
-forked processes when the CPUs of the affinity set hold more than one BLAS
-thread pool; each task takes the span's energies and its bound from one R
-(in closed form at M = N, a diagonal that scales the kernels' columns),
-and the tasks are dealt largest first.
+An S2I sweep deals its basis spans, largest first, into one group per
+process and runs the groups through ``_fork.fork_map``, in forked processes
+when the CPUs of the affinity set hold more than one BLAS thread pool.  A
+group takes each span's energies and its bound from one R (in closed form
+at M = N, a diagonal that scales the kernels' columns).  Every offset's
+kernels, for every R of the group, are windows of one table of the paths'
+sinc values sinc(k - tau_p) over the integers k, so each value is
+evaluated once per process.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from ._fork import fork_map
+from ._fork import _share_count, fork_map
 from .channel import ChannelOperator, ChannelRealization, ChannelSpec
 from .errors import ParameterError, check_whole
 from .waveform import (
@@ -71,6 +74,10 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK_WINDOW = 12
+# Block offsets per sinc table: the whole default window, |d| < 12.
+_TABLE_OFFSETS = 2 * DEFAULT_BLOCK_WINDOW - 1
+# Columns per np.sinc call while a table fills.
+_TABLE_SLICE = 128
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -352,22 +359,51 @@ def _gram_root(tx: PrefixedBasis, rx: PrefixedBasis) -> np.ndarray:
     return _lag_root(_cross_lag_matrix(rx.o_r, tx.o_t, order="F"))
 
 
-def _offset_products(root: np.ndarray, block_len: int, delays: np.ndarray, offsets):
-    """Yield (d, U) per block offset d: U is real (paths, 2W), with complex
-    view (R k_d)^T for the paths' sinc kernels k_d on R's lags.  The kernels
-    are real, so U is one real GEMM with the float view of R^T.  A real 1-D
-    ``root`` is the diagonal of R: it scales the kernels' columns, the same
-    bits as the GEMM on the diagonal matrix, with zero imaginary slots."""
-    w = root.shape[-1]
-    lags = np.arange(-(w // 2), w // 2 + 1)
-    if root.ndim == 1:
-        for d in offsets:
-            kernel = _sinc(lags[None, :] + d * block_len - delays[:, None])
-            yield d, (kernel * root).astype(np.complex128).view(np.float64)
-        return
-    root_t = np.ascontiguousarray(root.T).view(np.float64)
-    for d in offsets:
-        yield d, _sinc(lags[None, :] + d * block_len - delays[:, None]) @ root_t
+def _offset_kernels(width: int, block_len: int, delays: np.ndarray, offsets):
+    """Yield (d, k_d) per block offset d of the ascending sequence
+    ``offsets``: the paths' sinc kernels k_d[p, i] = sinc(i - W//2 + d B -
+    tau_p) on the W = ``width`` lags centred on 0, W odd.
+
+    The argument is float(k) - tau_p for the integer k = i - W//2 + d B, so
+    one table T[p, k] = sinc(k - tau_p) holds the kernels of every offset
+    and every lag root of that width, each value evaluated once, and k_d is
+    the window of W columns starting at d B - W//2.  A table covers a run of
+    at most ``_TABLE_OFFSETS`` offsets, so its size does not grow with the
+    offset window, and it fills in slices of ``_TABLE_SLICE`` columns, so
+    that ``np.sinc``'s temporaries stay one slice wide.
+    """
+    half = width // 2
+    for i in range(0, len(offsets), _TABLE_OFFSETS):
+        run = offsets[i : i + _TABLE_OFFSETS]
+        first = run[0] * block_len - half
+        table = np.empty((delays.size, (run[-1] - run[0]) * block_len + width))
+        for start in range(0, table.shape[1], _TABLE_SLICE):
+            k = first + np.arange(start, min(start + _TABLE_SLICE, table.shape[1]))
+            table[:, start : start + k.size] = _sinc(k[None, :] - delays[:, None])
+        for d in run:
+            start = (d - run[0]) * block_len
+            yield d, table[:, start : start + width]
+
+
+def _offset_products(roots, block_len: int, delays: np.ndarray, offsets):
+    """Yield (d, [U per root]) per block offset d: each U is real
+    (paths, 2W), with complex view (R k_d)^T for the paths' sinc kernels k_d
+    on R's W lags, read once per offset for every root (``_offset_kernels``;
+    the roots share W).  The kernels are real, so U is one real GEMM with
+    the float view of R^T.  A real 1-D root is the diagonal of R: it scales
+    the kernels' columns, the same bits as the GEMM on the diagonal matrix,
+    with zero imaginary slots."""
+    width = roots[0].shape[-1]
+    mats = [
+        root if root.ndim == 1 else np.ascontiguousarray(root.T).view(np.float64)
+        for root in roots
+    ]
+    for d, kernel in _offset_kernels(width, block_len, delays, offsets):
+        yield d, [
+            (kernel * m).astype(np.complex128).view(np.float64) if m.ndim == 1
+            else kernel @ m
+            for m in mats
+        ]
 
 
 def isi_gram(
@@ -402,7 +438,8 @@ def isi_gram(
     delays = np.asarray(delays, dtype=float)
     offsets = [d for d in range(1 - n_blocks, n_blocks) if d or include_signal]
     k = np.zeros((2, delays.size, delays.size), dtype=np.complex128)  # ISI, signal
-    for d, u in _offset_products(_gram_root(tx, rx), tx.block_len, delays, offsets):
+    root = _gram_root(tx, rx)
+    for d, (u,) in _offset_products([root], tx.block_len, delays, offsets):
         u = u.view(np.complex128)
         k[0 if d else 1] += u.conj() @ u.T
     return (k[0], k[1]) if include_signal else k[0]
@@ -476,14 +513,15 @@ def isi_bound(
     return BoundReport(_tail_total(cmat, _window_powers(channel, n, prefix_len)))
 
 
-def _span_energies(
-    pref: PrefixedBasis,
+def _group_energies(
+    prefs: list,
     channel: ChannelSpec,
     n_blocks: int,
     include_bound: bool,
-) -> tuple:
-    """(signal energy, ISI energy, half-shift tail total or None) of a
-    zero-prefixed basis, all from one lag root R.
+) -> list:
+    """(signal energy, ISI energy, half-shift tail total or None) of each
+    zero-prefixed basis in ``prefs``, all from its lag root R.  The bases
+    share N and the prefix, so their roots share the 2N - 1 lags.
 
     The energies are ``signal_isi_energies(pref, pref, ...)``'s, read per
     path as sum_i |(R k_d)_{ip}|^2 and weighted by the path powers, with no
@@ -497,25 +535,40 @@ def _span_energies(
     O orthonormal to 1e-10, while ``_gram_root`` serves any bases.  The
     offsets then scale the kernels by that diagonal, and the tail total
     reads it as a matrix.
+
+    Every root is factored, and its tail total taken, before the offset
+    loop, so the sinc tables of ``_offset_kernels`` never coexist with a
+    half lag matrix.  The loop then reads each offset's kernels once for
+    every root of the group, and adds each root's ISI energies in offset
+    order.
     """
     _check_blocks(n_blocks)
-    n = pref.base.n_len
-    square = pref.base.m_active == n
-    root = (np.sqrt(n - np.abs(np.arange(1 - n, n))) if square
-            else _gram_root(pref, pref))
+    n, block_len = prefs[0].base.n_len, prefs[0].block_len
+    windows = _window_powers(channel, n, prefs[0].prefix_len) if include_bound else None
+    roots, bounds = [], []
+    for pref in prefs:
+        square = pref.base.m_active == n
+        root = (np.sqrt(n - np.abs(np.arange(1 - n, n))) if square
+                else _gram_root(pref, pref))
+        roots.append(root)
+        bounds.append(
+            _tail_total(np.diag(root + 0j) if square else root, windows)
+            if include_bound else None
+        )
     delays = np.asarray(channel.delays, dtype=float)
+    signals, isis = [None] * len(roots), [0] * len(roots)
     offsets = range(1 - n_blocks, n_blocks)
-    energies = {
-        d: np.einsum("pi,pi->p", u, u)
-        for d, u in _offset_products(root, pref.block_len, delays, offsets)
-    }
-    signal = energies.pop(0)
-    isi = sum(energies.values())
-    bound = None
-    if include_bound:
-        groups = _window_powers(channel, pref.base.n_len, pref.prefix_len)
-        bound = _tail_total(np.diag(root + 0j) if square else root, groups)
-    return float(channel.powers @ signal), float(channel.powers @ isi), bound
+    for d, products in _offset_products(roots, block_len, delays, offsets):
+        for i, u in enumerate(products):
+            energies = np.einsum("pi,pi->p", u, u)
+            if d:
+                isis[i] = isis[i] + energies
+            else:
+                signals[i] = energies
+    return [
+        (float(channel.powers @ signal), float(channel.powers @ isi), bound)
+        for signal, isi, bound in zip(signals, isis, bounds)
+    ]
 
 
 def _ratio_db(signal: float, interference: float) -> float:
@@ -548,16 +601,19 @@ def s2i_sweep(
     values are computed once per span, on the OFDM basis for every span
     but DPSS with M < N, and shared by the rows that have it.
 
-    The bases are built here, and each span is one task for ``fork_map``,
-    which may run the tasks in forked processes.  A task factors the span's
-    lag root R once, on the basis' own 2N - 1 lags, and takes the per-path
-    energies and the bound from it: the bound's tail total over the M^2
-    pair rows of C equals the one over the at most 2N - 1 rows of R
-    (sum_rs tail(C_rs) = sum_i tail(R_i), as R^H R = C^H C), so no sweep
-    builds the correlation tensor or a path Gram; at M = N, R is in closed
-    form.  The tasks go largest first (M < N by descending M, then M = N),
-    so ``fork_map``'s round-robin shares balance.  Every check a task would
-    raise runs here first, so a bad argument never starts a process.
+    The bases are built here.  The spans go largest first (M < N by
+    descending M, then M = N) and are dealt round-robin into one group per
+    process (``_fork._share_count``), so the groups balance; each group is
+    one item for ``fork_map``, which may run them in forked processes.  A
+    group factors each span's lag root R once, on the basis' own 2N - 1
+    lags, and takes the per-path energies and the bound from it: the
+    bound's tail total over the M^2 pair rows of C equals the one over the
+    at most 2N - 1 rows of R (sum_rs tail(C_rs) = sum_i tail(R_i), as
+    R^H R = C^H C), so no sweep builds the correlation tensor or a path
+    Gram; at M = N, R is in closed form.  Every span shares B, the lags and
+    the delays, so one table of sinc values serves all the group's roots
+    (``_group_energies``).  Every check a group would raise runs here
+    first, so a bad argument never starts a process.
     """
     spans: dict = {}  # (DPSS with M < N, M) -> zero-prefixed basis
     rows = []  # (scheme, M, span) per row
@@ -575,12 +631,17 @@ def s2i_sweep(
     if include_bound:
         _window_powers(channel, n_len, prefix_len)
 
-    spans = dict(sorted(spans.items(), key=lambda kv: (kv[0][1] == n_len, -kv[0][1])))
+    keys = sorted(spans, key=lambda key: (key[1] == n_len, -key[1]))
+    shares = _share_count(len(keys))
     results = fork_map(
-        lambda pref: _span_energies(pref, channel, n_blocks, include_bound),
-        spans.values(),
+        lambda group: _group_energies(group, channel, n_blocks, include_bound),
+        [[spans[key] for key in keys[k::shares]] for k in range(shares)],
     )
-    energies = dict(zip(spans, results))
+    energies = {
+        key: values
+        for k, group in enumerate(results)
+        for key, values in zip(keys[k::shares], group)
+    }
     points = []
     for scheme, m, key in rows:
         signal, isi, bound = energies[key]

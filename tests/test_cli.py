@@ -516,13 +516,12 @@ class TestVerify:
         assert not out.exists()
 
     def test_bound_below_empirical_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        per_span = cli._span_energies
+        per_group = cli._group_energies
 
         def no_bound(*args):
-            signal, isi, _ = per_span(*args)
-            return signal, isi, 0.0
+            return [(signal, isi, 0.0) for signal, isi, _ in per_group(*args)]
 
-        monkeypatch.setattr(cli, "_span_energies", no_bound)
+        monkeypatch.setattr(cli, "_group_energies", no_bound)
         self.assert_rejected(
             tmp_path, capsys, ["bound", "--n", 24, "--blocks", 3],
             "ISI bound fell below the empirical energy",
@@ -847,7 +846,7 @@ class TestCommandTable:
     CALLS = [
         ("default_basis", ["basis", "--n", 5]),
         ("xcorr_tensor", ["xcorr", "--n", 5]),
-        ("_span_energies", ["bound", "--n", 24, "--blocks", 3]),
+        ("_group_energies", ["bound", "--n", 24, "--blocks", 3]),
         ("s2i_sweep", ["s2i", "--n", 17, "--etas", "[1.0]", "--blocks", 3]),
         ("ebct_all", ["ebct", "--n", 5]),
         ("half_shift_worst_case_scan", ["scan-halfshift", "--n", 3, "--taus", "[0.5]"]),

@@ -698,7 +698,7 @@ class TestSymmetricLagRoot:
         delays = np.sort(rng.uniform(0.0, n + g, size=rng.integers(1, 6)))
         channel = exp_profile_spec(rng.uniform(0.05, 1.0), delays, float(delays[-1]))
         pref = with_prefix(default_basis(scheme, n, m), g, PrefixKind.ZERO)
-        got = isimetrics._span_energies(pref, channel, n_blocks, False)[:2]
+        got = isimetrics._group_energies([pref], channel, n_blocks, False)[0][:2]
         full = isimetrics._lag_root(
             isimetrics._cross_lag_matrix(pref.o_r, pref.o_t, order="F")
         )
@@ -864,23 +864,23 @@ class TestS2iSweep:
     def test_shared_spans_match_direct_evaluation(self, n, m, monkeypatch, pin_cpus):
         # rows that share a span reuse one computation; each must equal the
         # value computed directly on its own basis.  One process, so that
-        # every call is counted here.
+        # every call is counted here, and one group that holds every span.
         pin_cpus(1)
         mild = mild_channel_spec()
         calls = []
-        per_span = isimetrics._span_energies
+        per_group = isimetrics._group_energies
 
-        def counted(pref, *args):
-            calls.append((pref.base.scheme, pref.base.m_active))
-            return per_span(pref, *args)
+        def counted(prefs, *args):
+            calls.append([(pref.base.scheme, pref.base.m_active) for pref in prefs])
+            return per_group(prefs, *args)
 
-        monkeypatch.setattr(isimetrics, "_span_energies", counted)
+        monkeypatch.setattr(isimetrics, "_group_energies", counted)
         rows = s2i_sweep(SCHEMES, [1.0, m / n], mild, n, 16, n_blocks=4)
         # dealt largest first: the M < N spans, then the M = N span
-        assert calls == [
+        assert calls == [[
             (PrecodingScheme.OFDM, m), (PrecodingScheme.DPSS, m),
             (PrecodingScheme.OFDM, n),
-        ]
+        ]]
         assert [(r.scheme, r.eta) for r in rows] == [
             (s.value, e) for s in SCHEMES for e in (1.0, m / n)
         ]
@@ -956,26 +956,37 @@ class TestS2iSweep:
             s2i_sweep(SCHEMES, [1.0, 15 / 17], mild_channel_spec(), 17, 16, n_blocks=3)
 
     @pytest.mark.parametrize("include_bound", [False, True])
-    def test_one_fork_map_item_per_span(self, monkeypatch, include_bound):
+    def test_one_fork_map_item_per_group(self, monkeypatch, pin_cpus, include_bound):
         seen = []
 
         def serial(func, items):
             items = list(items)
-            seen.append([(p.base.scheme, p.base.m_active) for p in items])
+            seen.append([[(p.base.scheme, p.base.m_active) for p in g] for g in items])
             return [func(x) for x in items]
 
         monkeypatch.setattr(isimetrics, "fork_map", serial)
-        # spans: OFDM at M = 17, 15 and 13, DPSS at 15 and 13
-        rows = s2i_sweep(
-            SCHEMES, [1.0, 15 / 17, 13 / 17], mild_channel_spec(), 17, 16,
-            n_blocks=3, include_bound=include_bound,
-        )
-        # dealt largest first, so that round-robin shares balance: the M < N
-        # spans by descending M, then the closed-form M = N span
+        # spans: OFDM at M = 17, 15 and 13, DPSS at 15 and 13, dealt largest
+        # first, so that round-robin groups balance: the M < N spans by
+        # descending M, then the closed-form M = N span; one group per process
         ofdm, dpss = PrecodingScheme.OFDM, PrecodingScheme.DPSS
-        assert seen == [[(ofdm, 15), (dpss, 15), (ofdm, 13), (dpss, 13), (ofdm, 17)]]
-        assert len(rows) == 9
-        assert all((r.s2i_lower_bound_db is not None) == include_bound for r in rows)
+        dealt = [(ofdm, 15), (dpss, 15), (ofdm, 13), (dpss, 13), (ofdm, 17)]
+        groups = {
+            1: [dealt],
+            2: [[(ofdm, 15), (ofdm, 13), (ofdm, 17)], [(dpss, 15), (dpss, 13)]],
+            8: [[span] for span in dealt],
+        }
+        for cpus, want in groups.items():
+            pin_cpus(cpus, OMP_NUM_THREADS="1")
+            seen.clear()
+            rows = s2i_sweep(
+                SCHEMES, [1.0, 15 / 17, 13 / 17], mild_channel_spec(), 17, 16,
+                n_blocks=3, include_bound=include_bound,
+            )
+            assert seen == [want]
+            assert len(rows) == 9
+            assert all(
+                (r.s2i_lower_bound_db is not None) == include_bound for r in rows
+            )
 
     def test_no_correlation_tensor_on_sweep_path(self, monkeypatch):
         def refuse(basis):
@@ -1006,7 +1017,7 @@ class TestRootBound:
         basis = default_basis(scheme, n, m)
         pref = with_prefix(basis, g, PrefixKind.ZERO)
         tensor = xcorr_tensor(basis)
-        _, isi, root_bound = isimetrics._span_energies(pref, channel, 3, True)
+        ((_, isi, root_bound),) = isimetrics._group_energies([pref], channel, 3, True)
         tensor_bound = isi_bound(tensor, channel, g).total_bound
         floor = 64 * np.finfo(float).eps * np.sum(np.abs(tensor.values) ** 2)
         assert abs(root_bound - tensor_bound) <= floor
@@ -1027,7 +1038,7 @@ class TestRootBound:
 
 class TestSquareSpanRoot:
     """At M = N the basis spans C^N, so C^H C = diag(N - |q|) over the 2N - 1
-    lags and ``_span_energies`` takes R = diag(sqrt(N - |q|)) unfactored."""
+    lags and ``_group_energies`` takes R = diag(sqrt(N - |q|)) unfactored."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1051,7 +1062,9 @@ class TestSquareSpanRoot:
         assert err <= 64 * np.finfo(float).eps * np.linalg.norm(cmat) ** 2
         # energies against the QR route, floor as in
         # test_span_energies_match_full_root_grams
-        signal, isi, bound = isimetrics._span_energies(pref, channel, n_blocks, True)
+        ((signal, isi, bound),) = isimetrics._group_energies(
+            [pref], channel, n_blocks, True
+        )
         want = signal_isi_energies(pref, pref, channel, n_blocks)
         grams = isi_gram(pref, pref, delays, n_blocks, include_signal=True)
         pref_cmat = lag_matrix_reference(pref.o_r, pref.o_t)
@@ -1093,10 +1106,11 @@ class TestSquareSpanRoot:
         scale = np.sqrt(n - np.abs(np.arange(1 - n, n)))
         delays = np.array(delays)
         offsets = range(1 - n_blocks, n_blocks)
-        scaled = isimetrics._offset_products(scale, n + g, delays, offsets)
-        dense = isimetrics._offset_products(np.diag(scale + 0j), n + g, delays, offsets)
-        for (d, u), (d_dense, u_dense) in zip(scaled, dense, strict=True):
-            assert d == d_dense
+        products = isimetrics._offset_products(
+            [scale, np.diag(scale + 0j)], n + g, delays, offsets
+        )
+        for (d, (u, u_dense)), want in zip(products, offsets, strict=True):
+            assert d == want
             assert u.shape == u_dense.shape == (len(delays), 2 * (2 * n - 1))
             assert np.array_equal(u, u_dense)
             assert not np.any(u[:, 1::2])
@@ -1116,6 +1130,155 @@ class TestSquareSpanRoot:
                 "bound", "--scheme", scheme, "--n", "17", "--m", "17",
                 "--blocks", "3", "--out", str(tmp_path / f"{scheme}.csv"),
             ]) == 0
+
+
+class TestSincTable:
+    """Every block offset's kernels are a window of one table of
+    sinc(k - tau_p) over the integers k, shared by the lag roots of a group
+    of spans (``_offset_kernels``, ``_group_energies``)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        n=st.integers(min_value=2, max_value=32),
+        data=st.data(),
+        decay=st.floats(min_value=0.05, max_value=1.0),
+    )
+    def test_windows_match_per_offset_kernels(self, scheme, n, data, decay):
+        m = data.draw(st.integers(min_value=1, max_value=n - 1), label="m")
+        g = data.draw(st.integers(min_value=0, max_value=n - 1), label="g")
+        n_blocks = data.draw(st.integers(min_value=2, max_value=40), label="blocks")
+        # integer delays hit the exact-zero mask of _sinc
+        delays = np.sort(data.draw(st.lists(
+            st.one_of(
+                st.integers(0, n + g - 1).map(float),
+                st.floats(0.0, n + g, exclude_max=True),
+            ),
+            min_size=1, max_size=6,
+        ), label="delays"))
+        b, lags = n + g, np.arange(1 - n, n)
+        offsets = range(1 - n_blocks, n_blocks)
+        # every offset, and isi_gram's without d = 0, whose runs span the gap
+        for seq, gap in ((offsets, 0), ([d for d in offsets if d], 1)):
+            kernels = isimetrics._offset_kernels(2 * n - 1, b, delays, seq)
+            for (d, kernel), want in zip(kernels, seq, strict=True):
+                assert d == want
+                assert np.array_equal(
+                    kernel, isimetrics._sinc(lags[None, :] + d * b - delays[:, None])
+                )
+                # one table per run of offsets, whatever the window
+                most = (isimetrics._TABLE_OFFSETS - 1 + gap) * b + 2 * n - 1
+                assert kernel.base.shape[1] <= most
+
+        # a group of a factored root and the closed-form M = N root against
+        # a per-offset loop that evaluates each offset's kernels afresh
+        prefs = [
+            with_prefix(default_basis(scheme, n, size), g, PrefixKind.ZERO)
+            for size in (m, n)
+        ]
+        roots = [isimetrics._gram_root(prefs[0], prefs[0]), np.sqrt(n - np.abs(lags))]
+        root_t = np.ascontiguousarray(roots[0].T).view(np.float64)
+        products = isimetrics._offset_products(roots, b, delays, offsets)
+        signal, isi = [None, None], [0, 0]
+        for (d, (u_root, u_diag)), want in zip(products, offsets, strict=True):
+            kernel = isimetrics._sinc(lags[None, :] + d * b - delays[:, None])
+            diag = (kernel * roots[1]).astype(np.complex128).view(np.float64)
+            refs = kernel @ root_t, diag
+            for i, (u, ref) in enumerate(zip((u_root, u_diag), refs)):
+                assert np.array_equal(u, ref)
+                energies = np.einsum("pi,pi->p", ref, ref)
+                assert np.einsum("pi,pi->p", u, u).tobytes() == energies.tobytes()
+                if d:
+                    isi[i] = isi[i] + energies
+                else:
+                    signal[i] = energies
+        channel = exp_profile_spec(decay, delays, float(delays[-1]))
+        got = isimetrics._group_energies(prefs, channel, n_blocks, False)
+        assert got == [
+            (float(channel.powers @ s), float(channel.powers @ e), None)
+            for s, e in zip(signal, isi)
+        ]
+
+    def test_each_kernel_value_evaluated_once(self, monkeypatch, pin_cpus):
+        # one process, one group of three spans (OFDM and DPSS at M = 15,
+        # and M = 17), the default 23 offsets: one table of the integers
+        # |k| <= reach; the bound adds one tail kernel per span
+        pin_cpus(1)
+        mild = mild_channel_spec()
+        n, g = 17, 16
+        reach = (isimetrics.DEFAULT_BLOCK_WINDOW - 1) * (n + g) + n - 1
+        sinc, tails = isimetrics._sinc, isimetrics._parseval_tails
+        for include_bound in (False, True):
+            kernel_shapes, tail_calls, inside = [], [], []
+
+            def counted_tails(*args):
+                tail_calls.append(0)  # _sinc calls of this tail pass
+                inside.append(True)
+                try:
+                    return tails(*args)
+                finally:
+                    inside.pop()
+
+            def counted_sinc(x):
+                if inside:
+                    tail_calls[-1] += 1
+                else:
+                    kernel_shapes.append(np.shape(x))
+                return sinc(x)
+
+            monkeypatch.setattr(isimetrics, "_parseval_tails", counted_tails)
+            monkeypatch.setattr(isimetrics, "_sinc", counted_sinc)
+            rows = s2i_sweep(
+                SCHEMES, [1.0, 15 / 17], mild, n, g, include_bound=include_bound
+            )
+            assert len(rows) == 6
+            assert sum(math.prod(shape) for shape in kernel_shapes) == (
+                len(mild.paths) * (2 * reach + 1)
+            )
+            assert all(
+                shape[0] == len(mild.paths) and shape[1] <= isimetrics._TABLE_SLICE
+                for shape in kernel_shapes
+            )
+            assert tail_calls == [1] * (3 * include_bound)
+
+    def test_tables_built_after_the_group_roots(self, monkeypatch, pin_cpus):
+        # so that a table never coexists with a half lag matrix: two groups,
+        # each run here in turn, and each group's first kernel value comes
+        # after its last root
+        events = []
+        per_group, gram_root, sinc = (
+            isimetrics._group_energies, isimetrics._gram_root, isimetrics._sinc
+        )
+
+        def group(prefs, *args):
+            events.append([])
+            return per_group(prefs, *args)
+
+        def root(*args):
+            value = gram_root(*args)
+            events[-1].append("root")
+            return value
+
+        def counted_sinc(x):
+            events[-1].append("sinc")
+            return sinc(x)
+
+        monkeypatch.setattr(
+            isimetrics, "fork_map", lambda func, items: [func(x) for x in items]
+        )
+        monkeypatch.setattr(isimetrics, "_group_energies", group)
+        monkeypatch.setattr(isimetrics, "_gram_root", root)
+        monkeypatch.setattr(isimetrics, "_sinc", counted_sinc)
+        pin_cpus(2, OMP_NUM_THREADS="1")
+        # groups: OFDM at M = 15, 13 and 17 (closed form, no QR); DPSS at 15, 13
+        s2i_sweep(
+            SCHEMES, [1.0, 15 / 17, 13 / 17], mild_channel_spec(), 17, 16,
+            n_blocks=3, include_bound=False,
+        )
+        assert len(events) == 2
+        for seen in events:
+            assert seen[:2] == ["root", "root"]
+            assert seen[2:] and set(seen[2:]) == {"sinc"}
 
 
 class TestHalfShiftScan:
