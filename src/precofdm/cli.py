@@ -33,6 +33,7 @@ from .isimetrics import (
     DEFAULT_BLOCK_WINDOW,
     _group_energies,
     _ratio_db,
+    _span_basis,
     ebct_all,
     ebct_bound_all,  # not called here, but perfbench's tracer wraps cli.ebct_bound_all
     half_shift_worst_case_scan,
@@ -167,7 +168,8 @@ def cmd_ebct(v) -> None:
 
 def cmd_bound(v) -> None:
     channel, _ = v.channel
-    pref = with_prefix(default_basis(v.scheme, v.n, v.m), v.prefix, PrefixKind.ZERO)
+    basis = _span_basis(default_basis(v.scheme, v.n, v.m))
+    pref = with_prefix(basis, v.prefix, PrefixKind.ZERO)
     ((signal, empirical, total),) = _group_energies([pref], channel, v.blocks, True)
     if total < empirical:
         raise ParameterError("ISI bound fell below the empirical energy")

@@ -31,7 +31,10 @@ group takes each span's energies and its bound from one R (in closed form
 at M = N, a diagonal that scales the kernels' columns).  Every offset's
 kernels, for every R of the group, are windows of one table of the paths'
 sinc values sinc(k - tau_p) over the integers k, so each value is
-evaluated once per process.
+evaluated once per process.  A span whose projector O O^H is real (DPSS,
+and OFDM/DFT subcarrier sets symmetric about 0) runs on a real basis of
+it (``_span_basis``): its lag matrix, R and offset products are float64,
+and the dtype flows through the same functions as the complex one.
 """
 from __future__ import annotations
 
@@ -133,14 +136,15 @@ def _cross_lag_matrix(
 
     Both inputs have B rows (``_check_pair`` or equal bases ensure it).
     Returns shape (M_left * M_right, 2B - 1) with pair index r * M_right + s,
-    stored in numpy ``order`` ("C": one contiguous lag sequence per pair;
-    "F": one contiguous column per lag).  ``pairs``, an array of pair
-    indices, keeps only those rows, in that order.
+    of the inputs' common dtype, stored in numpy ``order`` ("C": one
+    contiguous lag sequence per pair; "F": one contiguous column per lag).
+    ``pairs``, an array of pair indices, keeps only those rows, in that
+    order.
     """
     b = left.shape[0]
     m_l, m_r = left.shape[1], right.shape[1]
     rows = m_l * m_r if pairs is None else len(pairs)
-    out = np.empty((rows, 2 * b - 1), dtype=np.complex128, order=order)
+    out = np.empty((rows, 2 * b - 1), dtype=np.result_type(left, right), order=order)
     for q in range(-(b - 1), b):
         if q >= 0:
             c = left[q:].conj().T @ right[: b - q]
@@ -298,12 +302,14 @@ def isi_transfer(
 def _lag_root(cmat: np.ndarray) -> np.ndarray:
     """Upper triangle R with R^H R = cmat^H cmat, factored in place.
 
-    Householder QR of the column-major ``cmat`` (LAPACK zgeqrf overwrites
-    it, so no copy is made): cmat = Q R with Q having orthonormal columns.
-    R has min(rows, cols) rows.
+    Householder QR of the column-major ``cmat`` (LAPACK geqrf of its dtype,
+    dgeqrf for float64 and zgeqrf for complex128, overwrites it, so no copy
+    is made): cmat = Q R with Q having orthonormal columns.  R has
+    min(rows, cols) rows and ``cmat``'s dtype.
     """
-    lwork = int(lapack.zgeqrf_lwork(*cmat.shape)[0].real)
-    qr = lapack.zgeqrf(cmat, lwork=lwork, overwrite_a=1)[0]
+    geqrf, geqrf_lwork = lapack.get_lapack_funcs(("geqrf", "geqrf_lwork"), (cmat,))
+    lwork = int(geqrf_lwork(*cmat.shape)[0].real)
+    qr = geqrf(cmat, lwork=lwork, overwrite_a=1)[0]
     return np.triu(qr[: qr.shape[1]])
 
 
@@ -386,13 +392,14 @@ def _offset_kernels(width: int, block_len: int, delays: np.ndarray, offsets):
 
 
 def _offset_products(roots, block_len: int, delays: np.ndarray, offsets):
-    """Yield (d, [U per root]) per block offset d: each U is real
-    (paths, 2W), with complex view (R k_d)^T for the paths' sinc kernels k_d
-    on R's W lags, read once per offset for every root (``_offset_kernels``;
-    the roots share W).  The kernels are real, so U is one real GEMM with
-    the float view of R^T.  A real 1-D root is the diagonal of R: it scales
-    the kernels' columns, the same bits as the GEMM on the diagonal matrix,
-    with zero imaginary slots."""
+    """Yield (d, [U per root]) per block offset d: U is (R k_d)^T for the
+    paths' sinc kernels k_d on R's W lags, read once per offset for every
+    root (``_offset_kernels``; the roots share W).  The kernels are real,
+    so U is one real GEMM: a complex R gives the real (paths, 2W) product
+    with the float view of R^T, whose complex view is (R k_d)^T, and a real
+    R gives the real (paths, W) product with R^T itself.  A real 1-D root
+    is the diagonal of R: it scales the kernels' columns, the same bits as
+    the GEMM on the complex diagonal matrix, with zero imaginary slots."""
     width = roots[0].shape[-1]
     mats = [
         root if root.ndim == 1 else np.ascontiguousarray(root.T).view(np.float64)
@@ -432,6 +439,7 @@ def isi_gram(
     The normal-equation Gram C^H C is never formed: it squares the condition
     number, and its round-off (about 1e-18 for DPSS at N = 128, M = 121 on
     the mild channel) exceeds the ISI energy of offset d = 2 (2.8e-20).
+    Real (float64) bases give a real C and R; K is complex either way.
     """
     _check_pair(tx, rx)
     _check_blocks(n_blocks)
@@ -440,7 +448,8 @@ def isi_gram(
     k = np.zeros((2, delays.size, delays.size), dtype=np.complex128)  # ISI, signal
     root = _gram_root(tx, rx)
     for d, (u,) in _offset_products([root], tx.block_len, delays, offsets):
-        u = u.view(np.complex128)
+        if np.iscomplexobj(root):
+            u = u.view(np.complex128)
         k[0 if d else 1] += u.conj() @ u.T
     return (k[0], k[1]) if include_signal else k[0]
 
@@ -513,6 +522,29 @@ def isi_bound(
     return BoundReport(_tail_total(cmat, _window_powers(channel, n, prefix_len)))
 
 
+def _span_basis(basis: WaveformBasis) -> WaveformBasis:
+    """An orthonormal basis of ``basis``'s span, float64 when the span's
+    projector P = O O^H is real, so that its S2I and bound run in real
+    arithmetic (every energy depends on O only through P).
+
+    DPSS: the real part, exact as ``default_basis`` stores DPSS with zero
+    imaginary parts.  OFDM or DFT whose retained subcarriers are symmetric
+    about 0 (f = -f reversed): the OFDM f = 0 column when N is odd, then
+    sqrt(2) Re and sqrt(2) Im of the f > 0 columns, which span each pair
+    e_f, e_-f = conj(e_f).  Any other set (an odd deficit N - M) has a
+    complex P: ``basis`` itself.
+    """
+    o, n, m = basis.o_matrix, basis.n_len, basis.m_active
+    if basis.scheme is not PrecodingScheme.DPSS:
+        f = retained_frequencies(n, m)
+        if not np.array_equal(f, -f[::-1]):
+            return basis
+        o = default_basis(PrecodingScheme.OFDM, n, m).o_matrix
+        pos = math.sqrt(2.0) * o[:, f > 0]
+        o = np.hstack([o[:, f == 0].real, pos.real, pos.imag])
+    return WaveformBasis(n, m, basis.scheme, np.ascontiguousarray(o.real))
+
+
 def _group_energies(
     prefs: list,
     channel: ChannelSpec,
@@ -521,7 +553,9 @@ def _group_energies(
 ) -> list:
     """(signal energy, ISI energy, half-shift tail total or None) of each
     zero-prefixed basis in ``prefs``, all from its lag root R.  The bases
-    share N and the prefix, so their roots share the 2N - 1 lags.
+    share N and the prefix, so their roots share the 2N - 1 lags.  A real
+    (float64) basis, such as ``_span_basis`` gives, has a real R, real
+    offset products and real energies; a complex one a complex R.
 
     The energies are ``signal_isi_energies(pref, pref, ...)``'s, read per
     path as sum_i |(R k_d)_{ip}|^2 and weighted by the path powers, with no
@@ -612,8 +646,9 @@ def s2i_sweep(
     R^H R = C^H C), so no sweep builds the correlation tensor or a path
     Gram; at M = N, R is in closed form.  Every span shares B, the lags and
     the delays, so one table of sinc values serves all the group's roots
-    (``_group_energies``).  Every check a group would raise runs here
-    first, so a bad argument never starts a process.
+    (``_group_energies``).  A span with a real projector is computed on
+    its real basis (``_span_basis``), in float64.  Every check a group
+    would raise runs here first, so a bad argument never starts a process.
     """
     spans: dict = {}  # (DPSS with M < N, M) -> zero-prefixed basis
     rows = []  # (scheme, M, span) per row
@@ -624,7 +659,7 @@ def s2i_sweep(
             key = scheme is PrecodingScheme.DPSS and m < n_len, m
             if key not in spans:
                 span = scheme if key[0] else PrecodingScheme.OFDM
-                basis = default_basis(span, n_len, m)
+                basis = _span_basis(default_basis(span, n_len, m))
                 spans[key] = with_prefix(basis, prefix_len, PrefixKind.ZERO)
             rows.append((scheme, m, key))
     _check_blocks(n_blocks)

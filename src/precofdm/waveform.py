@@ -49,7 +49,8 @@ class PrefixKind(str, Enum):
 class WaveformBasis:
     """Effective transmit basis with orthonormal columns.
 
-    ``o_matrix`` is N x M complex, at utilization M / N.
+    ``o_matrix`` is N x M, at utilization M / N: complex from
+    ``default_basis``, float64 for a real basis of a real span.
     """
 
     n_len: int

@@ -1036,6 +1036,226 @@ class TestRootBound:
             assert own >= isi
 
 
+class TestSpanBasis:
+    """``_span_basis``: a basis of the same span, float64 when the span's
+    projector is real (DPSS, and OFDM/DFT sets symmetric about f = 0), on
+    which the lag root, the offset products and the energies run real."""
+
+    @pytest.mark.parametrize("scheme,n,m,g", [
+        (PrecodingScheme.OFDM, 17, 15, 4),
+        (PrecodingScheme.DFT, 16, 12, 3),
+        (PrecodingScheme.DPSS, 16, 14, 2),
+        (PrecodingScheme.OFDM, 24, 20, 16),
+    ])
+    def test_energy_functions_follow_the_root_dtype(self, scheme, n, m, g):
+        mild = mild_channel_spec()
+        basis = default_basis(scheme, n, m)
+        span = isimetrics._span_basis(basis)
+        assert span.o_matrix.dtype == np.float64
+        cplx, real = (with_prefix(b, g, PrefixKind.ZERO) for b in (basis, span))
+        assert isimetrics._gram_root(real, real).dtype == np.float64
+        want = isi_gram(cplx, cplx, mild.delays, 4, include_signal=True)
+        got = isi_gram(real, real, mild.delays, 4, include_signal=True)
+        for k_got, k_want in zip(got, want):
+            assert np.linalg.norm(k_got - k_want) <= 1e-12 * np.linalg.norm(k_want)
+        for channel in (mild, realize(mild, 3)):
+            np.testing.assert_allclose(
+                signal_isi_energies(real, real, channel, 4),
+                signal_isi_energies(cplx, cplx, channel, 4), rtol=1e-12, atol=0,
+            )
+            assert isi_energy(real, real, channel, 4) == pytest.approx(
+                isi_energy(cplx, cplx, channel, 4), rel=1e-12, abs=0
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        n=st.integers(5, 40),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_representative_keeps_the_span(self, scheme, n, data, seed):
+        m = data.draw(st.integers(1, n), label="m")
+        g = data.draw(st.integers(0, n - 1), label="g")
+        n_blocks = data.draw(st.integers(2, 4), label="blocks")
+        rng = np.random.default_rng(seed)
+        delays = np.sort(rng.uniform(0.0, n + g, size=rng.integers(1, 6)))
+        channel = exp_profile_spec(rng.uniform(0.05, 1.0), delays, float(delays[-1]))
+        basis = default_basis(scheme, n, m)
+        span = isimetrics._span_basis(basis)
+        o, rep = basis.o_matrix, span.o_matrix
+        proj = o @ o.conj().T
+        real_span = np.max(np.abs(proj.imag)) <= 1e-13
+        assert (rep.dtype == np.float64) == real_span
+        assert rep.shape == o.shape
+        assert np.max(np.abs(rep @ rep.conj().T - proj)) <= 1e-13
+        cplx, pref = (with_prefix(b, g, PrefixKind.ZERO) for b in (basis, span))
+        ((signal, isi, bound),) = isimetrics._group_energies([pref], channel, n_blocks, True)
+        want = isimetrics._group_energies([cplx], channel, n_blocks, True)[0]
+        if not real_span:
+            # an odd deficit N - M: the complex basis, the same bits
+            assert span is basis
+            assert (signal, isi, bound) == want
+            return
+        # energies as in test_span_energies_match_full_root_grams: round-off
+        # of about eps |C| |k| in each route's R k, so 2 |R k| times that in
+        # an energy; DPSS ISI energies near 1e-30 are all round-off
+        grams = isi_gram(cplx, cplx, delays, n_blocks, include_signal=True)
+        cmat = lag_matrix_reference(cplx.o_r, cplx.o_t)
+        b = n + g
+        isi_offsets = [d for d in range(1 - n_blocks, n_blocks) if d != 0]
+        for value, ref, gram, offsets in zip(
+            (signal, isi), want, grams[::-1], ([0], isi_offsets)
+        ):
+            kernels = [sinc_kernel_reference(b, d, delays) for d in offsets]
+            floor = (
+                32 * np.finfo(float).eps * np.sqrt(np.real(np.trace(gram)))
+                * np.linalg.norm(cmat) * np.linalg.norm(kernels)
+                * np.linalg.norm(channel.powers)
+            )
+            assert abs(value - ref) <= 1e-12 * abs(ref) + floor
+        # the bound within TestRootBound's budget
+        tensor = xcorr_tensor(basis)
+        floor = 64 * np.finfo(float).eps * np.sum(np.abs(tensor.values) ** 2)
+        assert abs(bound - want[2]) <= floor
+
+
+# pi and sinc in extended precision: np.pi is a double, off by 1.2e-16
+LONG_PI = 4 * np.arctan(np.longdouble(1))
+LONG_EPS = float(np.finfo(np.longdouble).eps)
+
+
+def long_sinc(x):
+    """sin(pi x) / (pi x) in longdouble, with exact zeros at nonzero integers."""
+    x = np.asarray(x, dtype=np.longdouble)
+    out = np.ones_like(x)
+    nonzero = x != 0
+    out[nonzero] = np.sin(LONG_PI * x[nonzero]) / (LONG_PI * x[nonzero])
+    out[(x == np.round(x)) & nonzero] = 0
+    return out
+
+
+def longdouble_span_reference(o, prefix_len, channel, n_blocks):
+    """Dense longdouble sums for the zero-prefixed span of the N x M ``o``.
+
+    Returns a dict: ``cmat``, the (M^2, 2N - 1) lag matrix
+    sum_n o_r*[n] o_s[n - q]; ``signal`` and ``isi``, the power-weighted
+    energies sum_p w_p ||C k_{p,d}||^2 at d = 0 and over 0 < |d| <
+    ``n_blocks``, with ``signal_kernels`` and ``isi_kernels`` the matching
+    sums sum_p w_p ||k_{p,d}||^2; and ``tail_total``, ``isi_bound``'s
+    half-shift total, each pair's tail beyond N_p - 1 taken as
+    ||C_rs||^2 minus its window, whose round-off floor is longdouble's.
+    """
+    o = np.asarray(o)
+    o = o.astype(np.clongdouble if np.iscomplexobj(o) else np.longdouble)
+    n, m = o.shape
+    lags = np.arange(1 - n, n)
+    cmat = np.empty((m * m, lags.size), dtype=o.dtype)
+    for q in lags:
+        if q >= 0:
+            c = o[q:].conj().T @ o[: n - q]
+        else:
+            c = o[: n + q].conj().T @ o[-q:]
+        cmat[:, q + n - 1] = c.ravel()
+    b = n + prefix_len
+    delays = np.asarray(channel.delays, dtype=np.longdouble)
+    powers = np.asarray(channel.powers, dtype=np.longdouble)
+    ref = dict.fromkeys(("signal", "isi", "signal_kernels", "isi_kernels"), 0)
+    for d in range(1 - n_blocks, n_blocks):
+        kernel = long_sinc(lags[:, None] + d * b - delays[None, :])
+        energy = powers @ np.sum(np.abs(cmat @ kernel) ** 2, axis=0)
+        norms = powers @ np.sum(kernel**2, axis=0)
+        key = "isi" if d else "signal"
+        ref[key] += energy
+        ref[key + "_kernels"] += norms
+    total = np.longdouble(0)
+    row_energy = np.sum(np.abs(cmat) ** 2, axis=1)
+    for n_p, weight in isimetrics._window_powers(channel, n, prefix_len).items():
+        pts = np.arange(1 - n_p, n_p)
+        y = cmat @ long_sinc(lags[:, None] - pts[None, :] - np.longdouble(0.5))
+        tails = row_energy - np.sum(np.abs(y) ** 2, axis=1)
+        total += np.longdouble(weight) * np.sum(tails)
+    ref.update(cmat=cmat, tail_total=total)
+    return ref
+
+
+def tail_total_budget(n_len, prefix_len, channel, cnorm2):
+    """float64 error budget of a power-weighted half-shift tail total over
+    lag sequences of total energy ``cnorm2`` on L = 2N - 1 lags.
+
+    With gamma_k = k eps / (1 - k eps), per window of radius R: ||c||^2 is
+    off by gamma_L ||c||^2; each sample y_n = sum_q c_q S[n, q], with the
+    kernel entries rounded once, by gamma_(L+2) (|S| |c|)_n, so the window
+    energy by 2 gamma_(L+2) |||S|||_2 ||c||^2 (|||S|||_2 the spectral norm
+    of the absolute kernel) and its sum by gamma_(2R+1) ||c||^2.  A lag
+    root's rows, not C's, add ``TestRootBound``'s 64 eps ||C||_F^2.
+    """
+    eps = np.finfo(float).eps
+    size = 2 * n_len - 1
+    lags = np.arange(1 - n_len, n_len)
+
+    def gamma(k):
+        return k * eps / (1 - k * eps)
+
+    budget = 0.0
+    for n_p, weight in isimetrics._window_powers(channel, n_len, prefix_len).items():
+        pts = np.arange(1 - n_p, n_p)
+        kernel = np.abs(isimetrics._sinc(lags[:, None] - pts[None, :] - 0.5))
+        per_energy = (
+            gamma(size) + 2 * gamma(size + 2) * np.linalg.norm(kernel, 2)
+            + gamma(2 * n_p - 1) + 64 * eps
+        )
+        budget += weight * per_energy
+    return budget * cnorm2
+
+
+@pytest.mark.skipif(
+    not LONG_EPS < 1e-18,
+    reason=f"numpy.longdouble has eps {LONG_EPS:.1e} here, too coarse for an "
+    "oracle of float64 round-off (needs < 1e-18, as x86-64's 80-bit type)",
+)
+class TestLongdoubleOracle:
+    """The DPSS span's lag matrix, energies and half-shift tail total
+    against dense longdouble sums, on both routes: the complex basis of
+    ``default_basis`` and its real representative.  DPSS bounds sit on
+    the Parseval round-off floor, so this is what tells how far from the
+    exact value each route's moved digits are."""
+
+    @pytest.mark.parametrize("tap_model,n,m", [
+        ("integer", 32, 24), ("mild", 32, 28), ("severe", 17, 11),
+    ])
+    def test_both_routes_within_float64_budgets(self, tap_model, n, m):
+        channel = precofdm.builtin_channel_spec(tap_model)
+        g, n_blocks = 16, 12
+        basis = default_basis(PrecodingScheme.DPSS, n, m)
+        ref = longdouble_span_reference(basis.o_matrix.real, g, channel, n_blocks)
+        cmat = ref["cmat"].astype(np.float64)
+        cnorm = float(np.linalg.norm(cmat))
+        eps = np.finfo(float).eps
+        routes = {"complex": basis, "real": isimetrics._span_basis(basis)}
+        assert routes["real"].o_matrix.dtype == np.float64
+        for route, span in routes.items():
+            o = span.o_matrix
+            # each lag is a dot product of two unit columns: |fl(C) - C| <=
+            # gamma_N sum |o_r| |o_s| <= gamma_N
+            got = isimetrics._cross_lag_matrix(o, o)
+            diff = np.max(np.abs(got - ref["cmat"]))
+            assert float(diff) <= n * eps / (1 - n * eps), route
+            pref = with_prefix(span, g, PrefixKind.ZERO)
+            ((signal, isi, bound),) = isimetrics._group_energies(
+                [pref], channel, n_blocks, True
+            )
+            # each energy w_p ||C k||^2 is off by 2 |C k| eps |C| |k| (the
+            # floor of test_span_energies_match_full_root_grams), so the
+            # weighted sum by Cauchy-Schwarz at most 32 eps |C| sqrt(E K)
+            for key, value in (("signal", signal), ("isi", isi)):
+                want = float(ref[key])
+                floor = 32 * eps * cnorm * math.sqrt(want * float(ref[key + "_kernels"]))
+                assert abs(value - want) <= 1e-12 * want + floor, (route, key)
+            budget = tail_total_budget(n, g, channel, cnorm**2)
+            assert abs(bound - float(ref["tail_total"])) <= budget, route
+
+
 class TestSquareSpanRoot:
     """At M = N the basis spans C^N, so C^H C = diag(N - |q|) over the 2N - 1
     lags and ``_group_energies`` takes R = diag(sqrt(N - |q|)) unfactored."""
