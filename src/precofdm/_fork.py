@@ -27,10 +27,10 @@ def _share_count(n_items: int) -> int:
     return max(1, min(n_items, cpus // blas_threads))
 
 
-def _send_results(func, items: list, sender) -> None:
-    """A forked child's body: sends ``(True, results)`` or ``(False, exc)``."""
+def _send_results(func, share: list, sender) -> None:
+    """A forked child's body: sends ``(True, func(share))`` or ``(False, exc)``."""
     try:
-        result = True, [func(x) for x in items]
+        result = True, func(share)
     except Exception as exc:  # raised again in the parent
         result = False, exc
     with sender:
@@ -38,23 +38,24 @@ def _send_results(func, items: list, sender) -> None:
 
 
 def fork_map(func, items) -> list:
-    """``[func(x) for x in items]``, the items dealt round-robin to processes.
+    """``func`` on round-robin shares of ``items``, results in item order.
 
     Share k holds items k, k + P, k + 2P, ... of P = ``_share_count``
-    shares.  Share 0 runs in this process and every other one in a forked
-    child, which sends its results back through a one-way pipe; an
-    exception in a child is raised here, and a child that ends without
-    sending is a ``RuntimeError`` naming its exit code.  Every child is
-    joined, also when this process's own share raises.  Fork rather than
-    spawn: a child starts with the modules and the caller's state it needs,
-    at no import cost, and nothing but the results is pickled.  Below two
-    shares the items run here in order and ``multiprocessing`` is never
-    imported.
+    shares; ``func`` takes a whole share as a list, so that it sets up once
+    what the share's items have in common, and returns one result per item.
+    Share 0 runs in this process and every other one in a forked child,
+    which sends its results back through a one-way pipe; an exception in a
+    child is raised here, and a child that ends without sending is a
+    ``RuntimeError`` naming its exit code.  Every child is joined, also when
+    this process's own share raises.  Fork rather than spawn: a child starts
+    with the modules and the caller's state it needs, at no import cost, and
+    nothing but the results is pickled.  Below two shares ``func`` takes all
+    items here; ``multiprocessing`` is never imported.
     """
     items = list(items)
     shares = _share_count(len(items))
     if shares < 2:
-        return [func(x) for x in items]
+        return func(items)
     import multiprocessing  # here, so that importing or a serial run pays nothing
 
     context = multiprocessing.get_context("fork")
@@ -68,7 +69,7 @@ def fork_map(func, items) -> list:
             child.start()
             sender.close()  # the child's copy is then the only write end
             children.append((child, receiver))
-        results.append((True, [func(x) for x in items[::shares]]))
+        results.append((True, func(items[::shares])))
     finally:
         for child, receiver in children:
             with receiver:

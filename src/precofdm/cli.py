@@ -31,9 +31,6 @@ from .dpss import DpssParams, compute_dpss
 from .errors import ParameterError
 from .isimetrics import (
     DEFAULT_BLOCK_WINDOW,
-    _group_energies,
-    _ratio_db,
-    _span_basis,
     ebct_all,
     ebct_bound_all,  # not called here, but perfbench's tracer wraps cli.ebct_bound_all
     half_shift_worst_case_scan,
@@ -43,9 +40,7 @@ from .isimetrics import (
     xcorr_tensor,
 )
 from .linksim import FrameConfig, run_ser
-from .waveform import (
-    PrecodingScheme, PrefixKind, _check_orthonormal, default_basis, with_prefix
-)
+from .waveform import PrecodingScheme, _check_orthonormal, default_basis
 
 _SCHEME_ALIASES = {
     "ofdm": PrecodingScheme.OFDM,
@@ -168,10 +163,10 @@ def cmd_ebct(v) -> None:
 
 def cmd_bound(v) -> None:
     channel, _ = v.channel
-    basis = _span_basis(default_basis(v.scheme, v.n, v.m))
-    pref = with_prefix(basis, v.prefix, PrefixKind.ZERO)
-    ((signal, empirical, total),) = _group_energies([pref], channel, v.blocks, True)
-    if total < empirical:
+    if not 1 <= v.m <= v.n:  # the sweep takes M as the utilization M / N
+        raise ParameterError(f"need 1 <= m <= n, got m={v.m}, n={v.n}")
+    (p,) = s2i_sweep([v.scheme], [v.m / v.n], channel, v.n, v.prefix, n_blocks=v.blocks)
+    if p.bound_energy < p.isi_energy:
         raise ParameterError("ISI bound fell below the empirical energy")
     write_csv(
         v.out,
@@ -181,8 +176,8 @@ def cmd_bound(v) -> None:
         ],
         [
             (
-                v.scheme.value, v.n, v.m, channel.name, v.prefix, total,
-                empirical, _ratio_db(signal, empirical), _ratio_db(signal, total),
+                v.scheme.value, v.n, v.m, p.tap_model, v.prefix, p.bound_energy,
+                p.isi_energy, p.s2i_db, p.s2i_lower_bound_db,
             )
         ],
     )

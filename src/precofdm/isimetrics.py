@@ -24,14 +24,14 @@ The chain implemented here:
 
 Channels are quasi-static: every operation takes one set of path gains.
 
-An S2I sweep deals its basis spans, largest first, into one group per
-process and runs the groups through ``_fork.fork_map``, in forked processes
-when the CPUs of the affinity set hold more than one BLAS thread pool.  A
-group takes each span's energies and its bound from one R (in closed form
-at M = N, a diagonal that scales the kernels' columns).  Every offset's
-kernels, for every R of the group, are windows of one table of the paths'
-sinc values sinc(k - tau_p) over the integers k, so each value is
-evaluated once per process.  A span whose projector O O^H is real (DPSS,
+An S2I sweep hands its basis spans, largest first, to ``_fork.fork_map``,
+which deals them round-robin into one share per process, in forked
+processes when the CPUs of the affinity set hold more than one BLAS thread
+pool.  A share takes each span's energies and its bound from one R (in
+closed form at M = N, a diagonal that scales the kernels' columns).  Every
+offset's kernels, for every R of the share, are windows of one table of
+the paths' sinc values sinc(k - tau_p) over the integers k, so each value
+is evaluated once per process.  A span whose projector O O^H is real (DPSS,
 and OFDM/DFT subcarrier sets symmetric about 0) runs on a real basis of
 it (``_span_basis``): its lag matrix, R and offset products are float64,
 and the dtype flows through the same functions as the complex one.
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from ._fork import _share_count, fork_map
+from ._fork import fork_map
 from .channel import ChannelOperator, ChannelRealization, ChannelSpec
 from .errors import ParameterError, check_whole
 from .waveform import (
@@ -122,11 +122,16 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class S2iPoint:
+    """A sweep row, with its span's signal, ISI and bound (or None) energies."""
+
     scheme: str
     eta: float
     tap_model: str
     s2i_db: float
     s2i_lower_bound_db: float | None = None
+    signal_energy: float | None = None
+    isi_energy: float | None = None
+    bound_energy: float | None = None
 
 
 def _cross_lag_matrix(
@@ -568,12 +573,12 @@ def _group_energies(
     is diag(sqrt(N - |q|)), unfactored: the callers' ``default_basis`` checks
     O orthonormal to 1e-10, while ``_gram_root`` serves any bases.  The
     offsets then scale the kernels by that diagonal, and the tail total
-    reads it as a matrix.
+    takes its rows from the real diagonal matrix.
 
     Every root is factored, and its tail total taken, before the offset
     loop, so the sinc tables of ``_offset_kernels`` never coexist with a
     half lag matrix.  The loop then reads each offset's kernels once for
-    every root of the group, and adds each root's ISI energies in offset
+    every root of ``prefs``, and adds each root's ISI energies in offset
     order.
     """
     _check_blocks(n_blocks)
@@ -586,7 +591,7 @@ def _group_energies(
                 else _gram_root(pref, pref))
         roots.append(root)
         bounds.append(
-            _tail_total(np.diag(root + 0j) if square else root, windows)
+            _tail_total(np.diag(root) if square else root, windows)
             if include_bound else None
         )
     delays = np.asarray(channel.delays, dtype=float)
@@ -636,19 +641,19 @@ def s2i_sweep(
     but DPSS with M < N, and shared by the rows that have it.
 
     The bases are built here.  The spans go largest first (M < N by
-    descending M, then M = N) and are dealt round-robin into one group per
-    process (``_fork._share_count``), so the groups balance; each group is
-    one item for ``fork_map``, which may run them in forked processes.  A
-    group factors each span's lag root R once, on the basis' own 2N - 1
-    lags, and takes the per-path energies and the bound from it: the
-    bound's tail total over the M^2 pair rows of C equals the one over the
-    at most 2N - 1 rows of R (sum_rs tail(C_rs) = sum_i tail(R_i), as
-    R^H R = C^H C), so no sweep builds the correlation tensor or a path
-    Gram; at M = N, R is in closed form.  Every span shares B, the lags and
-    the delays, so one table of sinc values serves all the group's roots
-    (``_group_energies``).  A span with a real projector is computed on
-    its real basis (``_span_basis``), in float64.  Every check a group
-    would raise runs here first, so a bad argument never starts a process.
+    descending M, then M = N) to ``fork_map``, which deals them round-robin
+    into one share per process, so the shares balance, and may run them in
+    forked processes.  A share factors each span's lag root R once, on the
+    basis' own 2N - 1 lags, and takes the per-path energies and the bound
+    from it: the bound's tail total over the M^2 pair rows of C equals the
+    one over the at most 2N - 1 rows of R (sum_rs tail(C_rs) =
+    sum_i tail(R_i), as R^H R = C^H C), so no sweep builds the correlation
+    tensor or a path Gram; at M = N, R is in closed form.  Every span shares
+    B, the lags and the delays, so one table of sinc values serves all the
+    share's roots (``_group_energies``).  A span with a real projector is
+    computed on its real basis (``_span_basis``), in float64.  Every check
+    a share would raise runs here first, so a bad argument never starts a
+    process.
     """
     spans: dict = {}  # (DPSS with M < N, M) -> zero-prefixed basis
     rows = []  # (scheme, M, span) per row
@@ -662,27 +667,26 @@ def s2i_sweep(
                 basis = _span_basis(default_basis(span, n_len, m))
                 spans[key] = with_prefix(basis, prefix_len, PrefixKind.ZERO)
             rows.append((scheme, m, key))
+    if not rows:
+        raise ParameterError("an S2I sweep needs at least one scheme and one eta")
     _check_blocks(n_blocks)
     if include_bound:
         _window_powers(channel, n_len, prefix_len)
 
     keys = sorted(spans, key=lambda key: (key[1] == n_len, -key[1]))
-    shares = _share_count(len(keys))
-    results = fork_map(
-        lambda group: _group_energies(group, channel, n_blocks, include_bound),
-        [[spans[key] for key in keys[k::shares]] for k in range(shares)],
-    )
-    energies = {
-        key: values
-        for k, group in enumerate(results)
-        for key, values in zip(keys[k::shares], group)
-    }
+    energies = dict(zip(keys, fork_map(
+        lambda share: _group_energies(
+            [spans[key] for key in share], channel, n_blocks, include_bound
+        ),
+        keys,
+    ), strict=True))
     points = []
     for scheme, m, key in rows:
         signal, isi, bound = energies[key]
         lower = None if bound is None else _ratio_db(signal, bound)
         points.append(S2iPoint(
-            scheme.value, m / n_len, channel.name, _ratio_db(signal, isi), lower
+            scheme.value, m / n_len, channel.name, _ratio_db(signal, isi), lower,
+            signal, isi, bound,
         ))
     return points
 

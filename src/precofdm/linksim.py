@@ -529,10 +529,10 @@ def run_ser(
     # the run, with its path stack, is built here, before the blocks fork,
     # so that every process reads this one
     run = _SerRun(cfg, channel_spec, cfg.make_basis(), snr_grid_db)
-    end = base_seed + n_trials
+    seeds = range(base_seed, base_seed + n_trials)
     errors, symbols = np.concatenate(fork_map(
-        lambda first: _run_block(run, range(first, min(first + _BLOCK_SEEDS, end))),
-        range(base_seed, end, _BLOCK_SEEDS),
+        lambda share: [_run_block(run, seeds[i : i + _BLOCK_SEEDS]) for i in share],
+        range(0, n_trials, _BLOCK_SEEDS),
     )).sum(axis=0)
     return [
         SerPoint(

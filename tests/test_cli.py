@@ -9,11 +9,11 @@ import multiprocessing
 import pytest
 
 from precofdm import cli, isimetrics, linksim, waveform
-from precofdm.channel import load_channel_profile
+from precofdm.channel import builtin_channel_spec, load_channel_profile
 from precofdm.cli import build_parser, main
 from precofdm.configio import parse_value
 from precofdm.errors import ParameterError
-from precofdm.isimetrics import S2iPoint
+from precofdm.isimetrics import S2iPoint, s2i_sweep
 
 
 def run(args):
@@ -146,6 +146,33 @@ class TestS2iCommand:
             (s2i_row,) = csv.DictReader(fh)
         assert bound_row["s2i_lower_bound_db"] == s2i_row["s2i_lower_bound_db"]
         assert bound_row["s2i_db"] == s2i_row["s2i_db"]
+
+
+    @pytest.mark.parametrize("scheme,n,m,channel", [
+        ("ofdm", 24, 21, "mild"),
+        ("dft", 32, 29, "severe"),  # an odd deficit: the OFDM span's values
+        ("dft", 24, 22, "integer"),
+        ("dpss", 24, 21, "mild"),
+        ("dpss", 17, 17, "severe"),  # M = N: the closed-form root
+    ])
+    def test_bound_prints_its_sweep_point(self, tmp_path, scheme, n, m, channel):
+        # bound is the one-span s2i_sweep: its CSV holds that point's values
+        out = tmp_path / "bound.csv"
+        assert run([
+            "bound", "--scheme", scheme, "--n", n, "--m", m, "--channel", channel,
+            "--blocks", 4, "--out", out,
+        ]) == 0
+        with open(out, encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        (point,) = s2i_sweep(
+            [scheme], [m / n], builtin_channel_spec(channel), n,
+            int(row["prefix_len"]), n_blocks=4,
+        )
+        columns = ["total_bound", "empirical_isi", "s2i_db", "s2i_lower_bound_db"]
+        values = [
+            point.bound_energy, point.isi_energy, point.s2i_db, point.s2i_lower_bound_db
+        ]
+        assert [row[c] for c in columns] == [cli._fmt(v) for v in values]
 
 
 class TestProcesses:
@@ -516,16 +543,25 @@ class TestVerify:
         assert not out.exists()
 
     def test_bound_below_empirical_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        per_group = cli._group_energies
+        sweep = cli.s2i_sweep
 
-        def no_bound(*args):
-            return [(signal, isi, 0.0) for signal, isi, _ in per_group(*args)]
+        def no_bound(*args, **kwargs):
+            return [
+                dataclasses.replace(p, bound_energy=0.0) for p in sweep(*args, **kwargs)
+            ]
 
-        monkeypatch.setattr(cli, "_group_energies", no_bound)
+        monkeypatch.setattr(cli, "s2i_sweep", no_bound)
         self.assert_rejected(
             tmp_path, capsys, ["bound", "--n", 24, "--blocks", 3],
             "ISI bound fell below the empirical energy",
         )
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", 24, "--m", 0], ["--n", 24, "--m", 25], ["--n", 0],
+    ])
+    def test_bound_m_outside_1_to_n_writes_nothing(self, tmp_path, capsys, flags):
+        # bound passes M / N to the sweep, so N = 0 must not reach it
+        self.assert_rejected(tmp_path, capsys, ["bound", *flags], "need 1 <= m <= n")
 
     def test_half_shift_bound_below_isi_writes_nothing(self, tmp_path, capsys):
         # One path at fraction 0.58: the half-shift tail total is not an upper
@@ -846,7 +882,7 @@ class TestCommandTable:
     CALLS = [
         ("default_basis", ["basis", "--n", 5]),
         ("xcorr_tensor", ["xcorr", "--n", 5]),
-        ("_group_energies", ["bound", "--n", 24, "--blocks", 3]),
+        ("s2i_sweep", ["bound", "--n", 24, "--blocks", 3]),
         ("s2i_sweep", ["s2i", "--n", 17, "--etas", "[1.0]", "--blocks", 3]),
         ("ebct_all", ["ebct", "--n", 5]),
         ("half_shift_worst_case_scan", ["scan-halfshift", "--n", 3, "--taus", "[0.5]"]),

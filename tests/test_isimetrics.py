@@ -1,8 +1,10 @@
 """Tests for correlation tensors, tail energies, ISI energies and bounds."""
 
+import ast
 import dataclasses
 import math
 import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -864,7 +866,7 @@ class TestS2iSweep:
     def test_shared_spans_match_direct_evaluation(self, n, m, monkeypatch, pin_cpus):
         # rows that share a span reuse one computation; each must equal the
         # value computed directly on its own basis.  One process, so that
-        # every call is counted here, and one group that holds every span.
+        # every call is counted here, and one share that holds every span.
         pin_cpus(1)
         mild = mild_channel_spec()
         calls = []
@@ -941,6 +943,12 @@ class TestS2iSweep:
         with pytest.raises(ParameterError):
             s2i_sweep(SCHEMES, [1.0, 15 / 17], channel, 17, 4, n_blocks=n_blocks)
 
+    @pytest.mark.parametrize("schemes,etas", [([], [1.0]), (["ofdm"], [])])
+    def test_empty_sweep_raises_before_any_fork(self, pin_cpus, no_fork, schemes, etas):
+        pin_cpus(4, OMP_NUM_THREADS="1")
+        with pytest.raises(ParameterError, match="at least one scheme and one eta"):
+            s2i_sweep(schemes, etas, mild_channel_spec(), 17, 4, n_blocks=3)
+
     def test_one_task_sweep_never_forks(self, pin_cpus, no_fork):
         pin_cpus(4, OMP_NUM_THREADS="1")
         # one span (every scheme spans C^N at M = N): one task, with or
@@ -956,37 +964,54 @@ class TestS2iSweep:
             s2i_sweep(SCHEMES, [1.0, 15 / 17], mild_channel_spec(), 17, 16, n_blocks=3)
 
     @pytest.mark.parametrize("include_bound", [False, True])
-    def test_one_fork_map_item_per_group(self, monkeypatch, pin_cpus, include_bound):
-        seen = []
+    def test_spans_dealt_into_shares(
+        self, monkeypatch, pin_cpus, tmp_path, include_bound
+    ):
+        # spans: OFDM at M = 17, 15 and 13, DPSS at 15 and 13, handed to one
+        # fork_map call largest first, so that round-robin shares balance:
+        # the M < N spans by descending M, then the closed-form M = N span.
+        # Each process takes its whole share in one _group_energies call and
+        # logs the call's spans with its pid.
+        items, log = [], tmp_path / "shares.txt"
+        fork_map, per_share = isimetrics.fork_map, isimetrics._group_energies
 
-        def serial(func, items):
-            items = list(items)
-            seen.append([[(p.base.scheme, p.base.m_active) for p in g] for g in items])
-            return [func(x) for x in items]
+        def counted(func, keys):
+            items.append(len(keys))
+            return fork_map(func, keys)
 
-        monkeypatch.setattr(isimetrics, "fork_map", serial)
-        # spans: OFDM at M = 17, 15 and 13, DPSS at 15 and 13, dealt largest
-        # first, so that round-robin groups balance: the M < N spans by
-        # descending M, then the closed-form M = N span; one group per process
-        ofdm, dpss = PrecodingScheme.OFDM, PrecodingScheme.DPSS
-        dealt = [(ofdm, 15), (dpss, 15), (ofdm, 13), (dpss, 13), (ofdm, 17)]
-        groups = {
+        def logged(prefs, *args):
+            spans = [(p.base.scheme.value, p.base.m_active) for p in prefs]
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(repr((os.getpid(), spans)) + "\n")
+            return per_share(prefs, *args)
+
+        monkeypatch.setattr(isimetrics, "fork_map", counted)
+        monkeypatch.setattr(isimetrics, "_group_energies", logged)
+        dealt = [("ofdm", 15), ("dpss", 15), ("ofdm", 13), ("dpss", 13), ("ofdm", 17)]
+        shares = {
             1: [dealt],
-            2: [[(ofdm, 15), (ofdm, 13), (ofdm, 17)], [(dpss, 15), (dpss, 13)]],
+            2: [dealt[0::2], dealt[1::2]],
             8: [[span] for span in dealt],
         }
-        for cpus, want in groups.items():
+        for cpus, want in shares.items():
             pin_cpus(cpus, OMP_NUM_THREADS="1")
-            seen.clear()
+            items.clear()
+            log.unlink(missing_ok=True)
             rows = s2i_sweep(
                 SCHEMES, [1.0, 15 / 17, 13 / 17], mild_channel_spec(), 17, 16,
                 n_blocks=3, include_bound=include_bound,
             )
-            assert seen == [want]
+            calls = [ast.literal_eval(line) for line in log.read_text().splitlines()]
+            assert items == [len(dealt)]
+            # one call per share, each in its own process; share 0 runs here
+            assert sorted(spans for _, spans in calls) == sorted(want)
+            assert len({pid for pid, _ in calls}) == len(want)
+            assert (os.getpid(), want[0]) in calls
             assert len(rows) == 9
             assert all(
                 (r.s2i_lower_bound_db is not None) == include_bound for r in rows
             )
+            assert multiprocessing.active_children() == []
 
     def test_no_correlation_tensor_on_sweep_path(self, monkeypatch):
         def refuse(basis):
@@ -1461,44 +1486,46 @@ class TestSincTable:
             )
             assert tail_calls == [1] * (3 * include_bound)
 
-    def test_tables_built_after_the_group_roots(self, monkeypatch, pin_cpus):
-        # so that a table never coexists with a half lag matrix: two groups,
-        # each run here in turn, and each group's first kernel value comes
-        # after its last root
-        events = []
-        per_group, gram_root, sinc = (
+    def test_tables_built_after_the_group_roots(self, monkeypatch, pin_cpus, tmp_path):
+        # so that a table never coexists with a half lag matrix: two shares,
+        # one per process, and each share's first kernel value comes after
+        # its last root; each process logs its share's events as one line
+        events, log = [], tmp_path / "events.txt"
+        per_share, gram_root, sinc = (
             isimetrics._group_energies, isimetrics._gram_root, isimetrics._sinc
         )
 
-        def group(prefs, *args):
-            events.append([])
-            return per_group(prefs, *args)
+        def share(prefs, *args):
+            events.clear()
+            values = per_share(prefs, *args)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(" ".join(events) + "\n")
+            return values
 
         def root(*args):
             value = gram_root(*args)
-            events[-1].append("root")
+            events.append("root")
             return value
 
         def counted_sinc(x):
-            events[-1].append("sinc")
+            events.append("sinc")
             return sinc(x)
 
-        monkeypatch.setattr(
-            isimetrics, "fork_map", lambda func, items: [func(x) for x in items]
-        )
-        monkeypatch.setattr(isimetrics, "_group_energies", group)
+        monkeypatch.setattr(isimetrics, "_group_energies", share)
         monkeypatch.setattr(isimetrics, "_gram_root", root)
         monkeypatch.setattr(isimetrics, "_sinc", counted_sinc)
         pin_cpus(2, OMP_NUM_THREADS="1")
-        # groups: OFDM at M = 15, 13 and 17 (closed form, no QR); DPSS at 15, 13
+        # shares: OFDM at M = 15, 13 and 17 (closed form, no QR); DPSS at 15, 13
         s2i_sweep(
             SCHEMES, [1.0, 15 / 17, 13 / 17], mild_channel_spec(), 17, 16,
             n_blocks=3, include_bound=False,
         )
-        assert len(events) == 2
-        for seen in events:
+        shares = [line.split() for line in log.read_text().splitlines()]
+        assert len(shares) == 2
+        for seen in shares:
             assert seen[:2] == ["root", "root"]
             assert seen[2:] and set(seen[2:]) == {"sinc"}
+        assert multiprocessing.active_children() == []
 
 
 class TestHalfShiftScan:

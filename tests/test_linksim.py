@@ -869,7 +869,8 @@ class TestRunsIndependent:
 
 
 class TestTrialSplit:
-    """``_fork.fork_map`` and ``run_ser``'s seeds dealt over it."""
+    """``_fork.fork_map``, which hands each process its whole share, and
+    ``run_ser``'s seed blocks dealt over it."""
 
     SNRS = [15.0, 25.0, 35.0]
 
@@ -882,6 +883,10 @@ class TestTrialSplit:
         )
         return cfg, spec, cfg.make_basis()
 
+    @staticmethod
+    def zeros(share):
+        return [np.zeros((2, 1), dtype=int) for _ in share]
+
     @pytest.mark.parametrize("shares", [1, 2, 3])
     def test_shares_sum_to_serial_counts(self, pin_cpus, shares):
         pin_cpus(shares, OMP_NUM_THREADS="1")
@@ -889,38 +894,41 @@ class TestTrialSplit:
         seeds = range(5, 12)  # 7 trials: shares of unequal length
         ran_here = []
 
-        def count(seed):
-            ran_here.append(seed)
-            return np.array(run_trial(cfg, spec, basis, self.SNRS, seed))
+        def count(share):
+            ran_here.append(share)
+            return [
+                np.array(run_trial(cfg, spec, basis, self.SNRS, seed)) for seed in share
+            ]
 
         trials = [run_trial(cfg, spec, basis, self.SNRS, seed) for seed in seeds]
         serial = np.array([sum(e for e, _ in trials), sum(s for _, s in trials)])
         got = sum(_fork.fork_map(count, seeds))
         assert got.dtype.kind == "i"
         assert np.array_equal(got, serial)
-        # this process ran the first share alone; children ran the others
-        assert ran_here == list(seeds[::shares])
+        # this process ran the first share alone, in one call that took it
+        # as a list; children ran the others
+        assert ran_here == [list(seeds[::shares])]
         assert multiprocessing.active_children() == []
 
     def test_child_error_raised_in_parent(self, pin_cpus):
         pin_cpus(3, OMP_NUM_THREADS="1")
 
-        def count(seed):  # share k holds seeds k and k + 3
-            if seed % 3 == 2:
-                raise ParameterError(f"bad share from seed {seed}")
-            return np.zeros((2, 1), dtype=int)
+        def count(share):  # share k holds seeds k and k + 3
+            if 2 in share:
+                raise ParameterError(f"bad share {share}")
+            return self.zeros(share)
 
-        with pytest.raises(ParameterError, match="bad share from seed 2"):
+        with pytest.raises(ParameterError, match=r"bad share \[2, 5\]"):
             _fork.fork_map(count, range(6))
         assert multiprocessing.active_children() == []
 
     def test_child_ended_without_counts_is_error(self, pin_cpus):
         pin_cpus(2, OMP_NUM_THREADS="1")
 
-        def count(seed):
-            if seed % 2:
+        def count(share):
+            if share[0] % 2:
                 os._exit(3)
-            return np.zeros((2, 1), dtype=int)
+            return self.zeros(share)
 
         with pytest.raises(RuntimeError, match="exited with code 3"):
             _fork.fork_map(count, range(4))
@@ -929,10 +937,10 @@ class TestTrialSplit:
     def test_children_joined_when_own_share_raises(self, pin_cpus):
         pin_cpus(3, OMP_NUM_THREADS="1")
 
-        def count(seed):
-            if seed == 0:
+        def count(share):
+            if 0 in share:
                 raise ParameterError("own share")
-            return np.zeros((2, 1), dtype=int)
+            return self.zeros(share)
 
         with pytest.raises(ParameterError, match="own share"):
             _fork.fork_map(count, range(6))
@@ -940,10 +948,16 @@ class TestTrialSplit:
 
     def test_round_robin_results_in_item_order(self, pin_cpus):
         pin_cpus(3, OMP_NUM_THREADS="1")
-        got = _fork.fork_map(lambda x: (x, os.getpid()), range(7))
-        assert [x for x, _ in got] == list(range(7))
-        pids = [pid for _, pid in got]
-        # share k holds items k, k + 3, ...; share 0 runs in this process
+        got = _fork.fork_map(
+            lambda share: [(x, os.getpid(), share) for x in share], range(7)
+        )
+        assert [x for x, _, _ in got] == list(range(7))
+        # share k holds items k, k + 3, ..., and one call takes all of it
+        assert [share for _, _, share in got] == [
+            list(range(7))[x % 3 :: 3] for x in range(7)
+        ]
+        pids = [pid for _, pid, _ in got]
+        # share 0 runs in this process
         assert pids[0::3] == [os.getpid()] * 3
         assert len({*pids[1::3], *pids[2::3]} - {os.getpid()}) == 2
         assert pids[1] == pids[4] and pids[2] == pids[5]
