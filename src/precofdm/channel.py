@@ -119,6 +119,17 @@ class ChannelRealization:
         return self.block_len * self.n_blocks
 
 
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """sin(pi x) / (pi x) with exact zeros at nonzero integer arguments (where
+    np.sinc leaves about 1e-17): the channel's and the S2I's delay kernel."""
+    x = np.asarray(x, dtype=float)
+    out = np.sinc(x)
+    exact = (x == np.round(x)) & (x != 0)
+    if np.any(exact):
+        out = np.where(exact, 0.0, out)
+    return out
+
+
 def _path_kernels(spec: ChannelSpec, stream_len: int, half_len: int | None):
     """Per-path sinc kernels on the FIR's lag grid: (first lag, rows).
 
@@ -139,7 +150,7 @@ def _path_kernels(spec: ChannelSpec, stream_len: int, half_len: int | None):
     hi = np.where(whole, floor, centre + reach).astype(np.int64)
     lags = np.arange(lo.min(), hi.max() + 1)
     inside = (lags >= lo[:, None]) & (lags <= hi[:, None])
-    kernels = np.where(inside, np.sinc(lags - delays[:, None]), 0.0)
+    kernels = np.where(inside, _sinc(lags - delays[:, None]), 0.0)
     kernels.flags.writeable = False
     return int(lags[0]), kernels
 

@@ -40,23 +40,13 @@ from .isimetrics import (
     xcorr_tensor,
 )
 from .linksim import FrameConfig, run_ser
-from .waveform import PrecodingScheme, _check_orthonormal, default_basis
-
-_SCHEME_ALIASES = {
-    "ofdm": PrecodingScheme.OFDM,
-    "dft": PrecodingScheme.DFT,
-    "scfdma": PrecodingScheme.DFT,
-    "dpss": PrecodingScheme.DPSS,
-}
+from .waveform import PrecodingScheme, _check_orthonormal, _member, default_basis
 
 
 def _scheme(name) -> PrecodingScheme:
-    try:
-        return _SCHEME_ALIASES[str(name).strip().lower()]
-    except KeyError:
-        raise ParameterError(
-            f"unknown scheme {name!r}; use ofdm, dft/scfdma, or dpss"
-        ) from None
+    """A scheme's name in any case; scfdma names DFT precoding."""
+    name = str(name).strip().lower()
+    return _member(PrecodingScheme, "dft" if name == "scfdma" else name)
 
 
 def _fmt(value) -> str:

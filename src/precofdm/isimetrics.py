@@ -29,11 +29,11 @@ which deals them round-robin into one share per process, in forked
 processes when the CPUs of the affinity set hold more than one BLAS thread
 pool.  A share takes each span's energies and its bound from one R (in
 closed form at M = N, a diagonal that scales the kernels' columns).  Every
-offset's kernels, for every R of the share, are windows of one table of
-the paths' sinc values sinc(k - tau_p) over the integers k, so each value
-is evaluated once per process.  A span whose projector O O^H is real (DPSS,
-and OFDM/DFT subcarrier sets symmetric about 0) runs on a real basis of
-it (``_span_basis``): its lag matrix, R and offset products are float64,
+offset's kernels, for every R of the share, are one rolling window of the
+channel's sinc(k - tau_p) over the integers k, so each value is evaluated
+once per process.  A span whose projector O O^H is real (DPSS, and
+OFDM/DFT subcarrier sets symmetric about 0) runs on a real basis of it
+(``_span_basis``): its lag matrix, R and offset products are float64,
 and the dtype flows through the same functions as the complex one.
 """
 from __future__ import annotations
@@ -45,13 +45,14 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ._fork import fork_map
-from .channel import ChannelOperator, ChannelRealization, ChannelSpec
+from .channel import ChannelOperator, ChannelRealization, ChannelSpec, _sinc
 from .errors import ParameterError, check_whole
 from .waveform import (
     PrecodingScheme,
     PrefixKind,
     PrefixedBasis,
     WaveformBasis,
+    _member,
     active_count,
     default_basis,
     retained_frequencies,
@@ -77,20 +78,6 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK_WINDOW = 12
-# Block offsets per sinc table: the whole default window, |d| < 12.
-_TABLE_OFFSETS = 2 * DEFAULT_BLOCK_WINDOW - 1
-# Columns per np.sinc call while a table fills.
-_TABLE_SLICE = 128
-
-
-def _sinc(x: np.ndarray) -> np.ndarray:
-    """sin(pi x) / (pi x) with exact zeros at nonzero integer arguments."""
-    x = np.asarray(x, dtype=float)
-    out = np.sinc(x)
-    exact = (x == np.round(x)) & (x != 0)
-    if np.any(exact):
-        out = np.where(exact, 0.0, out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -110,7 +97,7 @@ class CrossCorrTensor:
 
     def lag(self, r: int, s: int, q: int) -> complex:
         _check_index(r, s, q, self.n_len, self.m)
-        return self.values[r, s, q + self.n_len - 1]
+        return self.values[r, s, int(q) + self.n_len - 1]
 
 
 @dataclass(frozen=True)
@@ -179,10 +166,16 @@ def _dirichlet_ratio(delta: np.ndarray, count: np.ndarray, n_len: int) -> np.nda
 
 
 def _check_index(r, s, q, n_len: int, m_active: int) -> None:
-    """ParameterError unless |q| <= N-1 and 0 <= r, s < M; r and s may be
-    integer arrays.  numpy would wrap a negative index round silently."""
-    if abs(q) > n_len - 1:
+    """ParameterError unless r, s, q, N and M are whole, |q| <= N-1 and
+    0 <= r, s < M; r and s may be integer arrays.  numpy would wrap a
+    negative index round silently."""
+    check_whole("n_len", n_len, 1)
+    check_whole("m_active", m_active, 1)
+    check_whole("q", q, -math.inf)
+    if abs(int(q)) > n_len - 1:
         raise ParameterError(f"|q| must be <= N-1, got q={q}")
+    if not all(np.asarray(i).dtype.kind in "iu" for i in (r, s)):
+        raise ParameterError(f"component indices must be whole, got {r!r}, {s!r}")
     if np.any((r < 0) | (r >= m_active) | (s < 0) | (s >= m_active)):
         raise ParameterError("component indices out of range")
 
@@ -191,6 +184,7 @@ def _mirror(r: int, s: int, q: int, n_len: int, m_active: int) -> tuple:
     """Checked closed-form indices with q >= 0, and whether they were mirrored:
     C_rs[q] = conj(C_sr[-q])."""
     _check_index(r, s, q, n_len, m_active)
+    r, s, q = int(r), int(s), int(q)  # a fixed-width s - r or -q could wrap
     return (s, r, -q, True) if q < 0 else (r, s, q, False)
 
 
@@ -370,47 +364,33 @@ def _gram_root(tx: PrefixedBasis, rx: PrefixedBasis) -> np.ndarray:
     return _lag_root(_cross_lag_matrix(rx.o_r, tx.o_t, order="F"))
 
 
-def _offset_kernels(width: int, block_len: int, delays: np.ndarray, offsets):
-    """Yield (d, k_d) per block offset d of the ascending sequence
-    ``offsets``: the paths' sinc kernels k_d[p, i] = sinc(i - W//2 + d B -
-    tau_p) on the W = ``width`` lags centred on 0, W odd.
-
-    The argument is float(k) - tau_p for the integer k = i - W//2 + d B, so
-    one table T[p, k] = sinc(k - tau_p) holds the kernels of every offset
-    and every lag root of that width, each value evaluated once, and k_d is
-    the window of W columns starting at d B - W//2.  A table covers a run of
-    at most ``_TABLE_OFFSETS`` offsets, so its size does not grow with the
-    offset window, and it fills in slices of ``_TABLE_SLICE`` columns, so
-    that ``np.sinc``'s temporaries stay one slice wide.
-    """
-    half = width // 2
-    for i in range(0, len(offsets), _TABLE_OFFSETS):
-        run = offsets[i : i + _TABLE_OFFSETS]
-        first = run[0] * block_len - half
-        table = np.empty((delays.size, (run[-1] - run[0]) * block_len + width))
-        for start in range(0, table.shape[1], _TABLE_SLICE):
-            k = first + np.arange(start, min(start + _TABLE_SLICE, table.shape[1]))
-            table[:, start : start + k.size] = _sinc(k[None, :] - delays[:, None])
-        for d in run:
-            start = (d - run[0]) * block_len
-            yield d, table[:, start : start + width]
-
-
 def _offset_products(roots, block_len: int, delays: np.ndarray, offsets):
-    """Yield (d, [U per root]) per block offset d: U is (R k_d)^T for the
-    paths' sinc kernels k_d on R's W lags, read once per offset for every
-    root (``_offset_kernels``; the roots share W).  The kernels are real,
-    so U is one real GEMM: a complex R gives the real (paths, 2W) product
-    with the float view of R^T, whose complex view is (R k_d)^T, and a real
-    R gives the real (paths, W) product with R^T itself.  A real 1-D root
-    is the diagonal of R: it scales the kernels' columns, the same bits as
-    the GEMM on the complex diagonal matrix, with zero imaginary slots."""
+    """Yield (d, [U per root]) per block offset d of the ascending sequence
+    ``offsets``: U is (R k_d)^T for the paths' sinc kernels k_d on R's W lags
+    moved by d blocks (the roots share W).  k_d is one rolling window, read
+    once per offset for every root: it keeps the W - B lags it shares with
+    the previous offset's and evaluates only the new ones, so each
+    sinc(k - tau_p) is evaluated once.  The kernels are real, so U is one
+    real GEMM: a complex R gives the real (paths, 2W) product with the float
+    view of R^T, whose complex view is (R k_d)^T, and a real R gives the
+    real (paths, W) product with R^T itself.  A real 1-D root is the
+    diagonal of R: it scales the kernels' columns, the same bits as the GEMM
+    on the complex diagonal matrix, with zero imaginary slots."""
     width = roots[0].shape[-1]
     mats = [
         root if root.ndim == 1 else np.ascontiguousarray(root.T).view(np.float64)
         for root in roots
     ]
-    for d, kernel in _offset_kernels(width, block_len, delays, offsets):
+    kernel = np.empty((delays.size, width))
+    end = None  # one past the window's last lag
+    for d in offsets:
+        first = d * block_len - width // 2
+        # W < 2B, so the shared columns and their new places never overlap
+        keep = 0 if end is None else max(0, end - first)
+        kernel[:, :keep] = kernel[:, width - keep :]
+        k = np.arange(first + keep, first + width)
+        kernel[:, keep:] = _sinc(k[None, :] - delays[:, None])
+        end = first + width
         yield d, [
             (kernel * m).astype(np.complex128).view(np.float64) if m.ndim == 1
             else kernel @ m
@@ -534,17 +514,18 @@ def _span_basis(basis: WaveformBasis) -> WaveformBasis:
 
     DPSS: the real part, exact as ``default_basis`` stores DPSS with zero
     imaginary parts.  OFDM or DFT whose retained subcarriers are symmetric
-    about 0 (f = -f reversed): the OFDM f = 0 column when N is odd, then
-    sqrt(2) Re and sqrt(2) Im of the f > 0 columns, which span each pair
-    e_f, e_-f = conj(e_f).  Any other set (an odd deficit N - M) has a
-    complex P: ``basis`` itself.
+    about 0 (f = -f reversed): of the OFDM columns (built for a DFT basis),
+    the f = 0 column when N is odd, then sqrt(2) Re and sqrt(2) Im of the
+    f > 0 columns, which span each pair e_f, e_-f = conj(e_f).  Any other
+    set (an odd deficit N - M) has a complex P: ``basis`` itself.
     """
     o, n, m = basis.o_matrix, basis.n_len, basis.m_active
     if basis.scheme is not PrecodingScheme.DPSS:
         f = retained_frequencies(n, m)
         if not np.array_equal(f, -f[::-1]):
             return basis
-        o = default_basis(PrecodingScheme.OFDM, n, m).o_matrix
+        if basis.scheme is PrecodingScheme.DFT:
+            o = default_basis(PrecodingScheme.OFDM, n, m).o_matrix
         pos = math.sqrt(2.0) * o[:, f > 0]
         o = np.hstack([o[:, f == 0].real, pos.real, pos.imag])
     return WaveformBasis(n, m, basis.scheme, np.ascontiguousarray(o.real))
@@ -576,9 +557,9 @@ def _group_energies(
     takes its rows from the real diagonal matrix.
 
     Every root is factored, and its tail total taken, before the offset
-    loop, so the sinc tables of ``_offset_kernels`` never coexist with a
-    half lag matrix.  The loop then reads each offset's kernels once for
-    every root of ``prefs``, and adds each root's ISI energies in offset
+    loop, so the kernel window of ``_offset_products`` never coexists
+    with a half lag matrix.  The loop then reads each offset's kernels once
+    for every root of ``prefs``, and adds each root's ISI energies in offset
     order.
     """
     _check_blocks(n_blocks)
@@ -649,16 +630,16 @@ def s2i_sweep(
     one over the at most 2N - 1 rows of R (sum_rs tail(C_rs) =
     sum_i tail(R_i), as R^H R = C^H C), so no sweep builds the correlation
     tensor or a path Gram; at M = N, R is in closed form.  Every span shares
-    B, the lags and the delays, so one table of sinc values serves all the
-    share's roots (``_group_energies``).  A span with a real projector is
-    computed on its real basis (``_span_basis``), in float64.  Every check
-    a share would raise runs here first, so a bad argument never starts a
-    process.
+    B, the lags and the delays, so one rolling window of sinc values serves
+    all the share's roots (``_group_energies``).  A span with a real
+    projector is computed on its real basis (``_span_basis``), in float64.
+    Every check a share would raise runs here first, so a bad argument never
+    starts a process.
     """
     spans: dict = {}  # (DPSS with M < N, M) -> zero-prefixed basis
     rows = []  # (scheme, M, span) per row
     for scheme in schemes:
-        scheme = PrecodingScheme(scheme)
+        scheme = _member(PrecodingScheme, scheme)
         for eta in eta_list:
             m = active_count(eta, n_len)
             key = scheme is PrecodingScheme.DPSS and m < n_len, m

@@ -70,6 +70,7 @@ from .waveform import (
     PrecodingScheme,
     PrefixKind,
     PrefixedBasis,
+    _member,
     active_count,
     default_basis,
     with_prefix,
@@ -114,6 +115,7 @@ class FrameConfig:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ParameterError(f"eta must be in (0, 1], got {self.eta}")
+        _member(PrecodingScheme, self.scheme)
         check_whole("prefix_len", self.prefix_len, 0)
         if not 0 <= self.p_delta_db < math.inf:  # NaN fails too
             raise ParameterError(
@@ -133,7 +135,7 @@ class FrameConfig:
         return self.n_subframes // 2
 
     def make_basis(self) -> PrefixedBasis:
-        basis = default_basis(PrecodingScheme(self.scheme), self.n_len, self.m_active)
+        basis = default_basis(self.scheme, self.n_len, self.m_active)
         return with_prefix(basis, self.prefix_len, PrefixKind.CYCLIC)
 
 
@@ -371,11 +373,21 @@ class _SerRun:
     one Gram matrix, one matched-filter block, one MMSE system (Fortran
     order, as zherk, zgemm and zposv write them in place) and one
     (symbols, M) matrix of estimates per SNR point serve every trial in
-    turn.
+    turn.  It checks the SNR grid, and the basis against ``cfg``.
     """
 
     def __init__(self, cfg, channel_spec, basis, snr_grid_db):
+        snr_grid_db = np.asarray(snr_grid_db, dtype=float)
+        if snr_grid_db.ndim != 1 or snr_grid_db.size == 0:
+            raise ParameterError("snr grid must be a non-empty 1-D sequence")
+        # comparisons, not their negations, so that NaN fails them
+        if not np.all(snr_grid_db > -np.inf):
+            raise ParameterError(f"snr grid needs dB values above -inf: {snr_grid_db}")
+        if not np.all(snr_grid_db[1:] > snr_grid_db[:-1]):
+            raise ParameterError("snr grid must be strictly increasing")
         b, m, n = basis.block_len, cfg.m_active, cfg.n_len
+        if (b, basis.base.n_len, basis.base.m_active) != (n + cfg.prefix_len, n, m):
+            raise ParameterError("basis block length, N or M differs from the frame's")
         k, rows = _BLOCK_SEEDS, 2 * cfg.symbols_per_subframe
         self.cfg, self.basis, self.snr_grid_db = cfg, basis, snr_grid_db
         self.snr_lin = 10.0 ** (snr_grid_db / 10.0)
@@ -487,9 +499,10 @@ def run_trial(
     reach the victim subframe, and only that window is built and filtered.
     A skipped SNR point (singular MMSE system or a non-finite solution)
     reports zero errors and zero symbols.  This is ``run_ser``'s block of
-    trials for the one seed.
+    trials for the one seed, with ``run_ser``'s checks of its arguments.
     """
-    run = _SerRun(cfg, channel_spec, basis, np.asarray(snr_grid_db, dtype=float))
+    check_whole("seed", seed, 0)
+    run = _SerRun(cfg, channel_spec, basis, snr_grid_db)
     errors, symbols = _run_block(run, [seed])[0].sum(axis=-1)
     return errors, symbols
 
@@ -516,14 +529,6 @@ def run_ser(
     interference-limited SER.  A basis that is not orthonormal to 1e-10
     raises ``ParameterError``.
     """
-    snr_grid_db = np.asarray(snr_grid_db, dtype=float)
-    if snr_grid_db.ndim != 1 or snr_grid_db.size == 0:
-        raise ParameterError("snr grid must be a non-empty 1-D sequence")
-    # comparisons, not their negations, so that NaN fails them
-    if not np.all(snr_grid_db > -np.inf):
-        raise ParameterError(f"snr grid needs dB values above -inf, got {snr_grid_db}")
-    if not np.all(snr_grid_db[1:] > snr_grid_db[:-1]):
-        raise ParameterError("snr grid must be strictly increasing")
     check_whole("n_trials", n_trials, 1)
     check_whole("base_seed", base_seed, 0)
     # the run, with its path stack, is built here, before the blocks fork,
@@ -542,5 +547,5 @@ def run_ser(
             total_symbols=int(total),
             errors_by_position=tuple(map(int, e)),
         )
-        for snr_db, e, total in zip(snr_grid_db, errors, symbols.sum(axis=-1))
+        for snr_db, e, total in zip(run.snr_grid_db, errors, symbols.sum(axis=-1))
     ]

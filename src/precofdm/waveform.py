@@ -45,6 +45,17 @@ class PrefixKind(str, Enum):
     CYCLIC = "cyclic"
 
 
+def _member(kind: type[Enum], value) -> Enum:
+    """The member of ``PrecodingScheme`` or ``PrefixKind`` that ``value``
+    names, else ``ParameterError``."""
+    try:
+        return kind(value)
+    except ValueError:
+        what = "scheme" if kind is PrecodingScheme else "prefix kind"
+        names = ", ".join(member.value for member in kind)
+        raise ParameterError(f"unknown {what} {value!r}; use one of {names}") from None
+
+
 @dataclass(frozen=True)
 class WaveformBasis:
     """Effective transmit basis with orthonormal columns.
@@ -145,7 +156,7 @@ def default_basis(scheme: PrecodingScheme, n_len: int, m_active: int) -> Wavefor
     check_whole("m_active", m_active, 1)
     if m_active > n_len:
         raise ParameterError(f"need 1 <= m_active <= n_len, got {m_active}, {n_len}")
-    scheme = PrecodingScheme(scheme)
+    scheme = _member(PrecodingScheme, scheme)
 
     if scheme is PrecodingScheme.OFDM:
         o = _centered_dft_columns(n_len, retained_frequencies(n_len, m_active))
@@ -176,7 +187,7 @@ def with_prefix(
         raise ParameterError(
             f"prefix_len {prefix_len} must be shorter than the symbol ({base.n_len})"
         )
-    prefix_kind = PrefixKind(prefix_kind)
+    prefix_kind = _member(PrefixKind, prefix_kind)
     o = base.o_matrix
     zeros = np.zeros((prefix_len, base.m_active), dtype=o.dtype)
     if prefix_kind is PrefixKind.CYCLIC and prefix_len > 0:

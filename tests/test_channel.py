@@ -230,10 +230,11 @@ class TestChannelOperator:
 
 
 def per_path_kernels(real, half_len):
-    """(first lag, kernel, gain) per path, each kernel its own np.sinc call.
+    """(first lag, kernel, gain) per path, each kernel its own sinc call.
 
     k_p is the unit tap at an integer delay and otherwise the sinc sampled
-    at lags floor(tau) -+ half_len (every lag of the stream when ``None``).
+    at lags floor(tau) -+ half_len (every lag of the stream when ``None``),
+    exactly 0 where the argument rounds to a nonzero integer.
     """
     n = real.stream_len
     paths = []
@@ -244,7 +245,10 @@ def per_path_kernels(real, half_len):
         else:
             lag0 = -(n - 1) if half_len is None else math.floor(tau) - half_len
             end = n if half_len is None else math.floor(tau) + half_len + 1
-            taps = np.sinc(np.arange(lag0, end) - tau)
+            x = np.arange(lag0, end) - tau
+            taps = np.sinc(x)
+            # sin(pi k) vanishes at a nonzero integer k; np.sinc leaves about 1e-17
+            taps[(x == np.round(x)) & (x != 0)] = 0.0
         paths.append((lag0, taps, gain))
     return paths
 

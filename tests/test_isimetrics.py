@@ -18,6 +18,8 @@ from precofdm import cli, isimetrics
 from precofdm.channel import (
     ChannelSpec,
     PathSpec,
+    _path_kernels,
+    _sinc,
     exp_profile_spec,
     integer_channel_spec,
     mild_channel_spec,
@@ -135,6 +137,51 @@ class TestClosedForms:
             for r, s, q in ((7, 0, 0), (0, 7, -3), (-1, 0, 2)):
                 with pytest.raises(ParameterError, match="indices out of range"):
                     closed(r, s, q, 9, 7)
+
+
+WHOLE_ARGS = (1, 2, -3, 9, 7)  # r, s, q, N, M
+
+
+class TestWholeIndices:
+    """r, s, q, N and M are whole numbers, Python or numpy integers (r and s
+    integer arrays where a scan takes them); anything else is a
+    ``ParameterError``, where numpy would index, wrap or raise its own."""
+
+    @pytest.mark.parametrize("closed", [xcorr_ofdm_closed, xcorr_scfdma_closed])
+    @pytest.mark.parametrize("position", range(5), ids=["r", "s", "q", "N", "M"])
+    @pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(1.0), "1", None])
+    def test_closed_forms_reject_non_integers(self, closed, position, bad):
+        args = list(WHOLE_ARGS)
+        args[position] = bad
+        with pytest.raises(ParameterError):
+            closed(*args)
+
+    @pytest.mark.parametrize("closed", [xcorr_ofdm_closed, xcorr_scfdma_closed])
+    @pytest.mark.parametrize("whole", [np.int64, np.int32, np.int8, np.uint8])
+    def test_numpy_integers_keep_values(self, closed, whole):
+        # every pair order and lag sign, against Python integers: an unsigned
+        # q > 0 or s < r would wrap if the forms kept numpy's fixed widths
+        for r, s, q in ((1, 2, -3), (2, 1, 3), (0, 6, 8), (6, 0, -8)):
+            want = closed(r, s, q, 9, 7)
+            cast = [whole(v) if v >= 0 else v for v in (r, s, q, 9, 7)]
+            assert closed(*cast) == want
+
+    def test_tensor_and_scan_reject_non_integers(self):
+        tensor = xcorr_tensor(default_basis(PrecodingScheme.OFDM, 9, 9))
+        for r, s, q in ((0, 0, 0.5), (1.0, 0, 0), (0, np.float64(2.0), 1)):
+            with pytest.raises(ParameterError):
+                tensor.lag(r, s, q)
+        for r, s in ((1.0, 2.0), (np.array([0.0, 1.0]), np.array([1, 2])), ("1", 2)):
+            with pytest.raises(ParameterError, match="must be whole"):
+                half_shift_worst_case_scan(tensor, r, s, [0.5])
+        value = tensor.lag(1, 2, -3)
+        assert tensor.lag(np.int32(1), np.uint8(2), np.int64(-3)) == value
+        # a uint8 lag plus N - 1 = 299 would not fit uint8
+        wide = xcorr_tensor(default_basis(PrecodingScheme.OFDM, 300, 2))
+        assert wide.lag(np.uint8(1), np.uint8(0), np.uint8(200)) == wide.lag(1, 0, 200)
+        _, curve = half_shift_worst_case_scan(tensor, 1, 2, [0.5])
+        for r, s in ((np.uint8(1), np.int16(2)), (np.array([1], np.uint8), [2])):
+            assert half_shift_worst_case_scan(tensor, r, s, [0.5])[1].ravel() == curve
 
 
 def parseval_tail_reference(o, r, s, radius, shift=0.5):
@@ -1092,6 +1139,23 @@ class TestSpanBasis:
                 isi_energy(cplx, cplx, channel, 4), rel=1e-12, abs=0
             )
 
+    @pytest.mark.parametrize("n,m", [(17, 15), (16, 12), (24, 24), (9, 1)])
+    def test_ofdm_span_from_its_own_columns(self, monkeypatch, n, m):
+        # an OFDM basis' real span takes the basis' own columns, with no
+        # basis built again; a DFT basis' takes those of the OFDM basis it
+        # builds, so both give the same bits
+        ofdm, dft = (default_basis(s, n, m) for s in SCHEMES[:2])
+        want = isimetrics._span_basis(dft).o_matrix
+
+        def refuse(*args):
+            raise AssertionError("basis built again")
+
+        monkeypatch.setattr(isimetrics, "default_basis", refuse)
+        span = isimetrics._span_basis(ofdm)
+        assert span.scheme is PrecodingScheme.OFDM
+        assert span.o_matrix.dtype == np.float64
+        assert span.o_matrix.tobytes() == want.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(
         scheme=st.sampled_from(SCHEMES),
@@ -1377,10 +1441,19 @@ class TestSquareSpanRoot:
             ]) == 0
 
 
+def offset_windows(width, block_len, delays, offsets):
+    """(d, k_d) per offset of ``_offset_products``: the kernel window read
+    through a root of ones, a diagonal whose products hold the window's
+    columns times 1.0, unrounded, in their real slots."""
+    products = isimetrics._offset_products([np.ones(width)], block_len, delays, offsets)
+    return [(d, u[:, 0::2]) for d, (u,) in products]
+
+
 class TestSincTable:
-    """Every block offset's kernels are a window of one table of
-    sinc(k - tau_p) over the integers k, shared by the lag roots of a group
-    of spans (``_offset_kernels``, ``_group_energies``)."""
+    """Every block offset's kernels are one rolling window of the channel's
+    sinc(k - tau_p) over the integers k, moved by B lags per offset and
+    shared by the lag roots of a group of spans (``_offset_products``,
+    ``_group_energies``)."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1403,17 +1476,17 @@ class TestSincTable:
         ), label="delays"))
         b, lags = n + g, np.arange(1 - n, n)
         offsets = range(1 - n_blocks, n_blocks)
-        # every offset, and isi_gram's without d = 0, whose runs span the gap
-        for seq, gap in ((offsets, 0), ([d for d in offsets if d], 1)):
-            kernels = isimetrics._offset_kernels(2 * n - 1, b, delays, seq)
-            for (d, kernel), want in zip(kernels, seq, strict=True):
-                assert d == want
-                assert np.array_equal(
-                    kernel, isimetrics._sinc(lags[None, :] + d * b - delays[:, None])
-                )
-                # one table per run of offsets, whatever the window
-                most = (isimetrics._TABLE_OFFSETS - 1 + gap) * b + 2 * n - 1
-                assert kernel.base.shape[1] <= most
+        # every offset, and isi_gram's without d = 0, which jumps from the
+        # window of d = -1 to that of d = 1; isi_gram's 2B - 1 lags as well
+        for width in (2 * n - 1, 2 * b - 1):
+            half = width // 2
+            for seq in (offsets, [d for d in offsets if d]):
+                windows = offset_windows(width, b, delays, seq)
+                assert [d for d, _ in windows] == list(seq)
+                for d, kernel in windows:
+                    k = np.arange(-half, half + 1) + d * b
+                    want = _sinc(k[None, :] - delays[:, None])
+                    assert kernel.tobytes() == np.ascontiguousarray(want).tobytes()
 
         # a group of a factored root and the closed-form M = N root against
         # a per-offset loop that evaluates each offset's kernels afresh
@@ -1426,7 +1499,7 @@ class TestSincTable:
         products = isimetrics._offset_products(roots, b, delays, offsets)
         signal, isi = [None, None], [0, 0]
         for (d, (u_root, u_diag)), want in zip(products, offsets, strict=True):
-            kernel = isimetrics._sinc(lags[None, :] + d * b - delays[:, None])
+            kernel = _sinc(lags[None, :] + d * b - delays[:, None])
             diag = (kernel * roots[1]).astype(np.complex128).view(np.float64)
             refs = kernel @ root_t, diag
             for i, (u, ref) in enumerate(zip((u_root, u_diag), refs)):
@@ -1446,15 +1519,17 @@ class TestSincTable:
 
     def test_each_kernel_value_evaluated_once(self, monkeypatch, pin_cpus):
         # one process, one group of three spans (OFDM and DPSS at M = 15,
-        # and M = 17), the default 23 offsets: one table of the integers
-        # |k| <= reach; the bound adds one tail kernel per span
+        # and M = 17), the default 23 offsets: each integer |k| <= reach is
+        # evaluated once, in calls no wider than one window; the bound adds
+        # one tail kernel per span
         pin_cpus(1)
         mild = mild_channel_spec()
         n, g = 17, 16
         reach = (isimetrics.DEFAULT_BLOCK_WINDOW - 1) * (n + g) + n - 1
+        # isimetrics reads the channel's _sinc under its own name
         sinc, tails = isimetrics._sinc, isimetrics._parseval_tails
         for include_bound in (False, True):
-            kernel_shapes, tail_calls, inside = [], [], []
+            kernel_lags, tail_calls, inside = [], [], []
 
             def counted_tails(*args):
                 tail_calls.append(0)  # _sinc calls of this tail pass
@@ -1468,7 +1543,12 @@ class TestSincTable:
                 if inside:
                     tail_calls[-1] += 1
                 else:
-                    kernel_shapes.append(np.shape(x))
+                    assert np.shape(x)[0] == len(mild.paths)
+                    assert 0 < np.shape(x)[1] <= 2 * n - 1
+                    # every row holds k - tau_p for the same integers k
+                    k = np.round(x + mild.delays[:, None])
+                    assert np.all(k == k[0])
+                    kernel_lags.append(k[0])
                 return sinc(x)
 
             monkeypatch.setattr(isimetrics, "_parseval_tails", counted_tails)
@@ -1477,17 +1557,41 @@ class TestSincTable:
                 SCHEMES, [1.0, 15 / 17], mild, n, g, include_bound=include_bound
             )
             assert len(rows) == 6
-            assert sum(math.prod(shape) for shape in kernel_shapes) == (
-                len(mild.paths) * (2 * reach + 1)
-            )
-            assert all(
-                shape[0] == len(mild.paths) and shape[1] <= isimetrics._TABLE_SLICE
-                for shape in kernel_shapes
+            assert np.array_equal(
+                np.sort(np.concatenate(kernel_lags)), np.arange(-reach, reach + 1)
             )
             assert tail_calls == [1] * (3 * include_bound)
 
+    @pytest.mark.parametrize("spec", [
+        mild_channel_spec(),
+        integer_channel_spec(),
+        # delays an ulp or two off an integer: k - tau rounds to an integer
+        # at most lags, where np.sinc would leave about 1e-17
+        ChannelSpec(
+            (PathSpec(3.0000000000000004, gain_power=1.0),
+             PathSpec(1.9999999999999991, gain_power=0.5),
+             PathSpec(5.0, gain_power=0.25)),
+            max_delay=5.0,
+        ),
+    ], ids=["mild", "integer", "near-integer"])
+    def test_windows_match_channel_kernels(self, spec):
+        # the S2I analysis and the channel's taps read one sinc: on every
+        # lag they share, the exact kernels of a stream that reaches every
+        # window are bit-equal to the S2I windows, which are zero elsewhere,
+        # as the FIR is off its lags
+        n, g, n_blocks = 17, 4, 4
+        b, width = n + g, 2 * n - 1
+        lag0, kernels = _path_kernels(spec, (n_blocks - 1) * b + n, None)
+        offsets = range(1 - n_blocks, n_blocks)
+        for d, window in offset_windows(width, b, spec.delays, offsets):
+            i = np.arange(width) - width // 2 + d * b - lag0
+            on = (i >= 0) & (i < kernels.shape[1])
+            want = np.ascontiguousarray(kernels[:, i[on]])
+            assert window[:, on].tobytes() == want.tobytes()
+            assert not np.any(window[:, ~on])
+
     def test_tables_built_after_the_group_roots(self, monkeypatch, pin_cpus, tmp_path):
-        # so that a table never coexists with a half lag matrix: two shares,
+        # so that the window never coexists with a half lag matrix: two shares,
         # one per process, and each share's first kernel value comes after
         # its last root; each process logs its share's events as one line
         events, log = [], tmp_path / "events.txt"

@@ -500,6 +500,25 @@ class TestRunSer:
         noiseless = run_ser(cfg, IDENTITY, [10.0, np.inf], n_trials=2)[1]
         assert noiseless.ser == 0.0 and noiseless.total_symbols == 2 * 14 * 17
 
+    @pytest.mark.parametrize("snrs,seed,basis_cfg,message", [
+        ([20.0, 10.0], 1, {}, "strictly increasing"),
+        ([np.nan], 1, {}, "above -inf"),
+        ([20.0], -1, {}, "seed must be >= 0"),
+        ([20.0], 1.5, {}, "seed must be a whole number"),
+        ([20.0], 1, {"n_len": 32}, "basis block length, N or M"),
+        ([20.0], 1, {"eta": 15 / 16}, "basis block length, N or M"),
+        ([20.0], 1, {"prefix_len": 2}, "basis block length, N or M"),
+    ], ids=[
+        "decreasing", "nan", "negative-seed", "fractional-seed", "basis-n",
+        "basis-m", "basis-prefix",
+    ])
+    def test_run_trial_checks_as_run_ser(self, snrs, seed, basis_cfg, message):
+        # run_trial and run_ser build their run through the same checks
+        cfg = FrameConfig(scheme="ofdm", n_len=16)
+        basis = FrameConfig(**{"scheme": "ofdm", "n_len": 16, **basis_cfg}).make_basis()
+        with pytest.raises(ParameterError, match=message):
+            run_trial(cfg, cdlc_channel_spec(200.0), basis, snrs, seed)
+
     def test_negative_base_seed_rejected(self):
         cfg = FrameConfig(scheme=PrecodingScheme.OFDM, eta=1.0, n_len=17, prefix_len=0)
         with pytest.raises(ParameterError, match="base_seed must be >= 0"):

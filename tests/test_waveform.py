@@ -236,3 +236,18 @@ class TestWholeSizes:
         assert cfg.make_basis().block_len == 18
         assert len(self.sweep(prefix_len=g, n_blocks=np.int64(3))) == 1
         assert compute_dpss(DpssParams(n, 0.4, np.int64(3))).sequences.shape == (16, 3)
+
+
+class TestUnknownNames:
+    """A scheme or prefix kind that names no member is a ``ParameterError``
+    wherever it enters."""
+
+    @pytest.mark.parametrize("call,what", [
+        (lambda: default_basis("bogus", 8, 8), "scheme"),
+        (lambda: with_prefix(default_basis("ofdm", 8, 8), 2, "bogus"), "prefix kind"),
+        (lambda: s2i_sweep(["bogus"], [1.0], mild_channel_spec(), 8, 2), "scheme"),
+        (lambda: FrameConfig(scheme="bogus"), "scheme"),
+    ], ids=["default_basis", "with_prefix", "s2i_sweep", "FrameConfig"])
+    def test_unknown_name_is_parameter_error(self, call, what):
+        with pytest.raises(ParameterError, match=f"^unknown {what} 'bogus'; use one of"):
+            call()
