@@ -111,8 +111,9 @@ class ChannelRealization:
         self.drawn_gains.flags.writeable = False
         if len(self.drawn_gains) != len(self.spec.paths):
             raise ParameterError("one drawn gain per path required")
-        check_whole("block_len", self.block_len, 1)
-        check_whole("n_blocks", self.n_blocks, 1)
+        # frozen: the checked Python ints replace the fields
+        for name in ("block_len", "n_blocks"):
+            object.__setattr__(self, name, check_whole(name, getattr(self, name), 1))
 
     @property
     def stream_len(self) -> int:
@@ -179,7 +180,7 @@ class ChannelOperator:
         half_len: int | None = DEFAULT_FIR_HALF_LEN,
     ):
         if half_len is not None:
-            check_whole("half_len", half_len, 0)
+            half_len = check_whole("half_len", half_len, 0)
         self.realization = realization
         self.stream_len = realization.stream_len
         self._lag0, kernels = _path_kernels(realization.spec, self.stream_len, half_len)

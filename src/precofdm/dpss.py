@@ -37,8 +37,9 @@ class DpssParams:
     count: int
 
     def __post_init__(self):
-        check_whole("n_len", self.n_len, 1)
-        check_whole("count", self.count, 1)
+        # frozen: the checked Python ints replace the fields
+        for name in ("n_len", "count"):
+            object.__setattr__(self, name, check_whole(name, getattr(self, name), 1))
         if not 0.0 < self.half_bandwidth <= 0.5:
             raise ParameterError(
                 f"half_bandwidth must be in (0, 0.5], got {self.half_bandwidth}"

@@ -27,14 +27,20 @@ Channels are quasi-static: every operation takes one set of path gains.
 An S2I sweep hands its basis spans, largest first, to ``_fork.fork_map``,
 which deals them round-robin into one share per process, in forked
 processes when the CPUs of the affinity set hold more than one BLAS thread
-pool.  A share takes each span's energies and its bound from one R (in
-closed form at M = N, a diagonal that scales the kernels' columns).  Every
-offset's kernels, for every R of the share, are one rolling window of the
+pool.  A share takes each span's energies and its bound from one set of
+real lag rows R~ with R~^T R~ = Re(C^H C), the Gram that the real sinc
+kernels see (in closed form at M = N, a diagonal that scales the kernels'
+columns).  Every column of the spans the sweep builds is +- its own
+conjugate time reverse, so Re(C^H C) splits into an even and an odd lag
+block, and ``_parity_lag_root`` factors each by a half-width QR over the
+pair rows of its parity, from the N lag products q >= 0 alone.  Every
+offset's kernels, for every R~ of the share, are one rolling window of the
 channel's sinc(k - tau_p) over the integers k, so each value is evaluated
 once per process.  A span whose projector O O^H is real (DPSS, and
 OFDM/DFT subcarrier sets symmetric about 0) runs on a real basis of it
-(``_span_basis``): its lag matrix, R and offset products are float64,
-and the dtype flows through the same functions as the complex one.
+(``_span_basis``), whose lag products are float64 and whose pairs each
+give one row; a complex span (an odd deficit N - M) gives each pair a row
+of its real and one of its imaginary part.
 """
 from __future__ import annotations
 
@@ -330,8 +336,69 @@ def _symmetric_lag_root(o: np.ndarray) -> np.ndarray:
     return _lag_root(np.asfortranarray(np.vstack([root, root[:, ::-1].conj()])))
 
 
-def _check_blocks(n_blocks: int) -> None:
-    check_whole("n_blocks", n_blocks, 2)  # fewer blocks hold no interferer
+def _parity_lag_root(o: np.ndarray) -> np.ndarray:
+    """Real lag rows R~ with R~^T R~ = Re(C^H C) for the self-correlation C
+    of ``o`` (N x M), the Gram that real kernels see, from two half-width
+    QRs split by lag parity.
+
+    Every column must be +- its own conjugate time reverse, J o_r = p_r
+    conj(o_r) with p_r = +-1 (checked to 1e-10, else ``ParameterError``):
+    OFDM columns exactly, DPSS orders alternately even and odd to about
+    1.5e-15 (Slepian, Bell Syst. Tech. J. 57, 1978).  Then C_rs[-q] =
+    p_r p_s conj(C_rs[q]), so Re(C^H C) is block diagonal in the even lag
+    coordinates c_q + c_-q (q = 0..N-1) and the odd ones c_q - c_-q
+    (q = 1..N-1) (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Each
+    pair r <= s gives one row to each block, read from the N products
+    o[q:]^H o[:N-q], q >= 0: Re C_rs[q] and Im C_rs[q], swapped where
+    p_r p_s = -1, weighted sqrt(2) for r < s, which stand in for the pair
+    (s, r).  A real basis has Im C = 0, so that row is not formed.  Against
+    C's own even and odd parts, the row left out is O(delta |C_rs|) for the
+    check's residual delta, so leaving it out moves the Gram by O(delta^2
+    |C|^2), and reading the kept row from q >= 0 alone by O(delta |C|^2):
+    both within the QR's own backward error for the spans ``s2i_sweep``
+    builds.  Each block is factored by ``_lag_root``; its rows, spread back
+    onto the 2N - 1 lags as even or odd sequences, are the rows of R~ (at
+    most 2N - 1 of them; a block with no row, such as the odd one of a real
+    basis at M = 1, gives none).
+    """
+    n, m = o.shape
+    parity = np.where(np.einsum("nr,nr->r", o, o[::-1]).real < 0, -1.0, 1.0)
+    residual = np.max(np.abs(o[::-1] - parity * o.conj()))
+    if residual > 1e-10:
+        raise ParameterError(
+            f"basis columns are not +- their own conjugate time reverse: {residual:.2e}"
+        )
+    r, s = np.triu_indices(m)
+    pairs = r * m + s
+    weight = np.where(r == s, 1.0, math.sqrt(2.0))
+    same = parity[r] == parity[s]
+    if np.iscomplexobj(o):
+        # Re C_rs and Im C_rs, the two swapped by a factor -i where p_r p_s = -1
+        scale = np.where(same, weight, -1j * weight)
+        blocks = [(pairs, scale, np.real), (pairs, scale, np.imag)]
+    else:
+        blocks = [(pairs[same], weight[same], np.real),
+                  (pairs[~same], weight[~same], np.real)]
+    # the even block's lags start at q = 0, the odd block's at q = 1
+    mats = [np.empty((len(keep), n - lo), order="F")
+            for lo, (keep, _, _) in enumerate(blocks)]
+    o_h = o.conj().T
+    for q in range(n):
+        c = (o_h[:, q:] @ o[: n - q]).ravel()
+        for lo, (mat, (keep, scale, part)) in enumerate(zip(mats, blocks)):
+            if q >= lo:
+                mat[:, q - lo] = part(c[keep] * scale)
+    even, odd = (_lag_root(mat) if mat.size else mat[:0] for mat in mats)
+    out = np.zeros((len(even) + len(odd), 2 * n - 1))
+    out[: len(even), n - 1 :] = even
+    out[: len(even), : n - 1] = even[:, :0:-1]
+    out[len(even) :, n:] = odd
+    out[len(even) :, : n - 1] = -odd[:, ::-1]
+    return out
+
+
+def _check_blocks(n_blocks: int) -> int:
+    return check_whole("n_blocks", n_blocks, 2)  # fewer blocks hold no interferer
 
 
 def _window_powers(channel: ChannelSpec, n_len: int, prefix_len: int) -> dict:
@@ -427,7 +494,7 @@ def isi_gram(
     Real (float64) bases give a real C and R; K is complex either way.
     """
     _check_pair(tx, rx)
-    _check_blocks(n_blocks)
+    n_blocks = _check_blocks(n_blocks)
     delays = np.asarray(delays, dtype=float)
     offsets = [d for d in range(1 - n_blocks, n_blocks) if d or include_signal]
     k = np.zeros((2, delays.size, delays.size), dtype=np.complex128)  # ISI, signal
@@ -538,23 +605,27 @@ def _group_energies(
     include_bound: bool,
 ) -> list:
     """(signal energy, ISI energy, half-shift tail total or None) of each
-    zero-prefixed basis in ``prefs``, all from its lag root R.  The bases
-    share N and the prefix, so their roots share the 2N - 1 lags.  A real
-    (float64) basis, such as ``_span_basis`` gives, has a real R, real
-    offset products and real energies; a complex one a complex R.
+    zero-prefixed basis in ``prefs``, all from its real lag rows R with
+    R^T R = Re(C^H C).  The bases share N and the prefix, so their rows
+    share the 2N - 1 lags.  At M < N, R is ``_parity_lag_root``'s, which
+    needs every column +- its own conjugate time reverse, as the spans of
+    ``s2i_sweep`` are, and raises ``ParameterError`` otherwise; it is real
+    for a complex basis too, so the offset products and energies are real.
 
     The energies are ``signal_isi_energies(pref, pref, ...)``'s, read per
     path as sum_i |(R k_d)_{ip}|^2 and weighted by the path powers, with no
-    P x P Gram.  The tail total is ``isi_bound``'s: the tail is a quadratic
-    form in the lag sequence and R^H R = C^H C, so the total over the pairs
-    (r, s) of C equals the one over the rows of R.  A row of R is not a
-    correlation sequence, but its tail is still non-negative in exact
+    P x P Gram: the kernels k_d are real, so |C k_d|^2 = k_d^T Re(C^H C)
+    k_d.  The tail total is ``isi_bound``'s: the tail is a quadratic form in
+    the lag sequence with a real symmetric kernel, so the total over the
+    pairs (r, s) of C is a trace against C^H C, which its imaginary part
+    does not reach, and equals the one over the rows of R.  A row of R is
+    not a correlation sequence, but its tail is still non-negative in exact
     arithmetic, so the per-row clamp stays valid.  At M = N, O O^H = I and
     C^H C[q, q'] = tr(S_q^H S_q') = (N - |q|) delta_qq' for shifts S_q, so R
     is diag(sqrt(N - |q|)), unfactored: the callers' ``default_basis`` checks
-    O orthonormal to 1e-10, while ``_gram_root`` serves any bases.  The
-    offsets then scale the kernels by that diagonal, and the tail total
-    takes its rows from the real diagonal matrix.
+    O orthonormal to 1e-10.  The offsets then scale the kernels by that
+    diagonal, and the tail total takes its rows from the real diagonal
+    matrix.
 
     Every root is factored, and its tail total taken, before the offset
     loop, so the kernel window of ``_offset_products`` never coexists
@@ -562,14 +633,14 @@ def _group_energies(
     for every root of ``prefs``, and adds each root's ISI energies in offset
     order.
     """
-    _check_blocks(n_blocks)
+    n_blocks = _check_blocks(n_blocks)
     n, block_len = prefs[0].base.n_len, prefs[0].block_len
     windows = _window_powers(channel, n, prefs[0].prefix_len) if include_bound else None
     roots, bounds = [], []
     for pref in prefs:
         square = pref.base.m_active == n
         root = (np.sqrt(n - np.abs(np.arange(1 - n, n))) if square
-                else _gram_root(pref, pref))
+                else _parity_lag_root(pref.base.o_matrix))
         roots.append(root)
         bounds.append(
             _tail_total(np.diag(root) if square else root, windows)
@@ -624,18 +695,25 @@ def s2i_sweep(
     The bases are built here.  The spans go largest first (M < N by
     descending M, then M = N) to ``fork_map``, which deals them round-robin
     into one share per process, so the shares balance, and may run them in
-    forked processes.  A share factors each span's lag root R once, on the
-    basis' own 2N - 1 lags, and takes the per-path energies and the bound
-    from it: the bound's tail total over the M^2 pair rows of C equals the
-    one over the at most 2N - 1 rows of R (sum_rs tail(C_rs) =
-    sum_i tail(R_i), as R^H R = C^H C), so no sweep builds the correlation
-    tensor or a path Gram; at M = N, R is in closed form.  Every span shares
-    B, the lags and the delays, so one rolling window of sinc values serves
-    all the share's roots (``_group_energies``).  A span with a real
-    projector is computed on its real basis (``_span_basis``), in float64.
+    forked processes.  A share factors each span's real lag rows R once,
+    on the basis' own 2N - 1 lags, and takes the per-path energies and the
+    bound from them: the bound's tail total over the M^2 pair rows of C
+    equals the one over the at most 2N - 1 rows of R (sum_rs tail(C_rs) =
+    sum_i tail(R_i), as R^T R = Re(C^H C) and the tail kernel is real), so
+    no sweep builds the correlation tensor or a path Gram.  Every column of
+    the spans built here is +- its own conjugate time reverse (DPSS orders
+    alternate even and odd, and OFDM columns are conjugate symmetric), so
+    R comes from two half-width QRs, one per lag parity, over the pair rows
+    each parity keeps (``_parity_lag_root``); at M = N, R is in closed form.
+    Every span shares B, the lags and the delays, so one rolling window of
+    sinc values serves all the share's roots (``_group_energies``).  A span
+    with a real projector is computed on its real basis (``_span_basis``),
+    in float64.
     Every check a share would raise runs here first, so a bad argument never
     starts a process.
     """
+    n_len = check_whole("n_len", n_len, 1)
+    prefix_len = check_whole("prefix_len", prefix_len, 0)
     spans: dict = {}  # (DPSS with M < N, M) -> zero-prefixed basis
     rows = []  # (scheme, M, span) per row
     for scheme in schemes:
@@ -650,7 +728,7 @@ def s2i_sweep(
             rows.append((scheme, m, key))
     if not rows:
         raise ParameterError("an S2I sweep needs at least one scheme and one eta")
-    _check_blocks(n_blocks)
+    n_blocks = _check_blocks(n_blocks)
     if include_bound:
         _window_powers(channel, n_len, prefix_len)
 

@@ -116,7 +116,10 @@ class FrameConfig:
         if not 0.0 < self.eta <= 1.0:
             raise ParameterError(f"eta must be in (0, 1], got {self.eta}")
         _member(PrecodingScheme, self.scheme)
-        check_whole("prefix_len", self.prefix_len, 0)
+        # frozen: the checked Python ints replace the fields
+        for name, least in (("n_len", 1), ("prefix_len", 0)):
+            value = check_whole(name, getattr(self, name), least)
+            object.__setattr__(self, name, value)
         if not 0 <= self.p_delta_db < math.inf:  # NaN fails too
             raise ParameterError(
                 f"p_delta_db must be finite and >= 0, got {self.p_delta_db}"
@@ -501,7 +504,7 @@ def run_trial(
     reports zero errors and zero symbols.  This is ``run_ser``'s block of
     trials for the one seed, with ``run_ser``'s checks of its arguments.
     """
-    check_whole("seed", seed, 0)
+    seed = check_whole("seed", seed, 0)
     run = _SerRun(cfg, channel_spec, basis, snr_grid_db)
     errors, symbols = _run_block(run, [seed])[0].sum(axis=-1)
     return errors, symbols
@@ -529,8 +532,8 @@ def run_ser(
     interference-limited SER.  A basis that is not orthonormal to 1e-10
     raises ``ParameterError``.
     """
-    check_whole("n_trials", n_trials, 1)
-    check_whole("base_seed", base_seed, 0)
+    n_trials = check_whole("n_trials", n_trials, 1)
+    base_seed = check_whole("base_seed", base_seed, 0)
     # the run, with its path stack, is built here, before the blocks fork,
     # so that every process reads this one
     run = _SerRun(cfg, channel_spec, cfg.make_basis(), snr_grid_db)

@@ -152,8 +152,8 @@ def default_basis(scheme: PrecodingScheme, n_len: int, m_active: int) -> Wavefor
     that are not orthonormal to 1e-10 raise ``ParameterError``, as do
     sizes that are not whole numbers.
     """
-    check_whole("n_len", n_len, 1)
-    check_whole("m_active", m_active, 1)
+    n_len = check_whole("n_len", n_len, 1)
+    m_active = check_whole("m_active", m_active, 1)
     if m_active > n_len:
         raise ParameterError(f"need 1 <= m_active <= n_len, got {m_active}, {n_len}")
     scheme = _member(PrecodingScheme, scheme)
@@ -182,7 +182,7 @@ def with_prefix(
     base: WaveformBasis, prefix_len: int, prefix_kind: PrefixKind = PrefixKind.CYCLIC
 ) -> PrefixedBasis:
     """Extend a basis by a guard prefix of ``prefix_len`` samples."""
-    check_whole("prefix_len", prefix_len, 0)
+    prefix_len = check_whole("prefix_len", prefix_len, 0)
     if prefix_len >= base.n_len:
         raise ParameterError(
             f"prefix_len {prefix_len} must be shorter than the symbol ({base.n_len})"

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import precofdm
@@ -44,11 +44,22 @@ from precofdm.isimetrics import (
 from precofdm.waveform import (
     PrecodingScheme,
     PrefixKind,
+    WaveformBasis,
     default_basis,
     with_prefix,
 )
 
 SCHEMES = [PrecodingScheme.OFDM, PrecodingScheme.DFT, PrecodingScheme.DPSS]
+
+
+def sweep_basis(scheme, n, m):
+    """The basis whose span ``s2i_sweep`` computes a (scheme, M) row on,
+    before ``_span_basis``: DFT precoding is unitary on the OFDM
+    subcarriers, so a DFT row takes the OFDM basis, whose columns are +-
+    their own conjugate time reverse, as ``_group_energies`` requires."""
+    if scheme is PrecodingScheme.DFT:
+        scheme = PrecodingScheme.OFDM
+    return default_basis(scheme, n, m)
 
 
 def xcorr_loop_oracle(o, r, s, q):
@@ -747,7 +758,8 @@ class TestSymmetricLagRoot:
         delays = np.sort(rng.uniform(0.0, n + g, size=rng.integers(1, 6)))
         channel = exp_profile_spec(rng.uniform(0.05, 1.0), delays, float(delays[-1]))
         pref = with_prefix(default_basis(scheme, n, m), g, PrefixKind.ZERO)
-        got = isimetrics._group_energies([pref], channel, n_blocks, False)[0][:2]
+        span = with_prefix(sweep_basis(scheme, n, m), g, PrefixKind.ZERO)
+        got = isimetrics._group_energies([span], channel, n_blocks, False)[0][:2]
         full = isimetrics._lag_root(
             isimetrics._cross_lag_matrix(pref.o_r, pref.o_t, order="F")
         )
@@ -778,6 +790,99 @@ class TestSymmetricLagRoot:
         _, pref = make_pair(PrecodingScheme.DFT, 9, 7, 3, kind)
         isi_gram(pref, pref, np.array([0.5]), n_blocks=2)
         assert len(calls) == uses
+
+
+# (N, M) with 1 <= M <= N <= 32
+SPAN_SIZES = st.integers(1, 32).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n))
+)
+
+
+class TestParityLagRoot:
+    """``_parity_lag_root``, the lag rows of the spans ``s2i_sweep`` builds:
+    two half-width QRs, one per lag parity, with R~^T R~ = Re(C^H C)."""
+
+    # M = 1 (the odd block of a real span is empty), M(M + 1)/2 < N, and the
+    # odd deficits of the complex OFDM spans
+    @settings(max_examples=80, deadline=None)
+    @given(scheme=st.sampled_from(SCHEMES), real=st.booleans(), size=SPAN_SIZES)
+    @example(scheme=PrecodingScheme.DPSS, real=True, size=(9, 1))
+    @example(scheme=PrecodingScheme.OFDM, real=False, size=(32, 7))
+    @example(scheme=PrecodingScheme.OFDM, real=False, size=(32, 25))
+    @example(scheme=PrecodingScheme.DPSS, real=False, size=(1, 1))
+    def test_rows_give_the_real_lag_gram(self, scheme, real, size):
+        n, m = size
+        basis = sweep_basis(scheme, n, m)
+        o = isimetrics._span_basis(basis).o_matrix if real else basis.o_matrix
+        root = isimetrics._parity_lag_root(o)
+        assert root.dtype == np.float64
+        assert root.shape[0] <= 2 * n - 1 and root.shape[1] == 2 * n - 1
+        cmat = lag_matrix_reference(o, o)
+        err = np.linalg.norm(root.T @ root - np.real(cmat.conj().T @ cmat))
+        assert err <= 64 * np.finfo(float).eps * np.linalg.norm(cmat) ** 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        real=st.booleans(),
+        size=SPAN_SIZES,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(scheme=PrecodingScheme.DPSS, real=True, size=(9, 1), seed=0)
+    @example(scheme=PrecodingScheme.OFDM, real=False, size=(32, 25), seed=1)
+    def test_path_energies_match_the_gram_root(self, scheme, real, size, seed):
+        # per path, on the 2N - 1 lags, against the rows of _gram_root's
+        # triangle (zero prefix: the mirrored-pair QR), with the floor of
+        # test_span_energies_match_full_root_grams
+        n, m = size
+        rng = np.random.default_rng(seed)
+        g = int(rng.integers(0, n))
+        n_blocks = int(rng.integers(2, 5))
+        delays = np.sort(rng.uniform(0.0, n + g, size=rng.integers(1, 6)))
+        basis = sweep_basis(scheme, n, m)
+        span = isimetrics._span_basis(basis) if real else basis
+        pref = with_prefix(span, g, PrefixKind.ZERO)
+        roots = [
+            isimetrics._parity_lag_root(span.o_matrix),
+            isimetrics._gram_root(pref, pref),
+        ]
+        b = n + g
+        offsets = range(1 - n_blocks, n_blocks)
+        got, want = np.zeros((2, delays.size)), np.zeros((2, delays.size))
+        for d, (u, ref) in isimetrics._offset_products(roots, b, delays, offsets):
+            got[d != 0] += np.einsum("pi,pi->p", u, u)
+            want[d != 0] += np.einsum("pi,pi->p", ref, ref)
+        cmat = lag_matrix_reference(span.o_matrix, span.o_matrix)
+        isi_offsets = [d for d in offsets if d != 0]
+        for i, offs in enumerate(([0], isi_offsets)):
+            kernels = [sinc_kernel_reference(b, d, delays) for d in offs]
+            floor = (
+                32 * np.finfo(float).eps * np.sqrt(want[i].sum())
+                * np.linalg.norm(cmat) * np.linalg.norm(kernels)
+            )
+            assert np.all(np.abs(got[i] - want[i]) <= 1e-12 * want[i] + floor)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        size=SPAN_SIZES.filter(lambda size: size[1] < size[0]),
+        column=st.integers(0, 31),
+        theta=st.floats(0.05, math.pi / 2 - 0.05),
+    )
+    def test_not_its_own_conjugate_reverse_raises(self, scheme, size, column, theta):
+        # a DFT basis of M >= 2 maps each column's reverse onto another
+        # column; any column turned by a phase e^{j theta} off the quarter
+        # turns has J o = e^{2 j theta} p conj(o)
+        n, m = size
+        o = default_basis(scheme, n, m).o_matrix
+        if scheme is not PrecodingScheme.DFT or m == 1:
+            o = o.copy()
+            o[:, column % m] *= np.exp(1j * theta)
+        with pytest.raises(ParameterError, match="conjugate time reverse"):
+            isimetrics._parity_lag_root(o)
+        pref = with_prefix(WaveformBasis(n, m, scheme, o), 0, PrefixKind.ZERO)
+        with pytest.raises(ParameterError, match="conjugate time reverse"):
+            isimetrics._group_energies([pref], mild_channel_spec(), 2, False)
 
 
 class TestParsevalTailProperties:
@@ -1089,7 +1194,8 @@ class TestRootBound:
         basis = default_basis(scheme, n, m)
         pref = with_prefix(basis, g, PrefixKind.ZERO)
         tensor = xcorr_tensor(basis)
-        ((_, isi, root_bound),) = isimetrics._group_energies([pref], channel, 3, True)
+        span = with_prefix(sweep_basis(scheme, n, m), g, PrefixKind.ZERO)
+        ((_, isi, root_bound),) = isimetrics._group_energies([span], channel, 3, True)
         tensor_bound = isi_bound(tensor, channel, g).total_bound
         floor = 64 * np.finfo(float).eps * np.sum(np.abs(tensor.values) ** 2)
         assert abs(root_bound - tensor_bound) <= floor
@@ -1178,12 +1284,20 @@ class TestSpanBasis:
         assert (rep.dtype == np.float64) == real_span
         assert rep.shape == o.shape
         assert np.max(np.abs(rep @ rep.conj().T - proj)) <= 1e-13
-        cplx, pref = (with_prefix(b, g, PrefixKind.ZERO) for b in (basis, span))
+        if not real_span:
+            assert span is basis
+        # the energies on the bases s2i_sweep builds for the row: a DFT
+        # row's are the OFDM basis' and its span basis, whose bits equal
+        # those of the DFT basis' (test_ofdm_span_from_its_own_columns)
+        sweep = sweep_basis(scheme, n, m)
+        cplx, pref = (
+            with_prefix(b, g, PrefixKind.ZERO)
+            for b in (sweep, isimetrics._span_basis(sweep))
+        )
         ((signal, isi, bound),) = isimetrics._group_energies([pref], channel, n_blocks, True)
         want = isimetrics._group_energies([cplx], channel, n_blocks, True)[0]
         if not real_span:
             # an odd deficit N - M: the complex basis, the same bits
-            assert span is basis
             assert (signal, isi, bound) == want
             return
         # energies as in test_span_energies_match_full_root_grams: round-off
@@ -1491,10 +1605,13 @@ class TestSincTable:
         # a group of a factored root and the closed-form M = N root against
         # a per-offset loop that evaluates each offset's kernels afresh
         prefs = [
-            with_prefix(default_basis(scheme, n, size), g, PrefixKind.ZERO)
+            with_prefix(sweep_basis(scheme, n, size), g, PrefixKind.ZERO)
             for size in (m, n)
         ]
-        roots = [isimetrics._gram_root(prefs[0], prefs[0]), np.sqrt(n - np.abs(lags))]
+        roots = [
+            isimetrics._parity_lag_root(prefs[0].base.o_matrix),
+            np.sqrt(n - np.abs(lags)),
+        ]
         root_t = np.ascontiguousarray(roots[0].T).view(np.float64)
         products = isimetrics._offset_products(roots, b, delays, offsets)
         signal, isi = [None, None], [0, 0]
@@ -1595,8 +1712,8 @@ class TestSincTable:
         # one per process, and each share's first kernel value comes after
         # its last root; each process logs its share's events as one line
         events, log = [], tmp_path / "events.txt"
-        per_share, gram_root, sinc = (
-            isimetrics._group_energies, isimetrics._gram_root, isimetrics._sinc
+        per_share, lag_root, sinc = (
+            isimetrics._group_energies, isimetrics._parity_lag_root, isimetrics._sinc
         )
 
         def share(prefs, *args):
@@ -1607,7 +1724,7 @@ class TestSincTable:
             return values
 
         def root(*args):
-            value = gram_root(*args)
+            value = lag_root(*args)
             events.append("root")
             return value
 
@@ -1616,7 +1733,7 @@ class TestSincTable:
             return sinc(x)
 
         monkeypatch.setattr(isimetrics, "_group_energies", share)
-        monkeypatch.setattr(isimetrics, "_gram_root", root)
+        monkeypatch.setattr(isimetrics, "_parity_lag_root", root)
         monkeypatch.setattr(isimetrics, "_sinc", counted_sinc)
         pin_cpus(2, OMP_NUM_THREADS="1")
         # shares: OFDM at M = 15, 13 and 17 (closed form, no QR); DPSS at 15, 13

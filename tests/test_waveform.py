@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precofdm.channel import mild_channel_spec
+from precofdm.channel import exp_profile_spec, mild_channel_spec, realize
 from precofdm.dpss import DpssParams, compute_dpss, dpss_limit_half
 from precofdm.errors import ParameterError
-from precofdm.isimetrics import s2i_sweep
-from precofdm.linksim import FrameConfig
+from precofdm.isimetrics import isi_gram, s2i_sweep
+from precofdm.linksim import FrameConfig, run_ser
 from precofdm.waveform import (
     PrecodingScheme,
     PrefixKind,
@@ -236,6 +236,74 @@ class TestWholeSizes:
         assert cfg.make_basis().block_len == 18
         assert len(self.sweep(prefix_len=g, n_blocks=np.int64(3))) == 1
         assert compute_dpss(DpssParams(n, 0.4, np.int64(3))).sequences.shape == (16, 3)
+
+
+class TestNarrowIntegerSizes:
+    """Sizes given as narrow numpy integers are kept as the Python ints that
+    ``check_whole`` returns, so size arithmetic does not wrap: in uint8,
+    200 + 100 is 44 and -100 is 156."""
+
+    @pytest.mark.parametrize("whole", [np.uint8, np.int16])
+    def test_default_basis(self, whole):
+        basis = default_basis("ofdm", whole(200), whole(199))
+        assert type(basis.n_len) is int and type(basis.m_active) is int
+        assert (basis.n_len, basis.m_active) == (200, 199)
+        assert basis.o_matrix.shape == (200, 199)
+
+    @pytest.mark.parametrize("whole", [np.uint8, np.int16])
+    def test_with_prefix(self, whole):
+        pref = with_prefix(default_basis("ofdm", whole(200), whole(200)), whole(100))
+        assert type(pref.prefix_len) is int and type(pref.block_len) is int
+        assert pref.block_len == 300
+        assert pref.o_t.shape == pref.o_r.shape == (300, 200)
+        assert np.array_equal(pref.o_t[:100], pref.base.o_matrix[100:])
+
+    @pytest.mark.parametrize("whole", [np.uint8, np.int16])
+    def test_frame_config(self, whole):
+        cfg = FrameConfig(scheme="ofdm", n_len=whole(200), prefix_len=whole(100))
+        assert type(cfg.n_len) is int and type(cfg.prefix_len) is int
+        assert cfg.make_basis().block_len == 300
+
+    @pytest.mark.parametrize("whole", [np.uint8, np.int16])
+    def test_dpss_params(self, whole):
+        params = DpssParams(whole(200), 0.4, whole(3))
+        assert type(params.n_len) is int and type(params.count) is int
+        assert compute_dpss(params).sequences.shape == (200, 3)
+
+    @pytest.mark.parametrize("whole", [np.uint8, np.int16])
+    def test_s2i_sweep(self, whole):
+        # in uint8, N + g = 44 is the block length, and 1 - n_blocks = 254
+        # would leave no block offset
+        def sweep(n, g, n_blocks):
+            channel = mild_channel_spec()
+            return s2i_sweep(["ofdm"], [1.0], channel, n, g, n_blocks=n_blocks)
+
+        assert sweep(whole(200), whole(100), whole(3)) == sweep(200, 100, 3)
+
+    @pytest.mark.parametrize("whole", [np.uint8, np.int16])
+    def test_isi_gram(self, whole):
+        # in uint8, 1 - n_blocks = 254 left no offset and K = 0
+        pref = with_prefix(default_basis("ofdm", 16, 12), 4, PrefixKind.ZERO)
+        delays = np.array([0.5, 3.2])
+        got = isi_gram(pref, pref, delays, n_blocks=whole(3))
+        assert np.array_equal(got, isi_gram(pref, pref, delays, n_blocks=3))
+        assert np.any(got)
+
+    @pytest.mark.parametrize("whole", [np.uint8, np.int16])
+    def test_channel_realization(self, whole):
+        real = realize(mild_channel_spec(), 0, block_len=whole(200), n_blocks=whole(2))
+        assert type(real.block_len) is int and type(real.n_blocks) is int
+        assert real.stream_len == 400
+
+    @pytest.mark.parametrize("whole", [np.uint8, np.int16])
+    def test_run_ser(self, whole):
+        # in uint8 the seeds 250 + 10 would end at 4
+        def ser(n_trials, base_seed):
+            cfg = FrameConfig(scheme="ofdm", n_len=8)
+            spec = exp_profile_spec(0.5, [0.0, 1.5], 1.5)
+            return run_ser(cfg, spec, [20.0], n_trials=n_trials, base_seed=base_seed)
+
+        assert ser(whole(10), whole(250)) == ser(10, 250)
 
 
 class TestUnknownNames:
