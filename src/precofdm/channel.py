@@ -120,14 +120,30 @@ class ChannelRealization:
         return self.block_len * self.n_blocks
 
 
-def _sinc(x: np.ndarray) -> np.ndarray:
-    """sin(pi x) / (pi x) with exact zeros at nonzero integer arguments (where
-    np.sinc leaves about 1e-17): the channel's and the S2I's delay kernel."""
-    x = np.asarray(x, dtype=float)
-    out = np.sinc(x)
-    exact = (x == np.round(x)) & (x != 0)
-    if np.any(exact):
-        out = np.where(exact, 0.0, out)
+def _sinc_window(first: int, width: int, delays) -> np.ndarray:
+    """sinc(k - tau) for the ``width`` integers k from ``first`` (columns)
+    and each delay tau (rows): the channel's and the S2I's delay kernel.
+
+    With n the integer nearest tau, sin(pi (k - tau)) = (-1)^(k - n)
+    sin(pi (n - tau)), so a row takes one ``sin``, of an argument of at most
+    pi/2, and each value one division by the correctly rounded k - tau: about
+    2 eps relative error, where numpy's sinc of the rounded k - tau is off by
+    up to 3e-12 at |k| <= 2000.  The nearest n matters: as |n - tau| nears 1,
+    sin(fl(pi (n - tau))) loses its relative accuracy.  A whole delay gives
+    exactly 1 at k = tau and 0 elsewhere.
+    """
+    delays = np.asarray(delays, dtype=float)
+    nearest = np.round(delays)
+    scale = np.sin(np.pi * (nearest - delays)) / np.pi
+    scale[(nearest + first) % 2 == 1] *= -1.0  # (-1)^(first - n)
+    lags = np.arange(first, first + width)
+    x = lags - delays[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at a whole delay
+        out = np.divide(scale[:, None], x, out=x)
+    out[:, 1::2] *= -1.0  # (-1)^(k - first)
+    whole = nearest == delays
+    if np.any(whole):
+        out[whole] = lags == delays[whole, None]
     return out
 
 
@@ -138,9 +154,10 @@ def _path_kernels(spec: ChannelSpec, stream_len: int, half_len: int | None):
     integer (a unit tap), else floor(delay) -+ ``half_len``, or every lag
     that can matter for the stream when ``half_len`` is ``None``, which
     makes the streaming form exact.  The sinc kernels of all paths are
-    evaluated at once on the union of the windows, zero outside each
-    window.  With a whole ``half_len`` they are the same for any
-    ``stream_len``.  They are read-only: an SER run's blocks share them.
+    evaluated at once on the union of the windows by ``_sinc_window``, the
+    kernel the S2I analysis reads too, and are zero outside each window.
+    With a whole ``half_len`` they are the same for any ``stream_len``.
+    They are read-only: an SER run's blocks share them.
     """
     delays = spec.delays
     floor = np.floor(delays)
@@ -151,7 +168,7 @@ def _path_kernels(spec: ChannelSpec, stream_len: int, half_len: int | None):
     hi = np.where(whole, floor, centre + reach).astype(np.int64)
     lags = np.arange(lo.min(), hi.max() + 1)
     inside = (lags >= lo[:, None]) & (lags <= hi[:, None])
-    kernels = np.where(inside, _sinc(lags - delays[:, None]), 0.0)
+    kernels = np.where(inside, _sinc_window(lags[0], lags.size, delays), 0.0)
     kernels.flags.writeable = False
     return int(lags[0]), kernels
 

@@ -35,8 +35,10 @@ conjugate time reverse, so Re(C^H C) splits into an even and an odd lag
 block, and ``_parity_lag_root`` factors each by a half-width QR over the
 pair rows of its parity, from the N lag products q >= 0 alone.  Every
 offset's kernels, for every R~ of the share, are one rolling window of the
-channel's sinc(k - tau_p) over the integers k, so each value is evaluated
-once per process.  A span whose projector O O^H is real (DPSS, and
+channel's sinc(k - tau_p) over the integers k (``channel._sinc_window``),
+so each value is evaluated once per process, and each offset folds its
+window once onto the even and odd lag coordinates that the two triangles
+read.  A span whose projector O O^H is real (DPSS, and
 OFDM/DFT subcarrier sets symmetric about 0) runs on a real basis of it
 (``_span_basis``), whose lag products are float64 and whose pairs each
 give one row; a complex span (an odd deficit N - M) gives each pair a row
@@ -51,7 +53,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ._fork import fork_map
-from .channel import ChannelOperator, ChannelRealization, ChannelSpec, _sinc
+from .channel import ChannelOperator, ChannelRealization, ChannelSpec, _sinc_window
 from .errors import ParameterError, check_whole
 from .waveform import (
     PrecodingScheme,
@@ -256,7 +258,11 @@ def _parseval_tails(cmat: np.ndarray, shift: float, radii) -> np.ndarray:
     lags = np.arange(-(n_len - 1), n_len)
     widest = max(radii)
     pts = np.arange(-widest, widest + 1)
-    y = cmat @ _sinc(lags[:, None] - pts[None, :] - shift)
+    # the kernel sinc(q - n - shift) depends on q - n alone: one row of it,
+    # read out as a Toeplitz matrix
+    reach = n_len - 1 + widest
+    row = _sinc_window(-reach, 2 * reach + 1, [shift])[0]
+    y = cmat @ row[np.subtract.outer(lags, pts) + reach]
     power = np.abs(y) ** 2
     total = np.sum(np.abs(cmat) ** 2, axis=-1)
     window = np.array(
@@ -336,10 +342,10 @@ def _symmetric_lag_root(o: np.ndarray) -> np.ndarray:
     return _lag_root(np.asfortranarray(np.vstack([root, root[:, ::-1].conj()])))
 
 
-def _parity_lag_root(o: np.ndarray) -> np.ndarray:
-    """Real lag rows R~ with R~^T R~ = Re(C^H C) for the self-correlation C
-    of ``o`` (N x M), the Gram that real kernels see, from two half-width
-    QRs split by lag parity.
+def _parity_lag_root(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd halves of real lag rows R~ with R~^T R~ = Re(C^H C)
+    for the self-correlation C of ``o`` (N x M), the Gram that real kernels
+    see, from two half-width QRs split by lag parity.
 
     Every column must be +- its own conjugate time reverse, J o_r = p_r
     conj(o_r) with p_r = +-1 (checked to 1e-10, else ``ParameterError``):
@@ -356,10 +362,12 @@ def _parity_lag_root(o: np.ndarray) -> np.ndarray:
     check's residual delta, so leaving it out moves the Gram by O(delta^2
     |C|^2), and reading the kept row from q >= 0 alone by O(delta |C|^2):
     both within the QR's own backward error for the spans ``s2i_sweep``
-    builds.  Each block is factored by ``_lag_root``; its rows, spread back
-    onto the 2N - 1 lags as even or odd sequences, are the rows of R~ (at
-    most 2N - 1 of them; a block with no row, such as the odd one of a real
-    basis at M = 1, gives none).
+    builds.  Each block is factored by ``_lag_root`` and returned as its
+    triangle: the even one on the N coordinates q = 0..N-1, the odd one on
+    the N - 1 coordinates q = 1..N-1.  ``_spread`` puts their rows back onto
+    the 2N - 1 lags as even and odd sequences, the rows of R~ (at most
+    2N - 1 of them; a block with no row, such as the odd one of a real basis
+    at M = 1, gives none).
     """
     n, m = o.shape
     parity = np.where(np.einsum("nr,nr->r", o, o[::-1]).real < 0, -1.0, 1.0)
@@ -389,6 +397,13 @@ def _parity_lag_root(o: np.ndarray) -> np.ndarray:
             if q >= lo:
                 mat[:, q - lo] = part(c[keep] * scale)
     even, odd = (_lag_root(mat) if mat.size else mat[:0] for mat in mats)
+    return even, odd
+
+
+def _spread(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The rows of ``_parity_lag_root``'s halves on the 2N - 1 lags: an even
+    row e gives the sequence e_|q|, an odd row o gives sign(q) o_|q|."""
+    n = even.shape[1]
     out = np.zeros((len(even) + len(odd), 2 * n - 1))
     out[: len(even), n - 1 :] = even
     out[: len(even), : n - 1] = even[:, :0:-1]
@@ -431,23 +446,14 @@ def _gram_root(tx: PrefixedBasis, rx: PrefixedBasis) -> np.ndarray:
     return _lag_root(_cross_lag_matrix(rx.o_r, tx.o_t, order="F"))
 
 
-def _offset_products(roots, block_len: int, delays: np.ndarray, offsets):
-    """Yield (d, [U per root]) per block offset d of the ascending sequence
-    ``offsets``: U is (R k_d)^T for the paths' sinc kernels k_d on R's W lags
-    moved by d blocks (the roots share W).  k_d is one rolling window, read
-    once per offset for every root: it keeps the W - B lags it shares with
-    the previous offset's and evaluates only the new ones, so each
-    sinc(k - tau_p) is evaluated once.  The kernels are real, so U is one
-    real GEMM: a complex R gives the real (paths, 2W) product with the float
-    view of R^T, whose complex view is (R k_d)^T, and a real R gives the
-    real (paths, W) product with R^T itself.  A real 1-D root is the
-    diagonal of R: it scales the kernels' columns, the same bits as the GEMM
-    on the complex diagonal matrix, with zero imaginary slots."""
-    width = roots[0].shape[-1]
-    mats = [
-        root if root.ndim == 1 else np.ascontiguousarray(root.T).view(np.float64)
-        for root in roots
-    ]
+def _offset_windows(width: int, block_len: int, delays: np.ndarray, offsets):
+    """Yield (d, k_d) per block offset d of the ascending sequence
+    ``offsets``: k_d, shape (paths, W), holds the paths' sinc(k - tau_p) on
+    the W = ``width`` lags k centred on d B.  k_d is one rolling window: it
+    keeps the W - B lags it shares with the previous offset's and evaluates
+    only the new ones, so each value is evaluated once.  The window is
+    overwritten by the next offset, so a caller reads it before it asks for
+    the next one."""
     kernel = np.empty((delays.size, width))
     end = None  # one past the window's last lag
     for d in offsets:
@@ -455,14 +461,9 @@ def _offset_products(roots, block_len: int, delays: np.ndarray, offsets):
         # W < 2B, so the shared columns and their new places never overlap
         keep = 0 if end is None else max(0, end - first)
         kernel[:, :keep] = kernel[:, width - keep :]
-        k = np.arange(first + keep, first + width)
-        kernel[:, keep:] = _sinc(k[None, :] - delays[:, None])
+        kernel[:, keep:] = _sinc_window(first + keep, width - keep, delays)
         end = first + width
-        yield d, [
-            (kernel * m).astype(np.complex128).view(np.float64) if m.ndim == 1
-            else kernel @ m
-            for m in mats
-        ]
+        yield d, kernel
 
 
 def isi_gram(
@@ -491,7 +492,10 @@ def isi_gram(
     The normal-equation Gram C^H C is never formed: it squares the condition
     number, and its round-off (about 1e-18 for DPSS at N = 128, M = 121 on
     the mild channel) exceeds the ISI energy of offset d = 2 (2.8e-20).
-    Real (float64) bases give a real C and R; K is complex either way.
+    Real (float64) bases give a real C and R; K is complex either way.  The
+    kernels are real, so each R k_d is one real GEMM: a complex R gives the
+    real (paths, 2W) product with the float view of R^T, whose complex view
+    is (R k_d)^T.
     """
     _check_pair(tx, rx)
     n_blocks = _check_blocks(n_blocks)
@@ -499,9 +503,9 @@ def isi_gram(
     offsets = [d for d in range(1 - n_blocks, n_blocks) if d or include_signal]
     k = np.zeros((2, delays.size, delays.size), dtype=np.complex128)  # ISI, signal
     root = _gram_root(tx, rx)
-    for d, (u,) in _offset_products([root], tx.block_len, delays, offsets):
-        if np.iscomplexobj(root):
-            u = u.view(np.complex128)
+    root_t = np.ascontiguousarray(root.T).view(np.float64)
+    for d, kernel in _offset_windows(root.shape[1], tx.block_len, delays, offsets):
+        u = (kernel @ root_t).view(root.dtype)
         k[0 if d else 1] += u.conj() @ u.T
     return (k[0], k[1]) if include_signal else k[0]
 
@@ -598,6 +602,14 @@ def _span_basis(basis: WaveformBasis) -> WaveformBasis:
     return WaveformBasis(n, m, basis.scheme, np.ascontiguousarray(o.real))
 
 
+def _diagonal_halves(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd halves of R = diag(sqrt(N - |q|)), the lag rows of
+    a span of all of C^N: the diagonals c_0 = sqrt(N) and c_q =
+    sqrt((N - q)/2), q = 1..N-1, on both, whose spread rows give R^T R."""
+    diag = np.sqrt(np.r_[n, np.arange(n - 1, 0, -1) / 2])
+    return diag, diag[1:]
+
+
 def _group_energies(
     prefs: list,
     channel: ChannelSpec,
@@ -606,52 +618,69 @@ def _group_energies(
 ) -> list:
     """(signal energy, ISI energy, half-shift tail total or None) of each
     zero-prefixed basis in ``prefs``, all from its real lag rows R with
-    R^T R = Re(C^H C).  The bases share N and the prefix, so their rows
-    share the 2N - 1 lags.  At M < N, R is ``_parity_lag_root``'s, which
-    needs every column +- its own conjugate time reverse, as the spans of
-    ``s2i_sweep`` are, and raises ``ParameterError`` otherwise; it is real
-    for a complex basis too, so the offset products and energies are real.
+    R^T R = Re(C^H C), held as an even and an odd half.  The bases share N
+    and the prefix, so their rows share the 2N - 1 lags.  At M < N, the
+    halves are ``_parity_lag_root``'s, which needs every column +- its own
+    conjugate time reverse, as the spans of ``s2i_sweep`` are, and raises
+    ``ParameterError`` otherwise; they are real for a complex basis too, so
+    the offset products and energies are real.
 
     The energies are ``signal_isi_energies(pref, pref, ...)``'s, read per
     path as sum_i |(R k_d)_{ip}|^2 and weighted by the path powers, with no
     P x P Gram: the kernels k_d are real, so |C k_d|^2 = k_d^T Re(C^H C)
-    k_d.  The tail total is ``isi_bound``'s: the tail is a quadratic form in
-    the lag sequence with a real symmetric kernel, so the total over the
-    pairs (r, s) of C is a trace against C^H C, which its imaginary part
-    does not reach, and equals the one over the rows of R.  A row of R is
-    not a correlation sequence, but its tail is still non-negative in exact
-    arithmetic, so the per-row clamp stays valid.  At M = N, O O^H = I and
-    C^H C[q, q'] = tr(S_q^H S_q') = (N - |q|) delta_qq' for shifts S_q, so R
-    is diag(sqrt(N - |q|)), unfactored: the callers' ``default_basis`` checks
-    O orthonormal to 1e-10.  The offsets then scale the kernels by that
-    diagonal, and the tail total takes its rows from the real diagonal
-    matrix.
+    k_d.  An even row of R is e_|q| on the lags q and an odd row sign(q)
+    o_|q|, so each offset's window k is folded once, into k_e[0] = k[0],
+    k_e[q] = k[q] + k[-q] and k_o[q] = k[q] - k[-q] for q = 1..N-1, and
+    R k = (E k_e, D k_o) for the halves E and D: two real products on N and
+    N - 1 columns in place of one on 2N - 1, and each energy is
+    sum |E k_e|^2 + sum |D k_o|^2.  The tail total is ``isi_bound``'s: the
+    tail is a quadratic form in the lag sequence with a real symmetric
+    kernel, so the total over the pairs (r, s) of C is a trace against
+    C^H C, which its imaginary part does not reach, and equals the one over
+    the rows of R (``_spread``).  A row of R is not a correlation sequence,
+    but its tail is still non-negative in exact arithmetic, so the per-row
+    clamp stays valid.  At M = N, O O^H = I and C^H C[q, q'] =
+    tr(S_q^H S_q') = (N - |q|) delta_qq' for shifts S_q, so R is
+    diag(sqrt(N - |q|)), unfactored: the callers' ``default_basis`` checks
+    O orthonormal to 1e-10.  Its halves are the diagonals c_0 = sqrt(N) and
+    c_q = sqrt((N - q)/2) on both, as (N - q)/2 ((k_q + k_-q)^2 +
+    (k_q - k_-q)^2) = (N - q) (k_q^2 + k_-q^2); they scale the folded
+    kernels' columns, and the tail total takes its rows from the real
+    diagonal matrix diag(sqrt(N - |q|)).
 
     Every root is factored, and its tail total taken, before the offset
-    loop, so the kernel window of ``_offset_products`` never coexists
-    with a half lag matrix.  The loop then reads each offset's kernels once
-    for every root of ``prefs``, and adds each root's ISI energies in offset
+    loop, so the kernel window of ``_offset_windows`` never coexists with a
+    half lag matrix.  The loop then folds each offset's kernels once for
+    every root of ``prefs``, and adds each root's ISI energies in offset
     order.
     """
     n_blocks = _check_blocks(n_blocks)
     n, block_len = prefs[0].base.n_len, prefs[0].block_len
     windows = _window_powers(channel, n, prefs[0].prefix_len) if include_bound else None
-    roots, bounds = [], []
+    halves, bounds = [], []  # (even, odd): transposed triangles or diagonals
     for pref in prefs:
-        square = pref.base.m_active == n
-        root = (np.sqrt(n - np.abs(np.arange(1 - n, n))) if square
-                else _parity_lag_root(pref.base.o_matrix))
-        roots.append(root)
-        bounds.append(
-            _tail_total(np.diag(root) if square else root, windows)
-            if include_bound else None
-        )
+        if pref.base.m_active == n:
+            halves.append(_diagonal_halves(n))
+            rows = np.diag(np.sqrt(n - np.abs(np.arange(1 - n, n))))
+        else:
+            even, odd = _parity_lag_root(pref.base.o_matrix)
+            halves.append((np.ascontiguousarray(even.T), np.ascontiguousarray(odd.T)))
+            rows = _spread(even, odd)
+        bounds.append(_tail_total(rows, windows) if include_bound else None)
     delays = np.asarray(channel.delays, dtype=float)
-    signals, isis = [None] * len(roots), [0] * len(roots)
+    signals, isis = [None] * len(halves), [0] * len(halves)
     offsets = range(1 - n_blocks, n_blocks)
-    for d, products in _offset_products(roots, block_len, delays, offsets):
-        for i, u in enumerate(products):
-            energies = np.einsum("pi,pi->p", u, u)
+    k_e, k_o = np.empty((delays.size, n)), np.empty((delays.size, n - 1))
+    for d, kernel in _offset_windows(2 * n - 1, block_len, delays, offsets):
+        right, left = kernel[:, n:], kernel[:, : n - 1][:, ::-1]
+        k_e[:, 0] = kernel[:, n - 1]
+        np.add(right, left, out=k_e[:, 1:])
+        np.subtract(right, left, out=k_o)
+        for i, pair in enumerate(halves):
+            energies = 0
+            for k, half in zip((k_e, k_o), pair):
+                u = k * half if half.ndim == 1 else k @ half
+                energies = energies + np.einsum("pi,pi->p", u, u)
             if d:
                 isis[i] = isis[i] + energies
             else:
@@ -706,7 +735,9 @@ def s2i_sweep(
     R comes from two half-width QRs, one per lag parity, over the pair rows
     each parity keeps (``_parity_lag_root``); at M = N, R is in closed form.
     Every span shares B, the lags and the delays, so one rolling window of
-    sinc values serves all the share's roots (``_group_energies``).  A span
+    sinc values serves all the share's roots, and each offset folds it once
+    into k_q + k_-q and k_q - k_-q, which the even and odd halves of every
+    root multiply at half width (``_group_energies``).  A span
     with a real projector is computed on its real basis (``_span_basis``),
     in float64.
     Every check a share would raise runs here first, so a bad argument never

@@ -234,7 +234,8 @@ def per_path_kernels(real, half_len):
 
     k_p is the unit tap at an integer delay and otherwise the sinc sampled
     at lags floor(tau) -+ half_len (every lag of the stream when ``None``),
-    exactly 0 where the argument rounds to a nonzero integer.
+    from one ``_sinc_window`` call of that path alone (whose accuracy
+    ``TestSincWindow`` in test_isimetrics.py checks).
     """
     n = real.stream_len
     paths = []
@@ -245,10 +246,7 @@ def per_path_kernels(real, half_len):
         else:
             lag0 = -(n - 1) if half_len is None else math.floor(tau) - half_len
             end = n if half_len is None else math.floor(tau) + half_len + 1
-            x = np.arange(lag0, end) - tau
-            taps = np.sinc(x)
-            # sin(pi k) vanishes at a nonzero integer k; np.sinc leaves about 1e-17
-            taps[(x == np.round(x)) & (x != 0)] = 0.0
+            taps = channel._sinc_window(lag0, end - lag0, [tau])[0]
         paths.append((lag0, taps, gain))
     return paths
 

@@ -5,9 +5,14 @@ import csv
 import dataclasses
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import precofdm
 from precofdm import cli, isimetrics, linksim, waveform
 from precofdm.channel import builtin_channel_spec, load_channel_profile
 from precofdm.cli import build_parser, main
@@ -904,3 +909,30 @@ class TestCommandTable:
         monkeypatch.setattr(cli, name, counted)
         assert run(args + ["--out", tmp_path / "x.csv"]) == 0
         assert calls
+
+
+class TestModuleEntry:
+    """``python -m precofdm`` runs the ``precofdm`` command: the same
+    ``cli.main``, whose return code is the process' exit code."""
+
+    @staticmethod
+    def python_m(*args):
+        src = str(Path(precofdm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "precofdm", *args],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_version_exits_zero(self):
+        done = self.python_m("--version")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == precofdm.__version__
+
+    def test_parameter_error_exits_two(self, tmp_path):
+        out = tmp_path / "s2i.csv"
+        done = self.python_m("s2i", "--n", "16", "--etas", "[1.0]", "--out", str(out))
+        assert done.returncode == 2
+        assert done.stderr == "error: prefix_len 16 must be shorter than the symbol (16)\n"
+        assert not out.exists()

@@ -19,11 +19,13 @@ from precofdm.channel import (
     ChannelSpec,
     PathSpec,
     _path_kernels,
-    _sinc,
+    _sinc_window,
+    cdlc_channel_spec,
     exp_profile_spec,
     integer_channel_spec,
     mild_channel_spec,
     realize,
+    severe_channel_spec,
 )
 from precofdm.errors import ParameterError
 from precofdm.isimetrics import (
@@ -572,12 +574,10 @@ def lag_matrix_reference(left, right):
 
 
 def sinc_kernel_reference(b, d, delays):
-    """Kernel sinc(q + d B - tau_p) on the lags q of a block of length B."""
-    x = np.arange(-(b - 1), b)[:, None] + d * b - np.asarray(delays)[None, :]
-    kernel = np.sinc(x)
-    # sin(pi k) vanishes at a nonzero integer k; np.sinc leaves about 1e-17
-    kernel[(x == np.round(x)) & (x != 0)] = 0.0
-    return kernel
+    """Kernel sinc(q + d B - tau_p) on the lags q of a block of length B,
+    from ``long_sinc`` rounded to float64."""
+    lags = np.arange(-(b - 1), b)[:, None] + d * b
+    return long_sinc(lags, np.asarray(delays)[None, :]).astype(np.float64)
 
 
 def offset_energies_reference(cmat, b, delays, offsets):
@@ -814,9 +814,18 @@ class TestParityLagRoot:
         n, m = size
         basis = sweep_basis(scheme, n, m)
         o = isimetrics._span_basis(basis).o_matrix if real else basis.o_matrix
-        root = isimetrics._parity_lag_root(o)
-        assert root.dtype == np.float64
-        assert root.shape[0] <= 2 * n - 1 and root.shape[1] == 2 * n - 1
+        even, odd = isimetrics._parity_lag_root(o)
+        # two triangles on the N even and the N - 1 odd lag coordinates
+        assert even.dtype == odd.dtype == np.float64
+        assert even.shape[1] == n and odd.shape[1] == n - 1
+        assert len(even) <= n and len(odd) <= n - 1
+        for half in (even, odd):
+            assert np.array_equal(half, np.triu(half))
+        root = isimetrics._spread(even, odd)
+        assert root.shape == (len(even) + len(odd), 2 * n - 1)
+        # spread: even rows symmetric in the lag, odd rows antisymmetric
+        assert np.array_equal(root[: len(even)], root[: len(even), ::-1])
+        assert np.array_equal(root[len(even) :], -root[len(even) :, ::-1])
         cmat = lag_matrix_reference(o, o)
         err = np.linalg.norm(root.T @ root - np.real(cmat.conj().T @ cmat))
         assert err <= 64 * np.finfo(float).eps * np.linalg.norm(cmat) ** 2
@@ -843,15 +852,16 @@ class TestParityLagRoot:
         span = isimetrics._span_basis(basis) if real else basis
         pref = with_prefix(span, g, PrefixKind.ZERO)
         roots = [
-            isimetrics._parity_lag_root(span.o_matrix),
+            isimetrics._spread(*isimetrics._parity_lag_root(span.o_matrix)),
             isimetrics._gram_root(pref, pref),
         ]
         b = n + g
         offsets = range(1 - n_blocks, n_blocks)
         got, want = np.zeros((2, delays.size)), np.zeros((2, delays.size))
-        for d, (u, ref) in isimetrics._offset_products(roots, b, delays, offsets):
-            got[d != 0] += np.einsum("pi,pi->p", u, u)
-            want[d != 0] += np.einsum("pi,pi->p", ref, ref)
+        for d, kernel in isimetrics._offset_windows(2 * n - 1, b, delays, offsets):
+            u, ref = (kernel @ root.T for root in roots)
+            got[int(d != 0)] += np.einsum("pi,pi->p", u, u)
+            want[int(d != 0)] += np.sum(np.abs(ref) ** 2, axis=1)
         cmat = lag_matrix_reference(span.o_matrix, span.o_matrix)
         isi_offsets = [d for d in offsets if d != 0]
         for i, offs in enumerate(([0], isi_offsets)):
@@ -883,6 +893,97 @@ class TestParityLagRoot:
         pref = with_prefix(WaveformBasis(n, m, scheme, o), 0, PrefixKind.ZERO)
         with pytest.raises(ParameterError, match="conjugate time reverse"):
             isimetrics._group_energies([pref], mild_channel_spec(), 2, False)
+
+
+def unfolded_energies(rows, block_len, channel, n_blocks):
+    """Power-weighted (signal, ISI) energies sum_p w_p ||R k_{p,d}||^2 of the
+    lag rows R (on 2N - 1 lags) over the full windows k_d, and a float64
+    error budget for any route that computes each R k by sums of products.
+
+    Each entry of R k is a sum over the 2N - 1 lags, so it is off by
+    gamma_(2N) (|R| |k|)_i (gamma_k = k eps / (1 - k eps)); a route that
+    first folds k into k_q +- k_-q adds one rounding, gamma_1, per folded
+    entry, with |k_q +- k_-q| <= |k_q| + |k_-q|.  Two such routes then give
+    vectors u, v with ||u - v|| <= 2 gamma_(2N + 1) ||a|| for a = |R| |k|,
+    and ||u|| and ||v|| at most (1 + gamma) ||a||, so their squared norms
+    differ by at most 4 gamma ||a||^2.  Summing the squares (2N terms), the
+    offsets (2 n_blocks) and the P weighted paths adds gamma_(2N + 2 n_blocks
+    + P) times the same absolute energy sum_p w_p ||a_p||^2 to each side.
+    """
+    n = (rows.shape[1] + 1) // 2
+    delays, powers = channel.delays, channel.powers
+    eps = np.finfo(float).eps
+    energies, absolute = np.zeros((2, delays.size)), np.zeros((2, delays.size))
+    offsets = range(1 - n_blocks, n_blocks)
+    for d, kernel in isimetrics._offset_windows(2 * n - 1, block_len, delays, offsets):
+        u = kernel @ rows.T
+        a = np.abs(kernel) @ np.abs(rows).T
+        energies[int(d != 0)] += np.einsum("pi,pi->p", u, u)
+        absolute[int(d != 0)] += np.einsum("pi,pi->p", a, a)
+    k = 4 * n + 2 * n_blocks + delays.size + 4
+    budget = 6 * k * eps / (1 - k * eps) * (powers @ absolute.T)
+    return powers @ energies.T, budget
+
+
+class TestFoldedEnergies:
+    """``_group_energies`` folds each offset's window onto the even and odd
+    lag coordinates of the lag rows' halves; its energies against the
+    unfolded route, the spread rows times the full window."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        real=st.booleans(),
+        size=SPAN_SIZES,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # M = N, the odd deficits of the complex OFDM spans, an empty odd half
+    # (a real span at M = 1) and N = 1, where the odd coordinates are none
+    @example(scheme=PrecodingScheme.OFDM, real=True, size=(16, 16), seed=0)
+    @example(scheme=PrecodingScheme.OFDM, real=False, size=(32, 25), seed=1)
+    @example(scheme=PrecodingScheme.DFT, real=False, size=(9, 8), seed=2)
+    @example(scheme=PrecodingScheme.DPSS, real=True, size=(9, 1), seed=3)
+    @example(scheme=PrecodingScheme.DPSS, real=False, size=(1, 1), seed=4)
+    def test_folded_energies_match_unfolded_route(self, scheme, real, size, seed):
+        n, m = size
+        rng = np.random.default_rng(seed)
+        g = int(rng.integers(0, n))
+        n_blocks = int(rng.integers(2, 5))
+        # whole and fractional delays inside the symbol and its prefix
+        count = int(rng.integers(1, 6))
+        whole = rng.integers(0, n + g, size=count).astype(float)
+        fraction = rng.uniform(0, n + g, count)
+        delays = np.sort(np.where(rng.random(count) < 0.5, whole, fraction))
+        channel = exp_profile_spec(rng.uniform(0.05, 1.0), delays, float(delays[-1]))
+        basis = sweep_basis(scheme, n, m)
+        span = isimetrics._span_basis(basis) if real else basis
+        pref = with_prefix(span, g, PrefixKind.ZERO)
+        ((signal, isi, bound),) = isimetrics._group_energies([pref], channel, n_blocks, False)
+        assert bound is None
+        if m == n:
+            rows = np.diag(np.sqrt(n - np.abs(np.arange(1 - n, n))))
+        else:
+            rows = isimetrics._spread(*isimetrics._parity_lag_root(span.o_matrix))
+        want, budget = unfolded_energies(rows, n + g, channel, n_blocks)
+        assert abs(signal - want[0]) <= budget[0]
+        assert abs(isi - want[1]) <= budget[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 64, 128])
+    def test_diagonal_halves_spread_to_the_square_root(self, n):
+        # c_0 = sqrt(N) and c_q = sqrt((N - q)/2) on both halves; spread,
+        # their Gram is diag(N - |q|) in exact arithmetic, and each entry
+        # within a rounding of c_q^2 in floating point (the (q, -q) entry
+        # c_q^2 - c_q^2 may keep that rounding under a fused multiply-add)
+        even, odd = isimetrics._diagonal_halves(n)
+        q = np.arange(1, n)
+        assert even[0] == math.sqrt(n)
+        assert np.array_equal(even[1:], np.sqrt((n - q) / 2))
+        assert np.array_equal(odd, even[1:])
+        rows = isimetrics._spread(np.diag(even), np.diag(odd))
+        gram = rows.T @ rows
+        want = n - np.abs(np.arange(1 - n, n))
+        scale = np.sqrt(np.outer(want, want))
+        assert np.all(np.abs(gram - np.diag(want)) <= np.finfo(float).eps * scale)
 
 
 class TestParsevalTailProperties:
@@ -947,17 +1048,20 @@ class TestParsevalTailProperties:
 class TestIsiBound:
     def test_one_sinc_kernel_for_all_groups(self, monkeypatch):
         calls = []
-        sinc = isimetrics._sinc
+        window = isimetrics._sinc_window
 
-        def counted(x):
-            calls.append(np.shape(x))
-            return sinc(x)
+        def counted(first, width, delays):
+            calls.append((first, width, list(delays)))
+            return window(first, width, delays)
 
-        monkeypatch.setattr(isimetrics, "_sinc", counted)
+        monkeypatch.setattr(isimetrics, "_sinc_window", counted)
         tensor = xcorr_tensor(default_basis(PrecodingScheme.OFDM, 17, 17))
         isi_bound(tensor, mild_channel_spec(), 16)
-        # mild spans 16 distinct N_p; the widest window holds every one
-        assert calls == [(2 * 17 - 1, 2 * (17 + 16 - 1) + 1)]
+        # mild spans 16 distinct N_p; the widest window (radius 32) holds
+        # every one, and one row of sinc(j - 1/2) holds each lag difference
+        # j of its 33 x 65 kernel once
+        reach = 17 - 1 + 17 + 16 - 1
+        assert calls == [(-reach, 2 * reach + 1, [0.5])]
 
     def test_bound_dominates_empirical_mild(self):
         mild = mild_channel_spec()
@@ -1328,14 +1432,94 @@ LONG_PI = 4 * np.arctan(np.longdouble(1))
 LONG_EPS = float(np.finfo(np.longdouble).eps)
 
 
-def long_sinc(x):
-    """sin(pi x) / (pi x) in longdouble, with exact zeros at nonzero integers."""
-    x = np.asarray(x, dtype=np.longdouble)
-    out = np.ones_like(x)
-    nonzero = x != 0
-    out[nonzero] = np.sin(LONG_PI * x[nonzero]) / (LONG_PI * x[nonzero])
-    out[(x == np.round(x)) & nonzero] = 0
-    return out
+def long_sinc(k, tau):
+    """sinc(k - tau) in longdouble for integers k and float64 delays tau,
+    broadcast together: 1 at k = tau and exact zeros at other integer
+    arguments.  The argument is reduced before the sine, sin(pi (k - tau))
+    = (-1)^(k - n) sin(pi (n - tau)) for any integer n, with n - tau exact:
+    the sine of pi (k - tau) itself loses log2(pi |k|) bits at a lag k."""
+    k = np.asarray(k, dtype=np.int64)
+    tau = np.asarray(tau, dtype=np.float64)
+    n = np.round(tau)
+    sign = np.where((k - n) % 2 == 0, 1, -1).astype(np.longdouble)
+    x = k - tau.astype(np.longdouble)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = sign * np.sin(LONG_PI * (n - tau).astype(np.longdouble)) / (LONG_PI * x)
+    return np.where(x == 0, np.longdouble(1), out)
+
+
+LONG_ORACLE = pytest.mark.skipif(
+    not LONG_EPS < 1e-18,
+    reason=f"numpy.longdouble has eps {LONG_EPS:.1e} here, too coarse for an "
+    "oracle of float64 round-off (needs < 1e-18, as x86-64's 80-bit type)",
+)
+
+
+@LONG_ORACLE
+class TestSincWindow:
+    """``_sinc_window``, the one delay kernel of the channel and the S2I
+    analysis, against ``long_sinc``."""
+
+    EPS = np.finfo(float).eps
+    # the S2I channels, the CDL-C taps at 1000 ns, and delays an ulp or two
+    # off a whole or a half sample, where k - tau rounds to an integer or
+    # to a half at most lags
+    DELAYS = np.concatenate([
+        mild_channel_spec().delays, severe_channel_spec().delays,
+        cdlc_channel_spec(1000.0).delays,
+        [1.9999999999999991, 3.0000000000000004, 7.4999999999999991],
+    ])
+
+    def test_within_4_eps_of_longdouble(self):
+        # np.sinc of the rounded k - tau is off by up to 3.0e-12 on the
+        # mild and severe delays here, and gives 0 for the near-integer ones
+        lags = np.arange(-2000, 2001)
+        got = _sinc_window(-2000, lags.size, self.DELAYS)
+        want = long_sinc(lags[None, :], self.DELAYS[:, None])
+        nonzero = want != 0
+        rel = np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero])
+        assert float(np.max(rel)) <= 4 * self.EPS
+        # the only zeros are those of the whole delays (mild's 0.0 ... 15.0)
+        whole = self.DELAYS == np.round(self.DELAYS)
+        assert np.array_equal(nonzero, ~whole[:, None] | (lags == self.DELAYS[:, None]))
+
+    def test_whole_delays_exact(self):
+        # a unit tap at k = tau and positive zeros elsewhere, whatever the
+        # first lag's parity
+        delays = np.array([0.0, 1.0, 2.0, 15.0, 2000.0, 0.5])
+        for first in (-7, -6, 0, 3):
+            lags = np.arange(first, first + 2100)
+            got = _sinc_window(first, lags.size, delays)
+            want = (lags == delays[:5, None]).astype(float)
+            assert got[:5].tobytes() == want.tobytes()
+            assert np.all(got[5] != 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        first=st.integers(-3000, 3000),
+        width=st.integers(1, 64),
+        shift=st.integers(0, 64),
+        delays=st.lists(
+            st.one_of(
+                st.integers(0, 40).map(float),
+                st.floats(0.0, 40.0, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    @example(first=-5, width=11, shift=1, delays=[2.5, 1.9999999999999991, 5e-324])
+    def test_any_window(self, first, width, shift, delays):
+        # within 4 eps everywhere (and a few units of the last subnormal
+        # place, for a delay that far below a whole sample), and a lag's
+        # value does not depend on the window that holds it: the rolling S2I
+        # window keeps columns of one evaluation beside those of the next
+        delays = np.array(delays)
+        got = _sinc_window(first, width, delays)
+        want = long_sinc(np.arange(first, first + width)[None, :], delays[:, None])
+        floor = 4 * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(got - want) <= 4 * self.EPS * np.abs(want) + floor)
+        wider = _sinc_window(first - shift, width + shift, delays)
+        assert wider[:, shift:].tobytes() == got.tobytes()
 
 
 def longdouble_span_reference(o, prefix_len, channel, n_blocks):
@@ -1361,11 +1545,10 @@ def longdouble_span_reference(o, prefix_len, channel, n_blocks):
             c = o[: n + q].conj().T @ o[-q:]
         cmat[:, q + n - 1] = c.ravel()
     b = n + prefix_len
-    delays = np.asarray(channel.delays, dtype=np.longdouble)
     powers = np.asarray(channel.powers, dtype=np.longdouble)
     ref = dict.fromkeys(("signal", "isi", "signal_kernels", "isi_kernels"), 0)
     for d in range(1 - n_blocks, n_blocks):
-        kernel = long_sinc(lags[:, None] + d * b - delays[None, :])
+        kernel = long_sinc(lags[:, None] + d * b, channel.delays[None, :])
         energy = powers @ np.sum(np.abs(cmat @ kernel) ** 2, axis=0)
         norms = powers @ np.sum(kernel**2, axis=0)
         key = "isi" if d else "signal"
@@ -1375,7 +1558,7 @@ def longdouble_span_reference(o, prefix_len, channel, n_blocks):
     row_energy = np.sum(np.abs(cmat) ** 2, axis=1)
     for n_p, weight in isimetrics._window_powers(channel, n, prefix_len).items():
         pts = np.arange(1 - n_p, n_p)
-        y = cmat @ long_sinc(lags[:, None] - pts[None, :] - np.longdouble(0.5))
+        y = cmat @ long_sinc(lags[:, None] - pts[None, :], 0.5)
         tails = row_energy - np.sum(np.abs(y) ** 2, axis=1)
         total += np.longdouble(weight) * np.sum(tails)
     ref.update(cmat=cmat, tail_total=total)
@@ -1388,8 +1571,9 @@ def tail_total_budget(n_len, prefix_len, channel, cnorm2):
 
     With gamma_k = k eps / (1 - k eps), per window of radius R: ||c||^2 is
     off by gamma_L ||c||^2; each sample y_n = sum_q c_q S[n, q], with the
-    kernel entries rounded once, by gamma_(L+2) (|S| |c|)_n, so the window
-    energy by 2 gamma_(L+2) |||S|||_2 ||c||^2 (|||S|||_2 the spectral norm
+    kernel entries within 4 eps of sinc (``TestSincWindow``), by
+    gamma_(L+4) (|S| |c|)_n, so the window energy by 2 gamma_(L+4)
+    |||S|||_2 ||c||^2 (|||S|||_2 the spectral norm
     of the absolute kernel) and its sum by gamma_(2R+1) ||c||^2.  A lag
     root's rows, not C's, add ``TestRootBound``'s 64 eps ||C||_F^2.
     """
@@ -1403,20 +1587,18 @@ def tail_total_budget(n_len, prefix_len, channel, cnorm2):
     budget = 0.0
     for n_p, weight in isimetrics._window_powers(channel, n_len, prefix_len).items():
         pts = np.arange(1 - n_p, n_p)
-        kernel = np.abs(isimetrics._sinc(lags[:, None] - pts[None, :] - 0.5))
+        reach = n_len + n_p - 2
+        row = _sinc_window(-reach, 2 * reach + 1, [0.5])[0]
+        kernel = np.abs(row[np.subtract.outer(lags, pts) + reach])
         per_energy = (
-            gamma(size) + 2 * gamma(size + 2) * np.linalg.norm(kernel, 2)
+            gamma(size) + 2 * gamma(size + 4) * np.linalg.norm(kernel, 2)
             + gamma(2 * n_p - 1) + 64 * eps
         )
         budget += weight * per_energy
     return budget * cnorm2
 
 
-@pytest.mark.skipif(
-    not LONG_EPS < 1e-18,
-    reason=f"numpy.longdouble has eps {LONG_EPS:.1e} here, too coarse for an "
-    "oracle of float64 round-off (needs < 1e-18, as x86-64's 80-bit type)",
-)
+@LONG_ORACLE
 class TestLongdoubleOracle:
     """The DPSS span's lag matrix, energies and half-shift tail total
     against dense longdouble sums, on both routes: the complex basis of
@@ -1523,22 +1705,20 @@ class TestSquareSpanRoot:
         n_blocks=st.integers(min_value=2, max_value=5),
     )
     def test_diagonal_root_scales_as_dense_gemm(self, n, g, delays, n_blocks):
-        # the M = N route scales each offset's kernel columns by the
-        # diagonal; the GEMM on the dense diagonal root gives the same bits,
-        # and so do the per-path energies summed from them
-        scale = np.sqrt(n - np.abs(np.arange(1 - n, n)))
+        # the M = N route scales each offset's folded kernel columns by the
+        # diagonal halves; the GEMMs on the dense diagonal matrices give the
+        # same bits, and so do the energies summed from them
         delays = np.array(delays)
-        offsets = range(1 - n_blocks, n_blocks)
-        products = isimetrics._offset_products(
-            [scale, np.diag(scale + 0j)], n + g, delays, offsets
-        )
-        for (d, (u, u_dense)), want in zip(products, offsets, strict=True):
-            assert d == want
-            assert u.shape == u_dense.shape == (len(delays), 2 * (2 * n - 1))
-            assert np.array_equal(u, u_dense)
-            assert not np.any(u[:, 1::2])
-            energies = np.einsum("pi,pi->p", u, u)
-            assert energies.tobytes() == np.einsum("pi,pi->p", u_dense, u_dense).tobytes()
+        channel = exp_profile_spec(0.5, delays, float(delays.max()))
+        basis = default_basis(PrecodingScheme.OFDM, n, n)
+        pref = with_prefix(basis, g % n, PrefixKind.ZERO)
+        ((*scaled, _),) = isimetrics._group_energies([pref], channel, n_blocks, False)
+        halves = isimetrics._diagonal_halves(n)
+        dense = tuple(np.diag(half) for half in halves)
+        with mock.patch.object(isimetrics, "_diagonal_halves", return_value=dense):
+            ((*gemm, _),) = isimetrics._group_energies([pref], channel, n_blocks, False)
+        assert [h.ndim for h in halves] == [1, 1]
+        assert np.array(scaled).tobytes() == np.array(gemm).tobytes()
 
     def test_square_spans_factor_nothing(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
@@ -1556,17 +1736,30 @@ class TestSquareSpanRoot:
 
 
 def offset_windows(width, block_len, delays, offsets):
-    """(d, k_d) per offset of ``_offset_products``: the kernel window read
-    through a root of ones, a diagonal whose products hold the window's
-    columns times 1.0, unrounded, in their real slots."""
-    products = isimetrics._offset_products([np.ones(width)], block_len, delays, offsets)
-    return [(d, u[:, 0::2]) for d, (u,) in products]
+    """(d, k_d) per offset of ``_offset_windows``, each window copied before
+    the generator overwrites it."""
+    windows = isimetrics._offset_windows(width, block_len, delays, offsets)
+    return [(d, kernel.copy()) for d, kernel in windows]
+
+
+def folded_energies(kernel, halves):
+    """Per-path energies sum |E k_e|^2 + sum |D k_o|^2 of the window
+    ``kernel`` on 2N - 1 lags, folded onto the even and odd coordinates of
+    the halves (transposed triangles, or diagonals that scale columns)."""
+    n = (kernel.shape[1] + 1) // 2
+    right, left = kernel[:, n:], kernel[:, : n - 1][:, ::-1]
+    k_e = np.hstack([kernel[:, n - 1 : n], right + left])
+    energies = 0
+    for k, half in zip((k_e, right - left), halves):
+        u = k * half if half.ndim == 1 else k @ half
+        energies = energies + np.einsum("pi,pi->p", u, u)
+    return energies
 
 
 class TestSincTable:
     """Every block offset's kernels are one rolling window of the channel's
     sinc(k - tau_p) over the integers k, moved by B lags per offset and
-    shared by the lag roots of a group of spans (``_offset_products``,
+    shared by the lag roots of a group of spans (``_offset_windows``,
     ``_group_energies``)."""
 
     @settings(max_examples=30, deadline=None)
@@ -1580,7 +1773,7 @@ class TestSincTable:
         m = data.draw(st.integers(min_value=1, max_value=n - 1), label="m")
         g = data.draw(st.integers(min_value=0, max_value=n - 1), label="g")
         n_blocks = data.draw(st.integers(min_value=2, max_value=40), label="blocks")
-        # integer delays hit the exact-zero mask of _sinc
+        # integer delays take the exact unit-tap rows of _sinc_window
         delays = np.sort(data.draw(st.lists(
             st.one_of(
                 st.integers(0, n + g - 1).map(float),
@@ -1598,31 +1791,26 @@ class TestSincTable:
                 windows = offset_windows(width, b, delays, seq)
                 assert [d for d, _ in windows] == list(seq)
                 for d, kernel in windows:
-                    k = np.arange(-half, half + 1) + d * b
-                    want = _sinc(k[None, :] - delays[:, None])
-                    assert kernel.tobytes() == np.ascontiguousarray(want).tobytes()
+                    want = _sinc_window(d * b - half, width, delays)
+                    assert kernel.tobytes() == want.tobytes()
 
         # a group of a factored root and the closed-form M = N root against
-        # a per-offset loop that evaluates each offset's kernels afresh
+        # a per-offset loop that evaluates each offset's kernels afresh and
+        # folds them onto the halves
         prefs = [
             with_prefix(sweep_basis(scheme, n, size), g, PrefixKind.ZERO)
             for size in (m, n)
         ]
-        roots = [
-            isimetrics._parity_lag_root(prefs[0].base.o_matrix),
-            np.sqrt(n - np.abs(lags)),
+        even, odd = isimetrics._parity_lag_root(prefs[0].base.o_matrix)
+        halves = [
+            tuple(np.ascontiguousarray(half.T) for half in (even, odd)),
+            isimetrics._diagonal_halves(n),
         ]
-        root_t = np.ascontiguousarray(roots[0].T).view(np.float64)
-        products = isimetrics._offset_products(roots, b, delays, offsets)
         signal, isi = [None, None], [0, 0]
-        for (d, (u_root, u_diag)), want in zip(products, offsets, strict=True):
-            kernel = _sinc(lags[None, :] + d * b - delays[:, None])
-            diag = (kernel * roots[1]).astype(np.complex128).view(np.float64)
-            refs = kernel @ root_t, diag
-            for i, (u, ref) in enumerate(zip((u_root, u_diag), refs)):
-                assert np.array_equal(u, ref)
-                energies = np.einsum("pi,pi->p", ref, ref)
-                assert np.einsum("pi,pi->p", u, u).tobytes() == energies.tobytes()
+        for d in offsets:
+            kernel = _sinc_window(d * b - (n - 1), lags.size, delays)
+            for i, pair in enumerate(halves):
+                energies = folded_energies(kernel, pair)
                 if d:
                     isi[i] = isi[i] + energies
                 else:
@@ -1643,33 +1831,30 @@ class TestSincTable:
         mild = mild_channel_spec()
         n, g = 17, 16
         reach = (isimetrics.DEFAULT_BLOCK_WINDOW - 1) * (n + g) + n - 1
-        # isimetrics reads the channel's _sinc under its own name
-        sinc, tails = isimetrics._sinc, isimetrics._parseval_tails
+        # isimetrics reads the channel's _sinc_window under its own name
+        window, tails = isimetrics._sinc_window, isimetrics._parseval_tails
         for include_bound in (False, True):
             kernel_lags, tail_calls, inside = [], [], []
 
             def counted_tails(*args):
-                tail_calls.append(0)  # _sinc calls of this tail pass
+                tail_calls.append(0)  # _sinc_window calls of this tail pass
                 inside.append(True)
                 try:
                     return tails(*args)
                 finally:
                     inside.pop()
 
-            def counted_sinc(x):
+            def counted_window(first, width, delays):
                 if inside:
                     tail_calls[-1] += 1
                 else:
-                    assert np.shape(x)[0] == len(mild.paths)
-                    assert 0 < np.shape(x)[1] <= 2 * n - 1
-                    # every row holds k - tau_p for the same integers k
-                    k = np.round(x + mild.delays[:, None])
-                    assert np.all(k == k[0])
-                    kernel_lags.append(k[0])
-                return sinc(x)
+                    assert np.array_equal(delays, mild.delays)
+                    assert 0 < width <= 2 * n - 1
+                    kernel_lags.append(np.arange(first, first + width))
+                return window(first, width, delays)
 
             monkeypatch.setattr(isimetrics, "_parseval_tails", counted_tails)
-            monkeypatch.setattr(isimetrics, "_sinc", counted_sinc)
+            monkeypatch.setattr(isimetrics, "_sinc_window", counted_window)
             rows = s2i_sweep(
                 SCHEMES, [1.0, 15 / 17], mild, n, g, include_bound=include_bound
             )
@@ -1683,7 +1868,7 @@ class TestSincTable:
         mild_channel_spec(),
         integer_channel_spec(),
         # delays an ulp or two off an integer: k - tau rounds to an integer
-        # at most lags, where np.sinc would leave about 1e-17
+        # at most lags, where the kernel's tiny values are still the sinc's
         ChannelSpec(
             (PathSpec(3.0000000000000004, gain_power=1.0),
              PathSpec(1.9999999999999991, gain_power=0.5),
@@ -1712,8 +1897,9 @@ class TestSincTable:
         # one per process, and each share's first kernel value comes after
         # its last root; each process logs its share's events as one line
         events, log = [], tmp_path / "events.txt"
-        per_share, lag_root, sinc = (
-            isimetrics._group_energies, isimetrics._parity_lag_root, isimetrics._sinc
+        per_share, lag_root, window = (
+            isimetrics._group_energies, isimetrics._parity_lag_root,
+            isimetrics._sinc_window,
         )
 
         def share(prefs, *args):
@@ -1728,13 +1914,13 @@ class TestSincTable:
             events.append("root")
             return value
 
-        def counted_sinc(x):
+        def counted_window(*args):
             events.append("sinc")
-            return sinc(x)
+            return window(*args)
 
         monkeypatch.setattr(isimetrics, "_group_energies", share)
         monkeypatch.setattr(isimetrics, "_parity_lag_root", root)
-        monkeypatch.setattr(isimetrics, "_sinc", counted_sinc)
+        monkeypatch.setattr(isimetrics, "_sinc_window", counted_window)
         pin_cpus(2, OMP_NUM_THREADS="1")
         # shares: OFDM at M = 15, 13 and 17 (closed form, no QR); DPSS at 15, 13
         s2i_sweep(
