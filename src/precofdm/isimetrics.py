@@ -396,8 +396,7 @@ def _parity_lag_root(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for lo, (mat, (keep, scale, part)) in enumerate(zip(mats, blocks)):
             if q >= lo:
                 mat[:, q - lo] = part(c[keep] * scale)
-    even, odd = (_lag_root(mat) if mat.size else mat[:0] for mat in mats)
-    return even, odd
+    return tuple(_lag_root(mat) if mat.size else mat[:0] for mat in mats)
 
 
 def _spread(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
