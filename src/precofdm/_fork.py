@@ -1,10 +1,11 @@
-"""Independent tasks in forked processes, as many as the CPUs of the
-affinity set hold BLAS thread pools.  Each result is computed by the same
-code on the same data wherever it runs, so no result depends on how many
-processes ran."""
+"""Independent tasks in forked processes, as many as the CPUs of the affinity
+set hold BLAS thread pools.  Each result is computed by the same code on the
+same data wherever it runs, so no result depends on how many processes ran."""
 from __future__ import annotations
 
 import os
+import pickle
+import sys
 
 # The variables BLAS libraries read their thread count from, in this order.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -27,63 +28,61 @@ def _share_count(n_items: int) -> int:
     return max(1, min(n_items, cpus // blas_threads))
 
 
-def _send_results(func, share: list, sender) -> None:
-    """A forked child's body: sends ``(True, func(share))`` or ``(False, exc)``."""
-    try:
-        result = True, func(share)
-    except Exception as exc:  # raised again in the parent
-        result = False, exc
-    with sender:
-        sender.send(result)
-
-
 def fork_map(func, items) -> list:
     """``func`` on round-robin shares of ``items``, results in item order.
 
-    Share k holds items k, k + P, k + 2P, ... of P = ``_share_count``
-    shares; ``func`` takes a whole share as a list, so that it sets up once
-    what the share's items have in common, and returns one result per item.
-    Share 0 runs in this process and every other one in a forked child,
-    which sends its results back through a one-way pipe; an exception in a
-    child is raised here, and a child that ends without sending is a
-    ``RuntimeError`` naming its exit code.  Every child is joined, also when
-    this process's own share raises.  Fork rather than spawn: a child starts
-    with the modules and the caller's state it needs, at no import cost, and
-    nothing but the results is pickled.  Below two shares ``func`` takes all
-    items here; ``multiprocessing`` is never imported.
+    Share k holds items k, k + P, ... of P = ``_share_count`` shares; ``func``
+    takes a whole share as a list, so that it sets up once what the share's
+    items have in common, and returns one result per item.  Share 0 runs
+    here, every other one in a child of ``os.fork`` (which, unlike spawn,
+    starts with the caller's modules and state) that pickles its results or
+    exception into a pipe and leaves by ``os._exit``.  Each pipe is read to
+    its end, then its child reaped, even when a share here raises; a child
+    that sends nothing, or a value it cannot pickle, is a ``RuntimeError``.
     """
     items = list(items)
     shares = _share_count(len(items))
     if shares < 2:
         return func(items)
-    import multiprocessing  # here, so that importing or a serial run pays nothing
-
-    context = multiprocessing.get_context("fork")
-    children, results = [], []
+    sys.stdout.flush()  # else each child would write this process's buffers
+    sys.stderr.flush()
+    children, sent, out = {}, [], [None] * len(items)
     try:
         for share in range(1, shares):
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(
-                target=_send_results, args=(func, items[share::shares], sender)
-            )
-            child.start()
-            sender.close()  # the child's copy is then the only write end
-            children.append((child, receiver))
-        results.append((True, func(items[::shares])))
+            reader, writer = map(open, os.pipe(), ("rb", "wb"))
+            children[reader] = None  # no child to reap if the fork fails
+            with writer:  # once forked, the child's copy is the only write end
+                children[reader] = pid = os.fork()
+                if pid == 0:  # the child, which never leaves this branch
+                    try:
+                        reader.close()
+                        try:
+                            message = True, func(items[share::shares])
+                        except Exception as exc:  # raised again in the parent
+                            message = False, exc
+                        try:
+                            data = pickle.dumps(message)
+                        except Exception as exc:
+                            error = ("a forked process cannot pickle "
+                                     f"{message[1]!r:.200}: {exc!r}")
+                            data = pickle.dumps((False, RuntimeError(error)))
+                        writer.write(data)
+                        writer.close()
+                        sys.stdout.flush()
+                        sys.stderr.flush()
+                        os._exit(0)
+                    finally:  # also on any BaseException
+                        os._exit(1)
+        out[::shares] = func(items[::shares])
     finally:
-        for child, receiver in children:
-            with receiver:
-                try:
-                    results.append(receiver.recv())
-                except EOFError:  # the child ended without sending
-                    child.join()
-                    results.append((False, RuntimeError(
-                        f"a forked process exited with code {child.exitcode} "
-                        "before it sent its results"
-                    )))
-            child.join()
-    out = [None] * len(items)
-    for share, (ok, values) in enumerate(results):
+        for reader, pid in children.items():
+            with reader:
+                data = reader.read()
+            if pid is not None:
+                sent.append((data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for share, (data, code) in enumerate(sent, 1):
+        ok, values = pickle.loads(data) if data else (False, RuntimeError(
+            f"a forked process exited with code {code} before it sent its results"))
         if not ok:
             raise values
         out[share::shares] = values

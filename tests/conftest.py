@@ -1,10 +1,17 @@
 """Fixtures shared by the test modules."""
 
-import multiprocessing
+import os
+import signal
 
 import pytest
 
 from precofdm import _fork
+
+
+def assert_no_child():
+    """This process has no child at all, running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -27,9 +34,24 @@ def pin_cpus(monkeypatch):
 
 @pytest.fixture
 def no_fork(monkeypatch):
-    """Asking for a process context raises ``AssertionError``."""
+    """Forking a process raises ``AssertionError``."""
 
-    def refuse(method=None):
-        raise AssertionError("asked for a process context")
+    def refuse():
+        raise AssertionError("asked to fork a process")
 
-    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    monkeypatch.setattr(_fork.os, "fork", refuse)
+
+
+@pytest.fixture
+def deadline():
+    """The test fails with ``TimeoutError`` if it runs past 60 s, so that a
+    hang fails it.  Forked children do not inherit the alarm."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

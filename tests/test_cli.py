@@ -4,13 +4,13 @@ import argparse
 import csv
 import dataclasses
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import assert_no_child
 
 import precofdm
 from precofdm import cli, isimetrics, linksim, waveform
@@ -196,7 +196,7 @@ class TestProcesses:
             outputs.append(tmp_path / f"cpus{cpus}.csv")
             assert run(args + ["--out", outputs[-1]]) == 0
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_bound_never_forks(self, tmp_path, pin_cpus, no_fork):
         pin_cpus(4, OMP_NUM_THREADS="1")

@@ -3,12 +3,12 @@
 import ast
 import dataclasses
 import math
-import multiprocessing
 import os
 from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import assert_no_child
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -1187,7 +1187,7 @@ class TestS2iSweep:
             )
         # dataclass equality compares the floats exactly
         assert rows[1] == rows[2] == rows[3]
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @pytest.mark.parametrize("n_blocks,delay", [(1, 3.0), (4, 40.0)])
     def test_bad_arguments_raise_before_any_fork(
@@ -1216,7 +1216,7 @@ class TestS2iSweep:
             )
             assert len(rows) == 3
         # three spans are three tasks
-        with pytest.raises(AssertionError, match="process context"):
+        with pytest.raises(AssertionError, match="asked to fork"):
             s2i_sweep(SCHEMES, [1.0, 15 / 17], mild_channel_spec(), 17, 16, n_blocks=3)
 
     @pytest.mark.parametrize("include_bound", [False, True])
@@ -1267,7 +1267,7 @@ class TestS2iSweep:
             assert all(
                 (r.s2i_lower_bound_db is not None) == include_bound for r in rows
             )
-            assert multiprocessing.active_children() == []
+            assert_no_child()
 
     def test_no_correlation_tensor_on_sweep_path(self, monkeypatch):
         def refuse(basis):
@@ -1932,7 +1932,7 @@ class TestSincTable:
         for seen in shares:
             assert seen[:2] == ["root", "root"]
             assert seen[2:] and set(seen[2:]) == {"sinc"}
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
 
 class TestHalfShiftScan:

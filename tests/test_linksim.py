@@ -2,14 +2,15 @@
 
 import gc
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import weakref
 
 import numpy as np
 import pytest
+from conftest import assert_no_child
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
@@ -812,7 +813,7 @@ class TestPathStack:
         monkeypatch.setattr(linksim, "_build_path_stack", spy)
         first = run_ser(cfg, spec, [20.0], n_trials=7, base_seed=1)
         assert builds.read_text().split() == [str(os.getpid())]
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         # each run builds its own, once more
         assert run_ser(cfg, spec, [20.0], n_trials=7, base_seed=1) == first
         assert builds.read_text().split() == [str(os.getpid())] * 2
@@ -927,7 +928,7 @@ class TestTrialSplit:
         # this process ran the first share alone, in one call that took it
         # as a list; children ran the others
         assert ran_here == [list(seeds[::shares])]
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_child_error_raised_in_parent(self, pin_cpus):
         pin_cpus(3, OMP_NUM_THREADS="1")
@@ -939,7 +940,7 @@ class TestTrialSplit:
 
         with pytest.raises(ParameterError, match=r"bad share \[2, 5\]"):
             _fork.fork_map(count, range(6))
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_child_ended_without_counts_is_error(self, pin_cpus):
         pin_cpus(2, OMP_NUM_THREADS="1")
@@ -951,7 +952,7 @@ class TestTrialSplit:
 
         with pytest.raises(RuntimeError, match="exited with code 3"):
             _fork.fork_map(count, range(4))
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_children_joined_when_own_share_raises(self, pin_cpus):
         pin_cpus(3, OMP_NUM_THREADS="1")
@@ -963,7 +964,96 @@ class TestTrialSplit:
 
         with pytest.raises(ParameterError, match="own share"):
             _fork.fork_map(count, range(6))
-        assert multiprocessing.active_children() == []
+        assert_no_child()
+
+    def test_killed_child_is_error(self, pin_cpus, deadline):
+        pin_cpus(3, OMP_NUM_THREADS="1")
+
+        def count(share):
+            if 1 in share:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return self.zeros(share)
+
+        with pytest.raises(RuntimeError, match="exited with code -9 before"):
+            _fork.fork_map(count, range(6))
+        assert_no_child()
+
+    def test_base_exception_ends_child_here(self, pin_cpus, deadline):
+        # an exception beyond Exception ends the child in fork_map: it never
+        # unwinds into the caller's code in the child
+        pin_cpus(2, OMP_NUM_THREADS="1")
+
+        def count(share):
+            if 1 in share:
+                raise SystemExit(5)
+            return self.zeros(share)
+
+        with pytest.raises(RuntimeError, match="exited with code 1 before"):
+            _fork.fork_map(count, range(4))
+        assert_no_child()
+
+    @pytest.mark.parametrize("raised", [False, True])
+    def test_unpicklable_value_is_named(self, pin_cpus, deadline, raised):
+        # a megabyte before the lambda: a pickler writing straight into the
+        # pipe would send part of a message before it failed
+        pin_cpus(3, OMP_NUM_THREADS="1")
+
+        def count(share):
+            if 0 in share:
+                return self.zeros(share)
+            if raised:
+                raise ParameterError(bytes(2**20), lambda: share)
+            return [(bytes(2**20), lambda: x) for x in share]
+
+        with pytest.raises(RuntimeError, match=r"cannot pickle .*<lambda>"):
+            _fork.fork_map(count, range(6))
+        assert_no_child()
+
+    def test_results_larger_than_a_pipe_arrive_whole(self, pin_cpus, deadline):
+        pin_cpus(3, OMP_NUM_THREADS="1")
+        payload = bytes(range(256)) * 4096  # 1 MB, past any pipe buffer
+        got = _fork.fork_map(
+            lambda share: [bytes([x]) + payload for x in share], range(6)
+        )
+        assert got == [bytes([x]) + payload for x in range(6)]
+        assert_no_child()
+
+    def test_large_results_drained_when_own_share_raises(self, pin_cpus, deadline):
+        pin_cpus(2, OMP_NUM_THREADS="1")
+
+        def count(share):
+            if 0 in share:
+                raise ParameterError("own share")
+            return [bytes(2**20) for _ in share]
+
+        with pytest.raises(ParameterError, match="own share"):
+            _fork.fork_map(count, range(2))
+        assert_no_child()
+
+    def test_split_runs_leave_out_multiprocessing(self):
+        # a split SER run (8 trials: two seed blocks) and a split S2I sweep
+        # (three spans) on 2 CPUs fork through os alone
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
+            "import precofdm as pf\n"
+            "spec = pf.cdlc_channel_spec(1000.0)\n"
+            "cfg = pf.FrameConfig(scheme='dft', eta=1.0, n_len=32,"
+            " prefix_len=pf.prefix_length_for(spec))\n"
+            "pf.run_ser(cfg, spec, [20.0], n_trials=8)\n"
+            "pf.s2i_sweep(['ofdm', 'dft', 'dpss'], [1.0, 15 / 17],"
+            " pf.mild_channel_spec(), 17, 16, n_blocks=3)\n"
+            "print(len(forks), 'multiprocessing' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(linksim.__file__))
+        env = {**os.environ, "OMP_NUM_THREADS": "1", "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "2 False"
 
     def test_round_robin_results_in_item_order(self, pin_cpus):
         pin_cpus(3, OMP_NUM_THREADS="1")
@@ -980,7 +1070,7 @@ class TestTrialSplit:
         assert pids[0::3] == [os.getpid()] * 3
         assert len({*pids[1::3], *pids[2::3]} - {os.getpid()}) == 2
         assert pids[1] == pids[4] and pids[2] == pids[5]
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @pytest.mark.parametrize("cpus,threads,n_trials,want", [
         (2, {}, 200, 1),  # BLAS defaults to one thread per CPU
@@ -1009,7 +1099,7 @@ class TestTrialSplit:
         for n_trials in (1, linksim._BLOCK_SEEDS):
             (pt,) = run_ser(cfg, IDENTITY, [20.0], n_trials=n_trials)
             assert pt.total_symbols == n_trials * 14 * 17
-        with pytest.raises(AssertionError, match="process context"):
+        with pytest.raises(AssertionError, match="asked to fork"):
             run_ser(cfg, IDENTITY, [20.0], n_trials=linksim._BLOCK_SEEDS + 1)
 
     def test_run_ser_same_points_on_one_and_three_cpus(self, pin_cpus):
@@ -1019,7 +1109,7 @@ class TestTrialSplit:
             pin_cpus(cpus, OMP_NUM_THREADS="1")
             points[cpus] = run_ser(cfg, spec, self.SNRS, n_trials=7, base_seed=5)
         assert points[1] == points[3]
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
 
 def one_block_kernels(spec, block_len):
@@ -1140,7 +1230,7 @@ class TestSeedBlocks:
             pin_cpus(cpus, OMP_NUM_THREADS="1")
             points[cpus] = run_ser(cfg, spec, snrs, n_trials=n_trials, base_seed=base_seed)
         assert points[1] == points[3]
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         basis = cfg.make_basis()
         trials = [
             run_trial(cfg, spec, basis, snrs, seed)
