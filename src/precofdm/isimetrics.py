@@ -690,6 +690,18 @@ def _group_energies(
     ]
 
 
+def _span_work(pref: PrefixedBasis, n_paths: int, n_blocks: int) -> int:
+    """Multiply-adds of one span in ``_group_energies``, roughly: pair rows
+    x N^2 for its lag products and parity QRs (none at M = N, whose root is
+    in closed form), and paths x (2 n_blocks - 1) x N^2 for its offset
+    products."""
+    n, m = pref.base.n_len, pref.base.m_active
+    pair_rows = 0 if m == n else m * (m + 1) // 2
+    if np.iscomplexobj(pref.base.o_matrix):
+        pair_rows *= 2  # a row of the real and one of the imaginary part
+    return (pair_rows + n_paths * (2 * n_blocks - 1)) * n * n
+
+
 def _ratio_db(signal: float, interference: float) -> float:
     if interference <= 0.0:
         return float("inf")
@@ -768,6 +780,7 @@ def s2i_sweep(
             [spans[key] for key in share], channel, n_blocks, include_bound
         ),
         keys,
+        [_span_work(spans[key], len(channel.paths), n_blocks) for key in keys],
     ), strict=True))
     points = []
     for scheme, m, key in rows:

@@ -43,6 +43,13 @@ def no_fork(monkeypatch):
 
 
 @pytest.fixture
+def fork_always(monkeypatch):
+    """``fork_map`` splits a call whatever its work estimates, as it does a
+    sweep above ``_fork.FORK_BREAK_EVEN``."""
+    monkeypatch.setattr(_fork, "FORK_BREAK_EVEN", 0)
+
+
+@pytest.fixture
 def deadline():
     """The test fails with ``TimeoutError`` if it runs past 60 s, so that a
     hang fails it.  Forked children do not inherit the alarm."""

@@ -189,7 +189,11 @@ class TestProcesses:
     ]
 
     @pytest.mark.parametrize("args", RUNS)
-    def test_split_and_serial_write_same_bytes(self, tmp_path, pin_cpus, args):
+    def test_split_and_serial_write_same_bytes(
+        self, tmp_path, pin_cpus, fork_always, args
+    ):
+        # the s2i run is far below the break-even, patched to 0 here, so that
+        # its three spans split over two processes
         outputs = []
         for cpus in (1, 2):
             pin_cpus(cpus, OMP_NUM_THREADS="1")

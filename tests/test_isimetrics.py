@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import precofdm
-from precofdm import cli, isimetrics
+from precofdm import _fork, cli, isimetrics
 
 from precofdm.channel import (
     ChannelSpec,
@@ -1167,7 +1167,7 @@ class TestS2iSweep:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_rows_do_not_depend_on_process_count(
-        self, pin_cpus, n, data, include_bound, seed
+        self, pin_cpus, fork_always, n, data, include_bound, seed
     ):
         g = data.draw(st.integers(0, n - 1), label="g")
         schemes = data.draw(
@@ -1205,35 +1205,89 @@ class TestS2iSweep:
         with pytest.raises(ParameterError, match="at least one scheme and one eta"):
             s2i_sweep(schemes, etas, mild_channel_spec(), 17, 4, n_blocks=3)
 
-    def test_one_task_sweep_never_forks(self, pin_cpus, no_fork):
+    def test_one_task_sweep_never_forks(self, pin_cpus, no_fork, fork_always):
         pin_cpus(4, OMP_NUM_THREADS="1")
         # one span (every scheme spans C^N at M = N): one task, with or
-        # without the bound, which comes from the same task
+        # without the bound, which comes from the same task, whatever the
+        # break-even
         for include_bound in (False, True):
             rows = s2i_sweep(
                 SCHEMES, [1.0], mild_channel_spec(), 17, 16, n_blocks=3,
                 include_bound=include_bound,
             )
             assert len(rows) == 3
-        # three spans are three tasks
+
+    def test_sweep_below_break_even_never_forks(self, monkeypatch, pin_cpus, no_fork):
+        # three spans at N = 17 are three tasks, whose estimates (pair rows
+        # plus 151 paths x 5 offsets, times N^2) sum far below the break-even
+        pin_cpus(4, OMP_NUM_THREADS="1")
+        work, fork_map = [], isimetrics.fork_map
+
+        def spied(func, keys, estimates):
+            work.append(estimates)
+            return fork_map(func, keys, estimates)
+
+        monkeypatch.setattr(isimetrics, "fork_map", spied)
+        # spans, largest first: OFDM at M = 15 (real: an even deficit), DPSS
+        # at 15, OFDM at 14 (complex: two rows per pair), DPSS at 14 and
+        # M = N (closed form, no pair row)
+        rows = s2i_sweep(
+            SCHEMES, [1.0, 15 / 17, 14 / 17], mild_channel_spec(), 17, 16, n_blocks=3
+        )
+        assert len(rows) == 9
+        assert work == [[(p + 151 * 5) * 17 * 17 for p in (120, 120, 210, 105, 0)]]
+        total = sum(work[0])
+        assert total < _fork.FORK_BREAK_EVEN
+        # at a break-even of the total itself, the same sweep forks
+        monkeypatch.setattr(_fork, "FORK_BREAK_EVEN", total)
         with pytest.raises(AssertionError, match="asked to fork"):
-            s2i_sweep(SCHEMES, [1.0, 15 / 17], mild_channel_spec(), 17, 16, n_blocks=3)
+            s2i_sweep(
+                SCHEMES, [1.0, 15 / 17, 14 / 17], mild_channel_spec(), 17, 16,
+                n_blocks=3,
+            )
+        assert_no_child()
+
+    @pytest.mark.parametrize("argv,forks", [
+        ("--channel mild --n 64 --schemes ofdm,dft,dpss --etas [1.0,0.95] --prefix 16", False),
+        ("--n 32 --channel severe --etas 0.5:0.1:1.0", False),
+        ("--n 64 --etas 0.5:0.05:1.0", True),
+        ("--n 96 --etas [1.0,0.95]", True),
+        ("--n 128 --etas [1.0,0.95]", True),
+        ("--channel mild --n 128 --etas 0.9:0.02:1.0", True),
+    ])
+    def test_break_even_splits_the_measured_sweeps(self, monkeypatch, argv, forks):
+        # the sweeps the break-even was measured on, on their side of it:
+        # the first two took longer forked on 2 CPUs, the others less.  Only
+        # the estimates are compared; no span is computed.
+        totals = []
+
+        def estimated(func, keys, work):
+            totals.append(sum(work))
+            return [(1.0, 1.0, 1.0)] * len(keys)
+
+        monkeypatch.setattr(isimetrics, "fork_map", estimated)
+        args = cli.build_parser().parse_args(["s2i", *argv.split()])
+        v = cli._resolve(args)
+        s2i_sweep(v.schemes, v.etas, v.channel[0], v.n, v.prefix, n_blocks=v.blocks)
+        (total,) = totals
+        assert (total >= _fork.FORK_BREAK_EVEN) == forks
 
     @pytest.mark.parametrize("include_bound", [False, True])
     def test_spans_dealt_into_shares(
-        self, monkeypatch, pin_cpus, tmp_path, include_bound
+        self, monkeypatch, pin_cpus, fork_always, tmp_path, include_bound
     ):
         # spans: OFDM at M = 17, 15 and 13, DPSS at 15 and 13, handed to one
         # fork_map call largest first, so that round-robin shares balance:
         # the M < N spans by descending M, then the closed-form M = N span.
-        # Each process takes its whole share in one _group_energies call and
-        # logs the call's spans with its pid.
+        # Above the break-even (patched to 0), each process takes its whole
+        # share in one _group_energies call and logs the call's spans with
+        # its pid.
         items, log = [], tmp_path / "shares.txt"
         fork_map, per_share = isimetrics.fork_map, isimetrics._group_energies
 
-        def counted(func, keys):
+        def counted(func, keys, work):
             items.append(len(keys))
-            return fork_map(func, keys)
+            return fork_map(func, keys, work)
 
         def logged(prefs, *args):
             spans = [(p.base.scheme.value, p.base.m_active) for p in prefs]
@@ -1892,7 +1946,9 @@ class TestSincTable:
             assert window[:, on].tobytes() == want.tobytes()
             assert not np.any(window[:, ~on])
 
-    def test_tables_built_after_the_group_roots(self, monkeypatch, pin_cpus, tmp_path):
+    def test_tables_built_after_the_group_roots(
+        self, monkeypatch, pin_cpus, fork_always, tmp_path
+    ):
         # so that the window never coexists with a half lag matrix: two shares,
         # one per process, and each share's first kernel value comes after
         # its last root; each process logs its share's events as one line

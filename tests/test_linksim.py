@@ -1032,13 +1032,15 @@ class TestTrialSplit:
 
     def test_split_runs_leave_out_multiprocessing(self):
         # a split SER run (8 trials: two seed blocks) and a split S2I sweep
-        # (three spans) on 2 CPUs fork through os alone
+        # (three spans, with the break-even patched to 0) on 2 CPUs fork
+        # through os alone
         code = (
             "import os, sys\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
             "import precofdm as pf\n"
+            "pf._fork.FORK_BREAK_EVEN = 0\n"
             "spec = pf.cdlc_channel_spec(1000.0)\n"
             "cfg = pf.FrameConfig(scheme='dft', eta=1.0, n_len=32,"
             " prefix_len=pf.prefix_length_for(spec))\n"
@@ -1070,6 +1072,22 @@ class TestTrialSplit:
         assert pids[0::3] == [os.getpid()] * 3
         assert len({*pids[1::3], *pids[2::3]} - {os.getpid()}) == 2
         assert pids[1] == pids[4] and pids[2] == pids[5]
+
+    def test_work_below_break_even_runs_here(self, pin_cpus, no_fork, monkeypatch):
+        # estimates that sum below the break-even: one call of the same
+        # share function on every item, here; at the break-even it forks
+        pin_cpus(3, OMP_NUM_THREADS="1")
+        monkeypatch.setattr(_fork, "FORK_BREAK_EVEN", 10)
+        calls = []
+
+        def share(items):
+            calls.append(items)
+            return [2 * x for x in items]
+
+        assert _fork.fork_map(share, range(5), [1, 2, 3, 1, 2]) == [0, 2, 4, 6, 8]
+        assert calls == [[0, 1, 2, 3, 4]]
+        with pytest.raises(AssertionError, match="asked to fork"):
+            _fork.fork_map(share, range(5), [1, 2, 3, 2, 2])
         assert_no_child()
 
     @pytest.mark.parametrize("cpus,threads,n_trials,want", [
