@@ -169,13 +169,14 @@ def default_basis(scheme: PrecodingScheme, n_len: int, m_active: int) -> Wavefor
         f_m = np.exp(-2j * np.pi * np.outer(a, a) / m_active) / np.sqrt(m_active)
         o = f_sel @ f_m
     else:
-        o = dpss_limit_half(n_len, m_active).sequences.astype(np.complex128)
+        # the whole set, cut to M after it is normalized, so that the bases
+        # nest in M bit for bit (numpy sums a lone column in another order)
+        o = dpss_limit_half(n_len, n_len).sequences.astype(np.complex128)
 
     o = o / np.linalg.norm(o, axis=0, keepdims=True)
+    o = np.ascontiguousarray(o[:, :m_active])
     _check_orthonormal(o)
-    return WaveformBasis(
-        n_len=n_len, m_active=m_active, scheme=scheme, o_matrix=np.ascontiguousarray(o)
-    )
+    return WaveformBasis(n_len=n_len, m_active=m_active, scheme=scheme, o_matrix=o)
 
 
 def with_prefix(

@@ -12,6 +12,7 @@ from precofdm.dpss import (
     sinc_kernel,
 )
 from precofdm.errors import ParameterError
+from precofdm.waveform import PrecodingScheme, default_basis
 
 
 def dense_kernel_oracle(n, w):
@@ -135,3 +136,34 @@ class TestLimitHalf:
             )
             assert lim.eigenvalues.shape == (m,)
             assert np.max(np.abs(lim.eigenvalues - 1.0)) <= 1e-13
+
+
+class TestNesting:
+    """Every set is cut from one eigensolve of all N vectors, so a set of K
+    sequences is the first K columns of the K = N set, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=256),
+        w=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+        data=st.data(),
+    )
+    def test_sets_nest_bit_for_bit(self, n, w, data):
+        k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+        full = compute_dpss(DpssParams(n, w, n)).sequences
+        part = compute_dpss(DpssParams(n, w, k)).sequences
+        assert part.tobytes() == np.ascontiguousarray(full[:, :k]).tobytes()
+        gram = part.T @ part
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=256), data=st.data())
+    def test_bases_nest_bit_for_bit(self, n, data):
+        m = data.draw(st.integers(min_value=1, max_value=n), label="m")
+        full = default_basis(PrecodingScheme.DPSS, n, n).o_matrix
+        part = default_basis(PrecodingScheme.DPSS, n, m).o_matrix
+        assert part.tobytes() == np.ascontiguousarray(full[:, :m]).tobytes()
+        # each column is +- its own time reverse, as the S2I parity split
+        # needs (``isimetrics._parity_lag_root`` checks the same bound)
+        parity = np.where(np.einsum("nr,nr->r", part, part[::-1]).real < 0, -1.0, 1.0)
+        assert np.max(np.abs(part[::-1] - parity * part.conj())) <= 1e-10
