@@ -1,6 +1,7 @@
 """Independent tasks in forked processes, as many as the CPUs of the affinity
-set hold BLAS thread pools.  Each result is computed by the same code on the
-same data wherever it runs, so no result depends on how many processes ran."""
+set hold BLAS thread pools, when the tasks' estimated work pays for the
+forks.  Each result is computed by the same code on the same data wherever
+it runs, so no result depends on how many processes ran."""
 from __future__ import annotations
 
 import os
@@ -37,9 +38,6 @@ def _share_count(n_items: int) -> int:
 def fork_map(func, items, work=None) -> list:
     """``func`` on round-robin shares of ``items``, results in item order.
 
-    ``work``, if given, estimates each item's cost; when its total is below
-    ``FORK_BREAK_EVEN``, the whole call runs here as one share.
-
     Share k holds items k, k + P, ... of P = ``_share_count`` shares; ``func``
     takes a whole share as a list, so that it sets up once what the share's
     items have in common, and returns one result per item.  Share 0 runs
@@ -48,6 +46,8 @@ def fork_map(func, items, work=None) -> list:
     exception into a pipe and leaves by ``os._exit``.  Each pipe is read to
     its end, then its child reaped, even when a share here raises; a child
     that sends nothing, or a value it cannot pickle, is a ``RuntimeError``.
+    ``work``, if given, estimates each item's cost; when its total is below
+    ``FORK_BREAK_EVEN``, the whole call runs here as one share.
     """
     items = list(items)
     shares = _share_count(len(items))

@@ -27,22 +27,23 @@ Channels are quasi-static: every operation takes one set of path gains.
 An S2I sweep hands its basis spans, largest first, to ``_fork.fork_map``,
 which deals them round-robin into one share per process, in forked
 processes when the CPUs of the affinity set hold more than one BLAS thread
-pool.  A share takes each span's energies and its bound from one set of
-real lag rows R~ with R~^T R~ = Re(C^H C), the Gram that the real sinc
-kernels see (in closed form at M = N, a diagonal that scales the kernels'
-columns).  Every column of the spans the sweep builds is +- its own
-conjugate time reverse, so Re(C^H C) splits into an even and an odd lag
-block, and ``_parity_lag_root`` factors each by a half-width QR over the
-pair rows of its parity, from the N lag products q >= 0 alone.  Every
-offset's kernels, for every R~ of the share, are one rolling window of the
-channel's sinc(k - tau_p) over the integers k (``channel._sinc_window``),
-so each value is evaluated once per process, and each offset folds its
-window once onto the even and odd lag coordinates that the two triangles
-read.  A span whose projector O O^H is real (DPSS, and
-OFDM/DFT subcarrier sets symmetric about 0) runs on a real basis of it
-(``_span_basis``), whose lag products are float64 and whose pairs each
-give one row; a complex span (an odd deficit N - M) gives each pair a row
-of its real and one of its imaginary part.
+pool and the spans' work estimates reach the fork break-even.  A share
+takes each span's energies and its bound from one set of real lag rows R~
+with R~^T R~ = Re(C^H C), the Gram that the real sinc kernels see (in
+closed form at M = N, a diagonal that scales the kernels' columns).  Every
+column of the spans the sweep builds is +- its own conjugate time reverse,
+so Re(C^H C) splits into an even and an odd lag block, and
+``_parity_lag_root`` factors each by a half-width QR over the pair rows of
+its parity, from the N lag products q >= 0 alone.  Every offset's kernels,
+for every R~ of the share, are one rolling window of the channel's
+sinc(k - tau_p) over the integers k (``channel._sinc_window``), so each
+value is evaluated once per process, and each offset folds its window once
+onto the even and odd lag coordinates that the two triangles read.  A span
+whose projector O O^H is real (DPSS, and OFDM/DFT subcarrier sets
+symmetric about 0) runs on a real basis of it (``_span_basis``), whose lag
+products are float64 and whose pairs each give one row; a complex span (an
+odd deficit N - M) gives each pair a row of its real and one of its
+imaginary part.
 """
 from __future__ import annotations
 
@@ -735,9 +736,11 @@ def s2i_sweep(
     The bases are built here.  The spans go largest first (M < N by
     descending M, then M = N) to ``fork_map``, which deals them round-robin
     into one share per process, so the shares balance, and may run them in
-    forked processes.  A share factors each span's real lag rows R once,
-    on the basis' own 2N - 1 lags, and takes the per-path energies and the
-    bound from them: the bound's tail total over the M^2 pair rows of C
+    forked processes: only when the spans' work estimates (``_span_work``)
+    sum to at least ``_fork.FORK_BREAK_EVEN``.  A share factors each span's
+    real lag rows R once, on the basis' own 2N - 1 lags, and takes the
+    per-path energies and the bound from them: the bound's tail total over
+    the M^2 pair rows of C
     equals the one over the at most 2N - 1 rows of R (sum_rs tail(C_rs) =
     sum_i tail(R_i), as R^T R = Re(C^H C) and the tail kernel is real), so
     no sweep builds the correlation tensor or a path Gram.  Every column of

@@ -57,7 +57,8 @@ CASES = {
     "ci_ser_n32": "ser --delay-spread 1000ns --n 32 --trials 4",
     "ci_ser_mixed": "ser --channel mixed.txt --n 32 --trials 4",
     "ci_ser_n32_trials8": "ser --delay-spread 1000ns --n 32 --trials 8",
-    "ci_ser_n128": "ser --delay-spread 1000ns --schemes dft --etas [1.0] --trials 13 --snrs [15,inf]",
+    "ci_ser_n128": "ser --delay-spread 1000ns --schemes dft --etas [1.0] --trials 13 "
+                   "--snrs [15,inf]",
     "ci_ser_zf": "ser --channel mixed.txt --n 32 --trials 8 --snrs [0,20,inf]",
     "ci_ser_mild": "ser --channel mild --n 32 --trials 8",
     "ci_ser_near": "ser --channel near.txt --n 32 --trials 8",
@@ -80,13 +81,16 @@ CASES = {
     # PΔ = 10 dB half of ser_table1, whose rows the README's ser line holds
     "bench_s2i_mild": "s2i --channel mild --n 64 --schemes ofdm,dft,dpss "
                       "--etas [1.0,0.95] --prefix 16 --blocks 12",
-    "bench_anchor_n128": "s2i --channel mild --n 128 --schemes ofdm --etas [1.0] --prefix 16 --no-bound",
+    "bench_anchor_n128": "s2i --channel mild --n 128 --schemes ofdm --etas [1.0] "
+                         "--prefix 16 --no-bound",
     **{
         f"bench_ser_{scheme}_p0": (
-            f"ser --preset table1 --delay-spread 1000ns --schemes {scheme} --etas {etas} "
-            "--pdelta 0 --snrs [15.0,25.0,30.0,35.0] --trials 200 --seed 0"
+            f"ser --preset table1 --delay-spread 1000ns --schemes {scheme} "
+            f"--etas {etas} --pdelta 0 --snrs [15.0,25.0,30.0,35.0] --trials 200 --seed 0"
         )
-        for scheme, etas in (("dft", "[1.0,0.9765625,0.9453125]"), ("dpss", "[0.9453125]"))
+        for scheme, etas in (
+            ("dft", "[1.0,0.9765625,0.9453125]"), ("dpss", "[0.9453125]")
+        )
     },
     **{
         f"bench_ebct_{scheme}_{n}": f"ebct --scheme {scheme} --n {n} --m {n}"
@@ -132,14 +136,8 @@ def run_cases(outdir: str) -> None:
 
 def run_in_subprocess(outdir: str) -> None:
     """``run_cases`` in a fresh interpreter, at one BLAS thread."""
-    subprocess.run([sys.executable, os.path.abspath(__file__), "--run", outdir], check=True)
-
-
-def _output_files(name: str, outdir: str) -> list[str]:
-    files = [name + ".csv"]
-    if os.path.exists(os.path.join(outdir, name + ".csv.manifest.json")):
-        files.append(name + ".csv.manifest.json")
-    return files
+    argv = [sys.executable, os.path.abspath(__file__), "--run", outdir]
+    subprocess.run(argv, check=True)
 
 
 def render(outdir: str) -> dict:
@@ -148,25 +146,31 @@ def render(outdir: str) -> dict:
         versions = fh.read()
     golden = {}
     for name, argv in CASES.items():
-        for file in _output_files(name, outdir):
-            with open(os.path.join(outdir, file), encoding="utf-8", newline="") as fh:
+        for file in (name + ".csv", name + ".csv.manifest.json"):
+            path = os.path.join(outdir, file)
+            if not os.path.exists(path):  # only ser writes a manifest
+                continue
+            with open(path, encoding="utf-8", newline="") as fh:
                 text = fh.read()
             head = f"# precofdm {argv}\n# stack: {versions}\n"
-            if len(text.encode()) > INLINE_BYTES:
+            size = len(text.encode())
+            if size > INLINE_BYTES:
                 lines = text.splitlines(keepends=True)
                 digest = hashlib.sha256(text.encode()).hexdigest()
-                head += f"# sha256 {digest} ({len(text.encode())} bytes, {len(lines)} lines)\n"
+                head += f"# sha256 {digest} ({size} bytes, {len(lines)} lines)\n"
                 text = lines[0] + lines[1] + lines[-1]
             golden[file] = head + text
     return golden
 
 
 def golden_stack(text: str) -> str:
+    """The stack a golden text was written on."""
     return next(line for line in text.splitlines() if line.startswith("# stack: "))[9:]
 
 
 def _body(text: str) -> str:
-    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
+    lines = text.splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("#"))
 
 
 def _flatten(value, where=""):
@@ -204,8 +208,9 @@ def moved_cells(file: str, old: str, new: str) -> list[tuple]:
             y = row_b[j] if j < len(row_b) else ""
             if x != y:
                 column = header[j] if i and j < len(header) else f"column {j}"
-                label = f"row {i} ({', '.join(row_a[:2])}) {column}" if i else f"header {column}"
-                moved.append((file, label, x, y))
+                if i:
+                    column = f"row {i} ({', '.join(row_a[:2])}) {column}"
+                moved.append((file, column if i else f"header {column}", x, y))
     if old != new and not moved:  # bytes that no cell shows, such as line ends
         moved.append((file, "text", repr(old[:60]), repr(new[:60])))
     return moved

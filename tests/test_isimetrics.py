@@ -1248,7 +1248,7 @@ class TestS2iSweep:
         assert_no_child()
 
     @pytest.mark.parametrize("argv,forks", [
-        ("--channel mild --n 64 --schemes ofdm,dft,dpss --etas [1.0,0.95] --prefix 16", False),
+        ("--n 64 --schemes ofdm,dft,dpss --etas [1.0,0.95] --prefix 16", False),
         ("--n 32 --channel severe --etas 0.5:0.1:1.0", False),
         ("--n 64 --etas 0.5:0.05:1.0", True),
         ("--n 96 --etas [1.0,0.95]", True),

@@ -1072,6 +1072,7 @@ class TestTrialSplit:
         assert pids[0::3] == [os.getpid()] * 3
         assert len({*pids[1::3], *pids[2::3]} - {os.getpid()}) == 2
         assert pids[1] == pids[4] and pids[2] == pids[5]
+        assert_no_child()
 
     def test_work_below_break_even_runs_here(self, pin_cpus, no_fork, monkeypatch):
         # estimates that sum below the break-even: one call of the same
