@@ -12,9 +12,7 @@ import sys
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 # The least total work, in the callers' estimates (multiply-adds), worth a
-# fork: a fork and reap of a 60 MB process costs about 4 ms, and on 2 CPUs at
-# one BLAS thread, S2I sweeps of 78 and 104 M took as long forked as in one
-# process (N = 72 and 80), of 162 M 15% less forked (N = 88).
+# fork, measured on S2I sweeps and SER runs (README "Processes").
 FORK_BREAK_EVEN = 100e6
 
 
@@ -35,27 +33,34 @@ def _share_count(n_items: int) -> int:
     return max(1, min(n_items, cpus // blas_threads))
 
 
-def fork_map(func, items, work=None) -> list:
-    """``func`` on round-robin shares of ``items``, results in item order.
+def fork_map(func, items, work) -> list:
+    """``func`` on shares of ``items``, results in item order.
 
-    Share k holds items k, k + P, ... of P = ``_share_count`` shares; ``func``
-    takes a whole share as a list, so that it sets up once what the share's
-    items have in common, and returns one result per item.  Share 0 runs
-    here, every other one in a child of ``os.fork`` (which, unlike spawn,
-    starts with the caller's modules and state) that pickles its results or
-    exception into a pipe and leaves by ``os._exit``.  Each pipe is read to
-    its end, then its child reaped, even when a share here raises; a child
-    that sends nothing, or a value it cannot pickle, is a ``RuntimeError``.
-    ``work``, if given, estimates each item's cost; when its total is below
-    ``FORK_BREAK_EVEN``, the whole call runs here as one share.
+    ``work`` holds each item's estimated multiply-adds.  The call forks only
+    if ``_share_count`` allows two processes or more and the estimates sum
+    to at least ``FORK_BREAK_EVEN``; else ``func(items)`` runs here.  A
+    forking call deals the items round-robin in descending estimate (a
+    stable sort) into P = ``_share_count`` shares, so that they balance.
+    ``func`` takes a whole share as a list, so that it sets up once what
+    the share's items have in common, and returns one result per item.
+    Share 0 runs here, every other one in a child of ``os.fork`` (which,
+    unlike spawn, starts with the caller's modules and state) that pickles
+    its results or exception into a pipe and leaves by ``os._exit``.  Each
+    pipe is read to its end, then its child reaped, even when a share here
+    raises; a child that sends nothing, or a value it cannot pickle, is a
+    ``RuntimeError``.
     """
-    items = list(items)
+    items, work = list(items), list(work)
+    if len(work) != len(items):
+        raise ValueError(f"{len(work)} work estimates for {len(items)} items")
     shares = _share_count(len(items))
-    if shares < 2 or (work is not None and sum(work) < FORK_BREAK_EVEN):
+    if shares < 2 or sum(work) < FORK_BREAK_EVEN:
         return func(items)
+    order = sorted(range(len(items)), key=work.__getitem__, reverse=True)
+    dealt = [order[share::shares] for share in range(shares)]
     sys.stdout.flush()  # else each child would write this process's buffers
     sys.stderr.flush()
-    children, sent, out = {}, [], [None] * len(items)
+    children, sent = {}, []
     try:
         for share in range(1, shares):
             reader, writer = map(open, os.pipe(), ("rb", "wb"))
@@ -66,7 +71,7 @@ def fork_map(func, items, work=None) -> list:
                     try:
                         reader.close()
                         try:
-                            message = True, func(items[share::shares])
+                            message = True, func([items[i] for i in dealt[share]])
                         except Exception as exc:  # raised again in the parent
                             message = False, exc
                         try:
@@ -82,17 +87,18 @@ def fork_map(func, items, work=None) -> list:
                         os._exit(0)
                     finally:  # also on any BaseException
                         os._exit(1)
-        out[::shares] = func(items[::shares])
+        results = [func([items[i] for i in dealt[0]])]
     finally:
         for reader, pid in children.items():
             with reader:
                 data = reader.read()
             if pid is not None:
                 sent.append((data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
-    for share, (data, code) in enumerate(sent, 1):
+    for data, code in sent:
         ok, values = pickle.loads(data) if data else (False, RuntimeError(
             f"a forked process exited with code {code} before it sent its results"))
         if not ok:
             raise values
-        out[share::shares] = values
-    return out
+        results.append(values)
+    out = dict(zip(sum(dealt, []), sum(results, []), strict=True))
+    return [out[i] for i in range(len(items))]

@@ -151,13 +151,22 @@ def cmd_ebct(v) -> None:
     print(f"wrote {v.out} ({v.m * v.m} pairs)")
 
 
+def _check_bounds(points) -> None:
+    """A row whose bound is below its ISI energy is a ``ParameterError``."""
+    for p in points:
+        if p.bound_energy is not None and p.bound_energy < p.isi_energy:
+            raise ParameterError(
+                f"ISI bound {p.bound_energy:.6g} below the ISI energy "
+                f"{p.isi_energy:.6g} ({p.scheme}, eta={p.eta:.6g})"
+            )
+
+
 def cmd_bound(v) -> None:
     channel, _ = v.channel
     if not 1 <= v.m <= v.n:  # the sweep takes M as the utilization M / N
         raise ParameterError(f"need 1 <= m <= n, got m={v.m}, n={v.n}")
     (p,) = s2i_sweep([v.scheme], [v.m / v.n], channel, v.n, v.prefix, n_blocks=v.blocks)
-    if p.bound_energy < p.isi_energy:
-        raise ParameterError("ISI bound fell below the empirical energy")
+    _check_bounds([p])
     write_csv(
         v.out,
         [
@@ -184,12 +193,7 @@ def cmd_s2i(v) -> None:
         n_blocks=v.blocks,
         include_bound=not v.no_bound,
     )
-    for p in rows:
-        if p.s2i_lower_bound_db is not None and p.s2i_lower_bound_db > p.s2i_db:
-            raise ParameterError(
-                f"S2I lower bound {p.s2i_lower_bound_db:.6g} dB above "
-                f"S2I {p.s2i_db:.6g} dB ({p.scheme}, eta={p.eta:.6g})"
-            )
+    _check_bounds(rows)
     write_csv(
         v.out,
         ["scheme", "eta", "tap_model", "s2i_db", "s2i_lower_bound_db"],

@@ -24,26 +24,23 @@ The chain implemented here:
 
 Channels are quasi-static: every operation takes one set of path gains.
 
-An S2I sweep hands its basis spans, largest first, to ``_fork.fork_map``,
-which deals them round-robin into one share per process, in forked
-processes when the CPUs of the affinity set hold more than one BLAS thread
-pool and the spans' work estimates reach the fork break-even.  A share
+An S2I sweep hands its basis spans to ``_fork.fork_map``, each with its
+estimated multiply-adds (``_span_work``), which run them in shares.  A share
 takes each span's energies and its bound from one set of real lag rows R~
-with R~^T R~ = Re(C^H C), the Gram that the real sinc kernels see (in
-closed form at M = N, a diagonal that scales the kernels' columns).  Every
-column of the spans the sweep builds is +- its own conjugate time reverse,
-so Re(C^H C) splits into an even and an odd lag block, and
-``_parity_lag_root`` factors each by a half-width QR over the pair rows of
-its parity, from the N lag products q >= 0 alone.  Every offset's kernels,
-for every R~ of the share, are one rolling window of the channel's
-sinc(k - tau_p) over the integers k (``channel._sinc_window``), so each
-value is evaluated once per process, and each offset folds its window once
-onto the even and odd lag coordinates that the two triangles read.  A span
-whose projector O O^H is real (DPSS, and OFDM/DFT subcarrier sets
-symmetric about 0) runs on a real basis of it (``_span_basis``), whose lag
-products are float64 and whose pairs each give one row; a complex span (an
-odd deficit N - M) gives each pair a row of its real and one of its
-imaginary part.
+with R~^T R~ = Re(C^H C), the Gram that the real sinc kernels see (in closed
+form at M = N, a diagonal that scales the kernels' columns).  Every column
+of the spans the sweep builds is +- its own conjugate time reverse, so
+Re(C^H C) splits into an even and an odd lag block, and ``_parity_lag_root``
+factors each by a half-width QR over the pair rows of its parity, from the N
+lag products q >= 0 alone.  Every offset's kernels, for every R~ of the
+share, are one rolling window of the channel's sinc(k - tau_p) over the
+integers k (``channel._sinc_window``), so each value is evaluated once per
+process, and each offset folds its window once onto the even and odd lag
+coordinates that the two triangles read.  A span whose projector O O^H is
+real (DPSS, and OFDM/DFT subcarrier sets symmetric about 0) runs on a real
+basis of it (``_span_basis``), whose lag products are float64 and whose
+pairs each give one row; a complex span (an odd deficit N - M) gives each
+pair a row of its real and one of its imaginary part.
 """
 from __future__ import annotations
 
@@ -733,29 +730,14 @@ def s2i_sweep(
     values are computed once per span, on the OFDM basis for every span
     but DPSS with M < N, and shared by the rows that have it.
 
-    The bases are built here.  The spans go largest first (M < N by
-    descending M, then M = N) to ``fork_map``, which deals them round-robin
-    into one share per process, so the shares balance, and may run them in
-    forked processes: only when the spans' work estimates (``_span_work``)
-    sum to at least ``_fork.FORK_BREAK_EVEN``.  A share factors each span's
-    real lag rows R once, on the basis' own 2N - 1 lags, and takes the
-    per-path energies and the bound from them: the bound's tail total over
-    the M^2 pair rows of C
-    equals the one over the at most 2N - 1 rows of R (sum_rs tail(C_rs) =
-    sum_i tail(R_i), as R^T R = Re(C^H C) and the tail kernel is real), so
-    no sweep builds the correlation tensor or a path Gram.  Every column of
-    the spans built here is +- its own conjugate time reverse (DPSS orders
-    alternate even and odd, and OFDM columns are conjugate symmetric), so
-    R comes from two half-width QRs, one per lag parity, over the pair rows
-    each parity keeps (``_parity_lag_root``); at M = N, R is in closed form.
-    Every span shares B, the lags and the delays, so one rolling window of
-    sinc values serves all the share's roots, and each offset folds it once
-    into k_q + k_-q and k_q - k_-q, which the even and odd halves of every
-    root multiply at half width (``_group_energies``).  A span
-    with a real projector is computed on its real basis (``_span_basis``),
-    in float64.
-    Every check a share would raise runs here first, so a bad argument never
-    starts a process.
+    The bases are built here, and the spans go to ``fork_map`` with their
+    estimated multiply-adds (``_span_work``).  A share takes each span's
+    energies and its bound from its real lag rows R, as the module docstring
+    describes: the bound's tail total over the M^2 pair rows of C equals the
+    one over the at most 2N - 1 rows of R (sum_rs tail(C_rs) = sum_i
+    tail(R_i), as R^T R = Re(C^H C) and the tail kernel is real), so no
+    sweep builds the correlation tensor or a path Gram.  Every check a share
+    would raise runs here first, so a bad argument never starts a process.
     """
     n_len = check_whole("n_len", n_len, 1)
     prefix_len = check_whole("prefix_len", prefix_len, 0)
@@ -777,13 +759,10 @@ def s2i_sweep(
     if include_bound:
         _window_powers(channel, n_len, prefix_len)
 
-    keys = sorted(spans, key=lambda key: (key[1] == n_len, -key[1]))
-    energies = dict(zip(keys, fork_map(
-        lambda share: _group_energies(
-            [spans[key] for key in share], channel, n_blocks, include_bound
-        ),
-        keys,
-        [_span_work(spans[key], len(channel.paths), n_blocks) for key in keys],
+    energies = dict(zip(spans, fork_map(
+        lambda share: _group_energies(share, channel, n_blocks, include_bound),
+        spans.values(),
+        [_span_work(span, len(channel.paths), n_blocks) for span in spans.values()],
     ), strict=True))
     points = []
     for scheme, m, key in rows:

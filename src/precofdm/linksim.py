@@ -35,12 +35,11 @@ workspaces, which BLAS and LAPACK write in place: glibc returns freed
 temporaries of their size (256 KB at M = 128) to the OS, and each trial
 would fault them in again.
 
-Blocks are independent given their seeds, so ``run_ser`` deals them to
-processes through ``_fork.fork_map``: as many processes as the CPUs it
-may use hold BLAS thread pools.  The run's constants are built before the
-processes fork, so they share them.  A block is the same whichever
-process runs it, and the counts are integer sums, which do not depend on
-the order they are added in.
+Blocks are independent given their seeds, so ``run_ser`` hands them to
+``_fork.fork_map`` with their estimated multiply-adds (``_trial_work`` per
+seed), after the run's constants are built, so every process shares them.
+A block is the same whichever process runs it, and the counts are integer
+sums, which do not depend on their order.
 """
 from __future__ import annotations
 
@@ -364,7 +363,7 @@ def _trial_window(
 
 
 class _SerRun:
-    """One run's constants, built once before its trials fork, and the
+    """One run's constants, built once before any block runs, and the
     workspaces that its blocks of trials write into.
 
     The constants are the per-path FIR kernels (evaluated once: at a whole
@@ -485,6 +484,19 @@ def _run_block(run: _SerRun, seeds) -> np.ndarray:
     return counts
 
 
+def _trial_work(run: _SerRun) -> int:
+    """Multiply-adds of one seed in ``_run_block``, four to a complex one:
+    paths x M^2 for conj(A), window blocks x B x M for the transmit window,
+    2 x 14 x (N + M) x M for the rows through O and the matched filter,
+    M^3 / 2 for the Gram, and per SNR point M^3 / 6 + 14 M^2 to solve."""
+    cfg, (_, _, start, stop) = run.cfg, run.window
+    n, m, sym = cfg.n_len, cfg.m_active, cfg.symbols_per_subframe
+    return 4 * m * (
+        len(run.kernels) * m + (stop - start) * run.basis.block_len
+        + 2 * sym * (n + m) + m * m // 2 + len(run.snr_lin) * (m * m // 6 + sym * m)
+    )
+
+
 def run_trial(
     cfg: FrameConfig,
     channel_spec: ChannelSpec,
@@ -521,26 +533,24 @@ def run_ser(
 
     Trial i uses seed base_seed + i for channel phases, payload bits, and
     noise.  The trials run in fixed blocks of ``_BLOCK_SEEDS`` consecutive
-    seeds (the last block may be shorter), each block forming the
-    effective channels of its seeds in one product with the path stack, so
-    each trial's counts depend only on its seed and its block, and the
-    result does not depend on how many processes ran the blocks
-    (``fork_map``).  The run's constants and its workspaces are built once,
-    before the blocks fork.  Returns one ``SerPoint`` per SNR point.  SNR
-    is Es/N0 referenced to the victim's received per-symbol energy through
-    its own effective channel; +inf dB is the noiseless,
-    interference-limited SER.  A basis that is not orthonormal to 1e-10
-    raises ``ParameterError``.
+    seeds (the last block may be shorter), so each trial's counts depend
+    only on its seed and its block, not on how many processes ran the blocks
+    (``fork_map``; a block's estimate is its seeds x ``_trial_work``).  The
+    run and its path stack are built once, before any block runs.  Returns
+    one ``SerPoint`` per SNR point.  SNR is Es/N0 referenced to the victim's
+    received per-symbol energy through its own effective channel; +inf dB is
+    the noiseless, interference-limited SER.  A basis that is not
+    orthonormal to 1e-10 raises ``ParameterError``.
     """
     n_trials = check_whole("n_trials", n_trials, 1)
     base_seed = check_whole("base_seed", base_seed, 0)
-    # the run, with its path stack, is built here, before the blocks fork,
-    # so that every process reads this one
     run = _SerRun(cfg, channel_spec, cfg.make_basis(), snr_grid_db)
     seeds = range(base_seed, base_seed + n_trials)
+    blocks = [seeds[i : i + _BLOCK_SEEDS] for i in range(0, n_trials, _BLOCK_SEEDS)]
     errors, symbols = np.concatenate(fork_map(
-        lambda share: [_run_block(run, seeds[i : i + _BLOCK_SEEDS]) for i in share],
-        range(0, n_trials, _BLOCK_SEEDS),
+        lambda share: [_run_block(run, block) for block in share],
+        blocks,
+        [len(block) * _trial_work(run) for block in blocks],
     )).sum(axis=0)
     return [
         SerPoint(

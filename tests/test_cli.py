@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -550,19 +551,24 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not out.exists()
+        return err
 
     def test_bound_below_empirical_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        sweep = cli.s2i_sweep
+        sweep, swept = cli.s2i_sweep, []
 
         def no_bound(*args, **kwargs):
-            return [
-                dataclasses.replace(p, bound_energy=0.0) for p in sweep(*args, **kwargs)
-            ]
+            swept[:] = sweep(*args, **kwargs)
+            return [dataclasses.replace(p, bound_energy=0.0) for p in swept]
 
         monkeypatch.setattr(cli, "s2i_sweep", no_bound)
-        self.assert_rejected(
+        err = self.assert_rejected(
             tmp_path, capsys, ["bound", "--n", 24, "--blocks", 3],
-            "ISI bound fell below the empirical energy",
+            "ISI bound 0 below the ISI energy",
+        )
+        (p,) = swept
+        assert err == (
+            f"error: ISI bound 0 below the ISI energy {p.isi_energy:.6g} "
+            f"({p.scheme}, eta=1)\n"
         )
 
     @pytest.mark.parametrize("flags", [
@@ -575,34 +581,38 @@ class TestVerify:
     def test_half_shift_bound_below_isi_writes_nothing(self, tmp_path, capsys):
         # One path at fraction 0.58: the half-shift tail total is not an upper
         # bound there (DPSS N = 27, M = 17, g = 3: 2.69e-11 against an ISI
-        # energy of 2.96e-11), and both commands refuse to write it.
+        # energy of 2.96e-11), and both commands refuse to write it, with one
+        # message.
         profile = tmp_path / "one.txt"
         profile.write_text("delays_samples: [0.5799065]\npowers_db: [0]\n")
-        self.assert_rejected(
-            tmp_path, capsys,
-            ["bound", "--scheme", "dpss", "--n", 27, "--m", 17, "--prefix", 3,
-             "--channel", profile],
-            "ISI bound fell below the empirical energy",
-        )
-        self.assert_rejected(
-            tmp_path, capsys,
-            ["s2i", "--schemes", "dpss", "--etas", "[0.63]", "--n", 27,
-             "--prefix", 3, "--channel", profile],
-            "S2I lower bound",
-        )
+        for args in (
+            ["bound", "--scheme", "dpss", "--n", 27, "--m", 17, "--prefix", 3],
+            ["s2i", "--schemes", "dpss", "--etas", "[0.63]", "--n", 27, "--prefix", 3],
+        ):
+            err = self.assert_rejected(
+                tmp_path, capsys, args + ["--channel", profile], "ISI bound 2.686"
+            )
+            # both energies, to four digits
+            assert re.fullmatch(
+                r"error: ISI bound 2\.686\d*e-11 below the ISI energy "
+                r"2\.961\d*e-11 \(dpss, eta=0\.62963\)\n",
+                err,
+            )
 
     def test_s2i_lower_bound_above_value_writes_nothing(
         self, tmp_path, capsys, monkeypatch
     ):
+        # a bound below the ISI energy is a lower bound above the S2I; the
+        # energies are compared, and a row without a bound is not
         rows = [
-            S2iPoint("ofdm", 1.0, "mild", 30.0, 29.0),
-            S2iPoint("dft", 1.0, "mild", 30.0, None),
-            S2iPoint("dpss", 1.0, "mild", 30.0, 30.5),
+            S2iPoint("ofdm", 1.0, "mild", 30.0, 29.0, 1.0, 1e-3, 1.26e-3),
+            S2iPoint("dft", 1.0, "mild", 30.0, None, 1.0, 1e-3, None),
+            S2iPoint("dpss", 0.75, "mild", 30.0, 30.5, 1.0, 1e-3, 8.9e-4),
         ]
         monkeypatch.setattr(cli, "s2i_sweep", lambda *a, **kw: rows)
         self.assert_rejected(
             tmp_path, capsys, ["s2i", "--n", 20, "--prefix", 4],
-            "S2I lower bound 30.5 dB above S2I 30 dB (dpss",
+            "error: ISI bound 0.00089 below the ISI energy 0.001 (dpss, eta=0.75)\n",
         )
 
     def test_xcorr_asymmetric_tensor_writes_nothing(self, tmp_path, capsys, monkeypatch):

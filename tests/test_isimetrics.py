@@ -1134,10 +1134,10 @@ class TestS2iSweep:
 
         monkeypatch.setattr(isimetrics, "_group_energies", counted)
         rows = s2i_sweep(SCHEMES, [1.0, m / n], mild, n, 16, n_blocks=4)
-        # dealt largest first: the M < N spans, then the M = N span
+        # in the sweep's order: the M = N span first, then the M < N spans
         assert calls == [[
-            (PrecodingScheme.OFDM, m), (PrecodingScheme.DPSS, m),
-            (PrecodingScheme.OFDM, n),
+            (PrecodingScheme.OFDM, n), (PrecodingScheme.OFDM, m),
+            (PrecodingScheme.DPSS, m),
         ]]
         assert [(r.scheme, r.eta) for r in rows] == [
             (s.value, e) for s in SCHEMES for e in (1.0, m / n)
@@ -1228,14 +1228,14 @@ class TestS2iSweep:
             return fork_map(func, keys, estimates)
 
         monkeypatch.setattr(isimetrics, "fork_map", spied)
-        # spans, largest first: OFDM at M = 15 (real: an even deficit), DPSS
-        # at 15, OFDM at 14 (complex: two rows per pair), DPSS at 14 and
-        # M = N (closed form, no pair row)
+        # spans, in the sweep's order: M = N (closed form, no pair row), OFDM
+        # at M = 15 (real: an even deficit), OFDM at 14 (complex: two rows
+        # per pair), DPSS at 15 and at 14
         rows = s2i_sweep(
             SCHEMES, [1.0, 15 / 17, 14 / 17], mild_channel_spec(), 17, 16, n_blocks=3
         )
         assert len(rows) == 9
-        assert work == [[(p + 151 * 5) * 17 * 17 for p in (120, 120, 210, 105, 0)]]
+        assert work == [[(p + 151 * 5) * 17 * 17 for p in (0, 120, 210, 120, 105)]]
         total = sum(work[0])
         assert total < _fork.FORK_BREAK_EVEN
         # at a break-even of the total itself, the same sweep forks
@@ -1277,11 +1277,13 @@ class TestS2iSweep:
         self, monkeypatch, pin_cpus, fork_always, tmp_path, include_bound
     ):
         # spans: OFDM at M = 17, 15 and 13, DPSS at 15 and 13, handed to one
-        # fork_map call largest first, so that round-robin shares balance:
-        # the M < N spans by descending M, then the closed-form M = N span.
-        # Above the break-even (patched to 0), each process takes its whole
+        # fork_map call in the sweep's order, with their estimates.  Above
+        # the break-even (patched to 0), fork_map deals them largest
+        # estimate first, so that round-robin shares balance: the M < N
+        # spans by descending M (OFDM before DPSS, as the sweep built them),
+        # then the closed-form M = N span.  Each process takes its whole
         # share in one _group_energies call and logs the call's spans with
-        # its pid.
+        # its pid; on one CPU the one call takes them in the sweep's order.
         items, log = [], tmp_path / "shares.txt"
         fork_map, per_share = isimetrics.fork_map, isimetrics._group_energies
 
@@ -1299,7 +1301,7 @@ class TestS2iSweep:
         monkeypatch.setattr(isimetrics, "_group_energies", logged)
         dealt = [("ofdm", 15), ("dpss", 15), ("ofdm", 13), ("dpss", 13), ("ofdm", 17)]
         shares = {
-            1: [dealt],
+            1: [[("ofdm", 17), ("ofdm", 15), ("ofdm", 13), ("dpss", 15), ("dpss", 13)]],
             2: [dealt[0::2], dealt[1::2]],
             8: [[span] for span in dealt],
         }

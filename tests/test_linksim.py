@@ -1,5 +1,6 @@
 """Tests for QPSK mapping, frame assembly, equalization, and SER runs."""
 
+import ast
 import gc
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from precofdm import _fork, channel, linksim
+from precofdm import _fork, channel, cli, linksim
 from precofdm.channel import (
     DEFAULT_FIR_HALF_LEN,
     ChannelOperator,
@@ -908,7 +909,7 @@ class TestTrialSplit:
         return [np.zeros((2, 1), dtype=int) for _ in share]
 
     @pytest.mark.parametrize("shares", [1, 2, 3])
-    def test_shares_sum_to_serial_counts(self, pin_cpus, shares):
+    def test_shares_sum_to_serial_counts(self, pin_cpus, fork_always, shares):
         pin_cpus(shares, OMP_NUM_THREADS="1")
         cfg, spec, basis = self.campaign()
         seeds = range(5, 12)  # 7 trials: shares of unequal length
@@ -922,7 +923,7 @@ class TestTrialSplit:
 
         trials = [run_trial(cfg, spec, basis, self.SNRS, seed) for seed in seeds]
         serial = np.array([sum(e for e, _ in trials), sum(s for _, s in trials)])
-        got = sum(_fork.fork_map(count, seeds))
+        got = sum(_fork.fork_map(count, seeds, [1] * len(seeds)))
         assert got.dtype.kind == "i"
         assert np.array_equal(got, serial)
         # this process ran the first share alone, in one call that took it
@@ -930,7 +931,7 @@ class TestTrialSplit:
         assert ran_here == [list(seeds[::shares])]
         assert_no_child()
 
-    def test_child_error_raised_in_parent(self, pin_cpus):
+    def test_child_error_raised_in_parent(self, pin_cpus, fork_always):
         pin_cpus(3, OMP_NUM_THREADS="1")
 
         def count(share):  # share k holds seeds k and k + 3
@@ -939,10 +940,10 @@ class TestTrialSplit:
             return self.zeros(share)
 
         with pytest.raises(ParameterError, match=r"bad share \[2, 5\]"):
-            _fork.fork_map(count, range(6))
+            _fork.fork_map(count, range(6), [1] * 6)
         assert_no_child()
 
-    def test_child_ended_without_counts_is_error(self, pin_cpus):
+    def test_child_ended_without_counts_is_error(self, pin_cpus, fork_always):
         pin_cpus(2, OMP_NUM_THREADS="1")
 
         def count(share):
@@ -951,10 +952,10 @@ class TestTrialSplit:
             return self.zeros(share)
 
         with pytest.raises(RuntimeError, match="exited with code 3"):
-            _fork.fork_map(count, range(4))
+            _fork.fork_map(count, range(4), [1] * 4)
         assert_no_child()
 
-    def test_children_joined_when_own_share_raises(self, pin_cpus):
+    def test_children_joined_when_own_share_raises(self, pin_cpus, fork_always):
         pin_cpus(3, OMP_NUM_THREADS="1")
 
         def count(share):
@@ -963,10 +964,10 @@ class TestTrialSplit:
             return self.zeros(share)
 
         with pytest.raises(ParameterError, match="own share"):
-            _fork.fork_map(count, range(6))
+            _fork.fork_map(count, range(6), [1] * 6)
         assert_no_child()
 
-    def test_killed_child_is_error(self, pin_cpus, deadline):
+    def test_killed_child_is_error(self, pin_cpus, fork_always, deadline):
         pin_cpus(3, OMP_NUM_THREADS="1")
 
         def count(share):
@@ -975,10 +976,10 @@ class TestTrialSplit:
             return self.zeros(share)
 
         with pytest.raises(RuntimeError, match="exited with code -9 before"):
-            _fork.fork_map(count, range(6))
+            _fork.fork_map(count, range(6), [1] * 6)
         assert_no_child()
 
-    def test_base_exception_ends_child_here(self, pin_cpus, deadline):
+    def test_base_exception_ends_child_here(self, pin_cpus, fork_always, deadline):
         # an exception beyond Exception ends the child in fork_map: it never
         # unwinds into the caller's code in the child
         pin_cpus(2, OMP_NUM_THREADS="1")
@@ -989,11 +990,11 @@ class TestTrialSplit:
             return self.zeros(share)
 
         with pytest.raises(RuntimeError, match="exited with code 1 before"):
-            _fork.fork_map(count, range(4))
+            _fork.fork_map(count, range(4), [1] * 4)
         assert_no_child()
 
     @pytest.mark.parametrize("raised", [False, True])
-    def test_unpicklable_value_is_named(self, pin_cpus, deadline, raised):
+    def test_unpicklable_value_is_named(self, pin_cpus, fork_always, deadline, raised):
         # a megabyte before the lambda: a pickler writing straight into the
         # pipe would send part of a message before it failed
         pin_cpus(3, OMP_NUM_THREADS="1")
@@ -1006,19 +1007,23 @@ class TestTrialSplit:
             return [(bytes(2**20), lambda: x) for x in share]
 
         with pytest.raises(RuntimeError, match=r"cannot pickle .*<lambda>"):
-            _fork.fork_map(count, range(6))
+            _fork.fork_map(count, range(6), [1] * 6)
         assert_no_child()
 
-    def test_results_larger_than_a_pipe_arrive_whole(self, pin_cpus, deadline):
+    def test_results_larger_than_a_pipe_arrive_whole(
+        self, pin_cpus, fork_always, deadline
+    ):
         pin_cpus(3, OMP_NUM_THREADS="1")
         payload = bytes(range(256)) * 4096  # 1 MB, past any pipe buffer
         got = _fork.fork_map(
-            lambda share: [bytes([x]) + payload for x in share], range(6)
+            lambda share: [bytes([x]) + payload for x in share], range(6), [1] * 6
         )
         assert got == [bytes([x]) + payload for x in range(6)]
         assert_no_child()
 
-    def test_large_results_drained_when_own_share_raises(self, pin_cpus, deadline):
+    def test_large_results_drained_when_own_share_raises(
+        self, pin_cpus, fork_always, deadline
+    ):
         pin_cpus(2, OMP_NUM_THREADS="1")
 
         def count(share):
@@ -1027,7 +1032,7 @@ class TestTrialSplit:
             return [bytes(2**20) for _ in share]
 
         with pytest.raises(ParameterError, match="own share"):
-            _fork.fork_map(count, range(2))
+            _fork.fork_map(count, range(2), [1] * 2)
         assert_no_child()
 
     def test_split_runs_leave_out_multiprocessing(self):
@@ -1057,10 +1062,10 @@ class TestTrialSplit:
         )
         assert out.stdout.strip() == "2 False"
 
-    def test_round_robin_results_in_item_order(self, pin_cpus):
+    def test_round_robin_results_in_item_order(self, pin_cpus, fork_always):
         pin_cpus(3, OMP_NUM_THREADS="1")
         got = _fork.fork_map(
-            lambda share: [(x, os.getpid(), share) for x in share], range(7)
+            lambda share: [(x, os.getpid(), share) for x in share], range(7), [1] * 7
         )
         assert [x for x, _, _ in got] == list(range(7))
         # share k holds items k, k + 3, ..., and one call takes all of it
@@ -1073,6 +1078,114 @@ class TestTrialSplit:
         assert len({*pids[1::3], *pids[2::3]} - {os.getpid()}) == 2
         assert pids[1] == pids[4] and pids[2] == pids[5]
         assert_no_child()
+
+    def test_dealt_in_descending_estimate(self, pin_cpus, fork_always, tmp_path):
+        # a stable sort: the two 9s and the two 1s keep their item order;
+        # share k holds the k-th, (k + 3)-th, ... largest, and each process
+        # logs its one call with its pid
+        pin_cpus(3, OMP_NUM_THREADS="1")
+        log = tmp_path / "shares.txt"
+
+        def share(items):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(repr((os.getpid(), items)) + "\n")
+            return [10 * x for x in items]
+
+        work = [3, 9, 1, 9, 5, 0, 2, 1]
+        assert _fork.fork_map(share, range(8), work) == [10 * x for x in range(8)]
+        calls = [ast.literal_eval(line) for line in log.read_text().splitlines()]
+        # descending: items 1, 3, 4, 0, 6, 2, 7, 5
+        assert sorted(items for _, items in calls) == [[1, 0, 7], [3, 6, 5], [4, 2]]
+        assert (os.getpid(), [1, 0, 7]) in calls
+        assert len({pid for pid, _ in calls}) == 3
+        assert_no_child()
+
+    @pytest.mark.parametrize("count", [0, 4, 6])
+    def test_work_of_another_length_raises(self, pin_cpus, no_fork, count):
+        pin_cpus(3, OMP_NUM_THREADS="1")
+        with pytest.raises(ValueError, match=f"{count} work estimates for 5 items"):
+            _fork.fork_map(lambda share: share, range(5), [1e9] * count)
+
+    def test_run_ser_below_break_even_never_forks(self, monkeypatch, pin_cpus, no_fork):
+        # the smallest measured run: 8 trials at N = 32, two blocks of
+        # 4 x _trial_work each, far below the break-even, so one process on
+        # any CPU count
+        pin_cpus(4, OMP_NUM_THREADS="1")
+        spec = cdlc_channel_spec(1000.0)
+        cfg = FrameConfig(
+            scheme=PrecodingScheme.DPSS, eta=1.0, n_len=32,
+            prefix_len=prefix_length_for(spec),
+        )
+        work, fork_map = [], linksim.fork_map
+
+        def spied(func, blocks, estimates):
+            work.append(estimates)
+            return fork_map(func, blocks, estimates)
+
+        monkeypatch.setattr(linksim, "fork_map", spied)
+        points = run_ser(cfg, spec, self.SNRS, n_trials=8)
+        assert [pt.total_symbols for pt in points] == [8 * 14 * 32] * 3
+        (estimates,) = work
+        assert len(estimates) == 2 and estimates[0] == estimates[1]
+        assert sum(estimates) < _fork.FORK_BREAK_EVEN
+
+    def test_run_ser_above_break_even_splits_with_serial_bytes(
+        self, monkeypatch, pin_cpus
+    ):
+        # 13 trials of DFT at N = M = 128 on the 24-path CDL-C at 1000 ns,
+        # four SNR points: blocks of 4, 4, 4 and 1 seeds, above the
+        # break-even, so two CPUs fork once, and one CPU runs them here
+        spec = cdlc_channel_spec(1000.0)
+        cfg = FrameConfig(
+            scheme=PrecodingScheme.DFT, eta=1.0, n_len=128,
+            prefix_len=prefix_length_for(spec),
+        )
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        points = {}
+        for cpus in (1, 2):
+            pin_cpus(cpus, OMP_NUM_THREADS="1")
+            points[cpus] = repr(run_ser(cfg, spec, [15, 25, 30, 35], n_trials=13))
+            assert len(forks) == cpus - 1
+        assert points[1] == points[2]
+        assert_no_child()
+
+    # The SER runs the break-even was checked on (in-process medians on 2
+    # CPUs at one BLAS thread, README "Processes"), on their side of it: the
+    # first and third took longer forked, the fifth less, and the second
+    # and fourth as long either way (within 15%).  Then the runs of the
+    # benchmark's Table 1 invocations, 200 trials each, all forked.
+    MEASURED = [
+        ("--n 32 --schemes dpss --etas [1.0] --trials 8", False),
+        ("--n 32 --schemes dpss --etas [1.0] --trials 40", False),
+        ("--n 64 --schemes dpss --etas [0.95] --trials 8", False),
+        ("--n 128 --schemes dft --etas [1.0] --trials 8", True),
+        ("--n 128 --schemes dft --etas [1.0] --trials 13", True),
+        ("--preset table1 --schemes dft --etas [1.0,0.9765625,0.9453125] "
+         "--trials 200", True),
+        ("--preset table1 --schemes dpss --etas [0.9453125] --trials 200", True),
+    ]
+
+    @pytest.mark.parametrize("argv,forks", MEASURED)
+    def test_break_even_splits_the_measured_runs(
+        self, monkeypatch, tmp_path, argv, forks
+    ):
+        # only the estimates are compared; no trial runs
+        totals = []
+
+        def estimated(func, blocks, work):
+            totals.append(sum(work))
+            return [np.zeros((len(b), 2, 4, 14), dtype=int) for b in blocks]
+
+        monkeypatch.setattr(linksim, "fork_map", estimated)
+        args = cli.build_parser().parse_args([
+            "ser", "--delay-spread", "1000ns", "--snrs", "[15, 25, 30, 35]",
+            *argv.split(), "--out", str(tmp_path / "ser.csv"),
+        ])
+        v = cli._resolve(args)
+        cli.cmd_ser(v)
+        assert len(totals) == len(v.etas)
+        assert all((total >= _fork.FORK_BREAK_EVEN) == forks for total in totals)
 
     def test_work_below_break_even_runs_here(self, pin_cpus, no_fork, monkeypatch):
         # estimates that sum below the break-even: one call of the same
@@ -1110,9 +1223,9 @@ class TestTrialSplit:
         monkeypatch.delattr(_fork.os, "sched_getaffinity")
         assert _fork._share_count(200) == 1
 
-    def test_single_trial_never_forks(self, pin_cpus, no_fork):
-        # one block of seeds is one task, which runs here; a second block
-        # forks
+    def test_single_trial_never_forks(self, pin_cpus, no_fork, fork_always):
+        # one block of seeds is one task, which runs here whatever the
+        # break-even; a second block forks at a break-even of 0
         pin_cpus(4, OMP_NUM_THREADS="1")
         cfg = FrameConfig(scheme=PrecodingScheme.OFDM, eta=1.0, n_len=17, prefix_len=0)
         for n_trials in (1, linksim._BLOCK_SEEDS):
@@ -1121,7 +1234,7 @@ class TestTrialSplit:
         with pytest.raises(AssertionError, match="asked to fork"):
             run_ser(cfg, IDENTITY, [20.0], n_trials=linksim._BLOCK_SEEDS + 1)
 
-    def test_run_ser_same_points_on_one_and_three_cpus(self, pin_cpus):
+    def test_run_ser_same_points_on_one_and_three_cpus(self, pin_cpus, fork_always):
         cfg, spec, _ = self.campaign()
         points = {}
         for cpus in (1, 3):
@@ -1235,7 +1348,8 @@ class TestSeedBlocks:
         n_trials=st.integers(1, 3 * linksim._BLOCK_SEEDS + 1),
     )
     def test_blocks_sum_to_trials_on_any_cpu_count(
-        self, pin_cpus, scheme, n_len, data, mixed, snrs, base_seed, n_trials
+        self, pin_cpus, fork_always, scheme, n_len, data, mixed, snrs, base_seed,
+        n_trials,
     ):
         spec = TestVictimWindow.MIXED if mixed else cdlc_channel_spec(200.0)
         m_active = data.draw(st.integers(max(1, n_len // 2), n_len), label="m_active")
@@ -1304,7 +1418,7 @@ class TestSeedBlocks:
         assert all(gram is run.gram for gram in calls[:k])
         assert len({id(gram) for gram in calls[k:]}) == 1
 
-    def test_blocks_are_fixed_by_seed(self, pin_cpus, monkeypatch):
+    def test_blocks_are_fixed_by_seed(self, pin_cpus, fork_always, monkeypatch):
         # blocks of _BLOCK_SEEDS consecutive seeds from base_seed, the last
         # one short, whatever the process count
         k = linksim._BLOCK_SEEDS
