@@ -44,8 +44,8 @@ def no_fork(monkeypatch):
 
 @pytest.fixture
 def fork_always(monkeypatch):
-    """``fork_map`` splits a call whatever its work estimates, as it does a
-    sweep above ``_fork.FORK_BREAK_EVEN``."""
+    """``fork_map`` splits a call whatever its work estimates, as it does an
+    S2I sweep or SER run above ``_fork.FORK_BREAK_EVEN``."""
     monkeypatch.setattr(_fork, "FORK_BREAK_EVEN", 0)
 
 
