@@ -1,7 +1,6 @@
-"""Independent tasks in forked processes, as many as the CPUs of the affinity
-set hold BLAS thread pools, when the tasks' estimated work pays for the
-forks.  Each result is computed by the same code on the same data wherever
-it runs, so no result depends on how many processes ran."""
+"""Independent tasks in forked processes (``fork_map``).  Each result comes
+from the same code on the same data wherever it runs, so no result depends
+on how many processes ran."""
 from __future__ import annotations
 
 import os
@@ -17,13 +16,11 @@ FORK_BREAK_EVEN = 100e6
 
 
 def _share_count(n_items: int) -> int:
-    """Processes to run ``n_items`` tasks in: CPUs over BLAS threads.
-
-    Each process runs its BLAS calls on its own threads, so processes times
-    BLAS threads stays within the CPUs this process may use; threads of one
-    process would contend for the interpreter lock instead.  The BLAS
-    thread count is the first positive integer among ``_BLAS_THREAD_VARS``,
-    else one per CPU, the libraries' default.  At most one process per task.
+    """Processes to run ``n_items`` tasks in, at most one per task: the CPUs
+    of the affinity set over the BLAS threads, the first positive integer
+    among ``_BLAS_THREAD_VARS``, else one per CPU (the libraries' default).
+    Each process has its own BLAS threads; threads of one process would
+    contend for the interpreter lock instead.
     """
     if not hasattr(os, "sched_getaffinity"):
         return 1
@@ -45,7 +42,8 @@ def fork_map(func, items, work) -> list:
     the share's items have in common, and returns one result per item.
     Share 0 runs here, every other one in a child of ``os.fork`` (which,
     unlike spawn, starts with the caller's modules and state) that pickles
-    its results or exception into a pipe and leaves by ``os._exit``.  Each
+    its results or exception (raised again here) into a pipe and leaves by
+    ``os._exit``, also after a ``BaseException`` (exit code 1).  Each
     pipe is read to its end, then its child reaped, even when a share here
     raises; a child that sends nothing, or a value it cannot pickle, is a
     ``RuntimeError``.

@@ -1,11 +1,9 @@
 """Quasi-static multipath channels with fractional-delay taps.
 
 A channel is a sum over paths of (complex gain) x (band-limited delay).
-Integer delays shift exactly; fractional delays act through the sinc kernel
-and therefore spread over all lags.  The realized channel is one composite
-filter, the sum of the per-path kernels (truncated sinc interpolators, exact
-for integer delays), applied to a stream by FFT convolution or read out as
-matrix blocks; both forms sample the same taps, so they agree to round-off.
+The realized channel is one composite FIR, the sum of the per-path sinc
+kernels (truncated, and exact for integer delays), applied to a stream by
+FFT convolution or read out as matrix blocks from the same taps.
 """
 from __future__ import annotations
 
@@ -124,13 +122,13 @@ def _sinc_window(first: int, width: int, delays) -> np.ndarray:
     """sinc(k - tau) for the ``width`` integers k from ``first`` (columns)
     and each delay tau (rows): the channel's and the S2I's delay kernel.
 
-    With n the integer nearest tau, sin(pi (k - tau)) = (-1)^(k - n)
+    (I7) With n the integer nearest tau, sin(pi (k - tau)) = (-1)^(k - n)
     sin(pi (n - tau)), so a row takes one ``sin``, of an argument of at most
-    pi/2, and each value one division by the correctly rounded k - tau: about
-    2 eps relative error, where numpy's sinc of the rounded k - tau is off by
-    up to 3e-12 at |k| <= 2000.  The nearest n matters: as |n - tau| nears 1,
-    sin(fl(pi (n - tau))) loses its relative accuracy.  A whole delay gives
-    exactly 1 at k = tau and 0 elsewhere.
+    pi/2, and each value one division by the correctly rounded k - tau:
+    about 2 eps relative error, where numpy's sinc of the rounded k - tau is
+    off by up to 3e-12 at |k| <= 2000.  n must be the nearest integer: as
+    |n - tau| nears 1, sin(fl(pi (n - tau))) loses its relative accuracy.
+    A whole delay gives exactly 1 at k = tau and 0 elsewhere.
     """
     delays = np.asarray(delays, dtype=float)
     nearest = np.round(delays)
@@ -148,17 +146,11 @@ def _sinc_window(first: int, width: int, delays) -> np.ndarray:
 
 
 def _path_kernels(spec: ChannelSpec, stream_len: int, half_len: int | None):
-    """Per-path sinc kernels on the FIR's lag grid: (first lag, rows).
-
-    Each path's window of lags is its delay alone when the delay is an
-    integer (a unit tap), else floor(delay) -+ ``half_len``, or every lag
-    that can matter for the stream when ``half_len`` is ``None``, which
-    makes the streaming form exact.  The sinc kernels of all paths are
-    evaluated at once on the union of the windows by ``_sinc_window``, the
-    kernel the S2I analysis reads too, and are zero outside each window.
-    With a whole ``half_len`` they are the same for any ``stream_len``.
-    They are read-only: an SER run's blocks share them.
-    """
+    """Per-path sinc kernels on the FIR's lag grid: (first lag, read-only
+    rows), zero outside each path's lags: its delay alone for an integer
+    delay, else floor(delay) -+ ``half_len``, or every lag of the stream
+    when ``half_len`` is ``None`` (exact); the same for any ``stream_len``
+    when ``half_len`` is whole."""
     delays = spec.delays
     floor = np.floor(delays)
     reach = stream_len - 1 if half_len is None else half_len
@@ -184,12 +176,9 @@ def _composite_taps(gains: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
 
 class ChannelOperator:
-    """Realized channel as a linear operator on a sample stream.
-
-    The paths are folded into one composite FIR.  ``apply`` filters the
-    stream with it (FFT convolution); ``block`` reads the same taps out as a
-    block of the stream matrix.
-    """
+    """Realized channel as a linear operator on a sample stream: ``apply``
+    filters the stream with its composite FIR, ``block`` reads the same
+    taps out as a block of the stream matrix."""
 
     def __init__(
         self,
@@ -243,17 +232,11 @@ def _stream_block(lag0: int, taps: np.ndarray, block_len: int, base: int):
 
 
 def _fft_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Full linear convolution of a stream with complex FIR taps, along the
-    last axis, which other axes stack.
-
-    The result is bit-equal to ``scipy.signal.fftconvolve``'s for 1-D
-    input, as these are its steps on ``numpy.fft``: a length-1 operand
-    multiplies directly; otherwise both are transformed at the next fast
-    complex FFT length (``_good_size``), a real operand by a real FFT whose
-    second half is the conjugate mirror of the first, as ``scipy.fft``
-    transforms real input.  Each row of a stack transforms to the same bits
-    as it would alone.  Spelling the steps out keeps ``scipy.signal`` (about
-    40 MB of resident memory) and ``scipy.fft`` out of the package's imports.
+    """Full linear convolution of a stream with complex FIR taps along the
+    last axis, which other axes stack; each row gives the bits that
+    ``scipy.signal.fftconvolve`` gives it alone, by the same steps on
+    ``numpy.fft``.  Spelling them out keeps ``scipy.signal`` (about 40 MB
+    of resident memory) and ``scipy.fft`` out of the package's imports.
     """
     if x.shape[-1] == 1 or taps.shape[-1] == 1:
         return x * taps
@@ -296,11 +279,8 @@ def realize(
     block_len: int = 1,
     n_blocks: int = 1,
 ) -> ChannelRealization:
-    """Draw path gains: fixed gains pass through, powers get a random phase.
-
-    One phase per path per realization (quasi-static), uniform on [0, 2 pi),
-    from ``default_rng(seed)`` in path order, drawn in one call.
-    """
+    """Draw path gains: fixed gains pass through, powers get a random phase
+    (``_draw_gains``) from ``default_rng(seed)``."""
     gains = _draw_gains(_gain_table(spec), np.random.default_rng(seed))
     return ChannelRealization(
         spec=spec, drawn_gains=gains, block_len=block_len, n_blocks=n_blocks
@@ -432,12 +412,9 @@ def _profile_field(path, kv: dict, key: str, convert, default=None):
 
 
 def load_channel_profile(path) -> tuple[ChannelSpec, int | None]:
-    """Read a channel profile file; returns (spec, seed or None).
-
-    Fields: ``delays_samples`` (list or range), one of ``powers_db`` /
-    ``decay``, optional ``seed``, ``max_delay`` and ``name``.  Any other key
-    raises ``ParameterError``.
-    """
+    """Read a channel profile file: (spec, seed or None).  It needs
+    ``delays_samples`` and one of ``powers_db`` and ``decay``, may hold
+    ``seed``, ``max_delay`` and ``name``, and nothing else."""
     kv = load_kv_file(path)
     if unknown := ", ".join(sorted(set(kv) - _PROFILE_KEYS)):
         raise ParameterError(f"profile {path}: unknown key(s) {unknown}")

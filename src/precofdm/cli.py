@@ -1,11 +1,7 @@
-"""Command-line interface.
-
-Subcommands: dpss, basis, xcorr, ebct, bound, s2i, ser, scan-halfshift.
-Every subcommand is deterministic given its flags, config file, and seed;
-outputs are CSV with a header row, '.' decimals, LF endings, and floats
-printed with 12 significant digits.  Flags override config-file values.
-Each subcommand checks its invariants before it writes anything, and a
-failed check is a ``ParameterError`` (exit code 2) that leaves no file.
+"""Command-line interface: the subcommands dpss, basis, xcorr, ebct, bound,
+s2i, ser and scan-halfshift, each deterministic given its flags, config
+file and seed.  Flags override config-file values.  A failed check is a
+``ParameterError`` (exit code 2) that leaves no file.
 """
 from __future__ import annotations
 

@@ -1,46 +1,92 @@
-"""Inter-symbol interference metrics for precoded waveform bases.
+"""Inter-symbol interference metrics for precoded waveform bases, over
+quasi-static channels (one set of path gains).
 
-The chain implemented here:
+Notation: O (N x M) has orthonormal columns o_r.  C, the lag-correlation
+matrix of a receive and a transmit basis of block length B, has a row per
+pair (r, s): C_rs[q] = sum_n o_r*[n] o_s[n - q] on the 2B - 1 lags q.  The
+paths' sinc(k - tau_p) on the lags k of block offset d form k_d, and column
+p of C k_d is the path's transfer matrix beta_{p,d}, vectorized.
+tail_R(c) is the energy beyond radius R of a lag sequence c after a
+band-limited fractional shift.
 
-* cross-correlation tensor C[r, s, q] between basis columns (direct sums,
-  plus closed forms for the OFDM and DFT-precoded bases);
-* tail energies of the correlation sequences after the band-limited
-  fractional shift a channel delay applies, and the half-sample-shift figure
-  of merit per pair (band-limited correlation tail energy, E_BCT).  Every
-  shifted tail is evaluated exactly, with no truncation: at half-bandwidth
-  1/2 a fractional shift preserves energy, so the tail beyond R equals
-  ||C||^2 minus the energy of the 2R + 1 shifted samples inside the window
-  (Laakso et al., "Splitting the unit delay", IEEE SP Mag. 1996);
-* exact ISI transfer matrices and energies for prefixed transmit/receive
-  bases over realized channels, the analytical half-shift ISI bound per
-  channel, and signal-to-ISI sweeps across utilization.  The energies come
-  from a square-root lag Gram: the lag-correlation matrix C of the two bases
-  is factored once into a triangle R with R^H R = C^H C, on 2N - 1 lags
-  with a zero prefix and 2B - 1 otherwise, and each block offset
-  multiplies R by the paths' sinc kernels.  C^H C itself is never formed,
-  because its round-off would swamp the DPSS energies beyond the nearest
-  neighbour block.  The bound's tails are a quadratic form in the lag
-  sequences, so the same R also gives the bound's total over all pairs.
+Identities, each derived once (here or in the docstring named) and checked
+by the test class named:
 
-Channels are quasi-static: every operation takes one set of path gains.
+I1  Zero-prefix lag support.  With a zero prefix (rx.o_r equal to tx.o_t)
+    every lag |q| > N - 1 is a zero column of C.  Used by ``_gram_root``
+    and ``_group_energies``; tested by
+    ``TestSymmetricLagRoot::test_zero_prefix_root_covers_the_basis_lags``.
 
-An S2I sweep hands its basis spans to ``_fork.fork_map``, each with its
-estimated multiply-adds (``_span_work``), which run them in shares.  A share
-takes each span's energies and its bound from one set of real lag rows R~
-with R~^T R~ = Re(C^H C), the Gram that the real sinc kernels see (in closed
-form at M = N, a diagonal that scales the kernels' columns).  Every column
-of the spans the sweep builds is +- its own conjugate time reverse, so
-Re(C^H C) splits into an even and an odd lag block, and ``_parity_lag_root``
-factors each by a half-width QR over the pair rows of its parity, from the N
-lag products q >= 0 alone.  Every offset's kernels, for every R~ of the
-share, are one rolling window of the channel's sinc(k - tau_p) over the
-integers k (``channel._sinc_window``), so each value is evaluated once per
-process, and each offset folds its window once onto the even and odd lag
-coordinates that the two triangles read.  A span whose projector O O^H is
-real (DPSS, and OFDM/DFT subcarrier sets symmetric about 0) runs on a real
-basis of it (``_span_basis``), whose lag products are float64 and whose
-pairs each give one row; a complex span (an odd deficit N - M) gives each
-pair a row of its real and one of its imaginary part.
+I2  Span dependence.  Energies and tail totals (I9) depend on O only
+    through P = O O^H: ||O^H T O||_F^2 = tr(P T P T^H) for any operator T.
+    DFT precoding is unitary on the OFDM subcarriers, so DFT shares OFDM's
+    span, and every scheme at M = N spans C^N.  A real P has a real basis:
+    DPSS's real part; for OFDM with N - M even (subcarriers symmetric about
+    0) the f = 0 column (odd N), then sqrt(2) Re and sqrt(2) Im of each
+    f > 0 column, which span e_f and e_-f = conj(e_f).  Used by
+    ``s2i_sweep`` and ``_span_basis``; tested by ``TestSpanBasis``.
+
+I3  Square-root Gram.  Householder QR of C gives a triangle R with
+    R^H R = C^H C, so ||C k||^2 = ||R k||^2 on at most 2B - 1 rows (Golub &
+    Van Loan, Matrix Computations, 5.3).  C^H C is never formed: it squares
+    the condition number, and its round-off (about 1e-18 for DPSS at
+    N = 128, M = 121 on mild) exceeds the ISI energy of offset d = 2
+    (2.8e-20).  Used by ``_lag_root`` and ``isi_gram``; tested by
+    ``TestIsiGramSquareRoot``.
+
+I4  Mirrored pairs.  For one basis C[(s, r), q] = conj(C[(r, s), -q]), so
+    C^H C = G + J conj(G) J for the lag reversal J and G = C1^H C1 over the
+    rows r <= s, the rows r = s scaled by 1/sqrt(2).  The QR of C1 gives
+    R1, and the QR of [R1; conj(R1) J] gives R, backward stable with the
+    large QR on half of C's rows.  Used by ``_symmetric_lag_root``; tested
+    by ``TestSymmetricLagRoot``.
+
+I5  Parity split and kernel folding.  Real kernels see only Re(C^H C).  If
+    every column is +- its own conjugate time reverse, J o_r = p_r conj(o_r)
+    (OFDM exactly; DPSS to about 1.5e-15, its orders alternately even and
+    odd: Slepian, Bell Syst. Tech. J. 57, 1978), then C_rs[-q] =
+    p_r p_s conj(C_rs[q]), and Re(C^H C) is block diagonal in the even lag
+    coordinates c_q + c_-q (q = 0..N-1) and the odd ones c_q - c_-q
+    (q = 1..N-1) (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Each
+    pair r <= s gives each block a row from its lags q >= 0: Re C_rs and
+    Im C_rs, swapped where p_r p_s = -1, weighted sqrt(2) for r < s (for
+    the pair (s, r)); a real basis has Im C = 0.  The blocks' QRs give
+    triangles E (N columns) and D (N - 1), whose rows, spread onto the lags
+    as e_|q| and sign(q) d_|q|, are rows R with R^T R = Re(C^H C).  So a
+    kernel window k folds once, into k_e = (k_0, k_q + k_-q) and
+    k_o = (k_q - k_-q), q >= 1, and ||R k||^2 = ||E k_e||^2 + ||D k_o||^2:
+    two products on N and N - 1 columns in place of one on 2N - 1.  For
+    columns that hold the identity to delta, leaving out the rows it makes
+    zero moves the Gram by O(delta^2 |C|^2) and reading q >= 0 alone by
+    O(delta |C|^2), both within the QR's backward error.  Used by
+    ``_parity_lag_root``, ``_spread`` and ``_group_energies``; tested by
+    ``TestParityLagRoot`` and ``TestFoldedEnergies``.
+
+I6  The M = N diagonal root.  With O O^H = I and shifts S_q, C^H C[q, q'] =
+    tr(S_q^H S_q') = (N - |q|) delta_qq', so the lag root is
+    diag(sqrt(N - |q|)), with no QR.  Folded as in I5, its halves are the
+    diagonals c_0 = sqrt(N) and c_q = sqrt((N - q)/2), as (N - q)/2
+    ((k_q + k_-q)^2 + (k_q - k_-q)^2) = (N - q) (k_q^2 + k_-q^2).  Used by
+    ``_diagonal_halves``; tested by ``TestSquareSpanRoot``.
+
+I7  Nearest-integer sinc reduction, sin(pi (k - tau)) = (-1)^(k - n)
+    sin(pi (n - tau)) for n the integer nearest tau.  Derived in
+    ``channel._sinc_window``; tested by ``TestSincWindow``.
+
+I8  Parseval tail.  At half-bandwidth 1/2 a fractional shift is unitary,
+    so with y(n + tau) = sum_q c[q] sinc(n + tau - q), tail_R(c) = ||c||^2
+    - sum_{|n| <= R} |y(n + tau)|^2 for any tau, with no truncation (Laakso
+    et al., "Splitting the unit delay", IEEE SP Mag. 1996).  The
+    subtraction's round-off floor, near eps ||c||^2, is where DPSS tails at
+    M < N sit.  Used by ``_parseval_tails``; tested by
+    ``TestParsevalTailProperties``.
+
+I9  Lag-root rows carry the tail total.  tail_R(c) = c^H K c with K real
+    symmetric, so the total over the rows of C is tr(K C^H C), which sees
+    only Re(C^H C): sum_rs tail(C_rs) = sum_i tail(R_i) for the rows of any
+    R with R^H R = C^H C (I3) or R^T R = Re(C^H C) (I5, I6), at most
+    2N - 1 of them in place of M^2.  A row of R is no correlation sequence,
+    but its tail is >= 0 all the same.  Tested by ``TestRootBound``.
 """
 from __future__ import annotations
 
@@ -88,11 +134,8 @@ DEFAULT_BLOCK_WINDOW = 12
 
 @dataclass(frozen=True)
 class CrossCorrTensor:
-    """All pairwise lag correlations of basis columns.
-
-    ``values[r, s, q + n_len - 1]`` is sum_n o_r*[n] o_s[n - q] for lags
-    q in [-(N-1), N-1].
-    """
+    """All pairwise lag correlations of basis columns: ``values[r, s,
+    q + n_len - 1]`` is C_rs[q] for lags q in [-(N-1), N-1]."""
 
     m: int
     n_len: int
@@ -130,14 +173,11 @@ class S2iPoint:
 def _cross_lag_matrix(
     left: np.ndarray, right: np.ndarray, order: str = "C", pairs=None
 ) -> np.ndarray:
-    """Correlations sum_n left*[n, r] right[n - q, s] for q in [-(B-1), B-1].
-
-    Both inputs have B rows (``_check_pair`` or equal bases ensure it).
-    Returns shape (M_left * M_right, 2B - 1) with pair index r * M_right + s,
-    of the inputs' common dtype, stored in numpy ``order`` ("C": one
-    contiguous lag sequence per pair; "F": one contiguous column per lag).
-    ``pairs``, an array of pair indices, keeps only those rows, in that
-    order.
+    """The lag-correlation matrix C of two B-row bases, shape
+    (M_left * M_right, 2B - 1), row r * M_right + s, of their common dtype,
+    in numpy ``order`` ("C": a contiguous lag sequence per pair; "F": a
+    contiguous column per lag).  ``pairs``, an array of pair indices, keeps
+    only those rows, in that order.
     """
     b = left.shape[0]
     m_l, m_r = left.shape[1], right.shape[1]
@@ -240,17 +280,11 @@ def xcorr_scfdma_closed(r: int, s: int, q: int, n_len: int, m_active: int) -> co
 
 
 def _parseval_tails(cmat: np.ndarray, shift: float, radii) -> np.ndarray:
-    """Exact tail energies of shifted band-limited lag sequences.
-
-    Each row of ``cmat`` (its last axis) is a lag sequence C on |q| <= N-1,
-    and y(n + shift) = sum_q C[q] sinc(n + shift - q) its band-limited
-    interpolant sampled at the shifted integers.  At half-bandwidth 1/2 the
-    shift is unitary, so sum_n |y(n + shift)|^2 = ||C||^2 and the tail beyond
-    radius R is ||C||^2 - sum_{|n| <= R} |y(n + shift)|^2 for any shift.  One
-    sinc product over the widest window serves every radius.  A row may be
-    any lag sequence, not only a correlation of two basis columns: the rows
-    of a lag root R with R^H R = C^H C give the same tail total as C's.
-    Returns shape (len(radii),) + cmat.shape[:-1].
+    """Exact tails (I8) of the lag sequences in the rows of ``cmat`` (last
+    axis, on |q| <= N-1), shifted by ``shift``, beyond each radius of
+    ``radii``, from one sinc product over the widest window.  A row may be
+    any lag sequence, such as a lag-root row (I9).  Returns shape
+    (len(radii),) + cmat.shape[:-1].
     """
     n_len = (cmat.shape[-1] + 1) // 2
     lags = np.arange(-(n_len - 1), n_len)
@@ -270,11 +304,9 @@ def _parseval_tails(cmat: np.ndarray, shift: float, radii) -> np.ndarray:
 
 
 def ebct_all(tensor: CrossCorrTensor) -> np.ndarray:
-    """Band-limited correlation tail energy (E_BCT) of every pair, shape (M, M).
-
-    Entry (r, s) is the exact, untruncated energy beyond N-1 of the
-    half-sample-shifted, half-band-limited correlation sequence of the pair.
-    """
+    """Band-limited correlation tail energy (E_BCT) of every pair, shape
+    (M, M): the exact tail (I8) beyond N-1 of its half-sample-shifted
+    correlation sequence."""
     m, n = tensor.m, tensor.n_len
     cmat = tensor.values.reshape(m * m, 2 * n - 1)
     return _parseval_tails(cmat, 0.5, [n - 1])[0].reshape(m, m)
@@ -296,11 +328,8 @@ def isi_transfer(
     l: int,
     l_prime: int,
 ) -> np.ndarray:
-    """ISI transfer matrix beta_{l,l'} = O_r^H H_{l,l'} O_t.
-
-    It maps the symbols of block l' into the output of block l; the channel
-    block is evaluated with the exact sinc delay kernel.
-    """
+    """ISI transfer matrix beta_{l,l'} = O_r^H H_{l,l'} O_t from block l'
+    into block l, through the exact sinc channel block."""
     _check_pair(basis_tx, basis_rx)
     if realization.block_len != basis_tx.block_len:
         raise ParameterError("channel block length != basis block length")
@@ -309,13 +338,9 @@ def isi_transfer(
 
 
 def _lag_root(cmat: np.ndarray) -> np.ndarray:
-    """Upper triangle R with R^H R = cmat^H cmat, factored in place.
-
-    Householder QR of the column-major ``cmat`` (LAPACK geqrf of its dtype,
-    dgeqrf for float64 and zgeqrf for complex128, overwrites it, so no copy
-    is made): cmat = Q R with Q having orthonormal columns.  R has
-    min(rows, cols) rows and ``cmat``'s dtype.
-    """
+    """Upper triangle R with R^H R = cmat^H cmat (I3), of ``cmat``'s dtype
+    and min(rows, cols) rows.  LAPACK geqrf overwrites the column-major
+    ``cmat``, so no copy is made."""
     geqrf, geqrf_lwork = lapack.get_lapack_funcs(("geqrf", "geqrf_lwork"), (cmat,))
     lwork = int(geqrf_lwork(*cmat.shape)[0].real)
     qr = geqrf(cmat, lwork=lwork, overwrite_a=1)[0]
@@ -323,15 +348,8 @@ def _lag_root(cmat: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_lag_root(o: np.ndarray) -> np.ndarray:
-    """Upper triangle R with R^H R = C^H C for the self-correlation C of ``o``.
-
-    Rows of C come in mirrored pairs, C[(s, r), q] = conj(C[(r, s), -q]),
-    so C^H C = G + J conj(G) J with J the lag reversal and G = C1^H C1 for
-    the rows r <= s of C, the diagonal pairs (r, r) scaled by 1/sqrt(2).
-    R1 from the QR of C1 gives G = R1^H R1, and the QR of the stacked
-    [R1; conj(R1) J] gives R.  Both are QR factorizations, so R stays
-    backward stable while the large QR runs on half of C's rows.
-    """
+    """Upper triangle R with R^H R = C^H C for the self-correlation C of
+    ``o``, from the rows r <= s of C (I4)."""
     m = o.shape[1]
     r, s = np.triu_indices(m)
     half = _cross_lag_matrix(o, o, order="F", pairs=r * m + s)
@@ -341,31 +359,12 @@ def _symmetric_lag_root(o: np.ndarray) -> np.ndarray:
 
 
 def _parity_lag_root(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd halves of real lag rows R~ with R~^T R~ = Re(C^H C)
-    for the self-correlation C of ``o`` (N x M), the Gram that real kernels
-    see, from two half-width QRs split by lag parity.
-
-    Every column must be +- its own conjugate time reverse, J o_r = p_r
-    conj(o_r) with p_r = +-1 (checked to 1e-10, else ``ParameterError``):
-    OFDM columns exactly, DPSS orders alternately even and odd to about
-    1.5e-15 (Slepian, Bell Syst. Tech. J. 57, 1978).  Then C_rs[-q] =
-    p_r p_s conj(C_rs[q]), so Re(C^H C) is block diagonal in the even lag
-    coordinates c_q + c_-q (q = 0..N-1) and the odd ones c_q - c_-q
-    (q = 1..N-1) (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Each
-    pair r <= s gives one row to each block, read from the N products
-    o[q:]^H o[:N-q], q >= 0: Re C_rs[q] and Im C_rs[q], swapped where
-    p_r p_s = -1, weighted sqrt(2) for r < s, which stand in for the pair
-    (s, r).  A real basis has Im C = 0, so that row is not formed.  Against
-    C's own even and odd parts, the row left out is O(delta |C_rs|) for the
-    check's residual delta, so leaving it out moves the Gram by O(delta^2
-    |C|^2), and reading the kept row from q >= 0 alone by O(delta |C|^2):
-    both within the QR's own backward error for the spans ``s2i_sweep``
-    builds.  Each block is factored by ``_lag_root`` and returned as its
-    triangle: the even one on the N coordinates q = 0..N-1, the odd one on
-    the N - 1 coordinates q = 1..N-1.  ``_spread`` puts their rows back onto
-    the 2N - 1 lags as even and odd sequences, the rows of R~ (at most
-    2N - 1 of them; a block with no row, such as the odd one of a real basis
-    at M = 1, gives none).
+    """The even and odd triangles E and D (I5) of the self-correlation of
+    ``o`` (N x M), float64 for a real or complex ``o``: E on the N lag
+    coordinates q = 0..N-1, D on the N - 1 ones q = 1..N-1.  A block with
+    no row (the odd one of a real basis at M = 1) is empty.
+    ``ParameterError`` unless every column of ``o`` is +- its own
+    conjugate time reverse to 1e-10.
     """
     n, m = o.shape
     parity = np.where(np.einsum("nr,nr->r", o, o[::-1]).real < 0, -1.0, 1.0)
@@ -398,8 +397,8 @@ def _parity_lag_root(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spread(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The rows of ``_parity_lag_root``'s halves on the 2N - 1 lags: an even
-    row e gives the sequence e_|q|, an odd row o gives sign(q) o_|q|."""
+    """The rows of ``_parity_lag_root``'s halves spread onto the 2N - 1
+    lags (I5)."""
     n = even.shape[1]
     out = np.zeros((len(even) + len(odd), 2 * n - 1))
     out[: len(even), n - 1 :] = even
@@ -430,27 +429,19 @@ def _window_powers(channel: ChannelSpec, n_len: int, prefix_len: int) -> dict:
 
 
 def _gram_root(tx: PrefixedBasis, rx: PrefixedBasis) -> np.ndarray:
-    """Upper triangle R with R^H R = C^H C for the (M_r M_t) x (2B - 1)
-    lag-correlation matrix C of the two bases; R's lags are centred on 0.
-
-    When rx.o_r equals tx.o_t (a zero prefix), every lag |q| > N-1 is a zero
-    column of C, so R spans the un-prefixed basis' 2N - 1 lags, and the
-    large QR factors half of C's rows, which pair up under lag reversal.
-    Otherwise R spans all 2B - 1 lags.
-    """
+    """Upper triangle R with R^H R = C^H C for the lag-correlation matrix C
+    of the two bases, its lags centred on 0: 2N - 1 of them when rx.o_r
+    equals tx.o_t (I1, I4), else all 2B - 1 (I3)."""
     if np.array_equal(rx.o_r, tx.o_t):
         return _symmetric_lag_root(rx.o_r[rx.prefix_len:])
     return _lag_root(_cross_lag_matrix(rx.o_r, tx.o_t, order="F"))
 
 
 def _offset_windows(width: int, block_len: int, delays: np.ndarray, offsets):
-    """Yield (d, k_d) per block offset d of the ascending sequence
-    ``offsets``: k_d, shape (paths, W), holds the paths' sinc(k - tau_p) on
-    the W = ``width`` lags k centred on d B.  k_d is one rolling window: it
-    keeps the W - B lags it shares with the previous offset's and evaluates
-    only the new ones, so each value is evaluated once.  The window is
-    overwritten by the next offset, so a caller reads it before it asks for
-    the next one."""
+    """Yield (d, k_d) per block offset d of the ascending ``offsets``: k_d,
+    shape (paths, W), holds sinc(k - tau_p) on the W = ``width`` lags
+    centred on d B.  It is one rolling window, which evaluates only the lags
+    new to it, so a caller reads it before it asks for the next offset."""
     kernel = np.empty((delays.size, width))
     end = None  # one past the window's last lag
     for d in offsets:
@@ -477,22 +468,8 @@ def isi_gram(
     tau_p from a block d symbols away (|d| < n_blocks).  The ISI energy of a
     gain vector g is then g^H K g, and diag(K) holds per-path energies.
     With ``include_signal`` the analogous d = 0 matrix (desired-signal
-    energies through the same bases) is returned as a second value.
-
-    With C the (M_r M_t) x (2B - 1) lag-correlation matrix of the bases and
-    k_d the sinc kernels of the paths at offset d, the vectorized beta_{p,d}
-    is column p of C k_d, so K sums (C k_d)^H (C k_d) over d.  C is factored
-    once into a triangle R with R^H R = C^H C (QR, backward stable; Golub &
-    Van Loan, Matrix Computations, 5.3), and each offset costs R k_d on at
-    most 2B - 1 rows instead of C k_d on M_r M_t rows.  R's width is 2N - 1
-    with a zero prefix, whose lags |q| > N-1 are zero in C, else 2B - 1.
-    The normal-equation Gram C^H C is never formed: it squares the condition
-    number, and its round-off (about 1e-18 for DPSS at N = 128, M = 121 on
-    the mild channel) exceeds the ISI energy of offset d = 2 (2.8e-20).
-    Real (float64) bases give a real C and R; K is complex either way.  The
-    kernels are real, so each R k_d is one real GEMM: a complex R gives the
-    real (paths, 2W) product with the float view of R^T, whose complex view
-    is (R k_d)^T.
+    energies through the same bases) is returned as a second value.  K is
+    complex for real and complex bases alike, summed on the lag root (I3).
     """
     _check_pair(tx, rx)
     n_blocks = _check_blocks(n_blocks)
@@ -500,6 +477,7 @@ def isi_gram(
     offsets = [d for d in range(1 - n_blocks, n_blocks) if d or include_signal]
     k = np.zeros((2, delays.size, delays.size), dtype=np.complex128)  # ISI, signal
     root = _gram_root(tx, rx)
+    # real kernels: R k_d is one real GEMM with the float view of R^T
     root_t = np.ascontiguousarray(root.T).view(np.float64)
     for d, kernel in _offset_windows(root.shape[1], tx.block_len, delays, offsets):
         u = (kernel @ root_t).view(root.dtype)
@@ -520,12 +498,9 @@ def isi_energy(
     channel: ChannelSpec | ChannelRealization,
     n_blocks: int = DEFAULT_BLOCK_WINDOW,
 ) -> float:
-    """Average ISI energy on one block under unit per-component symbol energy.
-
-    With a realization, evaluates sum_{d != 0} ||beta_d||_F^2 for the drawn
-    gains; with a spec, returns the statistical form sum_p sigma_p^2
-    E_isi(tau_p).
-    """
+    """Average ISI energy on one block under unit per-component symbol
+    energy: sum_{d != 0} ||beta_d||_F^2 for a realization's drawn gains, or
+    sum_p sigma_p^2 E_isi(tau_p) for a spec."""
     return signal_isi_energies(tx, rx, channel, n_blocks)[1]
 
 
@@ -562,13 +537,11 @@ def isi_bound(
 ) -> BoundReport:
     """Half-shift tail total: the analytical ISI bound of a channel.
 
-    Each path is taken as a half-sample shift displaced by its integer part,
-    so its per-pair contribution is the exact shifted-correlation tail
-    energy beyond N_p - 1 with N_p = N + g - floor(tau_p).  Path powers
-    weight the terms; paths that share N_p share one tail, and one sinc
-    product serves every N_p.  The half shift is not the worst fractional
-    delay for every pair (see ``half_shift_worst_case_scan``), so the total
-    can fall below the ISI energy; ``bound`` and ``s2i`` check for this.
+    Each path, a half-sample shift displaced by its integer part, adds each
+    pair's tail (I8) beyond N_p - 1, N_p = N + g - floor(tau_p), times its
+    power.  The half shift is not the worst fractional delay for every pair
+    (``half_shift_worst_case_scan``), so the total can fall below the ISI
+    energy; ``bound`` and ``s2i`` check for this.
     """
     m, n = tensor.m, tensor.n_len
     cmat = tensor.values.reshape(m * m, 2 * n - 1)
@@ -576,33 +549,21 @@ def isi_bound(
 
 
 def _span_basis(basis: WaveformBasis) -> WaveformBasis:
-    """An orthonormal basis of ``basis``'s span, float64 when the span's
-    projector P = O O^H is real, so that its S2I and bound run in real
-    arithmetic (every energy depends on O only through P).
-
-    DPSS: the real part, exact as ``default_basis`` stores DPSS with zero
-    imaginary parts.  OFDM or DFT whose retained subcarriers are symmetric
-    about 0 (f = -f reversed): of the OFDM columns (built for a DFT basis),
-    the f = 0 column when N is odd, then sqrt(2) Re and sqrt(2) Im of the
-    f > 0 columns, which span each pair e_f, e_-f = conj(e_f).  Any other
-    set (an odd deficit N - M) has a complex P: ``basis`` itself.
-    """
+    """The float64 basis (I2) of ``basis``'s span when its projector is
+    real, DPSS or OFDM with N - M even; otherwise, and for every DFT basis,
+    ``basis`` itself."""
     o, n, m = basis.o_matrix, basis.n_len, basis.m_active
     if basis.scheme is not PrecodingScheme.DPSS:
         f = retained_frequencies(n, m)
-        if not np.array_equal(f, -f[::-1]):
+        if basis.scheme is PrecodingScheme.DFT or not np.array_equal(f, -f[::-1]):
             return basis
-        if basis.scheme is PrecodingScheme.DFT:
-            o = default_basis(PrecodingScheme.OFDM, n, m).o_matrix
         pos = math.sqrt(2.0) * o[:, f > 0]
         o = np.hstack([o[:, f == 0].real, pos.real, pos.imag])
     return WaveformBasis(n, m, basis.scheme, np.ascontiguousarray(o.real))
 
 
 def _diagonal_halves(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd halves of R = diag(sqrt(N - |q|)), the lag rows of
-    a span of all of C^N: the diagonals c_0 = sqrt(N) and c_q =
-    sqrt((N - q)/2), q = 1..N-1, on both, whose spread rows give R^T R."""
+    """The even and odd halves of the M = N lag root, as diagonals (I6)."""
     diag = np.sqrt(np.r_[n, np.arange(n - 1, 0, -1) / 2])
     return diag, diag[1:]
 
@@ -614,42 +575,13 @@ def _group_energies(
     include_bound: bool,
 ) -> list:
     """(signal energy, ISI energy, half-shift tail total or None) of each
-    zero-prefixed basis in ``prefs``, all from its real lag rows R with
-    R^T R = Re(C^H C), held as an even and an odd half.  The bases share N
-    and the prefix, so their rows share the 2N - 1 lags.  At M < N, the
-    halves are ``_parity_lag_root``'s, which needs every column +- its own
-    conjugate time reverse, as the spans of ``s2i_sweep`` are, and raises
-    ``ParameterError`` otherwise; they are real for a complex basis too, so
-    the offset products and energies are real.
-
-    The energies are ``signal_isi_energies(pref, pref, ...)``'s, read per
-    path as sum_i |(R k_d)_{ip}|^2 and weighted by the path powers, with no
-    P x P Gram: the kernels k_d are real, so |C k_d|^2 = k_d^T Re(C^H C)
-    k_d.  An even row of R is e_|q| on the lags q and an odd row sign(q)
-    o_|q|, so each offset's window k is folded once, into k_e[0] = k[0],
-    k_e[q] = k[q] + k[-q] and k_o[q] = k[q] - k[-q] for q = 1..N-1, and
-    R k = (E k_e, D k_o) for the halves E and D: two real products on N and
-    N - 1 columns in place of one on 2N - 1, and each energy is
-    sum |E k_e|^2 + sum |D k_o|^2.  The tail total is ``isi_bound``'s: the
-    tail is a quadratic form in the lag sequence with a real symmetric
-    kernel, so the total over the pairs (r, s) of C is a trace against
-    C^H C, which its imaginary part does not reach, and equals the one over
-    the rows of R (``_spread``).  A row of R is not a correlation sequence,
-    but its tail is still non-negative in exact arithmetic, so the per-row
-    clamp stays valid.  At M = N, O O^H = I and C^H C[q, q'] =
-    tr(S_q^H S_q') = (N - |q|) delta_qq' for shifts S_q, so R is
-    diag(sqrt(N - |q|)), unfactored: the callers' ``default_basis`` checks
-    O orthonormal to 1e-10.  Its halves are the diagonals c_0 = sqrt(N) and
-    c_q = sqrt((N - q)/2) on both, as (N - q)/2 ((k_q + k_-q)^2 +
-    (k_q - k_-q)^2) = (N - q) (k_q^2 + k_-q^2); they scale the folded
-    kernels' columns, and the tail total takes its rows from the real
-    diagonal matrix diag(sqrt(N - |q|)).
-
-    Every root is factored, and its tail total taken, before the offset
-    loop, so the kernel window of ``_offset_windows`` never coexists with a
-    half lag matrix.  The loop then folds each offset's kernels once for
-    every root of ``prefs``, and adds each root's ISI energies in offset
-    order.
+    zero-prefixed basis in ``prefs``, which share N and the prefix: the
+    values of ``signal_isi_energies(pref, pref, ...)`` and ``isi_bound``
+    (I9), from real lag rows in even and odd halves (I1; I5, or I6 at
+    M = N).  ``ParameterError`` if a basis with M < N has a column that is
+    not +- its own conjugate time reverse.  Every root and its tail total
+    come before the offset loop, so the kernel window of ``_offset_windows``
+    never coexists with a half lag matrix.
     """
     n_blocks = _check_blocks(n_blocks)
     n, block_len = prefs[0].base.n_len, prefs[0].block_len
@@ -721,23 +653,9 @@ def s2i_sweep(
     statistical under unit per-component symbol energy; the lower-bound
     column replaces the ISI energy by ``isi_bound``'s half-shift total.
     Every basis carries a zero prefix of ``prefix_len`` samples;
-    m_active = floor(eta * N).
-
-    Each energy depends on a basis O only through its span, the projector
-    P = O O^H: ||O^H T O||_F^2 = tr(P T P T^H) for every transfer operator
-    T, and the bound's tail totals likewise.  DFT precoding is unitary on
-    the OFDM subcarriers, and at M = N every basis spans all of C^N, so the
-    values are computed once per span, on the OFDM basis for every span
-    but DPSS with M < N, and shared by the rows that have it.
-
-    The bases are built here, and the spans go to ``fork_map`` with their
-    estimated multiply-adds (``_span_work``).  A share takes each span's
-    energies and its bound from its real lag rows R, as the module docstring
-    describes: the bound's tail total over the M^2 pair rows of C equals the
-    one over the at most 2N - 1 rows of R (sum_rs tail(C_rs) = sum_i
-    tail(R_i), as R^T R = Re(C^H C) and the tail kernel is real), so no
-    sweep builds the correlation tensor or a path Gram.  Every check a share
-    would raise runs here first, so a bad argument never starts a process.
+    m_active = floor(eta * N).  Each span is computed once (I2), and its
+    ``_span_work`` estimate goes to ``fork_map``; every check a share would
+    raise runs here first, so a bad argument never starts a process.
     """
     n_len = check_whole("n_len", n_len, 1)
     prefix_len = check_whole("prefix_len", prefix_len, 0)
@@ -781,15 +699,12 @@ def half_shift_worst_case_scan(
     s,
     tau_grid: np.ndarray,
 ) -> tuple:
-    """Exact tail energy beyond N-1 versus fractional shift; returns (argmax, curve).
-
-    ``r`` and ``s`` index the pairs: two integers, or integer arrays that
-    broadcast together, which scans every pair with one tail pass per shift.
-    ``curve`` has shape ``broadcast(r, s).shape + (len(tau_grid),)``; each
-    point is the untruncated tail of the shifted band-limited correlation
-    sequence.  ``argmax`` holds, per pair, the shift at which the curve
-    peaks: whether the half-sample shift maximizes it is reported, never
-    assumed.
+    """Exact tail (I8) beyond N-1 versus fractional shift; returns
+    (argmax, curve).  ``r`` and ``s`` are integers, or integer arrays that
+    broadcast together, scanned with one tail pass per shift.  ``curve`` has
+    shape ``broadcast(r, s).shape + (len(tau_grid),)``, and ``argmax`` holds
+    each pair's peak shift: whether the half shift maximizes it is reported,
+    never assumed.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     inside = np.all((tau_grid > 0.0) & (tau_grid < 1.0))  # NaN fails

@@ -1,45 +1,24 @@
 """Monte-Carlo multi-user link simulation.
 
-A frame is three subframes of 14 precoded QPSK symbols; the outer subframes
-belong to high-power users and the middle one to the victim user whose
-symbol error rate is measured.  Each trial draws a channel realization and
-payloads, streams the frame through the channel, adds noise calibrated to
-the victim's received signal power, and detects the victim's symbols with a
-one-shot MMSE equalizer built from genie channel knowledge.  Residual
-interference from the adjacent subframes is left untouched: it is the
-quantity under study.  Only the blocks whose samples the channel's FIR
-carries into the victim subframe are built and filtered; the others cannot
-change a victim sample.
+A frame is three subframes of 14 precoded QPSK symbols: high-power users in
+the outer two, and in the middle the victim user whose symbol error rate is
+measured.  A trial draws a channel realization and payloads, streams the
+blocks that reach the victim subframe through the channel, adds noise
+calibrated to the victim's received signal power (drawn once at unit
+variance, scaled per SNR point), and detects the victim's symbols by a
+one-shot MMSE equalizer from genie channel knowledge, solved by Cholesky
+(a point that Cholesky cannot factor is skipped).  Interference from the
+adjacent subframes is left in: it is the quantity under study.
 
-The victim's effective channel A = O_r^H H O_t is linear in the path
-gains, A = sum_p g_p A_p, and only the gains change between the trials of
-a run.  So the per-path matrices conj(A_p) are built once per run, as one
-(paths, M * M) stack.  Within a trial only the noise level changes between
-SNR points, so A, its Gram matrix A^H A and the matched-filter outputs of
-the received signal and of the unit-variance noise are formed once; each
-point adds its scaled noise term and solves its own regularized system by
-Cholesky (a point Cholesky cannot factor is skipped), writing its
-estimates in place, and errors are counted on their signs against the
-sent symbols', by position in the victim's subframe.
-
-A run's trials go in fixed blocks of ``_BLOCK_SEEDS`` consecutive seeds,
-which work as stacks (``_run_block``), so that the path stack is read
-once per block rather than once per trial.  Every BLAS and LAPACK call of
-a trial, and of the path stack, goes to scipy's library: numpy's OpenBLAS
-keeps a thread pool of its own, and with BLAS threads unpinned the two
-pools would spin against each other.  What does not change between trials
-(the FIR kernels, evaluated once, the window, the gain table, the path
-stack) is built once per run and held by the run (``_SerRun``), not by
-the module, so none of it outlives the run.  The blocks reuse the run's
-workspaces, which BLAS and LAPACK write in place: glibc returns freed
-temporaries of their size (256 KB at M = 128) to the OS, and each trial
-would fault them in again.
-
-Blocks are independent given their seeds, so ``run_ser`` hands them to
-``_fork.fork_map`` with their estimated multiply-adds (``_trial_work`` per
-seed), after the run's constants are built, so every process shares them.
-A block is the same whichever process runs it, and the counts are integer
-sums, which do not depend on their order.
+The effective channel A = O_r^H H O_t is linear in the path gains,
+A = sum_p g_p A_p, so a run builds the per-path conj(A_p) once, with all
+else its trials share (``_SerRun``), and holds it until it returns.  Its
+trials go in fixed blocks of ``_BLOCK_SEEDS`` seeds, which work as stacks
+(``_run_block``) and go to ``_fork.fork_map``.  Every BLAS and LAPACK call
+goes to scipy's library: numpy's OpenBLAS keeps a thread pool of its own,
+and unpinned the two pools would spin against each other.  The blocks
+write into the run's workspaces: glibc returns freed temporaries of their
+size (256 KB at M = 128) to the OS, so each trial would fault them in.
 """
 from __future__ import annotations
 
@@ -97,10 +76,7 @@ _BLOCK_SEEDS = 4
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Multi-user frame layout and transmit parameters.
-
-    A frame is three subframes of 14 symbols, each with a cyclic prefix.
-    """
+    """Multi-user frame layout and transmit parameters (cyclic prefix)."""
 
     symbols_per_subframe: ClassVar[int] = 14
     n_subframes: ClassVar[int] = 3
@@ -178,11 +154,8 @@ def draw_payloads(cfg: FrameConfig, rng: np.random.Generator) -> np.ndarray:
 def build_frame(
     cfg: FrameConfig, basis: PrefixedBasis, payloads: np.ndarray
 ) -> np.ndarray:
-    """Assemble the transmit stream: per-symbol O_t i with subframe powers.
-
-    Subframes other than the victim's are scaled by 10^(p_delta_db / 20).
-    ``payloads`` is (n_symbols, m_active), as ``draw_payloads`` returns.
-    """
+    """The transmit stream, per-symbol O_t i times ``_symbol_gains``, from
+    ``payloads`` (n_symbols, m_active) as ``draw_payloads`` returns them."""
     payloads = np.asarray(payloads)
     if payloads.shape != (cfg.n_symbols, cfg.m_active):
         raise ParameterError(
@@ -200,13 +173,9 @@ def _symbol_gains(cfg: FrameConfig) -> np.ndarray:
 
 
 def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a @ b`` written into ``out`` (C order) by scipy's BLAS: dgemm for a
-    float64 ``out``, else zgemm.
-
-    Row-major C = A B is column-major C^T = B^T A^T.  An operand in C order
-    goes in as its transpose, a Fortran-order view; one in Fortran order
-    goes in as it is, transposed by BLAS.  So no operand is copied.
-    """
+    """``a @ b`` written into ``out`` (C order) by scipy's BLAS, dgemm for a
+    float64 ``out``, else zgemm, with no operand copied: row-major C = A B
+    is column-major C^T = B^T A^T."""
     def transposed(x):  # x^T as BLAS reads it: an array and its trans flag
         return (x.T, 0) if x.flags.c_contiguous else (x, 1)
 
@@ -217,11 +186,8 @@ def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _frame(basis: PrefixedBasis, payloads: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """The stream of consecutive payload rows, row l scaled by ``gains[l]``.
-
-    ``payloads`` is (..., rows, M); leading axes stack streams, all built
-    by one product with O_t.
-    """
+    """The stream of consecutive payload rows, row l scaled by ``gains[l]``;
+    leading axes of ``payloads`` (..., rows, M) stack streams."""
     *lead, rows, m = payloads.shape
     flat = np.ascontiguousarray(payloads, dtype=np.complex128).reshape(-1, m)
     symbols = np.empty((len(flat), basis.block_len), dtype=np.complex128)
@@ -240,16 +206,13 @@ def equalize_and_detect(
 ) -> list[np.ndarray | None]:
     """Linear MMSE equalization at several noise variances, then QPSK decisions.
 
-    ``gram`` is A^H A for an effective channel A (M x M); ``matched`` holds
-    the matched-filter outputs A^H z, one (M, K) block of K received vectors
-    per entry of ``noise_vars``, each >= 0 and finite (0 is zero forcing).
-    Point p solves (gram + noise_vars[p] I) x = matched[p] by Cholesky
-    (LAPACK zposv, which reads the upper triangle).
-    Returns one entry per point: the Gray bits of the decisions, shape
-    (K, M, 2), first bit the sign of I and second that of Q as ``qpsk_map``
-    reads them; or ``None`` where Cholesky fails (the system is not
-    positive definite: for A^H A + n0 I, singular to working precision) or
-    the solution is not finite.
+    ``gram`` is A^H A for an effective channel A (M x M), of which only the
+    upper triangle is read; ``matched`` holds the outputs A^H z, one (M, K)
+    block per entry of ``noise_vars``, each >= 0 and finite (0 is zero
+    forcing).  Returns one entry per point: the Gray bits of the decisions,
+    shape (K, M, 2), as ``qpsk_map`` reads them; or ``None`` where Cholesky
+    fails (for A^H A + n0 I, singular to working precision) or the solution
+    is not finite.
     """
     noise_vars = np.asarray(noise_vars, dtype=float).reshape(-1)
     m = gram.shape[0]
@@ -276,14 +239,10 @@ def equalize_and_detect(
 
 
 def _solve_points(gram, rhs, noise_vars, system: np.ndarray) -> np.ndarray:
-    """Solve (gram + noise_vars[p] I) x = rhs[p] at every point p, x written
-    over ``rhs[p]`` (M x K, complex, Fortran order).
-
-    Each point's system is written into ``system`` (M x M, complex, Fortran
-    order), which zposv factors in place, reading its upper triangle.
-    Returns whether each point was solved: Cholesky factored its system and
-    the solution is finite.
-    """
+    """Solve (gram + noise_vars[p] I) x = rhs[p] by zposv (upper triangle)
+    at every point p, x over ``rhs[p]`` (M x K), each system factored in
+    ``system`` (M x M); all complex, Fortran order.  Returns whether each
+    point was solved: factored, with a finite solution."""
     diagonal = system.reshape(-1, order="F")[:: len(system) + 1]  # a view
     factored = np.zeros(len(rhs), dtype=bool)
     for p, (n0, b) in enumerate(zip(noise_vars, rhs)):
@@ -297,19 +256,11 @@ def _solve_points(gram, rhs, noise_vars, system: np.ndarray) -> np.ndarray:
 def _normal_equations(
     a_conj: np.ndarray, t: np.ndarray, gram: np.ndarray, matched: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A^H A and the matched-filter outputs A^H t of one trial, written in
-    place into ``gram`` (M x M) and ``matched`` (M x K), both complex and in
-    Fortran order.
-
-    ``a_conj`` is conj(A) in C order, A = O_r^H H_{l,l} O_t the effective
-    channel of every block l, as H_{l,l'} depends only on l - l'; a trial
-    forms it from the run's path stack (``_build_path_stack``).  So
-    A^H = conj(A)^T is a Fortran-order view, which BLAS zherk and zgemm
-    read as it is.  ``t`` (M x K, Fortran order) holds O_r^H of K received
-    blocks.  zherk writes the upper triangle of A^H A, which is all that
-    zposv reads in ``_solve_points``; the lower triangle keeps what
-    ``gram`` held.
-    """
+    """A^H A (its upper triangle only, all that zposv reads) and the
+    matched-filter outputs A^H t, written into ``gram`` (M x M) and
+    ``matched`` (M x K), complex and in Fortran order.  ``a_conj`` is
+    conj(A) in C order, the effective channel of every block; ``t`` (M x K,
+    Fortran order) holds O_r^H of K received blocks."""
     a_h = a_conj.T
     gram = blas.zherk(1.0, a_h, c=gram, overwrite_c=1)
     return gram, blas.zgemm(1.0, a_h, t, c=matched, overwrite_c=1)
@@ -318,16 +269,12 @@ def _normal_equations(
 def _build_path_stack(
     basis: PrefixedBasis, lag0: int, kernels: np.ndarray
 ) -> np.ndarray:
-    """conj(A_p) = O^T conj(H_p[g:] O_t) of every path p, one row each.
-
-    H_p is path p's unit-gain (0, 0) channel block, one gather of its
-    kernel (a row of ``kernels``, whose first lag is ``lag0``), so a
-    realization's conj(A) is conj(gains) @ stack, reshaped to M x M.  H_p
-    is real (sinc samples), so conj(H_p O_t) is H_p conj(O_t), one real
-    product on the float64 view of conj(O_t).  The stack is an anonymous
-    memory map of its own, not a malloc chunk: freeing it returns its
-    pages, where a freed heap chunk this large stays resident and the next
-    run's stack need not fit the hole it left.
+    """conj(A_p) = O^T conj(H_p[g:] O_t) of every path p, one row each, for
+    the unit-gain (0, 0) blocks H_p of the ``kernels`` rows (first lag
+    ``lag0``): a realization's conj(A) is conj(gains) @ stack, reshaped to
+    M x M.  The stack is an anonymous memory map of its own, not a malloc
+    chunk: freeing it returns its pages, where a freed heap chunk this large
+    stays resident and the next run's stack need not fit the hole it left.
     """
     g = basis.prefix_len
     o = basis.base.o_matrix
@@ -363,19 +310,10 @@ def _trial_window(
 
 
 class _SerRun:
-    """One run's constants, built once before any block runs, and the
-    workspaces that its blocks of trials write into.
-
-    The constants are the per-path FIR kernels (evaluated once: at a whole
-    half-length they are one block's on any stream), the victim's window,
-    what the gain draws read of the channel spec, the symbols' amplitudes,
-    the SNR points' linear values and the path stack.  The workspaces hold a
-    block's window payloads, its received and unit-noise rows past the
-    prefix (conjugated) and their products with O, and its conj(A) rows;
-    one Gram matrix, one matched-filter block, one MMSE system (Fortran
-    order, as zherk, zgemm and zposv write them in place) and one
-    (symbols, M) matrix of estimates per SNR point serve every trial in
-    turn.  It checks the SNR grid, and the basis against ``cfg``.
+    """One run's constants (the per-path FIR kernels, the victim's window,
+    the gain table, the symbols' amplitudes, the SNR points, the path
+    stack), built once before any block runs, and the workspaces its blocks
+    write in place.  It checks the SNR grid, and the basis against ``cfg``.
     """
 
     def __init__(self, cfg, channel_spec, basis, snr_grid_db):
@@ -412,19 +350,11 @@ class _SerRun:
 
 
 def _run_block(run: _SerRun, seeds) -> np.ndarray:
-    """Counts of a block of at most ``_BLOCK_SEEDS`` seeded trials: for each
-    seed, its victim symbol errors and detected symbols by SNR point and
-    position in the subframe, an int array (seeds, 2, points, symbols).
-
-    Each seed draws from ``default_rng(seed)`` in a fixed order: channel
-    phases, payload bits, noise.  Then the block works on its seeds as
-    stacks: one product with O_t builds every seed's window of blocks that
-    reach the victim subframe, one batched FFT filters each through its own
-    channel, one product with O takes O_r^H of every received and
-    unit-noise row, and one product of the conjugate gains with the path
-    stack forms every conj(A).  Each seed then forms its normal equations,
-    solves its points into the run's estimates, and counts the errors of
-    all its points in one sign comparison against its sent symbols.
+    """Counts of a block of at most ``_BLOCK_SEEDS`` seeded trials, an int
+    array (seeds, 2, points, symbols): each seed's victim symbol errors and
+    detected symbols by SNR point and position in the subframe.  Each seed
+    draws from ``default_rng(seed)`` in a fixed order: channel phases,
+    payload bits, noise.
     """
     cfg, basis = run.cfg, run.basis
     lo, hi, start, stop = run.window
@@ -504,17 +434,10 @@ def run_trial(
     snr_grid_db,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One seeded trial: channel draw, frame, detection at each SNR point.
-
-    Returns ``(errors, symbols)``: the victim's symbol errors and detected
-    symbols, one int entry per SNR point.  Draws come from
-    ``default_rng(seed)`` in a fixed order: channel phases, payload bits,
-    noise.  The noise is drawn once at unit variance and scaled per point.
-    The channel is realized (same gains) on the window of blocks that
-    reach the victim subframe, and only that window is built and filtered.
-    A skipped SNR point (singular MMSE system or a non-finite solution)
-    reports zero errors and zero symbols.  This is ``run_ser``'s block of
-    trials for the one seed, with ``run_ser``'s checks of its arguments.
+    """One seeded trial: ``run_ser``'s block for the one seed, with its
+    checks.  Returns ``(errors, symbols)``: the victim's symbol errors and
+    detected symbols, one int entry per SNR point, both 0 at a skipped
+    point (singular MMSE system or a non-finite solution).
     """
     seed = check_whole("seed", seed, 0)
     run = _SerRun(cfg, channel_spec, basis, snr_grid_db)
@@ -529,18 +452,14 @@ def run_ser(
     n_trials: int = 200,
     base_seed: int = 0,
 ) -> list[SerPoint]:
-    """Victim-user SER over an SNR grid, averaged over seeded trials.
+    """Victim-user SER over an SNR grid, one ``SerPoint`` per SNR point.
 
-    Trial i uses seed base_seed + i for channel phases, payload bits, and
-    noise.  The trials run in fixed blocks of ``_BLOCK_SEEDS`` consecutive
-    seeds (the last block may be shorter), so each trial's counts depend
-    only on its seed and its block, not on how many processes ran the blocks
-    (``fork_map``; a block's estimate is its seeds x ``_trial_work``).  The
-    run and its path stack are built once, before any block runs.  Returns
-    one ``SerPoint`` per SNR point.  SNR is Es/N0 referenced to the victim's
-    received per-symbol energy through its own effective channel; +inf dB is
-    the noiseless, interference-limited SER.  A basis that is not
-    orthonormal to 1e-10 raises ``ParameterError``.
+    Trial i uses seed base_seed + i; the counts do not depend on how many
+    processes ran the blocks (a block's ``fork_map`` estimate is its seeds
+    x ``_trial_work``).  SNR is Es/N0 referenced to the victim's received
+    per-symbol energy through its own effective channel; +inf dB is the
+    noiseless SER.  A basis that is not orthonormal to 1e-10 raises
+    ``ParameterError``.
     """
     n_trials = check_whole("n_trials", n_trials, 1)
     base_seed = check_whole("base_seed", base_seed, 0)

@@ -4,10 +4,8 @@ The effective basis O is the product of a centered DFT modulation matrix and
 a precoder S: plain OFDM keeps the M centermost subcarriers, DFT precoding
 (SC-FDMA style) spreads M time shifts across those subcarriers, and DPSS
 precoding uses the W -> 0.5- prolate sequences directly as basis columns.
-
-Storage row i of a basis corresponds to time sample i - (N - 1)/2; only the
-closed-form phase conventions depend on this labeling, correlations and
-channel application do not.
+Storage row i is time sample i - (N - 1)/2 (``time_grid``); only the
+closed forms' phases depend on this labeling.
 """
 from __future__ import annotations
 
@@ -58,11 +56,8 @@ def _member(kind: type[Enum], value) -> Enum:
 
 @dataclass(frozen=True)
 class WaveformBasis:
-    """Effective transmit basis with orthonormal columns.
-
-    ``o_matrix`` is N x M, at utilization M / N: complex from
-    ``default_basis``, float64 for a real basis of a real span.
-    """
+    """Effective transmit basis: ``o_matrix`` (N x M) has orthonormal
+    columns, complex from ``default_basis``, float64 from ``_span_basis``."""
 
     n_len: int
     m_active: int
@@ -75,11 +70,9 @@ class WaveformBasis:
 
 @dataclass(frozen=True)
 class PrefixedBasis:
-    """Transmit/receive basis pair extended by a guard prefix of g rows.
-
-    ``o_t`` prepends either zeros or the last g rows of O (cyclic);
-    ``o_r`` always prepends zeros - the receiver ignores prefix samples.
-    """
+    """Transmit/receive basis pair extended by a guard prefix of g rows:
+    ``o_t`` prepends zeros or the last g rows of O (cyclic), ``o_r`` always
+    zeros, as the receiver ignores prefix samples."""
 
     base: WaveformBasis
     prefix_len: int
@@ -101,14 +94,11 @@ def time_grid(n_len: int) -> np.ndarray:
 
 
 def retained_frequencies(n_len: int, m_active: int) -> np.ndarray:
-    """Centered subcarrier indices kept when N - M edge components are nulled.
-
-    The grid is j - (N-1)/2 for all N, so even N uses the symmetric
-    half-integer offsets +-1/2, +-3/2, ...; this keeps the band symmetric
-    and avoids placing a carrier exactly on the +-N/2 band-limit edge,
-    where the fractional-delay kernel is discontinuous.  The lower edge
-    loses floor((N - M)/2) subcarriers and the upper edge the remainder, so
-    an odd deficit drops one extra component from the top.
+    """Centered subcarrier indices j - (N-1)/2 kept when N - M edge
+    components are nulled: floor((N - M)/2) from the lower edge and the
+    rest from the upper.  Even N gets half-integer offsets, so no carrier
+    sits on the +-N/2 band edge, where the fractional-delay kernel is
+    discontinuous.
     """
     if m_active > n_len:
         raise ParameterError(f"m_active={m_active} exceeds n_len={n_len}")
@@ -122,12 +112,9 @@ def _centered_dft_columns(n_len: int, freqs: np.ndarray) -> np.ndarray:
 
 
 def active_count(eta: float, n_len: int) -> int:
-    """Active components at utilization ``eta``: floor(eta * N).
-
-    The 1e-9 guard keeps a utilization written as m / N on m after
-    rounding.  A count outside [1, N], or a NaN or infinite ``eta``, raises
-    ``ParameterError``.
-    """
+    """Active components at utilization ``eta``: floor(eta * N), with a
+    1e-9 guard that keeps eta = m / N on m.  ``ParameterError`` for a count
+    outside [1, N] or a NaN or infinite ``eta``."""
     scaled = eta * n_len + 1e-9
     if not 1 <= scaled < n_len + 1:  # floor(scaled) in [1, N]; NaN fails
         raise ParameterError(f"eta={eta} gives no active count in [1, {n_len}]")
@@ -143,14 +130,9 @@ def _check_orthonormal(o: np.ndarray) -> None:
 
 
 def default_basis(scheme: PrecodingScheme, n_len: int, m_active: int) -> WaveformBasis:
-    """Construct the effective basis O for a scheme at utilization M / N.
-
-    OFDM keeps the M centermost subcarriers of the centered DFT; DFT
-    precoding produces M Dirichlet pulses at centered time shifts; DPSS uses
-    the first M sequences of the W -> 0.5- set.  Columns are renormalized to
-    unit norm to pin orthonormality numerically, and then checked: columns
-    that are not orthonormal to 1e-10 raise ``ParameterError``, as do
-    sizes that are not whole numbers.
+    """The effective basis O (N x M, complex) of ``scheme``, each column
+    renormalized.  ``ParameterError`` for sizes that are not whole numbers
+    and for columns that are not orthonormal to 1e-10.
     """
     n_len = check_whole("n_len", n_len, 1)
     m_active = check_whole("m_active", m_active, 1)

@@ -125,6 +125,23 @@ class TestLimitHalf:
         with pytest.raises(ParameterError):
             dpss_limit_half(9, 10)
 
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_absolute_accuracy_floor(self, n):
+        # compute_dpss's stated floor: each column is an eigenvector of the
+        # commuting tridiagonal T to a residual of a few eps ||T||, which
+        # leaves the tiny outer entries of order 0 as round-off (true
+        # values 2.6e-38 to 1e-20 at N = 128), never above 1e-15
+        seqs = dpss_limit_half(n, n).sequences
+        i = np.arange(n)
+        off = i[1:] * (n - i[1:]) / 2.0
+        t = np.diag(((n - 1 - 2 * i) / 2.0) ** 2 * np.cos(np.pi))
+        t += np.diag(off, 1) + np.diag(off, -1)
+        rayleigh = np.einsum("nk,nk->k", seqs, t @ seqs)
+        residual = np.linalg.norm(t @ seqs - seqs * rayleigh, axis=0)
+        assert np.max(residual) <= 32 * np.finfo(float).eps * np.linalg.norm(t, 2)
+        if n == 128:
+            assert np.max(np.abs(seqs[:8, 0])) < 1e-15
+
     @pytest.mark.parametrize("n", [9, 17, 33, 64, 128])
     def test_is_compute_dpss_at_half(self, n):
         # one construction: the sequences are compute_dpss's bits, and the

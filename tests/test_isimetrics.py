@@ -1381,7 +1381,7 @@ class TestSpanBasis:
 
     @pytest.mark.parametrize("scheme,n,m,g", [
         (PrecodingScheme.OFDM, 17, 15, 4),
-        (PrecodingScheme.DFT, 16, 12, 3),
+        (PrecodingScheme.OFDM, 16, 12, 3),
         (PrecodingScheme.DPSS, 16, 14, 2),
         (PrecodingScheme.OFDM, 24, 20, 16),
     ])
@@ -1408,19 +1408,20 @@ class TestSpanBasis:
     @pytest.mark.parametrize("n,m", [(17, 15), (16, 12), (24, 24), (9, 1)])
     def test_ofdm_span_from_its_own_columns(self, monkeypatch, n, m):
         # an OFDM basis' real span takes the basis' own columns, with no
-        # basis built again; a DFT basis' takes those of the OFDM basis it
-        # builds, so both give the same bits
+        # basis built again, and a DFT basis is its own span: s2i_sweep
+        # never hands _span_basis one
         ofdm, dft = (default_basis(s, n, m) for s in SCHEMES[:2])
-        want = isimetrics._span_basis(dft).o_matrix
 
         def refuse(*args):
             raise AssertionError("basis built again")
 
         monkeypatch.setattr(isimetrics, "default_basis", refuse)
+        assert isimetrics._span_basis(dft) is dft
         span = isimetrics._span_basis(ofdm)
         assert span.scheme is PrecodingScheme.OFDM
         assert span.o_matrix.dtype == np.float64
-        assert span.o_matrix.tobytes() == want.tobytes()
+        o, rep = ofdm.o_matrix, span.o_matrix
+        assert np.max(np.abs(rep @ rep.T - o @ o.conj().T)) <= 1e-13
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1441,14 +1442,14 @@ class TestSpanBasis:
         o, rep = basis.o_matrix, span.o_matrix
         proj = o @ o.conj().T
         real_span = np.max(np.abs(proj.imag)) <= 1e-13
-        assert (rep.dtype == np.float64) == real_span
+        if scheme is PrecodingScheme.DFT or not real_span:
+            assert span is basis
+        else:
+            assert rep.dtype == np.float64
         assert rep.shape == o.shape
         assert np.max(np.abs(rep @ rep.conj().T - proj)) <= 1e-13
-        if not real_span:
-            assert span is basis
         # the energies on the bases s2i_sweep builds for the row: a DFT
-        # row's are the OFDM basis' and its span basis, whose bits equal
-        # those of the DFT basis' (test_ofdm_span_from_its_own_columns)
+        # row's are the OFDM basis' and its span basis
         sweep = sweep_basis(scheme, n, m)
         cplx, pref = (
             with_prefix(b, g, PrefixKind.ZERO)
